@@ -23,6 +23,7 @@ from .errors import (
     NoInverse,
     NotAssociative,
     PeifferFailure,
+    SemanticError,
     TooLarge,
 )
 
@@ -70,18 +71,29 @@ class FiniteGroup:
         return n
 
 
+def cyclic_powers(A: FiniteGroup) -> list[int] | None:
+    """[e, x, x^2, ...] for the first generator x of A, or None if A is not cyclic."""
+    for x in A.elements():
+        if A.element_order(x) == A.order:
+            powers = [A.identity]
+            while len(powers) < A.order:
+                powers.append(A.mul(powers[-1], x))
+            return powers
+    return None
+
+
 def validate_group(order: int, mul_table: Sequence[Sequence[int]],
                    name: str = "group") -> FiniteGroup:
     """Check the group axioms on a raw table; derive identity and inverses."""
     if order <= 0:
-        raise ValueError("order must be positive")
+        raise SemanticError("order must be positive")
     if len(mul_table) != order or any(len(row) != order for row in mul_table):
-        raise ValueError(f"multiplication table must be {order}x{order}")
+        raise SemanticError(f"multiplication table must be {order}x{order}")
     table = tuple(tuple(row) for row in mul_table)
     for row in table:
         for v in row:
             if not (0 <= v < order):
-                raise ValueError(f"table entry {v} out of range")
+                raise SemanticError(f"table entry {v} out of range")
 
     for a in range(order):
         ta = table[a]
@@ -177,16 +189,16 @@ def validate_hom(source: FiniteGroup, target: FiniteGroup,
                  image: Sequence[int]) -> GroupHom:
     image = tuple(image)
     if len(image) != source.order:
-        raise ValueError("image table has wrong length")
+        raise SemanticError("image table has wrong length")
     for v in image:
         if not (0 <= v < target.order):
-            raise ValueError(f"image entry {v} out of range")
+            raise SemanticError(f"image entry {v} out of range")
     if image[source.identity] != target.identity:
-        raise ValueError("identity is not preserved")
+        raise SemanticError("identity is not preserved")
     for a in source.elements():
         for b in source.elements():
             if image[source.mul(a, b)] != target.mul(image[a], image[b]):
-                raise ValueError(f"not a homomorphism at ({a}, {b})")
+                raise SemanticError(f"not a homomorphism at ({a}, {b})")
     return GroupHom(source, target, image)
 
 
@@ -209,24 +221,24 @@ def validate_action(actor: FiniteGroup, space: FiniteGroup,
                     table: Sequence[Sequence[int]]) -> GroupAction:
     table = tuple(tuple(row) for row in table)
     if len(table) != actor.order or any(len(r) != space.order for r in table):
-        raise ValueError("action table has wrong shape")
+        raise SemanticError("action table has wrong shape")
     ident = tuple(range(space.order))
     if table[actor.identity] != ident:
-        raise ValueError("identity does not act trivially")
+        raise SemanticError("identity does not act trivially")
     for g in actor.elements():
         row = table[g]
         if sorted(row) != list(ident):
-            raise ValueError(f"element {g} does not act bijectively")
+            raise SemanticError(f"element {g} does not act bijectively")
         for h in space.elements():
             for h2 in space.elements():
                 if row[space.mul(h, h2)] != space.mul(row[h], row[h2]):
-                    raise ValueError(f"element {g} does not act by automorphisms")
+                    raise SemanticError(f"element {g} does not act by automorphisms")
     for g1 in actor.elements():
         for g2 in actor.elements():
             g12 = actor.mul(g1, g2)
             for h in space.elements():
                 if table[g1][table[g2][h]] != table[g12][h]:
-                    raise ValueError(f"action is not associative at ({g1}, {g2}, {h})")
+                    raise SemanticError(f"action is not associative at ({g1}, {g2}, {h})")
     return GroupAction(actor, space, table)
 
 
@@ -280,7 +292,7 @@ def validate_crossed_module(G: FiniteGroup, H: FiniteGroup, beta: GroupHom,
     for g in G.elements():
         for b in img:
             if G.conj(g, b) not in img:
-                raise ValueError(f"beta(H) is not normal: conjugate of {b} by {g} escapes")
+                raise SemanticError(f"beta(H) is not normal: conjugate of {b} by {g} escapes")
     return CrossedModule(G, H, beta, alpha)
 
 

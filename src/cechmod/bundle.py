@@ -19,10 +19,12 @@ from .algebra import (
     CrossedModule,
     FiniteGroup,
     Strict2Group,
+    cyclic_powers,
     kernel_of_beta,
     quotient_by_image,
 )
 from .cech import (
+    Budget,
     Cocycle,
     Coboundary,
     apply_coboundary,
@@ -34,7 +36,7 @@ from .errors import (
     ActionNotFreeTransitive,
     BetaNotSurjective,
     NotA1Cocycle,
-    SearchSpaceTooLarge,
+    SemanticError,
     TrivializationInvalid,
     VertexOutOfRange,
 )
@@ -694,12 +696,18 @@ class LiftResult:
 
 
 def validate_one_cocycle(K: SimplicialComplex, G: FiniteGroup, g: dict) -> dict:
+    pairs = valid_tuples(K, 2)
+    stray = sorted(set(g).difference(pairs))
+    if stray:
+        raise SemanticError(f"value given on {stray[0]}, which is not a valid pair")
     full = dict(g)
-    for p in valid_tuples(K, 2):
+    for p in pairs:
         if p[0] == p[1]:
             full.setdefault(p, G.identity)
         if p not in full:
             raise NotA1Cocycle(p)
+        if not (0 <= full[p] < G.order):
+            raise SemanticError(f"g{p} out of range")
         if full[p] != G.identity and p[0] == p[1]:
             raise NotA1Cocycle(p)
     for (i, j, k) in valid_tuples(K, 3):
@@ -742,19 +750,10 @@ def _solve_lift(K, cm, g, A, inc, sec, a, budget):
     from .snf import solve_mod
 
     H = cm.H
-    gen = None
-    for x in A.elements():
-        if A.element_order(x) == A.order:
-            gen = x
-            break
-    if gen is not None and A.order > 1:
-        # coordinates: A = <gen>, exponent log
-        log = {}
-        x, t = A.identity, 0
-        while t < A.order:
-            log[x] = t
-            x = A.mul(x, gen)
-            t += 1
+    powers = cyclic_powers(A)
+    if powers is not None and A.order > 1:
+        # coordinates: A = <x>, exponent log
+        log = {a: t for t, a in enumerate(powers)}
         pairs = normalized_tuples(K, 2)
         triples = normalized_tuples(K, 3)
         d1 = coboundary_matrix(K, 1)
@@ -769,7 +768,7 @@ def _solve_lift(K, cm, g, A, inc, sec, a, budget):
                 lift[p] = H.identity
             else:
                 bexp = sol[pair_pos[p]] % A.order
-                lift[p] = H.mul(sec[g[p]], inc[log_pow(A, gen, bexp)])
+                lift[p] = H.mul(sec[g[p]], inc[powers[bexp]])
         return lift
     if A.order == 1:
         lift = {p: sec[g[p]] for p in valid_tuples(K, 2)}
@@ -780,20 +779,13 @@ def _solve_lift(K, cm, g, A, inc, sec, a, budget):
     return _search_lift(K, cm, g, A, inc, sec, budget)
 
 
-def log_pow(A: FiniteGroup, gen: int, e: int) -> int:
-    x = A.identity
-    for _ in range(e):
-        x = A.mul(x, gen)
-    return x
-
-
 def _search_lift(K, cm, g, A, inc, sec, budget):
     """Pruned backtracking over undirected edges for non-cyclic kernels."""
     H = cm.H
     edges = sorted({tuple(sorted(p)) for p in valid_tuples(K, 2) if p[0] != p[1]})
     triangles = [t for t in valid_tuples(K, 3) if len(set(t)) == 3]
     lift = {p: H.identity for p in valid_tuples(K, 2) if p[0] == p[1]}
-    visited = [0]
+    bud = Budget(budget, A.order ** len(edges))
 
     def fiber(p):
         return [H.mul(sec[g[p]], inc[x]) for x in A.elements()]
@@ -812,9 +804,7 @@ def _search_lift(K, cm, g, A, inc, sec, budget):
                 for (i, j, k) in valid_tuples(K, 3))
         i, j = edges[idx]
         for h in fiber((i, j)):
-            visited[0] += 1
-            if visited[0] > budget:
-                raise SearchSpaceTooLarge(A.order ** len(edges), budget)
+            bud.tick()
             lift[(i, j)] = h
             lift[(j, i)] = H.inv(h)
             if consistent() and assign(idx + 1):

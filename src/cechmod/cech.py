@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import CrossedModule
+from .algebra import CrossedModule, cyclic_powers
 from .complexes import SimplicialComplex, is_degenerate, valid_tuples
 from .errors import (
     Cocyc1Failure,
@@ -32,6 +32,7 @@ from .errors import (
     NormalizationFailure,
     ResultNotCocycle,
     SearchSpaceTooLarge,
+    SemanticError,
     StrategyMismatch,
 )
 
@@ -76,10 +77,16 @@ class Coboundary:
 
 def coboundary(K: SimplicialComplex, cm: CrossedModule, gamma: dict,
                eta: dict) -> Coboundary:
-    """Well-formedness: total gamma, total eta on valid pairs, eta_ii = e."""
+    """Well-formedness: total gamma, total eta on valid pairs, eta_ii = e,
+    every value in range and no value off the complex."""
     eH = cm.H.identity
+    pairs = valid_tuples(K, 2)
+    stray = sorted(set(eta).difference(pairs)) + \
+        sorted((v,) for v in set(gamma).difference(range(K.vertex_count)))
+    if stray:
+        raise SemanticError(f"value given on {stray[0]}, which is not a valid tuple")
     full_eta = {}
-    for p in valid_tuples(K, 2):
+    for p in pairs:
         if p[0] == p[1]:
             if eta.get(p, eH) != eH:
                 raise NormalizationFailure(p)
@@ -87,11 +94,15 @@ def coboundary(K: SimplicialComplex, cm: CrossedModule, gamma: dict,
         else:
             if p not in eta:
                 raise MissingEntry(p)
+            if not (0 <= eta[p] < cm.H.order):
+                raise SemanticError(f"eta{p} out of range")
             full_eta[p] = eta[p]
     full_gamma = {}
     for v in range(K.vertex_count):
         if v not in gamma:
             raise MissingEntry((v,))
+        if not (0 <= gamma[v] < cm.G.order):
+            raise SemanticError(f"gamma({v}) out of range")
         full_gamma[v] = gamma[v]
     return Coboundary(K, cm, full_gamma, full_eta)
 
@@ -111,16 +122,19 @@ def validate_cocycle(z: Cocycle) -> Cocycle:
     pairs = valid_tuples(K, 2)
     triples = valid_tuples(K, 3)
     quads = valid_tuples(K, 4)
+    stray = sorted(set(z.g).difference(pairs)) + sorted(set(z.h).difference(triples))
+    if stray:
+        raise SemanticError(f"value given on {stray[0]}, which is not a valid tuple")
     for p in pairs:
         if p not in z.g:
             raise MissingEntry(p)
         if not (0 <= z.g[p] < G.order):
-            raise ValueError(f"g{p} out of range")
+            raise SemanticError(f"g{p} out of range")
     for t in triples:
         if t not in z.h:
             raise MissingEntry(t)
         if not (0 <= z.h[t] < H.order):
-            raise ValueError(f"h{t} out of range")
+            raise SemanticError(f"h{t} out of range")
     for p in pairs:
         if p[0] == p[1] and z.g[p] != G.identity:
             raise NormalizationFailure(p)
@@ -161,7 +175,7 @@ def apply_coboundary(z: Cocycle, c: Coboundary) -> Cocycle:
     """Act on a cocycle; the result is re-validated before being returned."""
     K, cm = z.complex, z.cm
     if c.complex != K or c.cm != cm:
-        raise ValueError("coboundary lives over a different complex or crossed module")
+        raise SemanticError("coboundary lives over a different complex or crossed module")
     G, H = cm.G, cm.H
     g2 = {}
     for (i, j) in valid_tuples(K, 2):
@@ -280,7 +294,10 @@ class _Context:
                 * max(1, len(self.kernel)) ** len(self.free_triples))
 
 
-class _Budget:
+class Budget:
+    """The node counter every backtracking search charges; exceeding the
+    limit raises SearchSpaceTooLarge with the search's a-priori estimate."""
+
     def __init__(self, limit: int, estimate: int):
         self.limit, self.estimate, self.visited = limit, estimate, 0
 
@@ -303,7 +320,7 @@ def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
     G, H = cm.G, cm.H
     ctx = _Context(K, cm)
     n = K.vertex_count
-    bud = _Budget(budget, G.order ** n * max(1, len(ctx.kernel)) ** len(ctx.distinct_pairs))
+    bud = Budget(budget, G.order ** n * max(1, len(ctx.kernel)) ** len(ctx.distinct_pairs))
     gamma = [None] * n
     eta = {}
 
@@ -357,7 +374,7 @@ def are_cohomologous(z: Cocycle, z2: Cocycle,
                      budget: int = DEFAULT_BUDGET) -> Coboundary | None:
     """A witness coboundary carrying z to z2, or None (a definitive negative)."""
     if z.complex != z2.complex or z.cm != z2.cm:
-        raise ValueError("cocycles live over different complexes or crossed modules")
+        raise SemanticError("cocycles live over different complexes or crossed modules")
     for c in _coboundary_search(z, z2, budget, find_all=False):
         assert apply_coboundary(z, c) == z2  # witness is verified before return
         return c
@@ -377,15 +394,17 @@ def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
 
 # -- enumeration and classification ----------------------------------------------
 
-def _enumerate_slice(ctx: _Context, bud: _Budget,
-                     first_values: Sequence[int] | None = None) -> list[tuple]:
+def _enumerate_slice(ctx: _Context, bud: Budget,
+                     first_values: Sequence[int] | None = None,
+                     rng=None) -> list[tuple]:
     """All valid cocycles with every g_ij in the coset transversal.
 
     Every cohomology class meets this slice: multiplying g_ij on the left by
     beta(eta_ij) moves it anywhere in its beta(H)-coset.  Backtracking
     assigns g on ordered distinct pairs, prunes a triple as soon as its
     beta-fiber is empty, then assigns h per triple fiber under the
-    quadruple identity.
+    quadruple identity.  With an rng, every domain is tried in shuffled
+    order and the search stops at the first leaf.
     """
     cm, G, H = ctx.cm, ctx.cm.G, ctx.cm.H
     eG, eH = G.identity, H.identity
@@ -408,37 +427,44 @@ def _enumerate_slice(ctx: _Context, bud: _Budget,
         rhs = H.mul(h[(i, j, l)], cm.act(g[(i, j)], h[(j, k, l)]))
         return lhs == rhs
 
-    def assign_h(ti: int):
+    def assign_h(ti: int) -> bool:
+        """Extend the h-assignment; True once the search should stop."""
         if ti == ntrip:
             leaves.append((tuple(gvec), tuple(hvec)))
-            return
+            return rng is not None
         t = ctx.free_triples[ti]
-        for cand in ctx.fiber[ctx.required_beta(g, t)]:
+        domain = ctx.fiber[ctx.required_beta(g, t)]
+        if rng is not None:
+            domain = list(domain)
+            rng.shuffle(domain)
+        for cand in domain:
             bud.tick()
             h[t] = cand
             hvec[ti] = cand
-            if all(quad_ok(q) for q in ctx.quads_at_triple[ti]):
-                assign_h(ti + 1)
+            if all(quad_ok(q) for q in ctx.quads_at_triple[ti]) and assign_h(ti + 1):
+                return True
             del h[t]
+        return False
 
-    def assign_g(pi: int):
+    def assign_g(pi: int) -> bool:
         if pi == npairs:
-            assign_h(0)
-            return
+            return assign_h(0)
         p = ctx.distinct_pairs[pi]
         domain = ctx.transversal if first_values is None or pi > 0 else first_values
+        if rng is not None:
+            domain = list(domain)
+            rng.shuffle(domain)
         for val in domain:
             bud.tick()
             g[p] = val
             gvec[pi] = val
-            if all(ctx.fiber[ctx.required_beta(g, t)] for t in ctx.triples_at_pair[pi]):
-                assign_g(pi + 1)
+            if all(ctx.fiber[ctx.required_beta(g, t)] for t in ctx.triples_at_pair[pi]) \
+                    and assign_g(pi + 1):
+                return True
             del g[p]
+        return False
 
-    if npairs == 0:
-        assign_h(0)
-    else:
-        assign_g(0)
+    assign_g(0)
     return leaves
 
 
@@ -528,10 +554,12 @@ def _unpack(ctx: _Context, packed: tuple) -> Cocycle:
 def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int,
                     workers: int) -> ClassifyResult:
     ctx = _Context(K, cm)
-    bud = _Budget(budget, ctx.estimate())
+    bud = Budget(budget, ctx.estimate())
     if workers > 1 and ctx.distinct_pairs:
-        leaves = _enumerate_parallel(K, cm, budget, workers)
-        bud.tick(len(leaves))  # coarse accounting; exact counts live per worker
+        leaves = []
+        for chunk, visited in _enumerate_parallel(ctx, budget, workers):
+            bud.tick(visited)
+            leaves.extend(chunk)
     else:
         leaves = _enumerate_slice(ctx, bud)
     leaves = sorted(set(leaves))
@@ -566,52 +594,26 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int,
                           len(leaves))
 
 
-def _enumerate_parallel(K: SimplicialComplex, cm: CrossedModule, budget: int,
-                        workers: int) -> list[tuple]:
-    """Split the top-level g-assignment across processes; results are merged
-    and canonically sorted, so the outcome matches the sequential run."""
+def _enumerate_parallel(ctx: _Context, budget: int,
+                        workers: int) -> list[tuple[list[tuple], int]]:
+    """Split the top-level g-assignment across processes.
+
+    Each task returns its leaves and the nodes it visited; the per-task
+    counts add up to the sequential count, so charging them to one budget
+    makes the outcome, exhaustion included, independent of the worker count.
+    """
     import multiprocessing as mp
 
-    ctx = _Context(K, cm)
-    values = list(ctx.transversal)
-    payload = _pickle_payload(K, cm)
-    tasks = [(payload, budget, [v]) for v in values]
+    tasks = [(ctx.K, ctx.cm, budget, [v]) for v in ctx.transversal]
     with mp.get_context("fork").Pool(processes=min(workers, len(tasks))) as pool:
-        chunks = pool.map(_enumerate_task, tasks)
-    out = []
-    for ch in chunks:
-        out.extend(ch)
-    return out
+        return pool.map(_enumerate_task, tasks)
 
 
-def _pickle_payload(K: SimplicialComplex, cm: CrossedModule) -> tuple:
-    return (
-        sorted(tuple(sorted(s)) for s in K.simplices), K.vertex_count,
-        cm.G.order, cm.G.mul_table, cm.H.order, cm.H.mul_table,
-        cm.beta.image, cm.alpha.table,
-    )
-
-
-def _enumerate_task(args) -> list[tuple]:
-    from .algebra import crossed_module, validate_group
-    from .complexes import build_complex
-
-    payload, budget, first_values = args
-    sims, nverts, og, tg, oh, th, beta, alpha = payload
-    K = build_complex(sims, vertex_count=nverts)
-    G = validate_group(og, tg)
-    H = validate_group(oh, th)
-    cm = crossed_module(G, H, beta, alpha)
+def _enumerate_task(args) -> tuple[list[tuple], int]:
+    K, cm, budget, first_values = args
     ctx = _Context(K, cm)
-    bud = _Budget(budget, ctx.estimate())
-    return _enumerate_slice(ctx, bud, first_values=first_values)
-
-
-def _cyclic_generator(H) -> int | None:
-    for a in H.elements():
-        if H.element_order(a) == H.order:
-            return a
-    return None
+    bud = Budget(budget, ctx.estimate())
+    return _enumerate_slice(ctx, bud, first_values=first_values), bud.visited
 
 
 def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult:
@@ -625,16 +627,10 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
         raise StrategyMismatch("abelian strategy needs a trivial base group")
     if not cm.H.is_abelian():
         raise StrategyMismatch("abelian strategy needs abelian coefficients")
-    gen = _cyclic_generator(cm.H)
-    if gen is None:
+    power = cyclic_powers(cm.H)
+    if power is None:
         raise StrategyMismatch("abelian strategy needs cyclic coefficients")
     n = cm.H.order
-    power = {}
-    x, t = cm.H.identity, 0
-    while t < n:
-        power[t] = x
-        x = cm.H.mul(x, gen)
-        t += 1
 
     d2 = coboundary_matrix(K, 1)   # C^1 -> C^2, coboundaries
     d3 = coboundary_matrix(K, 2)   # C^2 -> C^3, cocycle condition
@@ -702,45 +698,7 @@ def sample_cocycle(K: SimplicialComplex, cm: CrossedModule, rng,
     """A random valid cocycle: a randomized walk to one slice solution,
     followed by a uniformly random coboundary move off the slice."""
     ctx = _Context(K, cm)
-    bud = _Budget(budget, ctx.estimate())
-    cm_, G, H = ctx.cm, ctx.cm.G, ctx.cm.H
-    g = {p: G.identity for p in ctx.pairs if p[0] == p[1]}
-    h = {t: H.identity for t in ctx.triples if is_degenerate(t)}
-
-    def pick_h(ti: int) -> bool:
-        if ti == len(ctx.free_triples):
-            return True
-        t = ctx.free_triples[ti]
-        cands = list(ctx.fiber[ctx.required_beta(g, t)])
-        rng.shuffle(cands)
-        for cand in cands:
-            bud.tick()
-            h[t] = cand
-            ok = all(
-                H.mul(h[(q[0], q[2], q[3])], h[(q[0], q[1], q[2])])
-                == H.mul(h[(q[0], q[1], q[3])], cm_.act(g[(q[0], q[1])], h[(q[1], q[2], q[3])]))
-                for q in ctx.quads_at_triple[ti])
-            if ok and pick_h(ti + 1):
-                return True
-            del h[t]
-        return False
-
-    def pick_g(pi: int) -> bool:
-        if pi == len(ctx.distinct_pairs):
-            return pick_h(0)
-        p = ctx.distinct_pairs[pi]
-        cands = list(ctx.transversal)
-        rng.shuffle(cands)
-        for val in cands:
-            bud.tick()
-            g[p] = val
-            if all(ctx.fiber[ctx.required_beta(g, t)] for t in ctx.triples_at_pair[pi]):
-                if pick_g(pi + 1):
-                    return True
-            del g[p]
-        return False
-
-    if not pick_g(0):
+    leaves = _enumerate_slice(ctx, Budget(budget, ctx.estimate()), rng=rng)
+    if not leaves:
         raise AssertionError("no valid cocycle exists (trivial one always does)")
-    z = validate_cocycle(Cocycle(K, cm, dict(g), dict(h)))
-    return apply_coboundary(z, random_coboundary(K, cm, rng))
+    return apply_coboundary(_unpack(ctx, leaves[0]), random_coboundary(K, cm, rng))

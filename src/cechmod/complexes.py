@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyInput, IndexOutOfRange
+from .errors import EmptyInput, IndexOutOfRange, SemanticError
 from .snf import rank_and_divisors
 
 
@@ -81,7 +81,7 @@ def build_complex(maximal_simplices: Sequence[Sequence[int]],
     covered = set().union(*sims)
     for v in range(n):
         if v not in covered:
-            raise ValueError(f"vertex {v} appears in no simplex")
+            raise SemanticError(f"vertex {v} appears in no simplex")
     return SimplicialComplex(n, frozenset(sims))
 
 
@@ -185,9 +185,9 @@ def abelian_cohomology_oracle(K: SimplicialComplex, n: int, k: int) -> int:
     prod gcd(d_j, n), whence the quotient cardinality.
     """
     if k not in (0, 1, 2):
-        raise ValueError("degree must be 0, 1 or 2")
+        raise SemanticError("degree must be 0, 1 or 2")
     if n < 2:
-        raise ValueError("modulus must be at least 2")
+        raise SemanticError("modulus must be at least 2")
     c_k = len(normalized_tuples(K, k + 1))
     mat_k = coboundary_matrix(K, k)
     r_k, div_k = rank_and_divisors(mat_k) if mat_k else (0, [])

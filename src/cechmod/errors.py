@@ -8,7 +8,21 @@ from __future__ import annotations
 
 
 class CechmodError(Exception):
-    """Base class for all structured errors raised by this package."""
+    """Base class for all structured errors raised by this package.
+
+    Subclasses take their own constructor arguments, so pickling rebuilds
+    the error from its message and attributes instead of calling
+    `__init__`; errors raised in worker processes reach the parent intact.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args), self.__dict__
+
+
+def _rebuild(cls: type, args: tuple) -> CechmodError:
+    exc = cls.__new__(cls)
+    exc.args = args
+    return exc
 
 
 # -- finite group validation -------------------------------------------------
@@ -162,6 +176,9 @@ class ParseError(CechmodError):
         super().__init__(f"{path}:{line}: {msg}")
 
 
-class SemanticError(CechmodError):
+class SemanticError(CechmodError, ValueError):
+    """Well-formed input that violates a definition (a table entry out of
+    range, a value on a tuple that is not a simplex, a non-homomorphism)."""
+
     def __init__(self, msg: str):
         super().__init__(msg)

@@ -31,6 +31,7 @@ from .bundle import (
     is_weak_equivalence,
 )
 from .cech import (
+    Budget,
     Cocycle,
     Coboundary,
     DEFAULT_BUDGET,
@@ -38,7 +39,7 @@ from .cech import (
     stabilizer,
 )
 from .complexes import valid_tuples
-from .errors import ConventionMismatch, SearchSpaceTooLarge
+from .errors import ConventionMismatch
 
 
 @dataclass
@@ -186,9 +187,8 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
     dpairs = [p for p in valid_tuples(K, 2) if p[0] != p[1]]
     fiber = {g: [h for h in H.elements() if cm.beta_of(h) == g] for g in G.elements()}
 
-    estimate = G.order ** len(verts) * max(1, H.order) ** len(dpairs)
+    bud = Budget(budget, G.order ** len(verts) * max(1, H.order) ** len(dpairs))
     count = 0
-    visited = 0
     v = {}
     eta = {}
 
@@ -217,7 +217,7 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
         return True
 
     def assign_pair(idx: int):
-        nonlocal count, visited
+        nonlocal count
         if idx == len(dpairs):
             if functor_ok():
                 count += 1
@@ -225,22 +225,17 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
         i, j = dpairs[idx]
         need = G.mul_many(z.g[(i, j)], v[j], G.inv(z.g[(i, j)]), G.inv(v[i]))
         for cand in fiber[need]:
-            visited += 1
-            if visited > budget:
-                raise SearchSpaceTooLarge(estimate, budget)
+            bud.tick()
             eta[(i, j)] = cand
             assign_pair(idx + 1)
             del eta[(i, j)]
 
     def assign_vertex(idx: int):
-        nonlocal visited
         if idx == len(verts):
             assign_pair(0)
             return
         for val in G.elements():
-            visited += 1
-            if visited > budget:
-                raise SearchSpaceTooLarge(estimate, budget)
+            bud.tick()
             v[verts[idx]] = val
             assign_vertex(idx + 1)
             del v[verts[idx]]
@@ -265,15 +260,16 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     """The crossed module of the gauge 2-group of a bundle.
 
     Gstar is the stabilizer of the cocycle under coboundary composition;
-    Hstar is the group of vertex-indexed H-tuples.  betastar sends a tuple
+    Hstar is the group of vertex-indexed H-tuples.  betastar sends a tuple t
     to the stabilizer element with gamma_i = beta(t_i) and eta_ij =
     t_i * (g_ij . t_j)^-1, and alphastar acts pointwise through the base
-    action.  Both multiplication conventions for eta are tried and the first
-    one satisfying the crossed-module axioms is kept (left preferred); if
-    neither works, a ConventionMismatch is raised rather than guessed away.
+    action.  The result passes the full crossed-module validation; an image
+    of betastar outside the stabilizer raises ConventionMismatch, and any
+    failed axiom raises its validator error.  `convention` is always "left",
+    naming the side on which t_i multiplies in eta.
     """
     K, cm = z.complex, z.cm
-    G, H = cm.G, cm.H
+    H = cm.H
     n = K.vertex_count
     stab = stabilizer(z, budget)
     by_key = {c.key(): c for c in stab}
@@ -284,45 +280,28 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     Hstar, hitems = power_group(H, n, name="H-tuples")
     hindex = {t: i for i, t in enumerate(hitems)}
 
-    def beta_key(tup: tuple, left: bool) -> tuple:
+    images = []
+    for tup in hitems:
         gamma = {i: cm.beta_of(tup[i]) for i in range(n)}
-        eta = {}
-        for (i, j) in valid_tuples(K, 2):
-            moved = cm.act(z.g[(i, j)], tup[j])
-            if left:
-                eta[(i, j)] = H.mul(tup[i], H.inv(moved))
-            else:
-                eta[(i, j)] = H.mul(H.inv(moved), tup[i])
-        return Coboundary(K, cm, gamma, eta).key()
-
-    last_error: Exception | None = None
-    for convention in ("left", "right"):
-        left = convention == "left"
-        try:
-            images = []
-            for tup in hitems:
-                k = beta_key(tup, left)
-                if k not in gindex:
-                    raise ConventionMismatch(
-                        f"betastar image of {tup} does not stabilize the cocycle")
-                images.append(gindex[k])
-            betastar = GroupHom(Hstar, Gstar, tuple(images))
-            act_rows = []
-            for gk in gitems:
-                c = by_key[gk]
-                row = []
-                for tup in hitems:
-                    moved = tuple(cm.act(c.gamma[i], tup[i]) for i in range(n))
-                    row.append(hindex[moved])
-                act_rows.append(tuple(row))
-            alphastar = GroupAction(Gstar, Hstar, tuple(act_rows))
-            gauge_cm = validate_crossed_module(Gstar, Hstar, betastar, alphastar)
-        except (ConventionMismatch, Exception) as exc:
-            last_error = exc
-            continue
-        pi0, _ = quotient_by_image(gauge_cm)
-        pi1, _ = kernel_of_beta(gauge_cm)
-        return GaugeCrossedModule(gauge_cm, [by_key[k] for k in gitems], hitems,
-                                  pi0, pi1, convention)
-    raise ConventionMismatch(
-        f"no multiplication convention satisfies the crossed-module axioms: {last_error}")
+        eta = {(i, j): H.mul(tup[i], H.inv(cm.act(z.g[(i, j)], tup[j])))
+               for (i, j) in valid_tuples(K, 2)}
+        k = Coboundary(K, cm, gamma, eta).key()
+        if k not in gindex:
+            raise ConventionMismatch(
+                f"betastar image of {tup} does not stabilize the cocycle")
+        images.append(gindex[k])
+    betastar = GroupHom(Hstar, Gstar, tuple(images))
+    act_rows = []
+    for gk in gitems:
+        c = by_key[gk]
+        row = []
+        for tup in hitems:
+            moved = tuple(cm.act(c.gamma[i], tup[i]) for i in range(n))
+            row.append(hindex[moved])
+        act_rows.append(tuple(row))
+    alphastar = GroupAction(Gstar, Hstar, tuple(act_rows))
+    gauge_cm = validate_crossed_module(Gstar, Hstar, betastar, alphastar)
+    pi0, _ = quotient_by_image(gauge_cm)
+    pi1, _ = kernel_of_beta(gauge_cm)
+    return GaugeCrossedModule(gauge_cm, [by_key[k] for k in gitems], hitems,
+                              pi0, pi1, "left")

@@ -81,6 +81,8 @@ def parse_cm_file(path: str) -> CrossedModule:
     while idx < len(lines):
         no, line = lines[idx]
         parts = line.split()
+        if parts[0] in ("G", "H") and len(parts) != 2:
+            raise ParseError(path, no, f"expected `{parts[0]} <groupfile>`")
         if parts[0] == "G":
             G = parse_group_file(os.path.join(base, parts[1]))
         elif parts[0] == "H":

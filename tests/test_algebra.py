@@ -19,7 +19,7 @@ from cechmod import (
     two_group_from_crossed_module,
     validate_group,
 )
-from cechmod.algebra import AUT_SEARCH_BOUND
+from cechmod.algebra import AUT_SEARCH_BOUND, cyclic_powers
 from cechmod.errors import (
     EquivarianceFailure,
     NoIdentity,
@@ -219,3 +219,14 @@ def test_conjugation_action_is_valid_and_two_group_checks(s3):
     for m in tg.morphisms():
         h, g = tg.decode(m)
         assert tg.target(m) == s3.mul(cm("conj_s3").beta_of(h), g)
+
+
+def test_cyclic_powers():
+    assert cyclic_powers(cyclic_group(4)) == [0, 1, 2, 3]
+    assert cyclic_powers(trivial_group()) == [0]
+    assert cyclic_powers(symmetric_group(3)) is None
+    assert cyclic_powers(power_group(cyclic_group(2), 2)[0]) is None
+    Z6 = cyclic_group(6)
+    powers = cyclic_powers(Z6)
+    assert sorted(powers) == list(range(6))
+    assert all(Z6.mul(powers[t], powers[1]) == powers[(t + 1) % 6] for t in range(6))

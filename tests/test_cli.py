@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cechmod.cli import run
-from cechmod.errors import ParseError
+from cechmod.errors import ParseError, SemanticError
 from cechmod.io import (
     parse_cm_file,
     parse_coboundary_file,
@@ -199,3 +205,112 @@ def test_gauge_and_quotient_and_band_commands(tmp_path):
     assert code == 0 and "KERNEL_ORDER: 1" in report
     code, report = run(["stabilizer", "--cocycle", path])
     assert code == 0 and "SIZE: 2" in report
+
+
+# -- the --workers path ---------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+CIRCLE_S3 = ["classify", "--complex", "circle", "--cm", "star_to_s3"]
+
+
+def test_worker_budget_exhaustion_exits_instead_of_hanging():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cechmod.cli", *CIRCLE_S3, "--budget", "50",
+         "--workers", "2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout.startswith("REASON: visited nodes exceed budget 50")
+
+
+@pytest.mark.parametrize("budget,expected", [(1000, 3), (4361, 3), (4362, 0)])
+def test_budget_outcome_is_independent_of_workers(budget, expected):
+    # the sequential slice search on circle x star_to_s3 visits 4362 nodes
+    runs = [run(CIRCLE_S3 + ["--budget", str(budget), "--workers", w])
+            for w in ("1", "2")]
+    assert [code for code, _ in runs] == [expected, expected]
+    assert runs[0][1] == runs[1][1]
+    if expected == 3:
+        assert "REASON:" in runs[0][1]
+
+
+# -- malformed input --------------------------------------------------------------
+
+@pytest.mark.parametrize("files,argv,code", [
+    ({"z.coc": "cocycle circle z2_trivial\ng 0 1 7\n"}, ["validate", "--cocycle", "z.coc"], 1),
+    ({"z.coc": "cocycle circle z2_trivial\ng 0 5 1\n"}, ["validate", "--cocycle", "z.coc"], 1),
+    ({"z.coc": "cocycle circle z2_trivial\nh 0 1 3 1\n"}, ["validate", "--cocycle", "z.coc"], 1),
+    ({"g.grp": "group g 0\n"}, ["validate", "--group", "g.grp"], 1),
+    ({"bad.cm": "cm bad\nG\n"}, ["validate", "--cm", "bad.cm"], 2),
+    ({"c.cplx": "0 2\n"}, ["validate", "--complex", "c.cplx"], 1),
+    ({"l.coc": "g 0 1 7\n"},
+     ["lift", "--complex", "circle", "--cm", "z4_over_z2", "--cocycle", "l.coc"], 1),
+    ({"l.coc": "g 0 5 1\n"},
+     ["lift", "--complex", "circle", "--cm", "z4_over_z2", "--cocycle", "l.coc"], 1),
+    ({}, ["oracle-h", "--complex", "circle", "--degree", "5"], 1),
+    ({"a.coc": "cocycle circle z2_trivial\n", "b.coc": "cocycle point z2_trivial\n"},
+     ["cohomologous", "--cocycle", "a.coc", "--cocycle2", "b.coc"], 1),
+])
+def test_malformed_input_gives_structured_error(tmp_path, files, argv, code):
+    for name, text in files.items():
+        _write(tmp_path / name, text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    got, report = run(argv)
+    assert got == code
+    assert "REASON:" in report
+
+
+@pytest.mark.parametrize("text", ["gamma 0 9\n", "eta 0 1 5\n", "eta 0 7 1\n",
+                                  "gamma 5 1\n"])
+def test_malformed_coboundary_file(tmp_path, text):
+    from cechmod import circle
+    from cechmod.catalog import named_crossed_module
+    with pytest.raises(SemanticError):
+        parse_coboundary_file(_write(tmp_path / "c.cob", text), circle(),
+                              named_crossed_module("z2_trivial"))
+
+
+VALID_COCYCLE = ["cocycle circle z4_over_z2", "g 0 1 1", "g 1 0 1",
+                 "h 0 1 0 2", "h 1 0 1 2"]
+
+
+def _line(word, args):
+    return " ".join([word, *map(str, args)])
+
+
+LINES = st.one_of(
+    st.builds(_line, st.just("g"), st.lists(st.integers(-2, 9), min_size=3, max_size=3)),
+    st.builds(_line, st.just("h"), st.lists(st.integers(-2, 9), min_size=4, max_size=4)),
+    st.builds(_line, st.sampled_from(["g", "h", "cocycle", "#", "1.5"]),
+              st.lists(st.integers(-2, 9), max_size=5)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(
+    st.tuples(st.integers(1, len(VALID_COCYCLE)),
+              st.sampled_from(["field", "replace", "insert", "delete"]),
+              LINES, st.integers(0, 5), st.integers(-2, 9)),
+    min_size=1, max_size=4))
+def test_mutated_cocycle_files_never_raise(tmp_path, edits):
+    # the header stays; every other line may be edited, replaced or deleted
+    lines = list(VALID_COCYCLE)
+    for pos, kind, line, col, value in edits:
+        pos = min(pos, len(lines) - 1)
+        if kind == "insert" or pos == 0:  # pos is 0 once only the header is left
+            lines.insert(max(pos, 1), line)
+        elif kind == "replace":
+            lines[pos] = line
+        elif kind == "delete":
+            del lines[pos]
+        else:
+            parts = lines[pos].split()  # keep the keyword, change one argument
+            parts[1 + col % (len(parts) - 1) if len(parts) > 1 else 0] = str(value)
+            lines[pos] = " ".join(parts)
+    path = _write(tmp_path / "z.coc", "\n".join(lines) + "\n")
+    for argv in (["validate", "--cocycle", path],
+                 ["cohomologous", "--cocycle", path, "--cocycle2", path]):
+        code, report = run(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert "REASON:" in report
