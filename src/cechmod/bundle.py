@@ -56,14 +56,22 @@ class FiniteGroupoid:
         self.inverse = inverse        # dict: morphism -> morphism
         self.name = name
         self._hom = {}
+        self._out = {}                # object -> morphisms with that source
         for m in self.morphisms:
             self._hom.setdefault((self.source[m], self.target[m]), []).append(m)
+            self._out.setdefault(self.source[m], []).append(m)
 
     def hom(self, x, y) -> list:
         return self._hom.get((x, y), [])
 
     def check_axioms(self) -> list[str]:
-        """Exhaustive category-axiom suite; returns failures (empty = pass)."""
+        """Exhaustive category-axiom suite; returns failures (empty = pass).
+
+        Composable pairs and triples are walked through the out-index, so
+        every pair and triple is checked once and no other is visited.  The
+        laws are checked only on a well-formed table, since they look up
+        composites the table must hold.
+        """
         bad = []
         objset = set(self.objects)
         for m in self.morphisms:
@@ -80,11 +88,13 @@ class FiniteGroupoid:
             if self.source[m] != self.source[m1] or self.target[m] != self.target[m2]:
                 bad.append(f"endpoints of composite ({m2}, {m1}) are wrong")
                 break
-        for m2 in self.morphisms:
-            for m1 in self.morphisms:
-                if self.source[m2] == self.target[m1] and (m2, m1) not in self.compose:
+        for m1 in self.morphisms:
+            for m2 in self._out.get(self.target[m1], ()):
+                if (m2, m1) not in self.compose:
                     bad.append(f"missing composite ({m2}, {m1})")
                     return bad
+        if bad:
+            return bad
         for m in self.morphisms:
             if self.compose[(m, self.identity[self.source[m]])] != m:
                 bad.append(f"right identity law fails at {m}")
@@ -94,12 +104,10 @@ class FiniteGroupoid:
             if self.compose[(mi, m)] != self.identity[self.source[m]] or \
                     self.compose[(m, mi)] != self.identity[self.target[m]]:
                 bad.append(f"inverse law fails at {m}")
-        for (m2, m1) in self.compose:
-            for m3 in self.morphisms:
-                if self.source[m3] != self.target[m2]:
-                    continue
+        for (m2, m1), m21 in self.compose.items():
+            for m3 in self._out.get(self.target[m2], ()):
                 if self.compose[(self.compose[(m3, m2)], m1)] != \
-                        self.compose[(m3, self.compose[(m2, m1)])]:
+                        self.compose[(m3, m21)]:
                     bad.append(f"associativity fails at ({m3}, {m2}, {m1})")
                     return bad
         return bad
@@ -230,17 +238,14 @@ class BundleGroupoid(FiniteGroupoid):
                         H.inv(H.mul(h, z.h[(i, j, i)])))
             inverse[m] = (j, i, s, hh, target[m][2])
         compose = {}
-        by_source = {}
-        for m in morphisms:
-            by_source.setdefault(source[m], []).append(m)
+        super().__init__(objects, morphisms, source, target, compose,
+                         identity, inverse, name="P_z")
         for m1 in morphisms:
             i, j, s, h, g = m1
-            for m2 in by_source.get(target[m1], []):
+            for m2 in self._out[target[m1]]:
                 j2, k, s2, h2, g2 = m2
                 hh = H.mul_many(z.h[(i, j, k)], cm.act(z.g[(i, j)], h2), h)
                 compose[(m2, m1)] = (i, k, s, hh, g)
-        super().__init__(objects, morphisms, source, target, compose,
-                         identity, inverse, name="P_z")
 
     # -- the strict right action of the structure 2-group ----------------------
 
@@ -271,7 +276,26 @@ def build_total_groupoid(z: Cocycle) -> BundleGroupoid:
 
 def check_action(P: BundleGroupoid) -> list[str]:
     """Verify the action is a strict functor P x 2group -> P and that it is
-    free and transitive on every object and morphism fiber."""
+    free and transitive on every object and morphism fiber.
+
+    P must pass `check_axioms`.  Endpoint compatibility is checked for every
+    morphism m of P and n of the 2-group, and identities for every object
+    and morphism.  Functoriality, act(m2 m1, n2 n1) = act(m2, n2) act(m1, n1),
+    is checked only on the quadruples with an identity on one side, which
+    suffices (the bifunctor lemma, Mac Lane, CWM II.3 Prop. 1); 1_x is the
+    identity of x in P and 1_g that of g in the 2-group:
+
+      (a) act(m2 m1, 1_g) = act(m2, 1_g) act(m1, 1_g);
+      (b) act(1_x, n2 n1) = act(1_x, n2) act(1_x, n1);
+      (c) act(m, n) = act(m, 1_g') act(1_x, n) = act(1_y, n) act(m, 1_g)
+          for m: x -> y and n: g -> g'.
+
+    For m1: x -> y, m2: y -> z, n1: g -> g' and n2: g' -> g'',
+      act(m2 m1, n2 n1) = act(m2 m1, 1_g'') act(1_x, n2 n1)              by (c)
+        = act(m2, 1_g'') act(m1, 1_g'') act(1_x, n2) act(1_x, n1)    by (a), (b)
+        = act(m2, 1_g'') act(1_y, n2) act(m1, 1_g') act(1_x, n1)     by (c) twice
+        = act(m2, n2) act(m1, n1)                                     by (c).
+    """
     bad = []
     tg = Strict2Group(P.cm)
     G, H = P.cm.G, P.cm.H
@@ -295,16 +319,35 @@ def check_action(P: BundleGroupoid) -> list[str]:
             if P.identity[P.act_obj(o, g)] != P.act_mor(P.identity[o], H.identity, g):
                 bad.append(f"action does not preserve identities at {o}")
                 return bad
-    comp_tg = [(n2, n1) for n1 in tg.morphisms() for n2 in tg.morphisms()
-               if tg.source(n2) == tg.target(n1)]
-    for (m2, m1), m in P.compose.items():
-        for (n2, n1) in comp_tg:
-            lhs = P.act_mor(m, *tg.decode(tg.compose(n2, n1)))
-            a2 = P.act_mor(m2, *tg.decode(n2))
-            a1 = P.act_mor(m1, *tg.decode(n1))
-            if P.compose[(a2, a1)] != lhs:
-                bad.append(f"action functoriality fails at ({m2}, {m1}, {n2}, {n1})")
-                return bad
+    dec = [tg.decode(n) for n in tg.morphisms()]
+    ids = [tg.identity(g) for g in G.elements()]
+    ends = [(ids[tg.source(n)], ids[tg.target(n)]) for n in tg.morphisms()]
+    comp_tg = [(n2, n1, tg.compose(n2, n1)) for n1 in tg.morphisms()
+               for n2 in tg.morphisms() if tg.source(n2) == tg.target(n1)]
+
+    def quadruples():
+        """(m2, m1, n2, n1, n2 o n1) for the checks (a), (b) and (c)."""
+        for (m2, m1) in P.compose:
+            for e in ids:
+                yield m2, m1, e, e, e
+        for x in P.objects:
+            e = P.identity[x]
+            for (n2, n1, n21) in comp_tg:
+                yield e, e, n2, n1, n21
+        for m in P.morphisms:
+            ex, ey = P.identity[P.source[m]], P.identity[P.target[m]]
+            for n in tg.morphisms():
+                e_source, e_target = ends[n]
+                yield m, ex, e_target, n, n
+                yield ey, m, n, e_source, n
+
+    for (m2, m1, n2, n1, n21) in quadruples():
+        lhs = P.act_mor(P.compose[(m2, m1)], *dec[n21])
+        a2 = P.act_mor(m2, *dec[n2])
+        a1 = P.act_mor(m1, *dec[n1])
+        if P.compose[(a2, a1)] != lhs:
+            bad.append(f"action functoriality fails at ({m2}, {m1}, {n2}, {n1})")
+            return bad
     for s in P.complex.simplices_sorted():
         for i in s:
             fib = P.object_fiber(i, s)
@@ -367,21 +410,24 @@ def restricted_groupoid(P: BundleGroupoid, vertex: int) -> FiniteGroupoid:
                           name=f"P_z | star({vertex})")
 
 
-def trivializations(z: Cocycle, vertex: int) -> Trivialization:
-    """The canonical chart data over the star of a vertex.
+def trivializations(P: BundleGroupoid, vertex: int) -> Trivialization:
+    """The canonical chart data of the bundle groupoid P of z = P.z over the
+    star of a vertex.
 
-    phibar is the inclusion (sigma, g) -> (i, sigma, g); phi sends
-    (j, sigma, g) to (sigma, g_ij * g) and (j, k, sigma, h, g) to
-    (sigma, h_ijk * (g_ij . h), g_ij * g); phi o phibar is the identity on
-    the nose, and taubar with components (j, sigma, g) -> (i, j, sigma, e,
-    g_ij * g) is natural from phibar o phi to the identity.
+    P is used as given: pass a groupoid that has passed `check_axioms`, and
+    build it once for all vertices.  phibar is the inclusion (sigma, g) ->
+    (i, sigma, g); phi sends (j, sigma, g) to (sigma, g_ij * g) and
+    (j, k, sigma, h, g) to (sigma, h_ijk * (g_ij . h), g_ij * g); phi o
+    phibar is the identity on the nose, and taubar with components
+    (j, sigma, g) -> (i, j, sigma, e, g_ij * g) is natural from phibar o phi
+    to the identity.
     """
+    z = P.z
     K, cm = z.complex, z.cm
     if not (0 <= vertex < K.vertex_count):
         raise VertexOutOfRange(vertex, K.vertex_count)
     i = vertex
     G, H = cm.G, cm.H
-    P = build_total_groupoid(z)
     chart = chart_groupoid(K, cm, i)
     restr = restricted_groupoid(P, i)
     phibar = GroupoidFunctor(
@@ -402,8 +448,8 @@ def trivializations(z: Cocycle, vertex: int) -> Trivialization:
     return Trivialization(i, chart, restr, phi, phibar, taubar)
 
 
-def canonical_trivializations(z: Cocycle) -> dict[int, Trivialization]:
-    return {i: trivializations(z, i) for i in range(z.complex.vertex_count)}
+def canonical_trivializations(P: BundleGroupoid) -> dict[int, Trivialization]:
+    return {i: trivializations(P, i) for i in range(P.complex.vertex_count)}
 
 
 def check_trivialization(z: Cocycle, triv: Trivialization) -> list[str]:

@@ -126,7 +126,7 @@ def cmd_stabilizer(args) -> tuple[int, list[str]]:
 
 def cmd_bundle_check(args) -> tuple[int, list[str]]:
     z = parse_cocycle_file(args.cocycle)
-    P = bundle_mod.build_total_groupoid(z)
+    P = bundle_mod.BundleGroupoid(z)
     lines = [f"OBJECTS: {len(P.objects)}", f"MORPHISMS: {len(P.morphisms)}"]
     bad = P.check_axioms()
     lines.append(f"AXIOMS: {'pass' if not bad else 'fail'}")
@@ -136,7 +136,7 @@ def cmd_bundle_check(args) -> tuple[int, list[str]]:
     lines.append(f"ACTION: {'pass' if not bad else 'fail'}")
     if bad:
         return INVALID, lines + [f"REASON: {bad[0]}"]
-    trivs = bundle_mod.canonical_trivializations(z)
+    trivs = bundle_mod.canonical_trivializations(P)
     for i, tv in trivs.items():
         bad = bundle_mod.check_trivialization(z, tv)
         if bad:

@@ -50,7 +50,7 @@ def _ints(path: str, no: int, parts: list[str]) -> list[int]:
 
 def parse_group_file(path: str) -> FiniteGroup:
     lines = _lines(path)
-    if not lines or not lines[0][1].startswith("group"):
+    if not lines or lines[0][1].split()[0] != "group":
         raise ParseError(path, lines[0][0] if lines else 0, "expected `group <name> <order>` header")
     no, header = lines[0]
     parts = header.split()
@@ -71,7 +71,7 @@ def parse_group_file(path: str) -> FiniteGroup:
 
 def parse_cm_file(path: str) -> CrossedModule:
     lines = _lines(path)
-    if not lines or not lines[0][1].startswith("cm"):
+    if not lines or lines[0][1].split()[0] != "cm":
         raise ParseError(path, lines[0][0] if lines else 0, "expected `cm <name>` header")
     base = os.path.dirname(os.path.abspath(path))
     G = H = None
@@ -136,7 +136,7 @@ def resolve_crossed_module(name_or_path: str) -> CrossedModule:
 
 def parse_cocycle_file(path: str) -> Cocycle:
     lines = _lines(path)
-    if not lines or not lines[0][1].startswith("cocycle"):
+    if not lines or lines[0][1].split()[0] != "cocycle":
         raise ParseError(path, lines[0][0] if lines else 0,
                          "expected `cocycle <complex> <cm>` header")
     no, header = lines[0]

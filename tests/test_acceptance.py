@@ -140,7 +140,7 @@ def test_ac5_bundle_round_trip():
                 if check_action(P):
                     failures += 1
                     continue
-                trivs = canonical_trivializations(z)
+                trivs = canonical_trivializations(P)
                 if any(check_trivialization(z, tv) for tv in trivs.values()):
                     failures += 1
                     continue
@@ -174,7 +174,7 @@ def test_ac6_morita_machinery():
                 failures += 1
                 continue
             P = build_total_groupoid(z)
-            R = reconstruction_morphism(P, canonical_trivializations(z))
+            R = reconstruction_morphism(P, canonical_trivializations(P))
             if not is_weak_equivalence(R)[0]:
                 failures += 1
     elapsed = time.time() - start

@@ -35,7 +35,13 @@ from cechmod import (
     valid_tuples,
 )
 from cechmod import abelian_cohomology_oracle
-from cechmod.bundle import NaturalTransformation, Trivialization, band_cohomologous_to
+from cechmod.algebra import Strict2Group
+from cechmod.bundle import (
+    BundleGroupoid,
+    NaturalTransformation,
+    Trivialization,
+    band_cohomologous_to,
+)
 from cechmod.errors import BetaNotSurjective, NotA1Cocycle, VertexOutOfRange
 from conftest import cm, cx
 
@@ -103,15 +109,16 @@ def test_trivialization_identities():
     K, cmx = cx("circle"), cm("z2_trivial")
     rng = random.Random(12)
     z = sample_cocycle(K, cmx, rng)
+    P = build_total_groupoid(z)
     for i in range(K.vertex_count):
-        tv = trivializations(z, i)
+        tv = trivializations(P, i)
         assert check_trivialization(z, tv) == []
         # phi_i fixes chart-i objects since g_ii = e
         for g in cmx.G.elements():
             for s in K.star_simplices(i):
                 assert tv.phi.on_objects[(i, s, g)] == (s, g)
     with pytest.raises(VertexOutOfRange):
-        trivializations(z, 99)
+        trivializations(P, 99)
 
 
 def test_roundtrip_exact():
@@ -120,7 +127,7 @@ def test_roundtrip_exact():
         for cmname in ("z2_trivial", "z2_into_z4"):
             z = sample_cocycle(cx(kname), cm(cmname), rng)
             P = build_total_groupoid(z)
-            assert extract_cocycle(P, canonical_trivializations(z)) == z
+            assert extract_cocycle(P, canonical_trivializations(P)) == z
 
 
 def test_modified_trivializations_extract_cohomologous():
@@ -131,7 +138,7 @@ def test_modified_trivializations_extract_cohomologous():
     P = build_total_groupoid(z)
     shifts = {0: 1, 1: 0, 2: 1}
     modified = {}
-    for i, tv in canonical_trivializations(z).items():
+    for i, tv in canonical_trivializations(P).items():
         c = shifts[i]
         ci = G.inv(c)
         lobj = {(s, g): (s, G.mul(c, g)) for (s, g) in tv.chart.objects}
@@ -193,7 +200,7 @@ def test_reconstruction_identity_on_canonical_data():
     rng = random.Random(17)
     z = sample_cocycle(K, cmx, rng)
     P = build_total_groupoid(z)
-    F = reconstruction_morphism(P, canonical_trivializations(z))
+    F = reconstruction_morphism(P, canonical_trivializations(P))
     assert all(F.on_objects[o] == o for o in F.domain.objects)
     assert all(F.on_morphisms[m] == m for m in F.domain.morphisms)
     ok, why = is_weak_equivalence(F)
@@ -203,7 +210,7 @@ def test_reconstruction_identity_on_canonical_data():
 def test_reconstruction_single_vertex():
     z = trivial_cocycle(cx("point"), cm("z2_trivial"))
     P = build_total_groupoid(z)
-    F = reconstruction_morphism(P, canonical_trivializations(z))
+    F = reconstruction_morphism(P, canonical_trivializations(P))
     assert F.is_faithful()
     assert is_weak_equivalence(F)[0]
 
@@ -381,7 +388,7 @@ def test_roundtrip_exact_with_nontrivial_action():
         z = sample_cocycle(K, cmx, rng)
         P = build_total_groupoid(z)
         assert check_action(P) == []
-        trivs = canonical_trivializations(z)
+        trivs = canonical_trivializations(P)
         assert all(check_trivialization(z, tv) == [] for tv in trivs.values())
         assert extract_cocycle(P, trivs) == z
         F = reconstruction_morphism(P, trivs)
@@ -401,7 +408,7 @@ def test_extract_rejects_corrupted_trivializations():
     K, cmx = cx("circle"), cm("z2_trivial")
     z = trivial_cocycle(K, cmx)
     P = build_total_groupoid(z)
-    trivs = canonical_trivializations(z)
+    trivs = canonical_trivializations(P)
     broken = dict(trivs)
     tv = trivs[0]
     # swap the group part on one chart object: values become fiber-dependent
@@ -440,3 +447,180 @@ def test_quotient_fibers_and_axioms():
             for j in s:
                 fib = [m for m in Q.morphisms if m[0] == i and m[1] == j and m[2] == s]
                 assert len(fib) == cmx.H.order
+
+
+# -- mutants: each exhaustive check must catch a single defect ---------------------
+
+def _generic_pair(P):
+    """The first composable pair whose members and composite are not identities."""
+    ids = set(P.identity.values())
+    for (m2, m1), m in P.compose.items():
+        if m2 not in ids and m1 not in ids and m not in ids:
+            return m2, m1
+
+
+def _kernel_element(cmx):
+    return next(k for k in cmx.beta.kernel_indices() if k != cmx.H.identity)
+
+
+def _with_tables(P, compose=None, source=None):
+    return FiniteGroupoid(P.objects, P.morphisms, source or P.source, P.target,
+                          P.compose if compose is None else compose,
+                          P.identity, P.inverse)
+
+
+def _delete_composite(P):
+    compose = dict(P.compose)
+    m2, m1 = _generic_pair(P)
+    del compose[(m2, m1)]
+    return _with_tables(P, compose=compose), f"missing composite ({m2}, {m1})"
+
+
+def _change_h_part(P):
+    # multiplying by a kernel element keeps the composite's endpoints
+    compose = dict(P.compose)
+    pair = _generic_pair(P)
+    i, k, s, h, g = compose[pair]
+    compose[pair] = (i, k, s, P.cm.H.mul(h, _kernel_element(P.cm)), g)
+    return _with_tables(P, compose=compose), None
+
+
+def _non_composable_key(P):
+    compose = dict(P.compose)
+    m2, m1 = _generic_pair(P)
+    stray = next(m for m in P.morphisms if P.source[m] != P.target[m1])
+    compose[(stray, m1)] = compose.pop((m2, m1))
+    return _with_tables(P, compose=compose), f"non-composable pair ({stray}, {m1}) in table"
+
+
+def _extra_non_composable_key(P):
+    # the laws would look up composites the stray key implies; they must not run
+    compose = dict(P.compose)
+    m2, m1 = _generic_pair(P)
+    stray = next(m for m in P.morphisms if P.source[m] != P.target[m1])
+    compose[(stray, m1)] = m1
+    return _with_tables(P, compose=compose), f"non-composable pair ({stray}, {m1}) in table"
+
+
+def _dangling_endpoint(P):
+    source = dict(P.source)
+    m = P.morphisms[len(P.morphisms) // 2]
+    source[m] = ("nowhere",)
+    return _with_tables(P, source=source), f"dangling endpoints at {m}"
+
+
+@pytest.mark.parametrize("mutate", [_delete_composite, _change_h_part,
+                                    _non_composable_key, _extra_non_composable_key,
+                                    _dangling_endpoint])
+def test_axiom_suite_flags_single_table_defects(mutate):
+    z = sample_cocycle(cx("circle"), cm("z4_over_z2"), random.Random(30))
+    P = build_total_groupoid(z)
+    Q, first = mutate(P)
+    bad = Q.check_axioms()
+    assert bad
+    if first is not None:
+        assert bad[0] == first
+
+
+class _ShiftedAction(BundleGroupoid):
+    """A bundle groupoid whose act_mor multiplies the H part by `shift` at the
+    single (morphism, hbar, gbar) triple `at`."""
+
+    def __init__(self, z, at, shift):
+        super().__init__(z)
+        self.at, self.shift = at, shift
+
+    def act_mor(self, m, hbar, gbar):
+        i, j, s, h, g = super().act_mor(m, hbar, gbar)
+        if (m, hbar, gbar) == self.at:
+            h = self.cm.H.mul(h, self.shift)
+        return (i, j, s, h, g)
+
+
+SHIFT_AT = ((0, 1, (0, 1), 1, 0), 1, 1)
+
+
+def test_action_check_flags_kernel_shift_at_one_pair():
+    # the shift keeps every endpoint, every identity and every fiber orbit,
+    # so only the functoriality check can see it
+    cmx = cm("z4_over_z2")
+    z = sample_cocycle(cx("circle"), cmx, random.Random(31))
+    P = _ShiftedAction(z, SHIFT_AT, _kernel_element(cmx))
+    assert P.check_axioms() == []
+    bad = check_action(P)
+    assert bad and bad[0].startswith("action functoriality fails at")
+
+
+def _reference_check_action(P):
+    """The action check with functoriality tested on every pair of composable
+    pairs, (m2, m1) of P against (n2, n1) of the 2-group."""
+    bad = []
+    tg = Strict2Group(P.cm)
+    G, H = P.cm.G, P.cm.H
+    for o in P.objects:
+        if P.act_obj(o, G.identity) != o:
+            bad.append(f"identity object action moves {o}")
+            return bad
+    for m in P.morphisms:
+        if P.act_mor(m, H.identity, G.identity) != m:
+            bad.append(f"identity morphism action moves {m}")
+            return bad
+        for n in tg.morphisms():
+            hbar, gbar = tg.decode(n)
+            mm = P.act_mor(m, hbar, gbar)
+            if P.source[mm] != P.act_obj(P.source[m], tg.source(n)) or \
+                    P.target[mm] != P.act_obj(P.target[m], tg.target(n)):
+                bad.append(f"action endpoint compatibility fails at ({m}, {n})")
+                return bad
+    for o in P.objects:
+        for g in G.elements():
+            if P.identity[P.act_obj(o, g)] != P.act_mor(P.identity[o], H.identity, g):
+                bad.append(f"action does not preserve identities at {o}")
+                return bad
+    comp_tg = [(n2, n1) for n1 in tg.morphisms() for n2 in tg.morphisms()
+               if tg.source(n2) == tg.target(n1)]
+    for (m2, m1), m in P.compose.items():
+        for (n2, n1) in comp_tg:
+            lhs = P.act_mor(m, *tg.decode(tg.compose(n2, n1)))
+            a2 = P.act_mor(m2, *tg.decode(n2))
+            a1 = P.act_mor(m1, *tg.decode(n1))
+            if P.compose[(a2, a1)] != lhs:
+                bad.append(f"action functoriality fails at ({m2}, {m1}, {n2}, {n1})")
+                return bad
+    for s in P.complex.simplices_sorted():
+        for i in s:
+            fib = P.object_fiber(i, s)
+            orbit = {P.act_obj(fib[0], g) for g in G.elements()}
+            if len(orbit) != G.order or orbit != set(fib):
+                bad.append(f"object action not free/transitive on fiber ({i}, {s})")
+                return bad
+            for j in s:
+                mfib = P.morphism_fiber(i, j, s)
+                morbit = {P.act_mor(mfib[0], h, g)
+                          for h in H.elements() for g in G.elements()}
+                if len(morbit) != H.order * G.order or morbit != set(mfib):
+                    bad.append(f"morphism action not free/transitive on ({i},{j},{s})")
+                    return bad
+    return bad
+
+
+@pytest.mark.parametrize("kname,cmname", [("full2", "z2_into_z4"), ("circle", "aut_z3"),
+                                          ("circle", "z4_over_z2"), ("circle", "conj_s3")])
+def test_action_check_agrees_with_reference_oracle(kname, cmname):
+    cmx = cm(cmname)
+    H = cmx.H
+    z = sample_cocycle(cx(kname), cmx, random.Random(32))
+    kernel = [k for k in cmx.beta.kernel_indices() if k != H.identity]
+    other = next(h for h in H.elements() if h != H.identity)
+    # a kernel shift keeps the endpoints; any other shift moves them
+    shifted = _ShiftedAction(z, SHIFT_AT, kernel[0] if kernel else other)
+    recomposed = BundleGroupoid(z)
+    pair = _generic_pair(recomposed)
+    i, k, s, h, g = recomposed.compose[pair]
+    recomposed.compose[pair] = (i, k, s, H.mul(h, other), g)
+    for P, flagged in ((BundleGroupoid(z), False), (shifted, True), (recomposed, True)):
+        got, ref = check_action(P), _reference_check_action(P)
+        assert bool(got) == bool(ref) == flagged
+        if kernel and P is shifted:
+            assert got[0].startswith("action functoriality fails at")
+            assert ref[0].startswith("action functoriality fails at")

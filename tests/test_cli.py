@@ -207,6 +207,15 @@ def test_gauge_and_quotient_and_band_commands(tmp_path):
     assert code == 0 and "SIZE: 2" in report
 
 
+def test_bundle_check_reports_axiom_failure(tmp_path, monkeypatch):
+    from cechmod.bundle import FiniteGroupoid
+    monkeypatch.setattr(FiniteGroupoid, "check_axioms", lambda self: ["x"])
+    path = _write(tmp_path / "z.coc", "cocycle circle z2_trivial\n")
+    code, report = run(["bundle-check", "--cocycle", path])
+    assert code == 1
+    assert report.splitlines()[-2:] == ["AXIOMS: fail", "REASON: x"]
+
+
 # -- the --workers path ---------------------------------------------------------
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -258,6 +267,22 @@ def test_malformed_input_gives_structured_error(tmp_path, files, argv, code):
     got, report = run(argv)
     assert got == code
     assert "REASON:" in report
+
+
+@pytest.mark.parametrize("files,argv", [
+    ({"g.grp": "groupie g 2\n0 1\n1 0\n"}, ["validate", "--group", "g.grp"]),
+    ({"z2.grp": Z2_GROUP, "z4.grp": Z4_GROUP,
+      "c.cm": "cmfoo z4_over_z2\nG z2.grp\nH z4.grp\nbeta 0 1 0 1\nalpha\n"
+              "0 1 2 3\n0 1 2 3\n"}, ["validate", "--cm", "c.cm"]),
+    ({"z.coc": "cocyclex circle z2_trivial\n"}, ["validate", "--cocycle", "z.coc"]),
+])
+def test_header_keyword_must_match_exactly(tmp_path, files, argv):
+    for name, text in files.items():
+        _write(tmp_path / name, text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, report = run(argv)
+    assert code == 2
+    assert report.startswith("REASON:")
 
 
 @pytest.mark.parametrize("text", ["gamma 0 9\n", "eta 0 1 5\n", "eta 0 7 1\n",
