@@ -510,6 +510,12 @@ def extract_cocycle(P: BundleGroupoid, trivs: dict[int, Trivialization]) -> Cocy
     bad = check_action(P)
     if bad:
         raise ActionNotFreeTransitive(bad[0])
+    return _read_transitions(P, trivs)
+
+
+def _read_transitions(P: BundleGroupoid, trivs: dict[int, Trivialization]) -> Cocycle:
+    """extract_cocycle without its action check, for a caller that has
+    already run check_action on P."""
     K, cm = P.complex, P.cm
     eG = cm.G.identity
     g, h = {}, {}

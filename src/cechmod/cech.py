@@ -56,6 +56,9 @@ class Cocycle:
         return (isinstance(other, Cocycle) and self.complex == other.complex
                 and self.cm == other.cm and self.g == other.g and self.h == other.h)
 
+    def __hash__(self) -> int:
+        return hash(self.key())
+
 
 @dataclass(frozen=True)
 class Coboundary:
@@ -73,6 +76,9 @@ class Coboundary:
         return (isinstance(other, Coboundary) and self.complex == other.complex
                 and self.cm == other.cm and self.gamma == other.gamma
                 and self.eta == other.eta)
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
 
 def coboundary(K: SimplicialComplex, cm: CrossedModule, gamma: dict,
@@ -223,18 +229,33 @@ def inverse_coboundary(c: Coboundary) -> Coboundary:
 # -- shared search context -------------------------------------------------------
 
 class _Context:
-    """Precomputed tuple orders, beta fibers and constraint schedules for (K, cm)."""
+    """Precomputed tuple orders, beta fibers and constraint schedules for (K, cm).
+
+    Every search and move works on one packed encoding: g (and eta) as a
+    list over `distinct_pairs`, h as a list over `free_triples`, both in
+    lexicographic order.  Everything below indexes into it by position.
+    Position -1 reads a trailing identity slot at the end of a working
+    vector; that slot stands for every diagonal pair and every degenerate
+    triple, whose values the normalization fixes at e.
+
+    - `triple_idx[t]` = (ij, jk, ik, i): the pair positions of free triple t
+      and its first vertex (ij and jk are never diagonal).
+    - `triples_at_pair[p]`: the free triples whose last pair is p, checkable
+      once g is set up to p.
+    - `quads_at_triple[t]`: for each quadruple (i, j, k, l) whose last free
+      face is t, the positions (ikl, ijk, ijl, jkl, ij).  Quadruples with
+      every face degenerate hold for any g and are left out.
+    - `pairs_at_vertex[v]`, `triples_at_vertex[v]`: the distinct pairs and
+      free triples whose largest vertex is v, for the coboundary search.
+    """
 
     def __init__(self, K: SimplicialComplex, cm: CrossedModule):
         self.K, self.cm = K, cm
         G, H = cm.G, cm.H
         self.pairs = valid_tuples(K, 2)
         self.triples = valid_tuples(K, 3)
-        self.quads = valid_tuples(K, 4)
         self.distinct_pairs = [p for p in self.pairs if p[0] != p[1]]
-        self.pair_pos = {p: i for i, p in enumerate(self.distinct_pairs)}
         self.free_triples = [t for t in self.triples if not is_degenerate(t)]
-        self.triple_pos = {t: i for i, t in enumerate(self.free_triples)}
         # beta fibers, each sorted ascending
         self.fiber = {g: [] for g in G.elements()}
         for h in H.elements():
@@ -246,48 +267,33 @@ class _Context:
         for g in G.elements():
             self.coset_rep[g] = min(G.mul(b, g) for b in img)
         self.transversal = sorted(set(self.coset_rep.values()))
-        # schedule: free triples checkable once all their distinct pairs are set
-        def pair_level(p):
-            return -1 if p[0] == p[1] else self.pair_pos[p]
+        # positions in the packed encoding; -1 is the identity slot
+        pos = {t: -1 for t in self.pairs + self.triples}
+        pos.update((p, n) for n, p in enumerate(self.distinct_pairs))
+        pos.update((t, n) for n, t in enumerate(self.free_triples))
+        self.triple_idx = [(pos[(i, j)], pos[(j, k)], pos[(i, k)], i)
+                           for (i, j, k) in self.free_triples]
         self.triples_at_pair = [[] for _ in self.distinct_pairs]
-        for t in self.free_triples:
-            i, j, k = t
-            lvl = max(pair_level((i, j)), pair_level((j, k)), pair_level((i, k)))
-            if lvl >= 0:
-                self.triples_at_pair[lvl].append(t)
-        # schedule: quadruples checkable once all their free triples are set
-        def triple_level(t):
-            return -1 if is_degenerate(t) else self.triple_pos[t]
+        for t, (ij, jk, ik, _) in enumerate(self.triple_idx):
+            self.triples_at_pair[max(ij, jk, ik)].append(t)
         self.quads_at_triple = [[] for _ in self.free_triples]
-        self.constant_quads = []
-        for q in self.quads:
-            i, j, k, l = q
-            faces = [(i, k, l), (i, j, k), (i, j, l), (j, k, l)]
-            lvl = max(triple_level(t) for t in faces)
-            if lvl >= 0:
-                self.quads_at_triple[lvl].append(q)
-            else:
-                self.constant_quads.append(q)
-        # coboundary search schedule: pairs and triples by max vertex
+        for (i, j, k, l) in valid_tuples(K, 4):
+            faces = (pos[(i, k, l)], pos[(i, j, k)], pos[(i, j, l)], pos[(j, k, l)])
+            if max(faces) >= 0:
+                self.quads_at_triple[max(faces)].append(faces + (pos[(i, j)],))
         n = K.vertex_count
         self.pairs_at_vertex = [[] for _ in range(n)]
-        for p in self.pairs:
-            self.pairs_at_vertex[max(p)].append(p)
+        for p, pair in enumerate(self.distinct_pairs):
+            self.pairs_at_vertex[max(pair)].append(p)
         self.triples_at_vertex = [[] for _ in range(n)]
-        for t in self.triples:
-            self.triples_at_vertex[max(t)].append(t)
-        # flat index views of the packed encoding, for the orbit moves
-        self.triple_pair_idx = []
-        for (i, j, k) in self.free_triples:
-            self.triple_pair_idx.append(
-                (self.pair_pos[(i, j)], self.pair_pos[(j, k)],
-                 self.pair_pos[(i, k)] if i != k else -1, i))
+        for t, triple in enumerate(self.free_triples):
+            self.triples_at_vertex[max(triple)].append(t)
 
-    def required_beta(self, g: dict, t: tuple) -> int:
-        """The value beta(h_t) must take, namely g_ik * (g_ij * g_jk)^-1."""
-        G = self.cm.G
-        i, j, k = t
-        return G.mul(g[(i, k)], G.inv(G.mul(g[(i, j)], g[(j, k)])))
+    def pair_beta(self, gi: int, g2: int, gj: int, g: int) -> int:
+        """The beta(eta_ij) that carries g_ij = g to g'_ij = g2 when gamma_i = gi
+        and gamma_j = gj, namely gi * g2 * gj^-1 * g^-1."""
+        gmul, ginv = self.cm.G.mul_table, self.cm.G.inv_table
+        return gmul[gmul[gmul[gi][g2]][ginv[gj]]][ginv[g]]
 
     def estimate(self) -> int:
         return (self.cm.G.order ** len(self.distinct_pairs)
@@ -314,55 +320,42 @@ def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
     """Yield coboundaries c with apply_coboundary(z, c) == z2.
 
     Backtracking over vertex values with per-pair fiber pruning (the pair
-    equation determines beta(eta_ij)) and per-triple checks.
+    equation determines beta(eta_ij)) and per-triple checks.  Diagonal
+    pairs and degenerate triples are fixed at e and never visited.
     """
     K, cm = z.complex, z.cm
-    G, H = cm.G, cm.H
+    G = cm.G
     ctx = _Context(K, cm)
     n = K.vertex_count
     bud = Budget(budget, G.order ** n * max(1, len(ctx.kernel)) ** len(ctx.distinct_pairs))
-    gamma = [None] * n
-    eta = {}
-
-    def triple_ok(t) -> bool:
-        i, j, k = t
-        inner = H.mul_many(
-            eta[(i, k)], z.h[t],
-            H.inv(cm.act(z.g[(i, j)], eta[(j, k)])),
-            H.inv(eta[(i, j)]))
-        return cm.act(G.inv(gamma[i]), inner) == z2.h[t]
+    zg, zh = _pack(ctx, z)
+    z2g, z2h = _pack(ctx, z2)
+    want = [[z2h[t] for t in ts] for ts in ctx.triples_at_vertex]
+    gamma = [G.identity] * n
+    eta = [cm.H.identity] * (len(ctx.distinct_pairs) + 1)
 
     def assign_pairs(v: int, idx: int) -> Iterator[Coboundary]:
         pairs = ctx.pairs_at_vertex[v]
         if idx == len(pairs):
-            for t in ctx.triples_at_vertex[v]:
-                if not triple_ok(t):
-                    return
-            yield from assign_vertex(v + 1)
+            if _act_triples(ctx, zg, zh, gamma, eta, ctx.triples_at_vertex[v]) == want[v]:
+                yield from assign_vertex(v + 1)
             return
         p = pairs[idx]
-        i, j = p
-        if i == j:
-            eta[p] = H.identity
-            yield from assign_pairs(v, idx + 1)
-            del eta[p]
-            return
-        need = G.mul_many(gamma[i], z2.g[p], G.inv(gamma[j]), G.inv(z.g[p]))
-        for cand in ctx.fiber[need]:
+        i, j = ctx.distinct_pairs[p]
+        for cand in ctx.fiber[ctx.pair_beta(gamma[i], z2g[p], gamma[j], zg[p])]:
             bud.tick()
             eta[p] = cand
             yield from assign_pairs(v, idx + 1)
-            del eta[p]
 
     def assign_vertex(v: int) -> Iterator[Coboundary]:
         if v == n:
-            yield coboundary(K, cm, {i: gamma[i] for i in range(n)}, dict(eta))
+            yield coboundary(K, cm, dict(enumerate(gamma)),
+                             dict(zip(ctx.distinct_pairs, eta)))
             return
         for val in G.elements():
             bud.tick()
             gamma[v] = val
             yield from assign_pairs(v, 0)
-            gamma[v] = None
 
     for c in assign_vertex(0):
         yield c
@@ -406,92 +399,84 @@ def _enumerate_slice(ctx: _Context, bud: Budget,
     quadruple identity.  With an rng, every domain is tried in shuffled
     order and the search stops at the first leaf.
     """
-    cm, G, H = ctx.cm, ctx.cm.G, ctx.cm.H
-    eG, eH = G.identity, H.identity
+    G, H = ctx.cm.G, ctx.cm.H
+    gmul, ginv, hmul, act = G.mul_table, G.inv_table, H.mul_table, ctx.cm.alpha.table
     leaves: list[tuple] = []
     npairs, ntrip = len(ctx.distinct_pairs), len(ctx.free_triples)
-    g: dict = {p: eG for p in ctx.pairs if p[0] == p[1]}
-    h: dict = {t: eH for t in ctx.triples if is_degenerate(t)}
-    gvec = [0] * npairs
-    hvec = [0] * ntrip
+    gvec = [G.identity] * (npairs + 1)
+    hvec = [H.identity] * (ntrip + 1)
 
-    for q in ctx.constant_quads:
-        i, j, k, l = q
-        if H.mul(h[(i, k, l)], h[(i, j, k)]) != \
-                H.mul(h[(i, j, l)], cm.act(g.get((i, j), eG), h[(j, k, l)])):
-            return []  # cannot happen for a crossed module; defensive
+    def required_fiber(t: int) -> list[int]:
+        """The fiber of g_ik * (g_ij * g_jk)^-1, where beta(h_ijk) must lie."""
+        ij, jk, ik, _ = ctx.triple_idx[t]
+        return ctx.fiber[gmul[gvec[ik]][ginv[gmul[gvec[ij]][gvec[jk]]]]]
 
-    def quad_ok(q) -> bool:
-        i, j, k, l = q
-        lhs = H.mul(h[(i, k, l)], h[(i, j, k)])
-        rhs = H.mul(h[(i, j, l)], cm.act(g[(i, j)], h[(j, k, l)]))
-        return lhs == rhs
+    def quads_ok(t: int) -> bool:
+        return all(hmul[hvec[ikl]][hvec[ijk]] == hmul[hvec[ijl]][act[gvec[ij]][hvec[jkl]]]
+                   for ikl, ijk, ijl, jkl, ij in ctx.quads_at_triple[t])
 
     def assign_h(ti: int) -> bool:
         """Extend the h-assignment; True once the search should stop."""
         if ti == ntrip:
-            leaves.append((tuple(gvec), tuple(hvec)))
+            leaves.append((tuple(gvec[:npairs]), tuple(hvec[:ntrip])))
             return rng is not None
-        t = ctx.free_triples[ti]
-        domain = ctx.fiber[ctx.required_beta(g, t)]
+        domain = required_fiber(ti)
         if rng is not None:
             domain = list(domain)
             rng.shuffle(domain)
         for cand in domain:
             bud.tick()
-            h[t] = cand
             hvec[ti] = cand
-            if all(quad_ok(q) for q in ctx.quads_at_triple[ti]) and assign_h(ti + 1):
+            if quads_ok(ti) and assign_h(ti + 1):
                 return True
-            del h[t]
         return False
 
     def assign_g(pi: int) -> bool:
         if pi == npairs:
             return assign_h(0)
-        p = ctx.distinct_pairs[pi]
         domain = ctx.transversal if first_values is None or pi > 0 else first_values
         if rng is not None:
             domain = list(domain)
             rng.shuffle(domain)
         for val in domain:
             bud.tick()
-            g[p] = val
             gvec[pi] = val
-            if all(ctx.fiber[ctx.required_beta(g, t)] for t in ctx.triples_at_pair[pi]) \
+            if all(required_fiber(t) for t in ctx.triples_at_pair[pi]) \
                     and assign_g(pi + 1):
                 return True
-            del g[p]
         return False
 
     assign_g(0)
     return leaves
 
 
+def _act_triples(ctx: _Context, gvec: Sequence[int], hvec: Sequence[int],
+                 gamma: Sequence[int], eta: Sequence[int],
+                 triples: Sequence[int]) -> list[int]:
+    """h'_ijk under the coboundary (gamma, eta) for the free triples at the
+    given positions; eta carries the trailing identity slot."""
+    H = ctx.cm.H
+    hmul, hinv, ginv, act = H.mul_table, H.inv_table, ctx.cm.G.inv_table, ctx.cm.alpha.table
+    out = []
+    for t in triples:
+        ij, jk, ik, i = ctx.triple_idx[t]
+        inner = hmul[hmul[eta[ik]][hvec[t]]][hinv[act[gvec[ij]][eta[jk]]]]
+        out.append(act[ginv[gamma[i]]][hmul[inner][hinv[eta[ij]]]])
+    return out
+
+
 def _apply_packed(ctx: _Context, packed: tuple, gamma: Sequence[int],
-                  eta_vec: Sequence[int]) -> tuple:
+                  eta: Sequence[int]) -> tuple:
     """apply_coboundary on the packed (gvec, hvec) slice encoding.
 
-    eta_vec is indexed by the distinct-pair order; diagonal entries are the
-    identity by normalization.
+    eta is packed like gvec, followed by the trailing identity slot that
+    stands for the diagonal pairs.
     """
-    G, H = ctx.cm.G, ctx.cm.H
-    gmul, ginv, hmul, hinv = G.mul_table, G.inv_table, H.mul_table, H.inv_table
-    act, beta = ctx.cm.alpha.table, ctx.cm.beta.image
-    eH = H.identity
+    gmul, ginv, beta = ctx.cm.G.mul_table, ctx.cm.G.inv_table, ctx.cm.beta.image
     gvec, hvec = packed
-    g2 = []
-    for idx, (i, j) in enumerate(ctx.distinct_pairs):
-        v = gmul[ginv[gamma[i]]][beta[eta_vec[idx]]]
-        g2.append(gmul[gmul[v][gvec[idx]]][gamma[j]])
-    h2 = []
-    for ti, (ij, jk, ik, i) in enumerate(ctx.triple_pair_idx):
-        e_ik = eta_vec[ik] if ik >= 0 else eH
-        inner = hmul[e_ik][hvec[ti]]
-        inner = hmul[inner][hinv[act[gvec[ij]][eta_vec[jk]]]]
-        inner = hmul[inner][hinv[eta_vec[ij]]]
-        h2.append(act[ginv[gamma[i]]][inner])
-    return (tuple(g2), tuple(h2))
+    g2 = tuple(gmul[gmul[gmul[ginv[gamma[i]]][beta[eta[p]]]][gvec[p]]][gamma[j]]
+               for p, (i, j) in enumerate(ctx.distinct_pairs))
+    return (g2, tuple(_act_triples(ctx, gvec, hvec, gamma, eta, range(len(ctx.free_triples)))))
 
 
 def _slice_moves(ctx: _Context) -> list[tuple]:
@@ -504,7 +489,7 @@ def _slice_moves(ctx: _Context) -> list[tuple]:
     """
     moves = []
     G, H = ctx.cm.G, ctx.cm.H
-    for pi, p in enumerate(ctx.distinct_pairs):
+    for p in range(len(ctx.distinct_pairs)):
         for a in ctx.kernel:
             if a != H.identity:
                 moves.append(("kernel", p, a))
@@ -516,22 +501,20 @@ def _slice_moves(ctx: _Context) -> list[tuple]:
 
 
 def _apply_move(ctx: _Context, packed: tuple, move: tuple) -> tuple:
-    cm, G, H = ctx.cm, ctx.cm.G, ctx.cm.H
+    G = ctx.cm.G
     kind, a, b = move
-    eta_vec = [H.identity] * len(ctx.distinct_pairs)
+    eta = [ctx.cm.H.identity] * (len(ctx.distinct_pairs) + 1)
     gamma = [G.identity] * ctx.K.vertex_count
     if kind == "kernel":
-        eta_vec[ctx.pair_pos[a]] = b
+        eta[a] = b
     else:
         gamma[a] = b
-        gvec = packed[0]
-        for i, p in enumerate(ctx.distinct_pairs):
-            gi, gj = gamma[p[0]], gamma[p[1]]
-            cur = gvec[i]
-            target = ctx.coset_rep[G.mul_many(G.inv(gi), cur, gj)]
-            need = G.mul_many(gi, target, G.inv(gj), G.inv(cur))
-            eta_vec[i] = ctx.fiber[need][0]
-    return _apply_packed(ctx, packed, gamma, eta_vec)
+        gmul, ginv = G.mul_table, G.inv_table
+        for p, (i, j) in enumerate(ctx.distinct_pairs):
+            gi, gj, cur = gamma[i], gamma[j], packed[0][p]
+            target = ctx.coset_rep[gmul[gmul[ginv[gi]][cur]][gj]]
+            eta[p] = ctx.fiber[ctx.pair_beta(gi, target, gj, cur)][0]
+    return _apply_packed(ctx, packed, gamma, eta)
 
 
 @dataclass
@@ -540,6 +523,10 @@ class ClassifyResult:
     representatives: list[Cocycle]
     strategy: str
     cocycles_enumerated: int | None = None
+
+
+def _pack(ctx: _Context, z: Cocycle) -> tuple:
+    return ([z.g[p] for p in ctx.distinct_pairs], [z.h[t] for t in ctx.free_triples])
 
 
 def _unpack(ctx: _Context, packed: tuple) -> Cocycle:

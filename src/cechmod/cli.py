@@ -143,7 +143,7 @@ def cmd_bundle_check(args) -> tuple[int, list[str]]:
             lines.append(f"TRIVIALIZATIONS: fail")
             return INVALID, lines + [f"REASON: vertex {i}: {bad[0]}"]
     lines.append("TRIVIALIZATIONS: pass")
-    zhat = bundle_mod.extract_cocycle(P, trivs)
+    zhat = bundle_mod._read_transitions(P, trivs)  # the action passed above
     exact = zhat == z
     lines.append(f"ROUNDTRIP: {'exact' if exact else 'fail'}")
     if not exact:

@@ -438,3 +438,64 @@ def test_sample_cocycle_is_pinned(kname, cmname):
                                               random.Random(seed)).key()).encode()).hexdigest()
            for seed in range(3)]
     assert got == SAMPLE_PINS[(kname, cmname)]
+
+
+# witness keys and node counts of are_cohomologous(z, z2) for z trivial and
+# z2 = z moved by random_coboundary(K, cm, Random(1)); they pin the order in
+# which the coboundary search visits gamma and eta
+WITNESS_PINS = {
+    ("circle", "conj_s3"): ((0, 0, 0, 0, 3, 1, 5, 0, 4, 2, 1, 0), 9),
+    ("circle", "z4_over_z2"): ((0, 0, 0, 0, 0, 0, 3, 0, 0, 2, 0, 0), 13),
+    ("boundary3", "star_to_s3"):
+        ((0, 2, 1, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 23),
+}
+
+
+@pytest.mark.parametrize("kname,cmname", sorted(WITNESS_PINS))
+def test_cohomologous_witness_is_pinned(kname, cmname):
+    K, cmx = cx(kname), cm(cmname)
+    z = trivial_cocycle(K, cmx)
+    z2 = apply_coboundary(z, random_coboundary(K, cmx, random.Random(1)))
+    key, nodes = WITNESS_PINS[(kname, cmname)]
+    assert are_cohomologous(z, z2, budget=nodes).key() == key
+    with pytest.raises(SearchSpaceTooLarge):
+        are_cohomologous(z, z2, budget=nodes - 1)
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "conj_s3"), ("circle", "aut_z3"), ("boundary3", "z4_over_z2"),
+    ("rp26", "z2_into_z4")])
+def test_packed_action_matches_apply_coboundary(kname, cmname):
+    # the packed action of the orbit search against the dict reference,
+    # on full random coboundaries rather than the single generator moves
+    from cechmod.cech import _Context, _apply_packed
+    K, cmx = cx(kname), cm(cmname)
+    ctx = _Context(K, cmx)
+
+    def pack(z):
+        return (tuple(z.g[p] for p in ctx.distinct_pairs),
+                tuple(z.h[t] for t in ctx.free_triples))
+
+    rng = random.Random(7)
+    for _ in range(10):
+        z = sample_cocycle(K, cmx, rng)
+        c = random_coboundary(K, cmx, rng)
+        gamma = [c.gamma[v] for v in range(K.vertex_count)]
+        # the trailing entry is the identity that stands for diagonal pairs
+        eta = [c.eta[p] for p in ctx.distinct_pairs] + [cmx.H.identity]
+        assert _apply_packed(ctx, pack(z), gamma, eta) == pack(apply_coboundary(z, c))
+
+
+def test_cocycles_and_coboundaries_hash_by_value(tmp_path):
+    from cechmod.io import parse_cocycle_file
+    path = tmp_path / "z.coc"
+    path.write_text("cocycle circle z2_into_z4\ng 0 1 1\ng 1 0 3\n"
+                    "g 1 2 1\ng 2 1 3\ng 0 2 1\ng 2 0 3\n")
+    parsed = parse_cocycle_file(str(path))
+    g = {(0, 1): 1, (1, 0): 3, (1, 2): 1, (2, 1): 3, (0, 2): 1, (2, 0): 3}
+    built = cocycle(circle(), cm("z2_into_z4"), g, {})
+    assert parsed == built and hash(parsed) == hash(built)
+    assert len({parsed, built}) == 1
+    hash(trivial_cocycle(circle(), cm("conj_s3")))
+    c = random_coboundary(circle(), cm("conj_s3"), random.Random(3))
+    assert len({c, compose_coboundaries(c, identity_coboundary(circle(), cm("conj_s3")))}) == 1

@@ -339,3 +339,14 @@ def test_mutated_cocycle_files_never_raise(tmp_path, edits):
         assert code in (0, 1, 2)
         if code:
             assert "REASON:" in report
+
+
+@pytest.mark.parametrize("budget,expected", [(1193, 3), (1194, 0)])
+def test_stabilizer_budget_is_pinned(tmp_path, budget, expected):
+    # the coboundary search for the stabilizer of the trivial cocycle on
+    # circle x conj_s3 visits 1194 nodes
+    path = _write(tmp_path / "z.coc", "cocycle circle conj_s3\n")
+    code, report = run(["stabilizer", "--cocycle", path, "--budget", str(budget)])
+    assert code == expected
+    if expected == 0:
+        assert report.startswith("SIZE: 216\n")
