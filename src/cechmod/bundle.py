@@ -856,7 +856,7 @@ def _search_lift(K, cm, g, A, inc, sec, budget):
                 for (i, j, k) in valid_tuples(K, 3))
         i, j = edges[idx]
         for h in fiber((i, j)):
-            bud.tick()
+            bud.tick("lift", idx, len(edges))
             lift[(i, j)] = h
             lift[(j, i)] = H.inv(h)
             if consistent() and assign(idx + 1):

@@ -20,6 +20,8 @@ refinements of the cover are out of scope).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -288,6 +290,23 @@ class _Context:
         self.triples_at_vertex = [[] for _ in range(n)]
         for t, triple in enumerate(self.free_triples):
             self.triples_at_vertex[max(triple)].append(t)
+        # a slice leaf is one bytes object: the g digits, then the h digits,
+        # each high byte first at one fixed width, so that bytes compare as
+        # the digit tuples do
+        self.digit = "B" if max(G.order, H.order) <= 256 else "H"
+        self.swap = array(self.digit).itemsize > 1 and sys.byteorder == "little"
+
+    def encode(self, digits: Sequence[int]) -> bytes:
+        packed = array(self.digit, digits)
+        if self.swap:
+            packed.byteswap()
+        return packed.tobytes()
+
+    def decode(self, leaf: bytes) -> array:
+        digits = array(self.digit, leaf)
+        if self.swap:
+            digits.byteswap()
+        return digits
 
     def pair_beta(self, gi: int, g2: int, gj: int, g: int) -> int:
         """The beta(eta_ij) that carries g_ij = g to g'_ij = g2 when gamma_i = gi
@@ -301,16 +320,20 @@ class _Context:
 
 
 class Budget:
-    """The node counter every backtracking search charges; exceeding the
-    limit raises SearchSpaceTooLarge with the search's a-priori estimate."""
+    """The node counter every backtracking search charges.
+
+    Each tick names the search phase and the level being assigned (0-based,
+    out of `levels`), so exceeding the limit raises SearchSpaceTooLarge
+    saying where the search stood; the message is built only then.
+    """
 
     def __init__(self, limit: int, estimate: int):
         self.limit, self.estimate, self.visited = limit, estimate, 0
 
-    def tick(self, n: int = 1):
-        self.visited += n
+    def tick(self, phase: str, level: int, levels: int):
+        self.visited += 1
         if self.visited > self.limit:
-            raise SearchSpaceTooLarge(self.estimate, self.limit)
+            raise SearchSpaceTooLarge(self.estimate, self.limit, phase, level + 1, levels)
 
 
 # -- coboundary search (cohomology testing, stabilizers) --------------------------
@@ -333,6 +356,10 @@ def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
     want = [[z2h[t] for t in ts] for ts in ctx.triples_at_vertex]
     gamma = [G.identity] * n
     eta = [cm.H.identity] * (len(ctx.distinct_pairs) + 1)
+    # vertex by vertex, the search assigns gamma_v and then eta on the pairs
+    # at v; first_level[v] is the level of gamma_v
+    levels = n + len(ctx.distinct_pairs)
+    first_level = [v + sum(map(len, ctx.pairs_at_vertex[:v])) for v in range(n)]
 
     def assign_pairs(v: int, idx: int) -> Iterator[Coboundary]:
         pairs = ctx.pairs_at_vertex[v]
@@ -343,7 +370,7 @@ def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
         p = pairs[idx]
         i, j = ctx.distinct_pairs[p]
         for cand in ctx.fiber[ctx.pair_beta(gamma[i], z2g[p], gamma[j], zg[p])]:
-            bud.tick()
+            bud.tick("coboundary search", first_level[v] + 1 + idx, levels)
             eta[p] = cand
             yield from assign_pairs(v, idx + 1)
 
@@ -353,7 +380,7 @@ def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
                              dict(zip(ctx.distinct_pairs, eta)))
             return
         for val in G.elements():
-            bud.tick()
+            bud.tick("coboundary search", first_level[v], levels)
             gamma[v] = val
             yield from assign_pairs(v, 0)
 
@@ -389,8 +416,9 @@ def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
 
 def _enumerate_slice(ctx: _Context, bud: Budget,
                      first_values: Sequence[int] | None = None,
-                     rng=None) -> list[tuple]:
-    """All valid cocycles with every g_ij in the coset transversal.
+                     rng=None) -> list[bytes]:
+    """All valid cocycles with every g_ij in the coset transversal, as leaves
+    encoded by `_Context.encode`.
 
     Every cohomology class meets this slice: multiplying g_ij on the left by
     beta(eta_ij) moves it anywhere in its beta(H)-coset.  Backtracking
@@ -401,34 +429,37 @@ def _enumerate_slice(ctx: _Context, bud: Budget,
     """
     G, H = ctx.cm.G, ctx.cm.H
     gmul, ginv, hmul, act = G.mul_table, G.inv_table, H.mul_table, ctx.cm.alpha.table
-    leaves: list[tuple] = []
+    leaves: list[bytes] = []
     npairs, ntrip = len(ctx.distinct_pairs), len(ctx.free_triples)
     gvec = [G.identity] * (npairs + 1)
     hvec = [H.identity] * (ntrip + 1)
-
-    def required_fiber(t: int) -> list[int]:
-        """The fiber of g_ik * (g_ij * g_jk)^-1, where beta(h_ijk) must lie."""
-        ij, jk, ik, _ = ctx.triple_idx[t]
-        return ctx.fiber[gmul[gvec[ik]][ginv[gmul[gvec[ij]][gvec[jk]]]]]
-
-    def quads_ok(t: int) -> bool:
-        return all(hmul[hvec[ikl]][hvec[ijk]] == hmul[hvec[ijl]][act[gvec[ij]][hvec[jkl]]]
-                   for ikl, ijk, ijl, jkl, ij in ctx.quads_at_triple[t])
+    # fiber_at[g_ij * g_jk][g_ik] is the fiber of g_ik * (g_ij * g_jk)^-1,
+    # where beta(h_ijk) must lie; in_coset says whether it is nonempty
+    fiber_at = [[ctx.fiber[gmul[b][ginv[a]]] for b in G.elements()] for a in G.elements()]
+    in_coset = [[bool(f) for f in row] for row in fiber_at]
+    triple_pairs = [idx[:3] for idx in ctx.triple_idx]
+    checks_at_pair = [[triple_pairs[t] for t in ts] for ts in ctx.triples_at_pair]
 
     def assign_h(ti: int) -> bool:
         """Extend the h-assignment; True once the search should stop."""
         if ti == ntrip:
-            leaves.append((tuple(gvec[:npairs]), tuple(hvec[:ntrip])))
+            leaves.append(ctx.encode(gvec[:npairs] + hvec[:ntrip]))
             return rng is not None
-        domain = required_fiber(ti)
+        ij, jk, ik = triple_pairs[ti]
+        domain = fiber_at[gmul[gvec[ij]][gvec[jk]]][gvec[ik]]
         if rng is not None:
             domain = list(domain)
             rng.shuffle(domain)
+        quads = ctx.quads_at_triple[ti]
         for cand in domain:
-            bud.tick()
+            bud.tick("slice h", ti, ntrip)
             hvec[ti] = cand
-            if quads_ok(ti) and assign_h(ti + 1):
-                return True
+            for ikl, ijk, ijl, jkl, qij in quads:
+                if hmul[hvec[ikl]][hvec[ijk]] != hmul[hvec[ijl]][act[gvec[qij]][hvec[jkl]]]:
+                    break
+            else:
+                if assign_h(ti + 1):
+                    return True
         return False
 
     def assign_g(pi: int) -> bool:
@@ -438,12 +469,16 @@ def _enumerate_slice(ctx: _Context, bud: Budget,
         if rng is not None:
             domain = list(domain)
             rng.shuffle(domain)
+        checks = checks_at_pair[pi]
         for val in domain:
-            bud.tick()
+            bud.tick("slice g", pi, npairs)
             gvec[pi] = val
-            if all(required_fiber(t) for t in ctx.triples_at_pair[pi]) \
-                    and assign_g(pi + 1):
-                return True
+            for ij, jk, ik in checks:
+                if not in_coset[gmul[gvec[ij]][gvec[jk]]][gvec[ik]]:
+                    break
+            else:
+                if assign_g(pi + 1):
+                    return True
         return False
 
     assign_g(0)
@@ -467,7 +502,8 @@ def _act_triples(ctx: _Context, gvec: Sequence[int], hvec: Sequence[int],
 
 def _apply_packed(ctx: _Context, packed: tuple, gamma: Sequence[int],
                   eta: Sequence[int]) -> tuple:
-    """apply_coboundary on the packed (gvec, hvec) slice encoding.
+    """apply_coboundary on the packed (gvec, hvec) encoding, for any full
+    coboundary; the tests hold the move tables of `_slice_moves` to it.
 
     eta is packed like gvec, followed by the trailing identity slot that
     stands for the diagonal pairs.
@@ -479,79 +515,95 @@ def _apply_packed(ctx: _Context, packed: tuple, gamma: Sequence[int],
     return (g2, tuple(_act_triples(ctx, gvec, hvec, gamma, eta, range(len(ctx.free_triples)))))
 
 
-def _slice_moves(ctx: _Context) -> list[tuple]:
-    """Generator moves for the orbit partition within the slice.
+def _generating_set(elements: Sequence[int], mul_table, identity: int) -> list[int]:
+    """Generators of the group on `elements`, chosen greedily: an element
+    joins when it lies outside the subgroup the earlier ones generate."""
+    gens, closure = [], {identity}
+    for x in elements:
+        if x in closure:
+            continue
+        gens.append(x)
+        closure.add(x)
+        queue = list(closure)
+        while queue:
+            y = queue.pop()
+            for s in gens:
+                z = mul_table[y][s]
+                if z not in closure:
+                    closure.add(z)
+                    queue.append(z)
+    return gens
 
-    Kernel moves change a single eta_ij inside ker(beta); vertex moves set a
-    single gamma_v and refill every eta with the minimal fiber element that
-    keeps all g-values inside the transversal.  Together these moves connect
-    exactly the intersections of cohomology classes with the slice.
+
+def _slice_moves(ctx: _Context) -> list[tuple]:
+    """Generator moves for the orbit partition within the slice, as tables.
+
+    A vertex move sets gamma_v to a generator x of G and refills every eta
+    with the minimal fiber element that keeps all g-values inside the
+    transversal; a kernel move sets a single eta_ij to a generator of
+    ker(beta).  Moves by these generators alone partition the slice as the
+    moves by every element of G and of ker(beta) do:
+
+    - Let z be in the slice, and let vertex moves at v by x_1, ..., x_k
+      take it to z', also in the slice.  Let z'' be the single move
+      (v, x_1...x_k) applied to z.  Both composites have gamma_v =
+      x_1...x_k and gamma = e elsewhere, so z' and z'' differ by a
+      coboundary with gamma = e everywhere.  Its pair rule reads
+      g''_ij = beta(eta_ij) g'_ij, so g''_ij and g'_ij lie in one
+      beta(H)-coset.  Both are in the transversal, hence equal, and
+      beta(eta_ij) = e for every pair.  With gamma = e, coboundaries
+      compose by multiplying their eta pairwise, so this one is a product
+      of single-pair kernel moves.
+    - A kernel move by a*b is the kernel move by a followed by the one by
+      b, for the same reason.
+
+    Each move is (rows, triples, eta).  `rows` holds (p, g2, e2) for every
+    pair p the move touches: a current g-value c goes to g2[c], with
+    eta_p = e2[c].  `triples` holds (position, ij, jk, ik, act_row) for
+    every free triple whose h may change: those that read a pair with a
+    non-identity eta, and those whose first vertex carries a gamma acting
+    nontrivially; act_row is the action of gamma_i^-1.  `eta` is a scratch
+    vector, the identity off the listed pairs, with the trailing slot.
     """
-    moves = []
     G, H = ctx.cm.G, ctx.cm.H
-    for p in range(len(ctx.distinct_pairs)):
-        for a in ctx.kernel:
-            if a != H.identity:
-                moves.append(("kernel", p, a))
-    for v in range(ctx.K.vertex_count):
-        for val in G.elements():
-            if val != G.identity:
-                moves.append(("vertex", v, val))
+    gmul, ginv, act = G.mul_table, G.inv_table, ctx.cm.alpha.table
+    npairs = len(ctx.distinct_pairs)
+    fixed_g, fixed_h = list(G.elements()), tuple(H.elements())
+
+    def table(rows: list, gamma: list[int]) -> tuple:
+        rows = [(p, g2, e2) for p, g2, e2 in rows
+                if g2 != fixed_g or any(x != H.identity for x in e2)]
+        moved = {p for p, _, e2 in rows if any(x != H.identity for x in e2)}
+        triples = []
+        for t, (ij, jk, ik, i) in enumerate(ctx.triple_idx):
+            act_row = act[ginv[gamma[i]]]
+            if moved.intersection((ij, jk, ik)) or tuple(act_row) != fixed_h:
+                triples.append((npairs + t, ij, jk, ik, act_row))
+        return rows, triples, [H.identity] * (npairs + 1)
+
+    moves = []
+    n = ctx.K.vertex_count
+    for a in _generating_set(ctx.kernel, H.mul_table, H.identity):
+        for p in range(npairs):
+            moves.append(table([(p, fixed_g, [a] * G.order)], [G.identity] * n))
+    for x in _generating_set(G.elements(), gmul, G.identity):
+        for v in range(n):
+            gamma = [x if u == v else G.identity for u in range(n)]
+            rows = []
+            for p, (i, j) in enumerate(ctx.distinct_pairs):
+                gi, gj = gamma[i], gamma[j]
+                g2 = [ctx.coset_rep[gmul[gmul[ginv[gi]][c]][gj]] for c in G.elements()]
+                e2 = [ctx.fiber[ctx.pair_beta(gi, g2[c], gj, c)][0] for c in G.elements()]
+                rows.append((p, g2, e2))
+            moves.append(table(rows, gamma))
     return moves
 
 
-def _apply_move(ctx: _Context, packed: tuple, move: tuple) -> tuple:
-    G = ctx.cm.G
-    kind, a, b = move
-    eta = [ctx.cm.H.identity] * (len(ctx.distinct_pairs) + 1)
-    gamma = [G.identity] * ctx.K.vertex_count
-    if kind == "kernel":
-        eta[a] = b
-    else:
-        gamma[a] = b
-        gmul, ginv = G.mul_table, G.inv_table
-        for p, (i, j) in enumerate(ctx.distinct_pairs):
-            gi, gj, cur = gamma[i], gamma[j], packed[0][p]
-            target = ctx.coset_rep[gmul[gmul[ginv[gi]][cur]][gj]]
-            eta[p] = ctx.fiber[ctx.pair_beta(gi, target, gj, cur)][0]
-    return _apply_packed(ctx, packed, gamma, eta)
-
-
-@dataclass
-class ClassifyResult:
-    count: int
-    representatives: list[Cocycle]
-    strategy: str
-    cocycles_enumerated: int | None = None
-
-
-def _pack(ctx: _Context, z: Cocycle) -> tuple:
-    return ([z.g[p] for p in ctx.distinct_pairs], [z.h[t] for t in ctx.free_triples])
-
-
-def _unpack(ctx: _Context, packed: tuple) -> Cocycle:
-    G, H = ctx.cm.G, ctx.cm.H
-    g = {p: G.identity for p in ctx.pairs if p[0] == p[1]}
-    g.update({p: packed[0][i] for i, p in enumerate(ctx.distinct_pairs)})
-    h = {t: H.identity for t in ctx.triples if is_degenerate(t)}
-    h.update({t: packed[1][i] for i, t in enumerate(ctx.free_triples)})
-    return validate_cocycle(Cocycle(ctx.K, ctx.cm, g, h))
-
-
-def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int,
-                    workers: int) -> ClassifyResult:
-    ctx = _Context(K, cm)
-    bud = Budget(budget, ctx.estimate())
-    if workers > 1 and ctx.distinct_pairs:
-        leaves = []
-        for chunk, visited in _enumerate_parallel(ctx, budget, workers):
-            bud.tick(visited)
-            leaves.extend(chunk)
-    else:
-        leaves = _enumerate_slice(ctx, bud)
-    leaves = sorted(set(leaves))
-    index = {packed: i for i, packed in enumerate(leaves)}
-
+def _slice_orbits(ctx: _Context, leaves: list[bytes]) -> list[int]:
+    """For each of the sorted leaves, the index of the least leaf in its
+    class; two leaves share a class when moves of `_slice_moves` join them."""
+    hmul, hinv, act = ctx.cm.H.mul_table, ctx.cm.H.inv_table, ctx.cm.alpha.table
+    index = {leaf: i for i, leaf in enumerate(leaves)}
     parent = list(range(len(leaves)))
 
     def find(x):
@@ -566,28 +618,77 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int,
             parent[max(rx, ry)] = min(rx, ry)
 
     moves = _slice_moves(ctx)
-    for i, packed in enumerate(leaves):
-        for mv in moves:
-            img = _apply_move(ctx, packed, mv)
-            union(i, index[img])
+    for i, leaf in enumerate(leaves):
+        cur = ctx.decode(leaf)
+        for rows, triples, eta in moves:
+            img = cur[:]
+            for p, g2, e2 in rows:
+                img[p] = g2[cur[p]]
+                eta[p] = e2[cur[p]]
+            for pos, ij, jk, ik, act_row in triples:
+                inner = hmul[hmul[eta[ik]][cur[pos]]][hinv[act[cur[ij]][eta[jk]]]]
+                img[pos] = act_row[hmul[inner][hinv[eta[ij]]]]
+            union(i, index[ctx.encode(img)])
+    return [find(i) for i in range(len(leaves))]
 
-    classes: dict[int, tuple] = {}
-    for i, packed in enumerate(leaves):
-        r = find(i)
-        if r not in classes or packed < classes[r]:
-            classes[r] = packed
-    reps = sorted(classes.values())
-    return ClassifyResult(len(reps), [_unpack(ctx, p) for p in reps], "brute",
+
+@dataclass
+class ClassifyResult:
+    count: int
+    representatives: list[Cocycle]
+    strategy: str
+    cocycles_enumerated: int | None = None
+
+
+def _pack(ctx: _Context, z: Cocycle) -> tuple:
+    return ([z.g[p] for p in ctx.distinct_pairs], [z.h[t] for t in ctx.free_triples])
+
+
+def _unpack(ctx: _Context, leaf: bytes) -> Cocycle:
+    G, H = ctx.cm.G, ctx.cm.H
+    digits = ctx.decode(leaf)
+    g = {p: G.identity for p in ctx.pairs if p[0] == p[1]}
+    g.update(zip(ctx.distinct_pairs, digits))
+    h = {t: H.identity for t in ctx.triples if is_degenerate(t)}
+    h.update(zip(ctx.free_triples, digits[len(ctx.distinct_pairs):]))
+    return validate_cocycle(Cocycle(ctx.K, ctx.cm, g, h))
+
+
+def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int,
+                    workers: int) -> ClassifyResult:
+    ctx = _Context(K, cm)
+    bud = Budget(budget, ctx.estimate())
+    if workers > 1 and ctx.distinct_pairs:
+        leaves = []
+        tasks = _enumerate_parallel(ctx, budget, workers)
+        for first, (chunk, visited) in zip(ctx.transversal, tasks):
+            if bud.visited + visited > budget:
+                # the sequential search runs out inside this task (one that
+                # ran out alone reports budget + 1 nodes): rerun it here so
+                # the budget runs out at the same node, phase and depth
+                chunk = _enumerate_slice(ctx, bud, first_values=[first])
+            else:
+                bud.visited += visited
+            leaves.extend(chunk)
+    else:
+        leaves = _enumerate_slice(ctx, bud)
+    leaves = sorted(set(leaves))
+    roots = _slice_orbits(ctx, leaves)
+    reps = [leaves[r] for r in sorted(set(roots))]
+    return ClassifyResult(len(reps), [_unpack(ctx, leaf) for leaf in reps], "brute",
                           len(leaves))
 
 
 def _enumerate_parallel(ctx: _Context, budget: int,
-                        workers: int) -> list[tuple[list[tuple], int]]:
-    """Split the top-level g-assignment across processes.
+                        workers: int) -> list[tuple[list[bytes] | None, int]]:
+    """Split the top-level g-assignment across processes, one task per
+    transversal element in order.
 
-    Each task returns its leaves and the nodes it visited; the per-task
-    counts add up to the sequential count, so charging them to one budget
-    makes the outcome, exhaustion included, independent of the worker count.
+    Each task returns its leaves and the nodes it visited, or None and
+    budget + 1 if it ran out of budget on its own.  The per-task counts add up
+    to the sequential count, so the caller can charge them to one budget in
+    task order and make the outcome, exhaustion included, independent of
+    the worker count.
     """
     import multiprocessing as mp
 
@@ -596,11 +697,14 @@ def _enumerate_parallel(ctx: _Context, budget: int,
         return pool.map(_enumerate_task, tasks)
 
 
-def _enumerate_task(args) -> tuple[list[tuple], int]:
+def _enumerate_task(args) -> tuple[list[bytes] | None, int]:
     K, cm, budget, first_values = args
     ctx = _Context(K, cm)
     bud = Budget(budget, ctx.estimate())
-    return _enumerate_slice(ctx, bud, first_values=first_values), bud.visited
+    try:
+        return _enumerate_slice(ctx, bud, first_values=first_values), bud.visited
+    except SearchSpaceTooLarge:
+        return None, bud.visited
 
 
 def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult:
@@ -608,7 +712,8 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
     image over Z/n.  The count comes from elimination over Z/p^e (combined by
     CRT), a route independent of the integer-Smith-form oracle."""
     from .complexes import coboundary_matrix, normalized_tuples
-    from .snf import image_size_mod, kernel_generators_mod, kernel_size_mod, solve_mod
+    from .snf import (image_size_mod, kernel_generators_mod, kernel_size_mod,
+                      smith_normal_form, solve_mod)
 
     if cm.G.order != 1:
         raise StrategyMismatch("abelian strategy needs a trivial base group")
@@ -627,9 +732,11 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
     gens = kernel_generators_mod(d3, n) if d3 else \
         [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
 
+    factors = smith_normal_form(d2, want_transforms=True) if d2 else None
+
     def cohomologous_vec(a, b):
         diff = [(x - y) % n for x, y in zip(a, b)]
-        return solve_mod(d2, diff, n) is not None if d2 else all(v == 0 for v in diff)
+        return solve_mod(d2, diff, n, factors) is not None if d2 else all(v == 0 for v in diff)
 
     reps = [tuple([0] * len(cols))]
     queue = [reps[0]]

@@ -127,10 +127,14 @@ class ResultNotCocycle(CechmodError):
 
 
 class SearchSpaceTooLarge(CechmodError):
-    def __init__(self, estimate: int, budget: int):
+    """A search ran out of budget at the given phase, assigning variable
+    `depth` (1-based) of its `total`."""
+
+    def __init__(self, estimate: int, budget: int, phase: str, depth: int, total: int):
         self.estimate, self.budget = estimate, budget
+        self.phase, self.depth, self.total = phase, depth, total
         super().__init__(
-            f"visited nodes exceed budget {budget} (a-priori estimate {estimate})")
+            f"visited nodes exceed budget {budget} in {phase} at depth {depth} of {total}")
 
 
 class StrategyMismatch(CechmodError):

@@ -188,6 +188,7 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
     fiber = {g: [h for h in H.elements() if cm.beta_of(h) == g] for g in G.elements()}
 
     bud = Budget(budget, G.order ** len(verts) * max(1, H.order) ** len(dpairs))
+    levels = len(verts) + len(dpairs)  # a G-value per vertex, then an H-value per pair
     count = 0
     v = {}
     eta = {}
@@ -225,7 +226,7 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
         i, j = dpairs[idx]
         need = G.mul_many(z.g[(i, j)], v[j], G.inv(z.g[(i, j)]), G.inv(v[i]))
         for cand in fiber[need]:
-            bud.tick()
+            bud.tick("gauge functors", len(verts) + idx, levels)
             eta[(i, j)] = cand
             assign_pair(idx + 1)
             del eta[(i, j)]
@@ -235,7 +236,7 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
             assign_pair(0)
             return
         for val in G.elements():
-            bud.tick()
+            bud.tick("gauge functors", idx, levels)
             v[verts[idx]] = val
             assign_vertex(idx + 1)
             del v[verts[idx]]

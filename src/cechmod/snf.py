@@ -133,13 +133,19 @@ def rank_and_divisors(matrix: list[list[int]]) -> tuple[int, list[int]]:
     return len(d), d
 
 
-def solve_mod(matrix: list[list[int]], rhs: list[int], n: int) -> list[int] | None:
-    """One solution x of  matrix @ x == rhs (mod n),  or None if infeasible."""
+def solve_mod(matrix: list[list[int]], rhs: list[int], n: int,
+              factors: tuple | None = None) -> list[int] | None:
+    """One solution x of  matrix @ x == rhs (mod n),  or None if infeasible.
+
+    `factors` is `smith_normal_form(matrix, want_transforms=True)`, passed by
+    a caller that solves many systems with one matrix; the solution is
+    checked against `matrix` either way.
+    """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if rows == 0:
         return [0] * cols
-    d, U, V = smith_normal_form(matrix, want_transforms=True)
+    d, U, V = factors or smith_normal_form(matrix, want_transforms=True)
     c = [sum(U[i][j] * rhs[j] for j in range(rows)) % n for i in range(rows)]
     y = [0] * cols
     for i in range(rows):

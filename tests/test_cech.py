@@ -499,3 +499,133 @@ def test_cocycles_and_coboundaries_hash_by_value(tmp_path):
     hash(trivial_cocycle(circle(), cm("conj_s3")))
     c = random_coboundary(circle(), cm("conj_s3"), random.Random(3))
     assert len({c, compose_coboundaries(c, identity_coboundary(circle(), cm("conj_s3")))}) == 1
+
+
+# sha256 of the `classify --strategy brute` report (CLASSES, ENUMERATED and every
+# REP line) and the nodes one slice search visits; recorded before the slice
+# leaves and the orbit moves were re-encoded, so they pin what brute computes
+BRUTE_PINS = {
+    ("circle", "star_to_s3"):
+        ("e29fa17e5108f8d39c4bdd741de6cbcbd6c0d7895db172a7297c1e722e23f841", 4362),
+    ("circle", "aut_z3"):
+        ("712ce7a77aa4a5ce557ab2f8a68c85a5451d0f0250dae1b3c956ec7cea7f3d01", 1878),
+    ("circle", "conj_s3"):
+        ("ad245bd397e4de66aec693fc9417e8c1633b3eb0f5f651236b2b375f495d9835", 12),
+    ("boundary3", "z4_over_z2"):
+        ("056bb23e78b779ad253fe1923609b3feb51501614067c30a0d6da6ab40cf02df", 68618),
+    ("boundary3", "star_to_s3"):
+        ("ffc1338941472bb44a3e99b53ba190351b2f6e2d36e5092ce8a1ad8e437b83b4", 19698),
+    ("rp26", "z2_into_z4"):
+        ("b16496cd9543defe599f9d84b59149b39202dc0c80e0ff76fc17fe3aa1d20616", 11262),
+    ("full2", "aut_z3"):
+        ("f5937c3b34d9390fd50aecb3b6222160d0f5a71fa90240024c9b00423378fb3e", 8294),
+}
+
+
+@pytest.mark.parametrize("kname,cmname", sorted(BRUTE_PINS))
+def test_brute_report_and_slice_nodes_are_pinned(kname, cmname):
+    import hashlib
+    from cechmod.cech import DEFAULT_BUDGET, Budget, _Context, _enumerate_slice
+    from cechmod.cli import run
+    code, report = run(["classify", "--complex", kname, "--cm", cmname,
+                        "--strategy", "brute"])
+    ctx = _Context(cx(kname), cm(cmname))
+    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    _enumerate_slice(ctx, bud)
+    assert code == 0
+    assert (hashlib.sha256(report.encode()).hexdigest(), bud.visited) == \
+        BRUTE_PINS[(kname, cmname)]
+
+
+# -- the orbit partition against every move ----------------------------------------
+
+def _reference_slice_moves(ctx):
+    """Every slice move: each non-identity kernel element on each pair and
+    each non-identity element of G at each vertex."""
+    G, H = ctx.cm.G, ctx.cm.H
+    moves = [("kernel", p, a) for p in range(len(ctx.distinct_pairs))
+             for a in ctx.kernel if a != H.identity]
+    moves += [("vertex", v, x) for v in range(ctx.K.vertex_count)
+              for x in G.elements() if x != G.identity]
+    return moves
+
+
+def _reference_apply_move(ctx, packed, move):
+    """One slice move on the (g tuple, h tuple) encoding, through the full
+    packed action: the vertex move refills every eta with the minimal fiber
+    element that keeps g in the transversal."""
+    from cechmod.cech import _apply_packed
+    G = ctx.cm.G
+    kind, a, b = move
+    eta = [ctx.cm.H.identity] * (len(ctx.distinct_pairs) + 1)
+    gamma = [G.identity] * ctx.K.vertex_count
+    if kind == "kernel":
+        eta[a] = b
+    else:
+        gamma[a] = b
+        gmul, ginv = G.mul_table, G.inv_table
+        for p, (i, j) in enumerate(ctx.distinct_pairs):
+            gi, gj, cur = gamma[i], gamma[j], packed[0][p]
+            target = ctx.coset_rep[gmul[gmul[ginv[gi]][cur]][gj]]
+            eta[p] = ctx.fiber[ctx.pair_beta(gi, target, gj, cur)][0]
+    return _apply_packed(ctx, packed, gamma, eta)
+
+
+def _reference_partition(ctx, leaves):
+    npairs = len(ctx.distinct_pairs)
+
+    def split(leaf):
+        digits = ctx.decode(leaf)
+        return tuple(digits[:npairs]), tuple(digits[npairs:])
+
+    index = {split(leaf): i for i, leaf in enumerate(leaves)}
+    parent = list(range(len(leaves)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, leaf in enumerate(leaves):
+        for mv in _reference_slice_moves(ctx):
+            ri, rj = find(i), find(index[_reference_apply_move(ctx, split(leaf), mv)])
+            parent[max(ri, rj)] = min(ri, rj)
+    return _classes(leaves, [find(i) for i in range(len(leaves))])
+
+
+def _classes(leaves, roots):
+    classes = {}
+    for leaf, r in zip(leaves, roots):
+        classes.setdefault(r, set()).add(leaf)
+    return {frozenset(c) for c in classes.values()}
+
+
+# (all moves, generator moves) per pair
+PARTITION_CASES = {
+    ("circle", "star_to_s3"): (15, 6), ("circle", "aut_z3"): (15, 9),
+    ("circle", "conj_s3"): (15, 6), ("boundary3", "z4_over_z2"): (16, 16),
+    ("boundary3", "star_to_s3"): (20, 8), ("rp26", "z2_into_z4"): (18, 6),
+    ("full2", "aut_z3"): (15, 9),
+}
+
+
+@pytest.mark.parametrize("kname,cmname", sorted(PARTITION_CASES))
+def test_generator_moves_partition_like_every_move(kname, cmname):
+    import sys
+    from cechmod.cech import (DEFAULT_BUDGET, Budget, _Context, _enumerate_slice,
+                              _slice_moves, _slice_orbits)
+    ctx = _Context(cx(kname), cm(cmname))
+    leaves = sorted(set(_enumerate_slice(ctx, Budget(DEFAULT_BUDGET, ctx.estimate()))))
+    assert (len(_reference_slice_moves(ctx)), len(_slice_moves(ctx))) == \
+        PARTITION_CASES[(kname, cmname)]
+    reference = _reference_partition(ctx, leaves)
+    assert _classes(leaves, _slice_orbits(ctx, leaves)) == reference
+    # the two-byte digits of groups above order 256 take the same code path
+    # and give the same partition, in the same order
+    digits = [ctx.decode(leaf) for leaf in leaves]
+    ctx.digit, ctx.swap = "H", sys.byteorder == "little"
+    wide = [ctx.encode(d) for d in digits]
+    assert wide == sorted(wide) and len(wide[0]) == 2 * len(leaves[0])
+    assert [list(ctx.decode(w)) for w in wide] == [list(d) for d in digits]
+    assert {frozenset(leaves[wide.index(w)] for w in c)
+            for c in _classes(wide, _slice_orbits(ctx, wide))} == reference

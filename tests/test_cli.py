@@ -350,3 +350,16 @@ def test_stabilizer_budget_is_pinned(tmp_path, budget, expected):
     assert code == expected
     if expected == 0:
         assert report.startswith("SIZE: 216\n")
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["classify", "--complex", "rp26", "--cm", "z4_over_z2", "--budget", "1000"],
+     "visited nodes exceed budget 1000 in slice h at depth 57 of 90"),
+    (["stabilizer", "--cocycle", "z.coc", "--budget", "1193"],
+     "visited nodes exceed budget 1193 in coboundary search at depth 9 of 9"),
+])
+def test_budget_exhaustion_names_phase_and_depth(tmp_path, argv, reason):
+    _write(tmp_path / "z.coc", "cocycle circle conj_s3\n")
+    argv = [str(tmp_path / a) if a.endswith(".coc") else a for a in argv]
+    for workers in ("1", "2"):
+        assert run(argv + ["--workers", workers]) == (3, f"REASON: {reason}\n")

@@ -65,3 +65,14 @@ def test_known_smith_forms():
     assert smith_normal_form([[2, 0], [0, 3]])[0] == [1, 6]
     assert smith_normal_form([[2, 4], [6, 8]])[0] == [2, 4]
     assert smith_normal_form([[0, 0], [0, 0]])[0] == []
+
+
+def test_solve_mod_with_one_factorization():
+    # one Smith form of A serves every right-hand side, as in the abelian
+    # classification, and gives the answers of a fresh factorization
+    rng = random.Random(5)
+    for _ in range(20):
+        A, rows, cols, n = _random_system(rng)
+        factors = smith_normal_form(A, want_transforms=True)
+        for b in itertools.product(range(n), repeat=rows):
+            assert solve_mod(A, list(b), n, factors) == solve_mod(A, list(b), n)
