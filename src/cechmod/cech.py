@@ -335,6 +335,16 @@ class Budget:
         if self.visited > self.limit:
             raise SearchSpaceTooLarge(self.estimate, self.limit, phase, level + 1, levels)
 
+    def charge(self, n: int, phase: str, level: int, levels: int, rising: bool = False):
+        """n ticks in one step, all at `level`, or at level, level + 1, ...
+        when `rising`.  A charge that crosses the limit is ticked one by one,
+        so it runs out at the node, phase and depth the single ticks would."""
+        if self.visited + n <= self.limit:
+            self.visited += n
+            return
+        for k in range(n):
+            self.tick(phase, level + k if rising else level, levels)
+
 
 # -- coboundary search (cohomology testing, stabilizers) --------------------------
 
@@ -426,19 +436,71 @@ def _enumerate_slice(ctx: _Context, bud: Budget,
     beta-fiber is empty, then assigns h per triple fiber under the
     quadruple identity.  With an rng, every domain is tried in shuffled
     order and the search stops at the first leaf.
+
+    Each candidate value is one node charged to `bud`, in domain order, so
+    that the count and the point of exhaustion do not depend on how a node
+    is tested.  Two shortcuts test nodes in bulk:
+
+    - The pair checks of a g candidate are bit masks over G, one per role
+      of the pair in a triple (ik, ij or jk), indexed by the values of the
+      other two pairs; their AND is the set of candidates that pass.  The
+      candidates skipped before a survivor are charged with it, the ones
+      after the last survivor at the end.
+    - When ker(beta) = 1 the h-chain is forced.  beta is then injective, so
+      each fiber, nonempty once g passed its checks, holds one element h_ijk
+      with beta(h_ijk) = g_ik g_jk^-1 g_ij^-1; degenerate triples satisfy
+      this too, with h = e and g_ii = e.  Both sides of the quadruple
+      identity then have the same image: by equivariance,
+      beta(g_ij . h_jkl) = g_ij beta(h_jkl) g_ij^-1, so
+          beta(h_ikl h_ijk) = g_il g_kl^-1 g_jk^-1 g_ij^-1
+                            = beta(h_ijl (g_ij . h_jkl)),
+      and injectivity makes the identity hold.  Every g-leaf thus visits
+      one node per free triple and yields one leaf, and the search charges
+      those nodes in one step and reads the h-values off the fibers.  (A
+      shuffle of a one-element domain draws nothing from the rng.)
     """
     G, H = ctx.cm.G, ctx.cm.H
     gmul, ginv, hmul, act = G.mul_table, G.inv_table, H.mul_table, ctx.cm.alpha.table
     leaves: list[bytes] = []
     npairs, ntrip = len(ctx.distinct_pairs), len(ctx.free_triples)
+    limit = bud.limit
     gvec = [G.identity] * (npairs + 1)
     hvec = [H.identity] * (ntrip + 1)
     # fiber_at[g_ij * g_jk][g_ik] is the fiber of g_ik * (g_ij * g_jk)^-1,
-    # where beta(h_ijk) must lie; in_coset says whether it is nonempty
+    # where beta(h_ijk) must lie; the triple passes when it is nonempty
     fiber_at = [[ctx.fiber[gmul[b][ginv[a]]] for b in G.elements()] for a in G.elements()]
-    in_coset = [[bool(f) for f in row] for row in fiber_at]
     triple_pairs = [idx[:3] for idx in ctx.triple_idx]
-    checks_at_pair = [[triple_pairs[t] for t in ts] for ts in ctx.triples_at_pair]
+    # bit c of ik_ok[a][b] is set when g_ij = a, g_jk = b, g_ik = c pass;
+    # ij_ok[b][c] holds the passing a, and jk_ok[a][c] the passing b
+    ik_ok, ij_ok, jk_ok = ([[0] * G.order for _ in G.elements()] for _ in range(3))
+    for a in G.elements():
+        for b in G.elements():
+            for c, fib in enumerate(fiber_at[gmul[a][b]]):
+                if fib:
+                    ik_ok[a][b] |= 1 << c
+                    ij_ok[b][c] |= 1 << a
+                    jk_ok[a][c] |= 1 << b
+    checks_at_pair = [[] for _ in range(npairs)]
+    for pi, ts in enumerate(ctx.triples_at_pair):
+        for t in ts:
+            ij, jk, ik = triple_pairs[t]
+            checks_at_pair[pi].append((ik_ok, ij, jk) if pi == ik else
+                                      (ij_ok, jk, ik) if pi == ij else (jk_ok, ij, ik))
+    every = (1 << G.order) - 1
+    forced = len(ctx.kernel) == 1
+    plans: dict[int, tuple] = {}
+
+    def plan(domain: Sequence[int], passing: int) -> tuple:
+        """(steps, tail): each passing value with the nodes charged up to and
+        including it, and the nodes left after the last one."""
+        steps, skipped = [], 0
+        for val in domain:
+            if passing >> val & 1:
+                steps.append((val, skipped + 1))
+                skipped = 0
+            else:
+                skipped += 1
+        return steps, skipped
 
     def assign_h(ti: int) -> bool:
         """Extend the h-assignment; True once the search should stop."""
@@ -464,21 +526,35 @@ def _enumerate_slice(ctx: _Context, bud: Budget,
 
     def assign_g(pi: int) -> bool:
         if pi == npairs:
-            return assign_h(0)
-        domain = ctx.transversal if first_values is None or pi > 0 else first_values
-        if rng is not None:
-            domain = list(domain)
-            rng.shuffle(domain)
-        checks = checks_at_pair[pi]
-        for val in domain:
-            bud.tick("slice g", pi, npairs)
+            if not forced:
+                return assign_h(0)
+            if bud.visited + ntrip > limit:
+                bud.charge(ntrip, "slice h", 0, ntrip, rising=True)
+            bud.visited += ntrip
+            hs = [fiber_at[gmul[gvec[ij]][gvec[jk]]][gvec[ik]][0] for ij, jk, ik in triple_pairs]
+            leaves.append(ctx.encode(gvec[:npairs] + hs))
+            return rng is not None
+        passing = every
+        for ok, x, y in checks_at_pair[pi]:
+            passing &= ok[gvec[x]][gvec[y]]
+        if rng is None and (pi > 0 or first_values is None):
+            steps, tail = plans.get(passing) or plans.setdefault(
+                passing, plan(ctx.transversal, passing))
+        else:
+            domain = list(ctx.transversal if first_values is None or pi > 0 else first_values)
+            if rng is not None:
+                rng.shuffle(domain)
+            steps, tail = plan(domain, passing)
+        for val, n in steps:
+            if bud.visited + n > limit:
+                bud.charge(n, "slice g", pi, npairs)
+            bud.visited += n
             gvec[pi] = val
-            for ij, jk, ik in checks:
-                if not in_coset[gmul[gvec[ij]][gvec[jk]]][gvec[ik]]:
-                    break
-            else:
-                if assign_g(pi + 1):
-                    return True
+            if assign_g(pi + 1):
+                return True
+        if bud.visited + tail > limit:
+            bud.charge(tail, "slice g", pi, npairs)
+        bud.visited += tail
         return False
 
     assign_g(0)

@@ -262,8 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """Parse arguments, dispatch, and return (exit code, report text)."""
+    """Parse arguments, dispatch, and return (exit code, report text).
+
+    With --out the report is also written there, on every exit path."""
     args = build_parser().parse_args(argv)
+    code, report = _dispatch(args)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(report)
+    return code, report
+
+
+def _dispatch(args) -> tuple[int, str]:
     if args.budget <= 0 or args.workers <= 0:
         return PARSE, "REASON: budget and worker count must be positive\n"
     try:
@@ -274,11 +284,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         return BUDGET, f"REASON: {exc}\n"
     except CechmodError as exc:
         return INVALID, f"VALID: no\nREASON: {exc}\n"
-    report = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    return code, report
+    return code, "\n".join(lines) + "\n"
 
 
 def main() -> None:

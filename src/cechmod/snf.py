@@ -4,6 +4,13 @@ One integer algorithm serves all moduli: the Smith normal form is computed
 over Z with explicit reduction mod n at the end.  A separate elimination
 over Z/p^e (combined by CRT) backs the mod-n cohomology counts that are
 checked against the Smith-form route, so the two never share arithmetic.
+
+Pivot rule, both routes: the pivot is the first entry in row-major order of
+the remaining block among those of least absolute value (over Z) or least
+p-valuation (over Z/p^e).  A unit is least on either measure, so the scan
+stops at the first entry of absolute value 1, or of valuation 0; the pivot,
+and with it every transform, is the one a full scan picks.  Row and column
+operations skip zero multipliers, which change nothing.
 """
 
 from __future__ import annotations
@@ -24,20 +31,18 @@ def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False):
     V = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_transforms else None
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        Ai, Aj = A[i], A[j]
-        for c in range(cols):
-            Ai[c] -= q * Aj[c]
+        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
         if U is not None:
-            Ui, Uj = U[i], U[j]
-            for c in range(rows):
-                Ui[c] -= q * Uj[c]
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            A[r][i] -= q * A[r][j]
+    def col_op(i, j, q):  # col_i -= q * col_j, skipping the zero entries of col_j
+        for row in A:
+            if row[j]:
+                row[i] -= q * row[j]
         if V is not None:
-            for r in range(cols):
-                V[r][i] -= q * V[r][j]
+            for row in V:
+                if row[j]:
+                    row[i] -= q * row[j]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -45,29 +50,35 @@ def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False):
             U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
-        for r in range(rows):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
+        for row in A:
+            row[i], row[j] = row[j], row[i]
         if V is not None:
-            for r in range(cols):
-                V[r][i], V[r][j] = V[r][j], V[r][i]
+            for row in V:
+                row[i], row[j] = row[j], row[i]
 
     def negate_row(i):
-        for c in range(cols):
-            A[i][c] = -A[i][c]
+        A[i] = [-a for a in A[i]]
         if U is not None:
-            for c in range(rows):
-                U[i][c] = -U[i][c]
+            U[i] = [-a for a in U[i]]
 
     t = 0
     while t < min(rows, cols):
-        # smallest nonzero entry in the remaining block as pivot
+        # smallest nonzero entry in the remaining block as pivot, the first
+        # in row-major order; no entry beats a unit, so the scan stops there
         pivot = None
         best = None
         for r in range(t, rows):
+            row = A[r]
             for c in range(t, cols):
-                v = abs(A[r][c])
-                if v and (best is None or v < best):
-                    best, pivot = v, (r, c)
+                v = row[c]
+                if v:
+                    v = abs(v)
+                    if best is None or v < best:
+                        best, pivot = v, (r, c)
+                        if v == 1:
+                            break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -78,14 +89,16 @@ def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False):
             for r in range(t + 1, rows):
                 if A[r][t]:
                     q = A[r][t] // A[t][t]
-                    row_op(r, t, q)
+                    if q:
+                        row_op(r, t, q)
                     if A[r][t]:
                         swap_rows(t, r)
                         done = False
             for c in range(t + 1, cols):
                 if A[t][c]:
                     q = A[t][c] // A[t][t]
-                    col_op(c, t, q)
+                    if q:
+                        col_op(c, t, q)
                     if A[t][c]:
                         swap_cols(t, c)
                         done = False
@@ -232,14 +245,21 @@ def pivot_valuations_mod_prime_power(matrix: list[list[int]], p: int, e: int) ->
     pivots = []
     t = 0
     while t < min(rows, cols):
+        # least valuation, the first in row-major order; a unit (valuation 0)
+        # cannot be beaten, so the scan stops there
         best = None
         pos = None
         for r in range(t, rows):
+            row = A[r]
             for c in range(t, cols):
-                if A[r][c]:
-                    v = val(A[r][c])
+                if row[c]:
+                    v = val(row[c])
                     if best is None or v < best:
                         best, pos = v, (r, c)
+                        if v == 0:
+                            break
+            if best == 0:
+                break
         if pos is None:
             break
         r0, c0 = pos
@@ -255,11 +275,12 @@ def pivot_valuations_mod_prime_power(matrix: list[list[int]], p: int, e: int) ->
             if r != t and A[r][t]:
                 f = A[r][t] // piv  # exact: val(A[r][t]) >= best
                 A[r] = [(A[r][c] - f * A[t][c]) % q for c in range(cols)]
+        live = [row for row in A if row[t]]  # the zero entries of column t add nothing
         for c in range(t + 1, cols):
             if A[t][c]:
                 f = A[t][c] // piv
-                for r in range(rows):
-                    A[r][c] = (A[r][c] - f * A[r][t]) % q
+                for row in live:
+                    row[c] = (row[c] - f * row[t]) % q
         pivots.append(best)
         t += 1
     return pivots

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -629,3 +630,134 @@ def test_generator_moves_partition_like_every_move(kname, cmname):
     assert [list(ctx.decode(w)) for w in wide] == [list(d) for d in digits]
     assert {frozenset(leaves[wide.index(w)] for w in c)
             for c in _classes(wide, _slice_orbits(ctx, wide))} == reference
+
+
+# -- the slice search against its tick-by-tick reference ------------------------
+
+def _reference_enumerate_slice(ctx, bud, first_values=None, rng=None):
+    """The slice search as it stood before bulk node charges: one tick and
+    one check loop per candidate, and an h-search under the quadruple
+    identity at every g-leaf."""
+    G, H = ctx.cm.G, ctx.cm.H
+    gmul, ginv, hmul, act = G.mul_table, G.inv_table, H.mul_table, ctx.cm.alpha.table
+    leaves: list[bytes] = []
+    npairs, ntrip = len(ctx.distinct_pairs), len(ctx.free_triples)
+    gvec = [G.identity] * (npairs + 1)
+    hvec = [H.identity] * (ntrip + 1)
+    # fiber_at[g_ij * g_jk][g_ik] is the fiber of g_ik * (g_ij * g_jk)^-1,
+    # where beta(h_ijk) must lie; in_coset says whether it is nonempty
+    fiber_at = [[ctx.fiber[gmul[b][ginv[a]]] for b in G.elements()] for a in G.elements()]
+    in_coset = [[bool(f) for f in row] for row in fiber_at]
+    triple_pairs = [idx[:3] for idx in ctx.triple_idx]
+    checks_at_pair = [[triple_pairs[t] for t in ts] for ts in ctx.triples_at_pair]
+
+    def assign_h(ti: int) -> bool:
+        """Extend the h-assignment; True once the search should stop."""
+        if ti == ntrip:
+            leaves.append(ctx.encode(gvec[:npairs] + hvec[:ntrip]))
+            return rng is not None
+        ij, jk, ik = triple_pairs[ti]
+        domain = fiber_at[gmul[gvec[ij]][gvec[jk]]][gvec[ik]]
+        if rng is not None:
+            domain = list(domain)
+            rng.shuffle(domain)
+        quads = ctx.quads_at_triple[ti]
+        for cand in domain:
+            bud.tick("slice h", ti, ntrip)
+            hvec[ti] = cand
+            for ikl, ijk, ijl, jkl, qij in quads:
+                if hmul[hvec[ikl]][hvec[ijk]] != hmul[hvec[ijl]][act[gvec[qij]][hvec[jkl]]]:
+                    break
+            else:
+                if assign_h(ti + 1):
+                    return True
+        return False
+
+    def assign_g(pi: int) -> bool:
+        if pi == npairs:
+            return assign_h(0)
+        domain = ctx.transversal if first_values is None or pi > 0 else first_values
+        if rng is not None:
+            domain = list(domain)
+            rng.shuffle(domain)
+        checks = checks_at_pair[pi]
+        for val in domain:
+            bud.tick("slice g", pi, npairs)
+            gvec[pi] = val
+            for ij, jk, ik in checks:
+                if not in_coset[gmul[gvec[ij]][gvec[jk]]][gvec[ik]]:
+                    break
+            else:
+                if assign_g(pi + 1):
+                    return True
+        return False
+
+    assign_g(0)
+    return leaves
+
+
+
+KERNEL_ONE_PAIRS = [
+    (k, c) for c in ("conj_s3", "star_to_s3", "star_to_z2", "star_to_z3", "z2_into_z4",
+                     "z2_trivial")
+    for k in ("point", "full1", "full2", "full3", "circle", "boundary3", "rp26", "torus7")
+    # the two pairs whose search takes more than 3 s
+    if (k, c) not in {("rp26", "star_to_s3"), ("torus7", "star_to_s3")}]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_run(kname, cmname):
+    from cechmod.cech import DEFAULT_BUDGET, Budget, _Context
+    ctx = _Context(cx(kname), cm(cmname))
+    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    return _reference_enumerate_slice(ctx, bud), bud.visited
+
+
+@pytest.mark.parametrize("kname,cmname", KERNEL_ONE_PAIRS + [
+    ("boundary3", "z4_over_z2"), ("full2", "aut_z3")])
+def test_slice_search_matches_reference(kname, cmname):
+    # the same leaves in the same order and the same nodes, with the forced
+    # h-chain (ker beta = 1) and without it (the last two pairs); with an
+    # rng, the same first leaf and the same draws
+    from cechmod.cech import DEFAULT_BUDGET, Budget, _Context, _enumerate_slice
+    ctx = _Context(cx(kname), cm(cmname))
+    assert (len(ctx.kernel) == 1) == ((kname, cmname) in KERNEL_ONE_PAIRS)
+    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    assert (_enumerate_slice(ctx, bud), bud.visited) == _reference_run(kname, cmname)
+    for seed in range(2):
+        runs = []
+        for search in (_reference_enumerate_slice, _enumerate_slice):
+            rng = random.Random(seed)
+            bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+            runs.append((search(ctx, bud, rng=rng), bud.visited, rng.random()))
+        assert runs[0] == runs[1]
+
+
+def _reference_exhaustion(ctx, budget):
+    from cechmod.cech import Budget
+    with pytest.raises(SearchSpaceTooLarge) as info:
+        _reference_enumerate_slice(ctx, Budget(budget, ctx.estimate()))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kname,cmname", [("torus7", "star_to_z3"), ("circle", "star_to_s3")])
+def test_slice_exhaustion_matches_reference(kname, cmname):
+    # budgets that run out at the first g node, mid-way along the first
+    # forced h-chain and at the last node, and one that just suffices
+    from cechmod.cech import _Context
+    ctx = _Context(cx(kname), cm(cmname))
+    ntrip = len(ctx.free_triples)
+    leaves, total = _reference_run(kname, cmname)
+    first_h = next(b for b in itertools.count()
+                   if "slice h" in _reference_exhaustion(ctx, b))
+    mid = first_h + ntrip // 2
+    assert f"in slice h at depth {ntrip // 2 + 1} of {ntrip}" in _reference_exhaustion(ctx, mid)
+    for budget in (0, mid, total - 1):
+        want = _reference_exhaustion(ctx, budget)
+        for workers in (1, 2):
+            with pytest.raises(SearchSpaceTooLarge) as info:
+                classify(cx(kname), cm(cmname), "brute", budget=budget, workers=workers)
+            assert str(info.value) == want
+    for workers in (1, 2):
+        result = classify(cx(kname), cm(cmname), "brute", budget=total, workers=workers)
+        assert result.cocycles_enumerated == len(set(leaves))

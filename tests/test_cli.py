@@ -188,6 +188,23 @@ def test_out_flag_writes_report(tmp_path):
     assert out.read_text() == report
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["classify", "--complex", "circle", "--cm", "nope"], 2),
+    (["classify", "--complex", "circle", "--cm", "star_to_s3", "--budget", "0"], 2),
+    (["validate", "--group", "bad.grp"], 1),
+    (["classify", "--complex", "circle", "--cm", "star_to_s3", "--budget", "5"], 3),
+])
+def test_out_flag_writes_failing_reports(tmp_path, argv, code):
+    # a failing run replaces a stale --out file with its REASON report
+    _write(tmp_path / "bad.grp", "group broken 2\n0 1\n1 1\n")
+    argv = [str(tmp_path / a) if a.endswith(".grp") else a for a in argv]
+    out = tmp_path / "report.txt"
+    out.write_text("STALE\n")
+    got, report = run(argv + ["--out", str(out)])
+    assert got == code and "REASON: " in report
+    assert out.read_text() == report
+
+
 def test_gauge_and_quotient_and_band_commands(tmp_path):
     path = _write(tmp_path / "z.coc", "cocycle point z2_trivial\n")
     code, report = run(["gauge", "--cocycle", path])

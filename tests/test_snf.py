@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from cechmod.snf import (
     image_size_mod,
     kernel_size_mod,
@@ -76,3 +78,291 @@ def test_solve_mod_with_one_factorization():
         factors = smith_normal_form(A, want_transforms=True)
         for b in itertools.product(range(n), repeat=rows):
             assert solve_mod(A, list(b), n, factors) == solve_mod(A, list(b), n)
+
+
+def _det(M):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    M = [row[:] for row in M]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1] if n else 1
+
+
+def test_smith_form_transforms_are_unimodular():
+    # the matrices of test_smith_form_transforms_and_divisibility: U and V
+    # are invertible over Z, not merely over Q
+    rng = random.Random(13)
+    for _ in range(100):
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        A = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+        _, U, V = smith_normal_form(A, want_transforms=True)
+        assert _det(U) in (1, -1) and _det(V) in (1, -1)
+    assert _det([[2, 1], [1, 1]]) == 1 and _det([[0, 1], [1, 0]]) == -1
+    assert _det([[1, 2], [2, 4]]) == 0
+
+
+# sha256 of repr(smith_normal_form(coboundary_matrix(K, k), True)): the
+# divisors and both transforms of every catalog coboundary matrix the
+# abelian routes factor; the pivot order decides U and V, and the abelian
+# representatives and lifts read them
+SMITH_PINS = {
+    ("circle", 0): "4571dc7ac6d30e77e29eab957838769fb7c897c6eaa64a6a57bddfa81bd848b9",
+    ("circle", 1): "6fe6e488adcd6d5bd807df67733dc77c10c5e48d48c10590cae24151a7073836",
+    ("circle", 2): "c3d8c5a6596d37cfae8d13ae3e3c92609379682e27dd017e3a7cc3ca0064250c",
+    ("boundary3", 0): "52521b073569c89b5ff24b1266363f8f030e65cce7eae6e706102ce10485e0a7",
+    ("boundary3", 1): "d59663af6d050b3bcab0d7fbeed355c4ba8054bca29391c6ae07db5309cd2c50",
+    ("boundary3", 2): "d8056e644f4de3701d191e09d60072d1ae90c93c644cef8917b0b523038512b1",
+    ("full2", 0): "4571dc7ac6d30e77e29eab957838769fb7c897c6eaa64a6a57bddfa81bd848b9",
+    ("full2", 1): "f5ba2ce8cba6a62bfbf344f67d84e4189cfa30ade6b5f083e596d5e5c8e09891",
+    ("full2", 2): "754a560a76a74709447be55f9a2eceaf9519ea262f4694ee923b6b069ee58b0b",
+    ("rp26", 0): "caa093a62e44e7516851e7e81de584e11dbd1f63d4921c011a535ca8bdb16329",
+    ("rp26", 1): "19ae07378ccc8b15d0d044090358875fe5fa8f19348633418cd7befd9c78c0b5",
+    ("rp26", 2): "0689d78368b533f77b6ec3855972bf05d91e2715f7136eeff814b41d1b47371e",
+    ("torus7", 0): "555c21f745075085347f1d1685491e70dfe10629015d1ab93678b95e73eec6e6",
+    ("torus7", 1): "8d37b7a75b43aeb8988acf77a7ff94c53aeb96467195bf866af361d3f8e7691c",
+    ("torus7", 2): "202c75e04d819d3b844831757c255b66e28a424576d00ddf9c4bf4355c5e2256",
+}
+
+
+@pytest.mark.parametrize("kname,k", sorted(SMITH_PINS))
+def test_catalog_smith_forms_are_pinned(kname, k):
+    import hashlib
+    from cechmod.catalog import named_complex
+    from cechmod.complexes import coboundary_matrix
+    factors = smith_normal_form(coboundary_matrix(named_complex(kname), k), True)
+    assert hashlib.sha256(repr(factors).encode()).hexdigest() == SMITH_PINS[(kname, k)]
+
+
+# sha256 of the `classify --strategy abelian` reports; their REP lines come
+# from the kernel generators that V of the Smith form of d3 yields
+ABELIAN_PINS = {
+    ("rp26", 2): "e924ebc462c1b70537f8e88fea61dbe07e8c58ac1392332423c234a049a05104",
+    ("rp26", 3): "808dd9b3b02bacec2526f19a22beba6c5bcfc9a88af36047122ec9a9a1c563f7",
+    ("rp26", 4): "768df9b7c08da3b9aec4e16e3268a7b7d1f6d393d43ca21c91993e26af277782",
+    ("torus7", 2): "5b697fad3c396ea07edd514bcfbe660aa6cb8524555387f04e5173405c12d21d",
+    ("torus7", 3): "495308d5498e75cc98790616de2359b36c847c683329f28bc46a18e4dc72c782",
+    ("torus7", 4): "c9c9108d7fbbecb03cf3b8c7f0132b903f9e1455a3063f69f442334421e25fba",
+}
+
+
+@pytest.mark.parametrize("kname,n", sorted(ABELIAN_PINS))
+def test_abelian_reports_are_pinned(kname, n):
+    import hashlib
+    from cechmod.cli import run
+    code, report = run(["classify", "--complex", kname, "--cm", f"z{n}_to_point",
+                        "--strategy", "abelian"])
+    assert code == 0 and "REP 0 trivial" in report
+    assert hashlib.sha256(report.encode()).hexdigest() == ABELIAN_PINS[(kname, n)]
+
+
+def test_lift_through_solve_mod_is_pinned(tmp_path):
+    # a Z/2 coboundary on torus7 lifted to Z/4: the cyclic kernel sends the
+    # lift through solve_mod, whose solution x = V y is reported verbatim
+    import hashlib
+    from cechmod.catalog import named_complex
+    from cechmod.cli import run
+    from cechmod.complexes import valid_tuples
+    lam = [1, 0, 0, 1, 0, 0, 0]
+    path = tmp_path / "g.coc"
+    path.write_text("".join(f"g {i} {j} 1\n" for i, j in valid_tuples(named_complex("torus7"), 2)
+                            if (lam[i] + lam[j]) % 2))
+    code, report = run(["lift", "--complex", "torus7", "--cm", "z4_over_z2",
+                        "--cocycle", str(path)])
+    assert code == 0 and "LIFT: exists" in report and "LIFT h 0 1 3" in report
+    assert hashlib.sha256(report.encode()).hexdigest() == \
+        "b6c9681f025ddaaaef0a864382073a4c46e051f4ad6c3fa486e8af080655b70e"
+
+
+# -- the pivot rule against the full scan ------------------------------------------
+
+def _reference_smith_normal_form(matrix, want_transforms=False):
+    """smith_normal_form as it stood before the pivot scan stopped at a unit:
+    the whole remaining block is scanned for every pivot."""
+    A = [row[:] for row in matrix]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)] if want_transforms else None
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_transforms else None
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        Ai, Aj = A[i], A[j]
+        for c in range(cols):
+            Ai[c] -= q * Aj[c]
+        if U is not None:
+            Ui, Uj = U[i], U[j]
+            for c in range(rows):
+                Ui[c] -= q * Uj[c]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for r in range(rows):
+            A[r][i] -= q * A[r][j]
+        if V is not None:
+            for r in range(cols):
+                V[r][i] -= q * V[r][j]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            A[r][i], A[r][j] = A[r][j], A[r][i]
+        if V is not None:
+            for r in range(cols):
+                V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    def negate_row(i):
+        for c in range(cols):
+            A[i][c] = -A[i][c]
+        if U is not None:
+            for c in range(rows):
+                U[i][c] = -U[i][c]
+
+    t = 0
+    while t < min(rows, cols):
+        # smallest nonzero entry in the remaining block as pivot
+        pivot = None
+        best = None
+        for r in range(t, rows):
+            for c in range(t, cols):
+                v = abs(A[r][c])
+                if v and (best is None or v < best):
+                    best, pivot = v, (r, c)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            # clear column t
+            done = True
+            for r in range(t + 1, rows):
+                if A[r][t]:
+                    q = A[r][t] // A[t][t]
+                    row_op(r, t, q)
+                    if A[r][t]:
+                        swap_rows(t, r)
+                        done = False
+            for c in range(t + 1, cols):
+                if A[t][c]:
+                    q = A[t][c] // A[t][t]
+                    col_op(c, t, q)
+                    if A[t][c]:
+                        swap_cols(t, c)
+                        done = False
+            if done:
+                break
+        if A[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    # enforce the divisibility chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(t - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if b % a:
+                # fold entry (i+1, i+1) into row i and rediagonalize the 2x2 block
+                col_op(i, i + 1, -1)  # col_i += col_{i+1}
+                while True:
+                    if A[i + 1][i]:
+                        q = A[i + 1][i] // A[i][i]
+                        row_op(i + 1, i, q)
+                        if A[i + 1][i]:
+                            swap_rows(i, i + 1)
+                            continue
+                    if A[i][i + 1]:
+                        q = A[i][i + 1] // A[i][i]
+                        col_op(i + 1, i, q)
+                        if A[i][i + 1]:
+                            swap_cols(i, i + 1)
+                            continue
+                    break
+                if A[i][i] < 0:
+                    negate_row(i)
+                if A[i + 1][i + 1] < 0:
+                    negate_row(i + 1)
+                changed = True
+
+    divisors = [A[i][i] for i in range(t) if A[i][i] != 0]
+    return divisors, U, V
+
+
+def _reference_pivot_valuations(matrix, p, e):
+    """pivot_valuations_mod_prime_power with a full pivot scan and a column
+    pass over every row."""
+    q = p ** e
+    A = [[v % q for v in row] for row in matrix]
+    rows, cols = len(A), len(A[0]) if matrix else 0
+
+    def val(x: int) -> int:
+        if x == 0:
+            return e
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    pivots = []
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        pos = None
+        for r in range(t, rows):
+            for c in range(t, cols):
+                if A[r][c]:
+                    v = val(A[r][c])
+                    if best is None or v < best:
+                        best, pos = v, (r, c)
+        if pos is None:
+            break
+        r0, c0 = pos
+        A[t], A[r0] = A[r0], A[t]
+        for r in range(rows):
+            A[r][t], A[r][c0] = A[r][c0], A[r][t]
+        a = A[t][t]
+        unit = a // (p ** best)
+        inv_unit = pow(unit, -1, q)
+        A[t] = [(x * inv_unit) % q for x in A[t]]  # pivot is now p^best
+        piv = p ** best
+        for r in range(rows):
+            if r != t and A[r][t]:
+                f = A[r][t] // piv  # exact: val(A[r][t]) >= best
+                A[r] = [(A[r][c] - f * A[t][c]) % q for c in range(cols)]
+        for c in range(t + 1, cols):
+            if A[t][c]:
+                f = A[t][c] // piv
+                for r in range(rows):
+                    A[r][c] = (A[r][c] - f * A[r][t]) % q
+        pivots.append(best)
+        t += 1
+    return pivots
+
+
+
+def test_unit_pivots_match_full_scan():
+    # entries in -9..9 put many non-unit minima ahead of a unit; the pivot,
+    # the transforms and the valuations must be those of the full scan
+    from cechmod.snf import pivot_valuations_mod_prime_power
+    rng = random.Random(21)
+    for _ in range(150):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        A = [[rng.choice([0, 0, 1, -1, 2, -2, 3, 4, 6, -9]) for _ in range(cols)]
+             for _ in range(rows)]
+        for want in (False, True):
+            assert smith_normal_form(A, want) == _reference_smith_normal_form(A, want)
+        for p, e in ((2, 1), (2, 3), (3, 2), (5, 1)):
+            assert pivot_valuations_mod_prime_power(A, p, e) == \
+                _reference_pivot_valuations(A, p, e)
