@@ -501,114 +501,94 @@ def check_trivialization(z: Cocycle, triv: Trivialization) -> list[str]:
 def extract_cocycle(P: BundleGroupoid, trivs: dict[int, Trivialization]) -> Cocycle:
     """Read the transition data back from a family of trivializations.
 
-    g_ij is the group part of phi_i(phibar_j(sigma, e)); h_ijk is the H part
-    of phi_i(taubar_j(phibar_k(sigma, e))).  Values must not depend on sigma
+    P must pass `check_action`, as `trivializations` requires `check_axioms`;
+    the action is not rechecked here.  g_ij is the group part of
+    phi_i(phibar_j(sigma, e)); h_ijk is the H part of
+    phi_i(taubar_j(phibar_k(sigma, e))).  Values must not depend on sigma
     (charts have connected overlaps) and the result must validate; with the
     canonical trivializations of a bundle groupoid the original cocycle is
     recovered exactly.
     """
-    bad = check_action(P)
-    if bad:
-        raise ActionNotFreeTransitive(bad[0])
-    return _read_transitions(P, trivs)
-
-
-def _read_transitions(P: BundleGroupoid, trivs: dict[int, Trivialization]) -> Cocycle:
-    """extract_cocycle without its action check, for a caller that has
-    already run check_action on P."""
     K, cm = P.complex, P.cm
     eG = cm.G.identity
-    g, h = {}, {}
-    for (i, j) in valid_tuples(K, 2):
-        vals = set()
-        for s in K.simplices_sorted():
-            if i in s and j in s:
-                try:
-                    o = trivs[j].phibar.on_objects[(s, eG)]
-                    vals.add(trivs[i].phi.on_objects[o][1])
-                except KeyError as exc:
-                    raise TrivializationInvalid(f"missing chart data at {exc}")
+
+    def read(what, tup, value):
+        try:
+            vals = {value(s, *tup) for s in K.simplices_sorted() if set(tup) <= set(s)}
+        except KeyError as exc:
+            raise TrivializationInvalid(f"missing chart data at {exc}")
         if len(vals) != 1:
-            raise TrivializationInvalid(
-                f"transition value on pair ({i}, {j}) depends on the fiber: {sorted(vals)}")
-        g[(i, j)] = vals.pop()
-    for (i, j, k) in valid_tuples(K, 3):
-        vals = set()
-        for s in K.simplices_sorted():
-            if i in s and j in s and k in s:
-                try:
-                    o = trivs[k].phibar.on_objects[(s, eG)]
-                    m = trivs[j].taubar.component[o]
-                    vals.add(trivs[i].phi.on_morphisms[m][1])
-                except KeyError as exc:
-                    raise TrivializationInvalid(f"missing chart data at {exc}")
-        if len(vals) != 1:
-            raise TrivializationInvalid(
-                f"triple value on ({i}, {j}, {k}) depends on the fiber: {sorted(vals)}")
-        h[(i, j, k)] = vals.pop()
+            raise TrivializationInvalid(f"{what} {tup} depends on the fiber: {sorted(vals)}")
+        return vals.pop()
+
+    def g_value(s, i, j):
+        return trivs[i].phi.on_objects[trivs[j].phibar.on_objects[(s, eG)]][1]
+
+    def h_value(s, i, j, k):
+        o = trivs[k].phibar.on_objects[(s, eG)]
+        return trivs[i].phi.on_morphisms[trivs[j].taubar.component[o]][1]
+
+    g = {p: read("transition value on pair", p, g_value) for p in valid_tuples(K, 2)}
+    h = {t: read("triple value on", t, h_value) for t in valid_tuples(K, 3)}
     try:
         return validate_cocycle(Cocycle(K, cm, g, h))
     except Exception as exc:
         raise TrivializationInvalid(f"extracted data is not a cocycle: {exc}")
 
 
-def coboundary_to_bundle_morphism(z: Cocycle, c: Coboundary) -> GroupoidFunctor:
-    """The bundle morphism P_z -> P_z' induced by a coboundary.
-
-    Objects (i, sigma, g) map to (i, sigma, gamma_i^-1 * g) and morphisms
-    (i, j, sigma, h, g) to (i, j, sigma, gamma_i^-1 . (eta_ij * h),
-    gamma_i^-1 * g); the functor is strictly equivariant and preserves the
-    fiber index sigma.  The H part is forced: the generator (i, j, sigma, e,
-    e) must map to a morphism whose target matches the relocated chart
-    object, which pins its H part to gamma_i^-1 . eta_ij, and every
-    morphism is the generator acted on by (h, g).
-    """
-    z2 = apply_coboundary(z, c)
-    P, P2 = build_total_groupoid(z), build_total_groupoid(z2)
-    cm = z.cm
-    G, H = cm.G, cm.H
-    on_obj = {}
-    for (i, s, g) in P.objects:
-        on_obj[(i, s, g)] = (i, s, G.mul(G.inv(c.gamma[i]), g))
-    on_mor = {}
-    for (i, j, s, h, g) in P.morphisms:
-        hh = cm.act(G.inv(c.gamma[i]), H.mul(c.eta[(i, j)], h))
-        on_mor[(i, j, s, h, g)] = (i, j, s, hh, G.mul(G.inv(c.gamma[i]), g))
-    F = GroupoidFunctor(P, P2, on_obj, on_mor)
+def _equivariant_functor(P: BundleGroupoid, Q: BundleGroupoid,
+                         obj_image, mor_image) -> GroupoidFunctor:
+    """The functor P -> Q with (i, sigma, e) -> obj_image(i, sigma) and
+    (i, j, sigma, e, e) -> mor_image(i, j, sigma), extended by Q's action:
+    (i, sigma, g) is its generator acted on by g, and (i, j, sigma, h, g) its
+    generator acted on by (h, g).  The functor laws are checked exhaustively."""
+    F = GroupoidFunctor(P, Q, {o: Q.act_obj(obj_image(*o[:2]), o[2]) for o in P.objects},
+                        {m: Q.act_mor(mor_image(*m[:3]), *m[3:]) for m in P.morphisms})
     bad = F.check()
-    assert not bad, f"induced bundle morphism is not a functor: {bad[0]}"
+    assert not bad, f"bundle morphism is not a functor: {bad[0]}"
     return F
+
+
+def coboundary_to_bundle_morphism(P: BundleGroupoid, c: Coboundary) -> GroupoidFunctor:
+    """The bundle morphism P_z -> P_z' induced by a coboundary, z = P.z.
+
+    P must have passed `check_axioms`; the codomain is P when c fixes z and
+    the checked groupoid of z' otherwise.  The generators (i, sigma, e) and
+    (i, j, sigma, e, e) go to (i, sigma, gamma_i^-1) and (i, j, sigma,
+    gamma_i^-1 . eta_ij, gamma_i^-1), whose H part is forced by its target,
+    the relocated chart object; so (i, j, sigma, h, g) goes to
+    (i, j, sigma, gamma_i^-1 . (eta_ij * h), gamma_i^-1 * g).
+    """
+    z2 = apply_coboundary(P.z, c)
+    Q = P if z2 == P.z else build_total_groupoid(z2)
+    ginv = {i: P.cm.G.inv(gi) for i, gi in c.gamma.items()}
+    return _equivariant_functor(
+        P, Q, lambda i, s: (i, s, ginv[i]),
+        lambda i, j, s: (i, j, s, P.cm.act(ginv[i], c.eta[(i, j)]), ginv[i]))
 
 
 def reconstruction_morphism(P: BundleGroupoid,
                             trivs: dict[int, Trivialization]) -> GroupoidFunctor:
     """The comparison morphism from the bundle groupoid of the extracted
-    cocycle back to P: objects (i, sigma, g) -> phibar_i(sigma, g), and the
-    generator (i, j, sigma, e, e) maps to
-    phibar_j(sigma, (h_jij, g_ji)) o taubar_j(phibar_i(sigma, e))^-1,
-    extended equivariantly.  With canonical data this is the identity."""
+    cocycle back to P: the generators (i, sigma, e) and (i, j, sigma, e, e)
+    go to phibar_i(sigma, e) and phibar_j(sigma, (h_jij, g_ji)) o
+    taubar_j(phibar_i(sigma, e))^-1, extended equivariantly.  Its domain is
+    P when the extracted cocycle is P.z; with canonical data it is the identity."""
+    bad = check_action(P)
+    if bad:
+        raise ActionNotFreeTransitive(bad[0])
     zhat = extract_cocycle(P, trivs)
-    Pz = build_total_groupoid(zhat)
-    cm = P.cm
-    eG, eH = cm.G.identity, cm.H.identity
-    on_obj = {}
-    for (i, s, g) in Pz.objects:
-        on_obj[(i, s, g)] = trivs[i].phibar.on_objects[(s, g)]
-    base = {}
-    for s in P.complex.simplices_sorted():
-        for i in s:
-            for j in s:
-                o = trivs[i].phibar.on_objects[(s, eG)]
-                back = P.inverse[trivs[j].taubar.component[o]]
-                corr = trivs[j].phibar.on_morphisms[
-                    (s, zhat.h[(j, i, j)], zhat.g[(j, i)])]
-                base[(i, j, s)] = P.compose[(corr, back)]
-    on_mor = {}
-    for (i, j, s, h, g) in Pz.morphisms:
-        on_mor[(i, j, s, h, g)] = P.act_mor(base[(i, j, s)], h, g)
-    F = GroupoidFunctor(Pz, P, on_obj, on_mor)
-    bad = F.check()
-    assert not bad, f"reconstruction morphism is not a functor: {bad[0]}"
+    Pz = P if zhat == P.z else build_total_groupoid(zhat)
+    eG = P.cm.G.identity
+
+    def mor_image(i, j, s):
+        o = trivs[i].phibar.on_objects[(s, eG)]
+        back = P.inverse[trivs[j].taubar.component[o]]
+        corr = trivs[j].phibar.on_morphisms[(s, zhat.h[(j, i, j)], zhat.g[(j, i)])]
+        return P.compose[(corr, back)]
+
+    F = _equivariant_functor(
+        Pz, P, lambda i, s: trivs[i].phibar.on_objects[(s, eG)], mor_image)
     assert F.is_faithful(), "reconstruction morphism is not faithful"
     return F
 
@@ -649,10 +629,9 @@ def morita_equivalent(z: Cocycle, z2: Cocycle,
         return False, None, None
     P = build_total_groupoid(z)
     left = identity_functor(P)
-    right = coboundary_to_bundle_morphism(z, w)
-    ok_l, _ = is_weak_equivalence(left)
-    ok_r, _ = is_weak_equivalence(right)
-    assert ok_l and ok_r, "span legs must be weak equivalences"
+    right = coboundary_to_bundle_morphism(P, w)
+    assert is_weak_equivalence(left)[0] and is_weak_equivalence(right)[0], \
+        "span legs must be weak equivalences"
     return True, MoritaSpan(left, right), w
 
 

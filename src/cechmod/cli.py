@@ -143,7 +143,7 @@ def cmd_bundle_check(args) -> tuple[int, list[str]]:
             lines.append(f"TRIVIALIZATIONS: fail")
             return INVALID, lines + [f"REASON: vertex {i}: {bad[0]}"]
     lines.append("TRIVIALIZATIONS: pass")
-    zhat = bundle_mod._read_transitions(P, trivs)  # the action passed above
+    zhat = bundle_mod.extract_cocycle(P, trivs)  # the action passed above
     exact = zhat == z
     lines.append(f"ROUNDTRIP: {'exact' if exact else 'fail'}")
     if not exact:
@@ -238,8 +238,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError where argparse would exit; subparsers inherit it."""
+
+    def error(self, message):
+        raise ParseError("<args>", 0, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cechmod",
         description="Exact nonabelian Cech cohomology over finite simplicial bases.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,8 +272,15 @@ def run(argv: list[str]) -> tuple[int, str]:
     """Parse arguments, dispatch, and return (exit code, report text).
 
     With --out the report is also written there, on every exit path."""
-    args = build_parser().parse_args(argv)
-    code, report = _dispatch(args)
+    try:
+        args = build_parser().parse_args(argv)
+    except ParseError as exc:  # argv rejected: read only --out from it
+        pre = _Parser(add_help=False)
+        pre.add_argument("--out", nargs="?")
+        args = pre.parse_known_args(argv)[0]
+        code, report = PARSE, f"REASON: {exc}\n"
+    else:
+        code, report = _dispatch(args)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report)

@@ -27,6 +27,7 @@ from .algebra import (
 from .bundle import (
     GroupoidFunctor,
     build_total_groupoid,
+    check_action,
     coboundary_to_bundle_morphism,
     is_weak_equivalence,
 )
@@ -148,22 +149,27 @@ class GaugeObject:
 
 
 def gauge_objects(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[GaugeObject]:
-    """One gauge object per stabilizer coboundary, realized as a strictly
-    equivariant fiber-preserving self-equivalence of the bundle groupoid."""
+    """One gauge object per stabilizer coboundary c: the self-equivalence
+    `coboundary_to_bundle_morphism(P, c)` of the bundle groupoid P, built and
+    action-checked once.  Each is checked to be a weak equivalence; it keeps
+    fibers and is strictly equivariant by construction, as follows.
+
+    act_obj and act_mor keep the fiber indices of the generators' images.
+    act_mor is a strict right action, act_mor(act_mor(m, a), b) =
+    act_mor(m, a (x) b) with (h, g) (x) (h', g') = (h * (g . h'), g g'): for
+    m = (i, j, sigma, h0, g0) the H parts h0 (g0 . h) ((g0 g) . h') and
+    h0 (g0 . (h (g . h'))) agree as alpha acts by automorphisms and is a
+    homomorphism, the G parts (and act_obj) by associativity.  So for
+    m = u . a with u its generator, F(m . b) = F(u) . (a (x) b) =
+    (F(u) . a) . b = F(m) . b, and likewise on objects.
+    """
+    stab = stabilizer(z, budget)
+    P = build_total_groupoid(z)
+    bad = check_action(P)
+    assert not bad, f"action check failed: {bad[0]}"
     out = []
-    for c in stabilizer(z, budget):
-        F = coboundary_to_bundle_morphism(z, c)
-        for (i, s, g) in F.domain.objects:
-            fi, fs, _ = F.on_objects[(i, s, g)]
-            assert (fi, fs) == (i, s), "gauge automorphism moves a fiber"
-        P = F.domain
-        cm = z.cm
-        for m in P.morphisms:
-            for hbar in cm.H.elements():
-                for gbar in cm.G.elements():
-                    if F.on_morphisms[P.act_mor(m, hbar, gbar)] != \
-                            F.codomain.act_mor(F.on_morphisms[m], hbar, gbar):
-                        raise AssertionError("gauge automorphism is not equivariant")
+    for c in stab:
+        F = coboundary_to_bundle_morphism(P, c)
         ok, why = is_weak_equivalence(F)
         assert ok, why
         out.append(GaugeObject(c, F))

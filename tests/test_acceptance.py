@@ -164,7 +164,7 @@ def test_ac6_morita_machinery():
             z = sample_cocycle(K, cmx, rng)
             c = random_coboundary(K, cmx, rng)
             pairs += 1
-            F = coboundary_to_bundle_morphism(z, c)
+            F = coboundary_to_bundle_morphism(build_total_groupoid(z), c)
             if not is_weak_equivalence(F)[0]:
                 failures += 1
                 continue

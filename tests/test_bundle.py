@@ -19,6 +19,7 @@ from cechmod import (
     cocycle,
     compose_coboundaries,
     extract_cocycle,
+    gauge_objects,
     identity_coboundary,
     identity_functor,
     is_weak_equivalence,
@@ -169,7 +170,7 @@ def test_coboundary_morphism_identity_case():
     K, cmx = cx("circle"), cm("z4_over_z2")
     rng = random.Random(15)
     z = sample_cocycle(K, cmx, rng)
-    F = coboundary_to_bundle_morphism(z, identity_coboundary(K, cmx))
+    F = coboundary_to_bundle_morphism(build_total_groupoid(z), identity_coboundary(K, cmx))
     assert all(F.on_objects[o] == o for o in F.domain.objects)
     assert all(F.on_morphisms[m] == m for m in F.domain.morphisms)
 
@@ -180,10 +181,10 @@ def test_coboundary_morphism_random_checks_and_composition():
     z = sample_cocycle(K, cmx, rng)
     c1 = random_coboundary(K, cmx, rng)
     c2 = random_coboundary(K, cmx, rng)
-    F1 = coboundary_to_bundle_morphism(z, c1)
+    F1 = coboundary_to_bundle_morphism(build_total_groupoid(z), c1)
     z1 = apply_coboundary(z, c1)
-    F2 = coboundary_to_bundle_morphism(z1, c2)
-    direct = coboundary_to_bundle_morphism(z, compose_coboundaries(c1, c2))
+    F2 = coboundary_to_bundle_morphism(build_total_groupoid(z1), c2)
+    direct = coboundary_to_bundle_morphism(F1.domain, compose_coboundaries(c1, c2))
     comp = F1.then(F2)
     assert comp.on_objects == direct.on_objects
     # equivariance of the induced morphism
@@ -256,6 +257,61 @@ def test_morita_cohomologous_pair_has_span():
     eq, span, w = morita_equivalent(z, z2)
     assert eq
     assert is_weak_equivalence(span.left)[0] and is_weak_equivalence(span.right)[0]
+
+
+def _reference_coboundary_morphism(P, c):
+    """The coboundary morphism by its closed formulas on every object and
+    morphism: (i, s, g) -> (i, s, gamma_i^-1 * g) and (i, j, s, h, g) ->
+    (i, j, s, gamma_i^-1 . (eta_ij * h), gamma_i^-1 * g)."""
+    cmx = P.cm
+    G, H = cmx.G, cmx.H
+    ginv = {i: G.inv(gi) for i, gi in c.gamma.items()}
+    on_obj = {(i, s, g): (i, s, G.mul(ginv[i], g)) for (i, s, g) in P.objects}
+    on_mor = {(i, j, s, h, g): (i, j, s, cmx.act(ginv[i], H.mul(c.eta[(i, j)], h)),
+                                G.mul(ginv[i], g))
+              for (i, j, s, h, g) in P.morphisms}
+    return on_obj, on_mor
+
+
+@pytest.mark.parametrize("kname,cmname", [("circle", "conj_s3"), ("circle", "aut_z3"),
+                                          ("boundary3", "z4_over_z2"),
+                                          ("full2", "z2_into_z4")])
+def test_coboundary_morphism_matches_closed_formulas(kname, cmname):
+    # the generator rule extended by the action gives the closed formulas
+    K, cmx = cx(kname), cm(cmname)
+    rng = random.Random(33)
+    z = sample_cocycle(K, cmx, rng)
+    P = build_total_groupoid(z)
+    for c in [identity_coboundary(K, cmx)] + [random_coboundary(K, cmx, rng)
+                                              for _ in range(3)]:
+        F = coboundary_to_bundle_morphism(P, c)
+        on_obj, on_mor = _reference_coboundary_morphism(P, c)
+        assert F.on_objects == on_obj
+        assert F.on_morphisms == on_mor
+
+
+def test_each_bundle_groupoid_is_built_once(monkeypatch):
+    K, cmx = cx("circle"), cm("z4_over_z2")
+    rng = random.Random(34)
+    z = sample_cocycle(K, cmx, rng)
+    z2 = apply_coboundary(z, random_coboundary(K, cmx, rng))
+    assert z2 != z
+    P = build_total_groupoid(z)
+    trivs = canonical_trivializations(P)
+    calls = []
+    init = BundleGroupoid.__init__
+
+    def counting(self, z):
+        calls.append(z)
+        init(self, z)
+
+    monkeypatch.setattr(BundleGroupoid, "__init__", counting)
+    assert len(gauge_objects(z)) > 1 and len(calls) == 1
+    calls.clear()
+    assert morita_equivalent(z, z2)[0] and len(calls) == 2
+    calls.clear()
+    reconstruction_morphism(P, trivs)
+    assert calls == []
 
 
 def test_band_trivial_when_beta_surjective():

@@ -205,6 +205,33 @@ def test_out_flag_writes_failing_reports(tmp_path, argv, code):
     assert out.read_text() == report
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["classify", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
+    (["classify", "--complex", "circle", "--cm", "star_to_s3", "--strategy", "nope"],
+     "argument --strategy: invalid choice: 'nope'"),
+    (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-int", "bad-choice", "bad-command", "no-command"])
+def test_rejected_arguments_give_structured_report(tmp_path, argv, reason):
+    # argparse rejections return exit 2 with a REASON line instead of exiting
+    code, report = run(argv)
+    assert code == 2
+    assert report.startswith(f"REASON: <args>:0: {reason}") and report.endswith("\n")
+    out = tmp_path / "report.txt"
+    out.write_text("STALE\n")
+    code, report = run(argv + ["--out", str(out)])
+    assert code == 2 and report.startswith("REASON: <args>:0: ")
+    assert out.read_text() == report
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_still_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage: cechmod" in capsys.readouterr().out
+
+
 def test_gauge_and_quotient_and_band_commands(tmp_path):
     path = _write(tmp_path / "z.coc", "cocycle point z2_trivial\n")
     code, report = run(["gauge", "--cocycle", path])

@@ -153,3 +153,20 @@ def test_gauge_objects_invariant_along_class():
     from cechmod import random_coboundary
     z2 = apply_coboundary(z, random_coboundary(K, cmx, rng))
     assert len(gauge_objects(z)) == len(gauge_objects(z2))
+
+
+@pytest.mark.parametrize("cmname", ["aut_z3", "z4_over_z2"])
+def test_gauge_automorphisms_preserve_fibers_and_are_equivariant(cmname):
+    # both hold by construction; checked here on every (m, hbar, gbar)
+    K, cmx = cx("circle"), cm(cmname)
+    z = sample_cocycle(K, cmx, random.Random(35))
+    for go in gauge_objects(z):
+        F = go.automorphism
+        P = F.domain
+        for (i, s, g) in P.objects:
+            assert F.on_objects[(i, s, g)][:2] == (i, s)
+        for m in P.morphisms:
+            for hbar in cmx.H.elements():
+                for gbar in cmx.G.elements():
+                    assert F.on_morphisms[P.act_mor(m, hbar, gbar)] == \
+                        F.codomain.act_mor(F.on_morphisms[m], hbar, gbar)
