@@ -42,6 +42,11 @@ from .errors import (
 )
 
 
+def _first_difference(a: list, b: list) -> int:
+    """The first position where two equally long lists differ; len(a) if none."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), len(a))
+
+
 class FiniteGroupoid:
     """A finite groupoid given by explicit structure tables."""
 
@@ -64,13 +69,42 @@ class FiniteGroupoid:
     def hom(self, x, y) -> list:
         return self._hom.get((x, y), [])
 
+    def _index(self) -> tuple:
+        """The tables as they are now, with objects and morphisms replaced by
+        their positions in `objects` and `morphisms`:
+
+          (obj_pos, pos, source, target, identity, inverse, compose, out)
+
+        obj_pos and pos map objects and morphisms to positions; source,
+        target and inverse are lists over morphisms and identity a list over
+        objects; compose maps m2 * M + m1 to m2 o m1, M = len(morphisms);
+        out lists the morphisms leaving each object.  Built afresh on each
+        call, so a check sees edits made to the tables after construction.
+        Every endpoint, identity, inverse and composite must be an object or
+        morphism of the groupoid.
+        """
+        obj_pos = {x: p for p, x in enumerate(self.objects)}
+        pos = {m: p for p, m in enumerate(self.morphisms)}
+        M = len(self.morphisms)
+        source = [obj_pos[self.source[m]] for m in self.morphisms]
+        target = [obj_pos[self.target[m]] for m in self.morphisms]
+        identity = [pos[self.identity[x]] for x in self.objects]
+        inverse = [pos[self.inverse[m]] for m in self.morphisms]
+        compose = {pos[m2] * M + pos[m1]: pos[m]
+                   for (m2, m1), m in self.compose.items()}
+        out = [[] for _ in self.objects]
+        for p, x in enumerate(source):
+            out[x].append(p)
+        return obj_pos, pos, source, target, identity, inverse, compose, out
+
     def check_axioms(self) -> list[str]:
         """Exhaustive category-axiom suite; returns failures (empty = pass).
 
-        Composable pairs and triples are walked through the out-index, so
-        every pair and triple is checked once and no other is visited.  The
-        laws are checked only on a well-formed table, since they look up
-        composites the table must hold.
+        Well-formedness is checked on the dict tables: composable pairs are
+        walked through the out-index, so every pair is checked once and no
+        other is visited.  The identity, inverse and associativity laws run
+        on the integer index, only on a well-formed table, since they look up
+        composites the table must hold; every triple is checked once.
         """
         bad = []
         objset = set(self.objects)
@@ -95,21 +129,27 @@ class FiniteGroupoid:
                     return bad
         if bad:
             return bad
-        for m in self.morphisms:
-            if self.compose[(m, self.identity[self.source[m]])] != m:
-                bad.append(f"right identity law fails at {m}")
-            if self.compose[(self.identity[self.target[m]], m)] != m:
-                bad.append(f"left identity law fails at {m}")
-            mi = self.inverse[m]
-            if self.compose[(mi, m)] != self.identity[self.source[m]] or \
-                    self.compose[(m, mi)] != self.identity[self.target[m]]:
-                bad.append(f"inverse law fails at {m}")
-        for (m2, m1), m21 in self.compose.items():
-            for m3 in self._out.get(self.target[m2], ()):
-                if self.compose[(self.compose[(m3, m2)], m1)] != \
-                        self.compose[(m3, m21)]:
-                    bad.append(f"associativity fails at ({m3}, {m2}, {m1})")
-                    return bad
+        _, _, src, tgt, ident, inv, comp, out = self._index()
+        mors = self.morphisms
+        M = len(mors)
+        for m in range(M):
+            if comp[m * M + ident[src[m]]] != m:
+                bad.append(f"right identity law fails at {mors[m]}")
+            if comp[ident[tgt[m]] * M + m] != m:
+                bad.append(f"left identity law fails at {mors[m]}")
+            mi = inv[m]
+            if comp[mi * M + m] != ident[src[m]] or comp[m * M + mi] != ident[tgt[m]]:
+                bad.append(f"inverse law fails at {mors[m]}")
+        # after[m][k]: the composite of m with the k-th morphism out of its target
+        after = [[comp[m3 * M + m] for m3 in out[tgt[m]]] for m in range(M)]
+        for key, m21 in comp.items():
+            m2, m1 = divmod(key, M)
+            # (m3 m2) m1 against m3 (m2 m1) for every m3 out of the target of m2
+            lhs = [comp[m32 * M + m1] for m32 in after[m2]]
+            if lhs != after[m21]:
+                m3 = out[tgt[m2]][_first_difference(lhs, after[m21])]
+                bad.append(f"associativity fails at ({mors[m3]}, {mors[m2]}, {mors[m1]})")
+                return bad
         return bad
 
     def components(self) -> dict:
@@ -295,6 +335,11 @@ def check_action(P: BundleGroupoid) -> list[str]:
         = act(m2, 1_g'') act(m1, 1_g'') act(1_x, n2) act(1_x, n1)    by (a), (b)
         = act(m2, 1_g'') act(1_y, n2) act(m1, 1_g') act(1_x, n1)     by (c) twice
         = act(m2, n2) act(m1, n1)                                     by (c).
+
+    The action is read once: act[m][n] is the position of P.act_mor(m, n)
+    for every morphism position m and 2-group morphism n, filled by the
+    endpoint loop.  Identities, functoriality and the fiber orbits are then
+    table lookups on the integer index of P.
     """
     bad = []
     tg = Strict2Group(P.cm)
@@ -303,51 +348,83 @@ def check_action(P: BundleGroupoid) -> list[str]:
         if P.act_obj(o, G.identity) != o:
             bad.append(f"identity object action moves {o}")
             return bad
-    for m in P.morphisms:
-        if P.act_mor(m, H.identity, G.identity) != m:
+    obj_pos, pos, src, tgt, ident, _, comp, _ = P._index()
+    mors = P.morphisms
+    M = len(mors)
+    ns = tg.morphisms()
+    dec = [tg.decode(n) for n in ns]
+    ids = [tg.identity(g) for g in G.elements()]
+    n_source = [tg.source(n) for n in ns]
+    n_target = [tg.target(n) for n in ns]
+    # obj_act[x][g]: position of P.act_obj(x, g), -1 off the groupoid; an
+    # acted morphism must run from obj_act[x] at the source of n to obj_act[y]
+    # at its target
+    obj_act = [[obj_pos.get(P.act_obj(o, g), -1) for g in G.elements()] for o in P.objects]
+    to_source = [[row[g] for g in n_source] for row in obj_act]
+    to_target = [[row[g] for g in n_target] for row in obj_act]
+    e_n = tg.identity(G.identity)
+    act = []
+    for p, m in enumerate(mors):
+        row = [P.act_mor(m, hbar, gbar) for (hbar, gbar) in dec]
+        if row[e_n] != m:
             bad.append(f"identity morphism action moves {m}")
             return bad
-        for n in tg.morphisms():
-            hbar, gbar = tg.decode(n)
-            mm = P.act_mor(m, hbar, gbar)
-            if P.source[mm] != P.act_obj(P.source[m], tg.source(n)) or \
-                    P.target[mm] != P.act_obj(P.target[m], tg.target(n)):
-                bad.append(f"action endpoint compatibility fails at ({m}, {n})")
-                return bad
-    for o in P.objects:
-        for g in G.elements():
-            if P.identity[P.act_obj(o, g)] != P.act_mor(P.identity[o], H.identity, g):
-                bad.append(f"action does not preserve identities at {o}")
-                return bad
-    dec = [tg.decode(n) for n in tg.morphisms()]
-    ids = [tg.identity(g) for g in G.elements()]
-    ends = [(ids[tg.source(n)], ids[tg.target(n)]) for n in tg.morphisms()]
-    comp_tg = [(n2, n1, tg.compose(n2, n1)) for n1 in tg.morphisms()
-               for n2 in tg.morphisms() if tg.source(n2) == tg.target(n1)]
-
-    def quadruples():
-        """(m2, m1, n2, n1, n2 o n1) for the checks (a), (b) and (c)."""
-        for (m2, m1) in P.compose:
-            for e in ids:
-                yield m2, m1, e, e, e
-        for x in P.objects:
-            e = P.identity[x]
-            for (n2, n1, n21) in comp_tg:
-                yield e, e, n2, n1, n21
-        for m in P.morphisms:
-            ex, ey = P.identity[P.source[m]], P.identity[P.target[m]]
-            for n in tg.morphisms():
-                e_source, e_target = ends[n]
-                yield m, ex, e_target, n, n
-                yield ey, m, n, e_source, n
-
-    for (m2, m1, n2, n1, n21) in quadruples():
-        lhs = P.act_mor(P.compose[(m2, m1)], *dec[n21])
-        a2 = P.act_mor(m2, *dec[n2])
-        a1 = P.act_mor(m1, *dec[n1])
-        if P.compose[(a2, a1)] != lhs:
-            bad.append(f"action functoriality fails at ({m2}, {m1}, {n2}, {n1})")
+        row = [pos[mm] for mm in row]
+        sources, targets = [src[a] for a in row], [tgt[a] for a in row]
+        if sources != to_source[src[p]] or targets != to_target[tgt[p]]:
+            n = min(_first_difference(sources, to_source[src[p]]),
+                    _first_difference(targets, to_target[tgt[p]]))
+            bad.append(f"action endpoint compatibility fails at ({m}, {n})")
             return bad
+        act.append(row)
+    for x, o in enumerate(P.objects):
+        row = act[ident[x]]
+        if [ident[y] for y in obj_act[x]] != [row[i] for i in ids]:
+            bad.append(f"action does not preserve identities at {o}")
+            return bad
+
+    # Each family compares act(m2 m1, n2 n1) with act(m2, n2) act(m1, n1) a
+    # list at a time: (a) a column of act over all composable pairs, (b) and
+    # (c) a row.  The first differing entry names the failing quadruple, in
+    # the order the quadruples are listed above.
+    def fails(m2, m1, n2, n1):
+        return [f"action functoriality fails at ({mors[m2]}, {mors[m1]}, {n2}, {n1})"]
+
+    first = None
+    for k, e in enumerate(ids):                                        # (a)
+        col = [row[e] for row in act]
+        lhs = [comp[col[key // M] * M + col[key % M]] for key in comp]
+        rhs = [col[m21] for m21 in comp.values()]
+        if lhs != rhs:
+            j = _first_difference(lhs, rhs)
+            if first is None or j < first[0]:
+                first = (j, k)
+    if first is not None:
+        e = ids[first[1]]
+        return fails(*divmod(list(comp)[first[0]], M), e, e)
+    n2s, n1s, n21s = zip(*[(n2, n1, tg.compose(n2, n1)) for n1 in ns
+                           for n2 in ns if n_source[n2] == n_target[n1]])
+    for e in ident:                                                    # (b)
+        row = act[e]
+        lhs = [comp[row[n2] * M + row[n1]] for n2, n1 in zip(n2s, n1s)]
+        rhs = [row[n21] for n21 in n21s]
+        if lhs != rhs:
+            k = _first_difference(lhs, rhs)
+            return fails(e, e, n2s[k], n1s[k])
+    at_target = [ids[g] for g in n_target]
+    at_source = [ids[g] for g in n_source]
+    for m in range(M):                                                 # (c)
+        ex, ey = ident[src[m]], ident[tgt[m]]
+        row = act[m]
+        lhs_x, lhs_y = act[comp[m * M + ex]], act[comp[ey * M + m]]
+        rhs_x = [comp[row[e] * M + a] for e, a in zip(at_target, act[ex])]
+        rhs_y = [comp[a * M + row[e]] for a, e in zip(act[ey], at_source)]
+        if lhs_x != rhs_x or lhs_y != rhs_y:
+            kx = _first_difference(lhs_x, rhs_x)
+            ky = _first_difference(lhs_y, rhs_y)
+            if kx <= ky:
+                return fails(m, ex, at_target[kx], kx)
+            return fails(ey, m, ky, at_source[ky])
     for s in P.complex.simplices_sorted():
         for i in s:
             fib = P.object_fiber(i, s)
@@ -358,10 +435,9 @@ def check_action(P: BundleGroupoid) -> list[str]:
                 return bad
             for j in s:
                 mfib = P.morphism_fiber(i, j, s)
-                mbase = mfib[0]
-                morbit = {P.act_mor(mbase, h, g)
-                          for h in H.elements() for g in G.elements()}
-                if len(morbit) != H.order * G.order or morbit != set(mfib):
+                morbit = set(act[pos[mfib[0]]])
+                fiber = {pos.get(m, -1) for m in mfib}
+                if len(morbit) != H.order * G.order or morbit != fiber:
                     bad.append(f"morphism action not free/transitive on ({i},{j},{s})")
                     return bad
     return bad
@@ -594,14 +670,29 @@ def reconstruction_morphism(P: BundleGroupoid,
 
 
 def is_weak_equivalence(F: GroupoidFunctor) -> tuple[bool, str]:
-    """Essential surjectivity plus full faithfulness, checked exhaustively."""
+    """Essential surjectivity plus full faithfulness, checked exhaustively.
+
+    When objects of different domain components always land in different
+    codomain components (F is injective on pi_0), such a pair has empty hom
+    sets on both sides and passes, so only the pairs within a domain
+    component are walked; otherwise every pair is, which names the first
+    pair that fails.
+    """
     comp = F.codomain.components()
     hit = {comp[F.on_objects[x]] for x in F.domain.objects}
     for y in F.codomain.objects:
         if comp[y] not in hit:
             return False, f"object {y} is not isomorphic to any image object"
+    dom_comp = comp if F.domain is F.codomain else F.domain.components()
+    members = {}                  # domain component -> its objects, in order
+    owner = {}                    # codomain component -> a domain component landing there
     for x in F.domain.objects:
-        for y in F.domain.objects:
+        members.setdefault(dom_comp[x], []).append(x)
+        owner.setdefault(comp[F.on_objects[x]], dom_comp[x])
+    if any(owner[comp[F.on_objects[x]]] != dom_comp[x] for x in F.domain.objects):
+        members = {c: F.domain.objects for c in members}
+    for x in F.domain.objects:
+        for y in members[dom_comp[x]]:
             dom_hom = F.domain.hom(x, y)
             cod_hom = F.codomain.hom(F.on_objects[x], F.on_objects[y])
             imgs = [F.on_morphisms[m] for m in dom_hom]
@@ -861,37 +952,26 @@ def quotient_by_structure_group(P: BundleGroupoid) -> FiniteGroupoid:
     cm = P.cm
     G, H = cm.G, cm.H
     for o in P.objects:
-        seen = set()
-        for gbar in G.elements():
-            img = P.act_obj(o, gbar)
-            if img in seen:
-                raise ActionNotFree(f"object action has a repeat at {o}")
-            seen.add(img)
+        if len({P.act_obj(o, gbar) for gbar in G.elements()}) != G.order:
+            raise ActionNotFree(f"object action has a repeat at {o}")
+    rep_of = {}                   # class (i, j, sigma, h) -> its member with group part e
     for m in P.morphisms:
-        seen = set()
-        for hbar in H.elements():
-            for gbar in G.elements():
-                img = P.act_mor(m, hbar, gbar)
-                if img in seen:
-                    raise ActionNotFree(f"morphism action has a repeat at {m}")
-                seen.add(img)
+        row = [P.act_mor(m, hbar, gbar) for hbar in H.elements() for gbar in G.elements()]
+        if len(set(row)) != len(row):
+            raise ActionNotFree(f"morphism action has a repeat at {m}")
+        rep = row[H.identity * G.order + G.inv(m[4])]       # m acted on by (e, g^-1)
+        rep_of[rep[:4]] = rep
 
     def obj_class(o):
         return (o[0], o[1])
 
-    def mor_rep(m):
-        # translate the group part to the identity
-        i, j, s, h, g = m
-        return P.act_mor(m, H.identity, G.inv(g))
-
     def mor_class(m):
-        i, j, s, h, g = mor_rep(m)
-        return (i, j, s, h)
+        # translate the group part to the identity
+        return P.act_mor(m, H.identity, G.inv(m[4]))[:4]
 
     objects = sorted({obj_class(o) for o in P.objects})
-    morphisms = sorted({mor_class(m) for m in P.morphisms})
+    morphisms = sorted(rep_of)
     source, target, identity, inverse, compose = {}, {}, {}, {}, {}
-    rep_of = {mor_class(m): mor_rep(m) for m in P.morphisms}
     for mc in morphisms:
         m = rep_of[mc]
         source[mc] = obj_class(P.source[m])
@@ -900,12 +980,13 @@ def quotient_by_structure_group(P: BundleGroupoid) -> FiniteGroupoid:
     for oc in objects:
         i, s = oc
         identity[oc] = mor_class(P.identity[(i, s, G.identity)])
+    out = {}                      # object class -> morphism classes it sources
+    for mc in morphisms:
+        out.setdefault(source[mc], []).append(mc)
     for m1c in morphisms:
         m1 = rep_of[m1c]
         t = P.target[m1]
-        for m2c in morphisms:
-            if source[m2c] != target[m1c]:
-                continue
+        for m2c in out.get(target[m1c], ()):
             m2 = rep_of[m2c]
             # translate m2 so that it composes with m1 on the nose
             m2t = P.act_mor(m2, H.identity, t[2])

@@ -246,25 +246,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every subcommand takes the same options, declared once on a parent
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--complex", help="built-in name or complex file "
+                        f"(built-ins: {', '.join(sorted(COMPLEX_BUILDERS))})")
+    shared.add_argument("--cm", help="built-in name or crossed-module file "
+                        f"(built-ins: {', '.join(sorted(CM_BUILDERS))})")
+    shared.add_argument("--group", help="group file (validate)")
+    shared.add_argument("--cocycle", help="cocycle file (or 1-cocycle file for lift)")
+    shared.add_argument("--cocycle2", help="second cocycle file")
+    shared.add_argument("--strategy", choices=["brute", "abelian"], default="brute")
+    shared.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    shared.add_argument("--workers", type=int, default=1)
+    shared.add_argument("--out", help="write the report to this path")
+    shared.add_argument("--coeff", type=int, default=2)
+    shared.add_argument("--degree", type=int, default=2)
     parser = _Parser(
         prog="cechmod",
         description="Exact nonabelian Cech cohomology over finite simplicial bases.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--complex", help="built-in name or complex file "
-                       f"(built-ins: {', '.join(sorted(COMPLEX_BUILDERS))})")
-        p.add_argument("--cm", help="built-in name or crossed-module file "
-                       f"(built-ins: {', '.join(sorted(CM_BUILDERS))})")
-        p.add_argument("--group", help="group file (validate)")
-        p.add_argument("--cocycle", help="cocycle file (or 1-cocycle file for lift)")
-        p.add_argument("--cocycle2", help="second cocycle file")
-        p.add_argument("--strategy", choices=["brute", "abelian"], default="brute")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--coeff", type=int, default=2)
-        p.add_argument("--degree", type=int, default=2)
+        sub.add_parser(name, parents=[shared])
     return parser
 
 

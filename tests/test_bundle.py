@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -680,3 +681,288 @@ def test_action_check_agrees_with_reference_oracle(kname, cmname):
         if kernel and P is shifted:
             assert got[0].startswith("action functoriality fails at")
             assert ref[0].startswith("action functoriality fails at")
+
+
+# -- first failures pinned: the indexed checks report what the dict walks did ------
+# The literals below are the first messages of the dict-keyed checks on each
+# mutant, so a change in the order of a check shows as a failure here.
+
+def _reference_check_axioms(P):
+    """The axiom suite on the dict tables: every law looks its composites up by
+    morphism pairs."""
+    bad = []
+    objset = set(P.objects)
+    out = {}
+    for m in P.morphisms:
+        out.setdefault(P.source[m], []).append(m)
+    for m in P.morphisms:
+        if P.source[m] not in objset or P.target[m] not in objset:
+            bad.append(f"dangling endpoints at {m}")
+            return bad
+    for x in P.objects:
+        e = P.identity[x]
+        if P.source[e] != x or P.target[e] != x:
+            bad.append(f"identity of {x} has wrong endpoints")
+    for (m2, m1), m in P.compose.items():
+        if P.source[m2] != P.target[m1]:
+            bad.append(f"non-composable pair ({m2}, {m1}) in table")
+        if P.source[m] != P.source[m1] or P.target[m] != P.target[m2]:
+            bad.append(f"endpoints of composite ({m2}, {m1}) are wrong")
+            break
+    for m1 in P.morphisms:
+        for m2 in out.get(P.target[m1], ()):
+            if (m2, m1) not in P.compose:
+                bad.append(f"missing composite ({m2}, {m1})")
+                return bad
+    if bad:
+        return bad
+    for m in P.morphisms:
+        if P.compose[(m, P.identity[P.source[m]])] != m:
+            bad.append(f"right identity law fails at {m}")
+        if P.compose[(P.identity[P.target[m]], m)] != m:
+            bad.append(f"left identity law fails at {m}")
+        mi = P.inverse[m]
+        if P.compose[(mi, m)] != P.identity[P.source[m]] or \
+                P.compose[(m, mi)] != P.identity[P.target[m]]:
+            bad.append(f"inverse law fails at {m}")
+    for (m2, m1), m21 in P.compose.items():
+        for m3 in out.get(P.target[m2], ()):
+            if P.compose[(P.compose[(m3, m2)], m1)] != P.compose[(m3, m21)]:
+                bad.append(f"associativity fails at ({m3}, {m2}, {m1})")
+                return bad
+    return bad
+
+
+def _shift_identity_composite(P):
+    # right identity, inverse and associativity laws all see the change
+    compose = dict(P.compose)
+    m = _generic_pair(P)[1]
+    e = P.identity[P.source[m]]
+    i, k, s, h, g = compose[(m, e)]
+    compose[(m, e)] = (i, k, s, P.cm.H.mul(h, _kernel_element(P.cm)), g)
+    return _with_tables(P, compose=compose), None
+
+
+def _shift_inverse(P):
+    # a kernel element keeps the inverse's endpoints, so only the inverse law fails
+    inverse = dict(P.inverse)
+    m = _generic_pair(P)[1]
+    j, i, s, h, g = inverse[m]
+    inverse[m] = (j, i, s, P.cm.H.mul(h, _kernel_element(P.cm)), g)
+    return FiniteGroupoid(P.objects, P.morphisms, P.source, P.target, P.compose,
+                          P.identity, inverse), None
+
+
+AXIOM_MUTANTS = [_delete_composite, _change_h_part, _non_composable_key,
+                 _extra_non_composable_key, _dangling_endpoint, _shift_identity_composite,
+                 _shift_inverse]
+
+AXIOM_FIRST = {
+    "_delete_composite": "missing composite ((0, 0, (0,), 1, 1), (0, 0, (0,), 1, 0))",
+    "_change_h_part": "associativity fails at ((0, 0, (0,), 1, 0), (0, 0, (0,), 1, 1), "
+                      "(0, 0, (0,), 1, 0))",
+    "_non_composable_key": "non-composable pair ((0, 0, (0,), 0, 0), (0, 0, (0,), 1, 0)) "
+                           "in table",
+    "_extra_non_composable_key": "non-composable pair ((0, 0, (0,), 0, 0), "
+                                 "(0, 0, (0,), 1, 0)) in table",
+    "_dangling_endpoint": "dangling endpoints at (2, 0, (0, 2), 2, 0)",
+    "_shift_identity_composite": "right identity law fails at (0, 0, (0,), 1, 0)",
+    "_shift_inverse": "inverse law fails at (0, 0, (0,), 1, 0)",
+}
+
+
+@pytest.mark.parametrize("mutate", AXIOM_MUTANTS)
+def test_axiom_suite_first_failure_is_pinned(mutate):
+    z = sample_cocycle(cx("circle"), cm("z4_over_z2"), random.Random(30))
+    Q, _ = mutate(build_total_groupoid(z))
+    got = Q.check_axioms()
+    assert got == _reference_check_axioms(Q)
+    assert got[0] == AXIOM_FIRST[mutate.__name__]
+
+
+def _action_mutants():
+    """(name, groupoid) pairs whose action check fails, on circle x z4_over_z2."""
+    cmx = cm("z4_over_z2")
+    z = sample_cocycle(cx("circle"), cmx, random.Random(31))
+    H, G = cmx.H, cmx.G
+    other = next(h for h in H.elements() if cmx.beta_of(h) != G.identity)
+    return [
+        ("kernel_shift", _ShiftedAction(z, SHIFT_AT, _kernel_element(cmx))),
+        ("endpoint_shift", _ShiftedAction(z, SHIFT_AT, other)),
+        ("identity_moved", _ShiftedAction(z, (SHIFT_AT[0], H.identity, G.identity),
+                                          _kernel_element(cmx))),
+        # acting on an identity by a non-identity 2-group morphism: only (b) sees it
+        ("identity_row_shift", _ShiftedAction(z, ((0, 0, (0, 1), H.identity, 0), 1, 0),
+                                              _kernel_element(cmx))),
+        ("recomposed", _recomposed(z)),
+        # with |G| = 6, five identity columns fail at the edited pair itself
+        ("recomposed_s3", _recomposed(sample_cocycle(cx("circle"), cm("conj_s3"),
+                                                     random.Random(31)))),
+    ]
+
+
+def _recomposed(z):
+    """The bundle groupoid of z with the H part of one generic composite moved
+    off the kernel of beta, so the composite's target moves."""
+    P = BundleGroupoid(z)
+    H = z.cm.H
+    other = next(h for h in H.elements() if z.cm.beta_of(h) != z.cm.G.identity)
+    pair = _generic_pair(P)
+    i, k, s, h, g = P.compose[pair]
+    P.compose[pair] = (i, k, s, H.mul(h, other), g)
+    return P
+
+
+# check_action tests functoriality on fewer quadruples than the reference, so
+# its first functoriality failure can name another quadruple
+ACTION_FIRST = {
+    "kernel_shift": "action functoriality fails at ((0, 1, (0, 1), 1, 0), "
+                    "(0, 0, (0, 1), 0, 0), 0, 3)",
+    "endpoint_shift": "action endpoint compatibility fails at ((0, 1, (0, 1), 1, 0), 3)",
+    "identity_moved": "identity morphism action moves (0, 1, (0, 1), 1, 0)",
+    "identity_row_shift": "action functoriality fails at ((0, 0, (0, 1), 0, 0), "
+                          "(0, 0, (0, 1), 0, 0), 3, 2)",
+    "recomposed": "action functoriality fails at ((0, 0, (0,), 1, 1), "
+                  "(0, 0, (0,), 1, 0), 1, 1)",
+    "recomposed_s3": "action functoriality fails at ((0, 0, (0,), 2, 1), "
+                     "(0, 0, (0,), 1, 0), 1, 1)",
+}
+
+
+def test_action_check_first_failure_is_pinned():
+    for name, P in _action_mutants():
+        got, ref = check_action(P), _reference_check_action(P)
+        assert got and ref
+        assert got[0] == ACTION_FIRST[name], name
+
+
+def _functor_mutants():
+    """(name, functor) pairs built from one coboundary morphism of circle x z4_over_z2."""
+    K, cmx = cx("circle"), cm("z4_over_z2")
+    rng = random.Random(36)
+    P = build_total_groupoid(sample_cocycle(K, cmx, rng))
+    F = coboundary_to_bundle_morphism(P, random_coboundary(K, cmx, rng))
+    H, k = cmx.H, _kernel_element(cmx)
+    m2, m1 = _generic_pair(P)
+    x = P.source[m1]
+
+    def with_maps(obj=None, mor=None):
+        return GroupoidFunctor(P, F.codomain, obj or F.on_objects, mor or F.on_morphisms)
+
+    def shifted(m):
+        i, j, s, h, g = F.on_morphisms[m]
+        return (i, j, s, H.mul(h, k), g)
+
+    missing_obj = {o: v for o, v in F.on_objects.items() if o != x}
+    missing_mor = {m: v for m, v in F.on_morphisms.items() if m != m1}
+    moved = dict(F.on_morphisms)
+    moved[m1] = F.on_morphisms[m2]
+    kernel = dict(F.on_morphisms)
+    kernel[m1] = shifted(m1)
+    ident = dict(F.on_morphisms)
+    ident[P.identity[x]] = shifted(P.identity[x])
+    return [("missing_object", with_maps(obj=missing_obj)),
+            ("missing_morphism", with_maps(mor=missing_mor)),
+            ("moved_endpoint", with_maps(mor=moved)),
+            ("kernel_shift", with_maps(mor=kernel)),
+            ("identity_shift", with_maps(mor=ident))]
+
+
+FUNCTOR_FIRST = {
+    "missing_object": "object map misses (0, (0,), 0)",
+    "missing_morphism": "morphism map misses (0, 0, (0,), 1, 0)",
+    "moved_endpoint": "source/target not preserved at (0, 0, (0,), 1, 0)",
+    "kernel_shift": "composition not preserved at ((0, 0, (0,), 1, 1), (0, 0, (0,), 1, 0))",
+    "identity_shift": "identity not preserved at (0, (0,), 0)",
+}
+
+
+def test_functor_check_first_failure_is_pinned():
+    for name, F in _functor_mutants():
+        got = F.check()
+        assert got and got[0] == FUNCTOR_FIRST[name], name
+
+
+def _table_digest(Q):
+    tables = (sorted(Q.objects), sorted(Q.morphisms), sorted(Q.source.items()),
+              sorted(Q.target.items()), sorted(Q.compose.items()),
+              sorted(Q.identity.items()), sorted(Q.inverse.items()))
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
+QUOTIENT_DIGEST = {
+    ("circle", "conj_s3"): "36fd7a5c804a9c8732e150adee01bf8ed17731606661a9c0e8e4183b5edd5e6e",
+    ("boundary3", "z4_over_z2"):
+        "ee899eec095c435d9084568cf273870368e188391d010a9f91718bc5d4e647eb",
+    ("circle", "aut_z3"): "60c662d2e937e9337f797dc84cf82307ca965064c4c22e6e7ad84e7764baa2cd",
+}
+
+
+@pytest.mark.parametrize("kname,cmname", [("circle", "conj_s3"), ("boundary3", "z4_over_z2"),
+                                          ("circle", "aut_z3")])
+def test_quotient_tables_are_pinned(kname, cmname):
+    z = sample_cocycle(cx(kname), cm(cmname), random.Random(37))
+    Q = quotient_by_structure_group(build_total_groupoid(z))
+    assert _table_digest(Q) == QUOTIENT_DIGEST[(kname, cmname)]
+
+
+# -- weak equivalences: the component-wise walk against the all-pairs walk ---------
+
+def _reference_is_weak_equivalence(F):
+    """Essential surjectivity, then full faithfulness on every pair of domain objects."""
+    comp = F.codomain.components()
+    hit = {comp[F.on_objects[x]] for x in F.domain.objects}
+    for y in F.codomain.objects:
+        if comp[y] not in hit:
+            return False, f"object {y} is not isomorphic to any image object"
+    for x in F.domain.objects:
+        for y in F.domain.objects:
+            imgs = [F.on_morphisms[m] for m in F.domain.hom(x, y)]
+            cod_hom = F.codomain.hom(F.on_objects[x], F.on_objects[y])
+            if len(set(imgs)) != len(imgs):
+                return False, f"not faithful on hom({x}, {y})"
+            if len(imgs) != len(cod_hom):
+                return False, f"not full on hom({x}, {y})"
+    return True, ""
+
+
+def _cyclic_groupoids(objects, n):
+    """One copy of the cyclic group of order n as automorphisms of each object."""
+    mors = [(x, k) for x in objects for k in range(n)]
+    return FiniteGroupoid(
+        objects, mors, {m: m[0] for m in mors}, {m: m[0] for m in mors},
+        {((x, a), (x, b)): (x, (a + b) % n) for x in objects for a in range(n)
+         for b in range(n)},
+        {x: (x, 0) for x in objects}, {(x, k): (x, -k % n) for (x, k) in mors})
+
+
+def _weak_equivalence_cases():
+    """(name, functor, expected first failure or "")."""
+    two, one = _cyclic_groupoids(["a", "b"], 1), _cyclic_groupoids(["x"], 1)
+    z2_two, z2_one = _cyclic_groupoids(["a", "b"], 2), _cyclic_groupoids(["x"], 2)
+    P = build_total_groupoid(trivial_cocycle(cx("circle"), cm("z2_trivial")))
+    return [
+        # merging two components: the pair across them is not full
+        ("merge", GroupoidFunctor(two, one, {"a": "x", "b": "x"},
+                                  {("a", 0): ("x", 0), ("b", 0): ("x", 0)}),
+         "not full on hom(a, b)"),
+        ("merge_z2", GroupoidFunctor(z2_two, z2_one, {"a": "x", "b": "x"},
+                                     {(o, k): ("x", k) for o in "ab" for k in range(2)}),
+         "not full on hom(a, b)"),
+        ("not_full", GroupoidFunctor(two, z2_two, {"a": "a", "b": "b"},
+                                     {("a", 0): ("a", 0), ("b", 0): ("b", 0)}),
+         "not full on hom(a, a)"),
+        ("not_faithful", GroupoidFunctor(z2_two, two, {"a": "a", "b": "b"},
+                                         {(o, k): (o, 0) for o in "ab" for k in range(2)}),
+         "not faithful on hom(a, a)"),
+        ("not_surjective", GroupoidFunctor(one, two, {"x": "a"}, {("x", 0): ("a", 0)}),
+         "object b is not isomorphic to any image object"),
+        ("identity", identity_functor(P), ""),
+    ]
+
+
+def test_weak_equivalence_matches_all_pairs_walk():
+    for name, F, first in _weak_equivalence_cases():
+        got = is_weak_equivalence(F)
+        assert got == _reference_is_weak_equivalence(F), name
+        assert got == (first == "", first), name

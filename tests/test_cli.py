@@ -407,3 +407,33 @@ def test_budget_exhaustion_names_phase_and_depth(tmp_path, argv, reason):
     argv = [str(tmp_path / a) if a.endswith(".coc") else a for a in argv]
     for workers in ("1", "2"):
         assert run(argv + ["--workers", workers]) == (3, f"REASON: {reason}\n")
+
+
+def test_subcommand_help_is_pinned(monkeypatch, capsys):
+    # every subcommand shares one set of options; its help text is recorded
+    # at 80 columns in tests/data/cli_help_80.txt
+    from cechmod.cli import COMMANDS, build_parser
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for name in COMMANDS:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name, "--help"])
+        parts.append(f"== {name} ==\n{capsys.readouterr().out}")
+    path = os.path.join(os.path.dirname(__file__), "data", "cli_help_80.txt")
+    with open(path, encoding="utf-8") as fh:
+        assert "".join(parts) == fh.read()
+
+
+@pytest.mark.parametrize("argv,report", [
+    (["classify", "--budget", "x"],
+     "REASON: <args>:0: argument --budget: invalid int value: 'x'\n"),
+    (["classify", "--strategy", "nope"],
+     "REASON: <args>:0: argument --strategy: invalid choice: 'nope' "
+     "(choose from 'brute', 'abelian')\n"),
+    (["nosuch"],
+     "REASON: <args>:0: argument command: invalid choice: 'nosuch' (choose from "
+     "'validate', 'classify', 'cohomologous', 'stabilizer', 'bundle-check', 'band', "
+     "'reduce-central', 'lift', 'quotient', 'gauge', 'aut2group', 'oracle-h')\n"),
+], ids=["bad-int", "bad-choice", "bad-command"])
+def test_rejection_reports_are_pinned(argv, report):
+    assert run(argv) == (2, report)
