@@ -672,27 +672,21 @@ def reconstruction_morphism(P: BundleGroupoid,
 def is_weak_equivalence(F: GroupoidFunctor) -> tuple[bool, str]:
     """Essential surjectivity plus full faithfulness, checked exhaustively.
 
-    When objects of different domain components always land in different
-    codomain components (F is injective on pi_0), such a pair has empty hom
-    sets on both sides and passes, so only the pairs within a domain
-    component are walked; otherwise every pair is, which names the first
-    pair that fails.
+    Only pairs whose images lie in one codomain component are walked: for
+    any other pair the codomain hom set is empty, and so is the domain one,
+    since a morphism x -> y would map to one F(x) -> F(y).  Such a pair
+    passes, so the first failure is the one the all-pairs walk reports.
     """
     comp = F.codomain.components()
     hit = {comp[F.on_objects[x]] for x in F.domain.objects}
     for y in F.codomain.objects:
         if comp[y] not in hit:
             return False, f"object {y} is not isomorphic to any image object"
-    dom_comp = comp if F.domain is F.codomain else F.domain.components()
-    members = {}                  # domain component -> its objects, in order
-    owner = {}                    # codomain component -> a domain component landing there
+    members = {}                  # codomain component -> domain objects landing there, in order
     for x in F.domain.objects:
-        members.setdefault(dom_comp[x], []).append(x)
-        owner.setdefault(comp[F.on_objects[x]], dom_comp[x])
-    if any(owner[comp[F.on_objects[x]]] != dom_comp[x] for x in F.domain.objects):
-        members = {c: F.domain.objects for c in members}
+        members.setdefault(comp[F.on_objects[x]], []).append(x)
     for x in F.domain.objects:
-        for y in members[dom_comp[x]]:
+        for y in members[comp[F.on_objects[x]]]:
             dom_hom = F.domain.hom(x, y)
             cod_hom = F.codomain.hom(F.on_objects[x], F.on_objects[y])
             imgs = [F.on_morphisms[m] for m in dom_hom]
@@ -954,20 +948,25 @@ def quotient_by_structure_group(P: BundleGroupoid) -> FiniteGroupoid:
     for o in P.objects:
         if len({P.act_obj(o, gbar) for gbar in G.elements()}) != G.order:
             raise ActionNotFree(f"object action has a repeat at {o}")
-    rep_of = {}                   # class (i, j, sigma, h) -> its member with group part e
     for m in P.morphisms:
         row = [P.act_mor(m, hbar, gbar) for hbar in H.elements() for gbar in G.elements()]
         if len(set(row)) != len(row):
             raise ActionNotFree(f"morphism action has a repeat at {m}")
-        rep = row[H.identity * G.order + G.inv(m[4])]       # m acted on by (e, g^-1)
-        rep_of[rep[:4]] = rep
 
     def obj_class(o):
         return (o[0], o[1])
 
-    def mor_class(m):
+    def mor_rep(m):
         # translate the group part to the identity
-        return P.act_mor(m, H.identity, G.inv(m[4]))[:4]
+        return P.act_mor(m, H.identity, G.inv(m[4]))
+
+    def mor_class(m):
+        return mor_rep(m)[:4]
+
+    rep_of = {}                   # class (i, j, sigma, h) -> its member with group part e
+    for m in P.morphisms:
+        rep = mor_rep(m)
+        rep_of[rep[:4]] = rep
 
     objects = sorted({obj_class(o) for o in P.objects})
     morphisms = sorted(rep_of)
