@@ -82,6 +82,26 @@ def cyclic_powers(A: FiniteGroup) -> list[int] | None:
     return None
 
 
+def generating_set(elements: Sequence[int], mul_table, identity: int) -> list[int]:
+    """Generators of the group on `elements`, chosen greedily: an element
+    joins when it lies outside the subgroup the earlier ones generate."""
+    gens, closure = [], {identity}
+    for x in elements:
+        if x in closure:
+            continue
+        gens.append(x)
+        closure.add(x)
+        queue = list(closure)
+        while queue:
+            y = queue.pop()
+            for s in gens:
+                z = mul_table[y][s]
+                if z not in closure:
+                    closure.add(z)
+                    queue.append(z)
+    return gens
+
+
 def validate_group(order: int, mul_table: Sequence[Sequence[int]],
                    name: str = "group") -> FiniteGroup:
     """Check the group axioms on a raw table; derive identity and inverses."""

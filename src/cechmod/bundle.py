@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import (
     CrossedModule,
     FiniteGroup,
     Strict2Group,
     cyclic_powers,
+    generating_set,
     kernel_of_beta,
     quotient_by_image,
 )
@@ -47,6 +49,12 @@ def _first_difference(a: list, b: list) -> int:
     return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), len(a))
 
 
+def _positions(table: dict, cells) -> list[int]:
+    """The positions of the cells in `table`, -1 for a cell outside it."""
+    found = list(map(table.get, cells))
+    return [-1 if p is None else p for p in found] if None in found else found
+
+
 class FiniteGroupoid:
     """A finite groupoid given by explicit structure tables."""
 
@@ -60,52 +68,70 @@ class FiniteGroupoid:
         self.identity = identity      # dict: object -> morphism
         self.inverse = inverse        # dict: morphism -> morphism
         self.name = name
-        self._hom = {}
-        self._out = {}                # object -> morphisms with that source
-        for m in self.morphisms:
-            self._hom.setdefault((self.source[m], self.target[m]), []).append(m)
-            self._out.setdefault(self.source[m], []).append(m)
+        self._hom = None              # (x, y) -> morphisms x -> y, built by the first hom call
 
     def hom(self, x, y) -> list:
+        if self._hom is None:
+            self._hom = {}
+            for m in self.morphisms:
+                self._hom.setdefault((self.source[m], self.target[m]), []).append(m)
         return self._hom.get((x, y), [])
 
     def _index(self) -> tuple:
         """The tables as they are now, with objects and morphisms replaced by
         their positions in `objects` and `morphisms`:
 
-          (obj_pos, pos, source, target, identity, inverse, compose, out)
+          (obj_pos, pos, source, target, identity, inverse, compose, out,
+           well_formed)
 
         obj_pos and pos map objects and morphisms to positions; source,
         target and inverse are lists over morphisms and identity a list over
         objects; compose maps m2 * M + m1 to m2 o m1, M = len(morphisms);
-        out lists the morphisms leaving each object.  Built afresh on each
-        call, so a check sees edits made to the tables after construction.
-        Every endpoint, identity, inverse and composite must be an object or
-        morphism of the groupoid.
+        out lists the morphisms leaving each object.  A cell outside the
+        groupoid reads as position -1.  Built afresh on each call, so a check
+        sees edits made to the tables after construction.
+
+        well_formed is checked as the tables are read.  It fails when an
+        endpoint, identity or composite is not an object or morphism, an
+        identity is not a loop at its object, a key is not composable, a
+        composite has the wrong endpoints, or a composite is missing.  Every
+        key is then a distinct composable pair, so a composite is missing
+        exactly when there are fewer keys than composable pairs, the sum over
+        m1 of the morphisms out of its target.
         """
-        obj_pos = {x: p for p, x in enumerate(self.objects)}
-        pos = {m: p for p, m in enumerate(self.morphisms)}
-        M = len(self.morphisms)
-        source = [obj_pos[self.source[m]] for m in self.morphisms]
-        target = [obj_pos[self.target[m]] for m in self.morphisms]
-        identity = [pos[self.identity[x]] for x in self.objects]
-        inverse = [pos[self.inverse[m]] for m in self.morphisms]
-        compose = {pos[m2] * M + pos[m1]: pos[m]
-                   for (m2, m1), m in self.compose.items()}
-        out = [[] for _ in self.objects]
+        objects, mors = self.objects, self.morphisms
+        obj_pos = {x: p for p, x in enumerate(objects)}
+        pos = {m: p for p, m in enumerate(mors)}
+        M = len(mors)
+        source = _positions(obj_pos, map(self.source.__getitem__, mors))
+        target = _positions(obj_pos, map(self.target.__getitem__, mors))
+        identity = _positions(pos, map(self.identity.__getitem__, objects))
+        inverse = _positions(pos, map(self.inverse.__getitem__, mors))
+        well_formed = (-1 not in source and -1 not in target
+                       and all(e >= 0 and source[e] == x == target[e]
+                               for x, e in enumerate(identity)))
+        # the keys (m2, m1) and composites m, as three parallel position lists
+        m2s = _positions(pos, map(itemgetter(0), self.compose))
+        m1s = _positions(pos, map(itemgetter(1), self.compose))
+        ms = _positions(pos, self.compose.values())
+        compose = dict(zip([a * M + b for a, b in zip(m2s, m1s)], ms))
+        src_of, tgt_of = source.__getitem__, target.__getitem__
+        well_formed = (well_formed and -1 not in m2s and -1 not in m1s and -1 not in ms
+                       # composable keys, then the composite's source and target
+                       and list(map(src_of, m2s)) == list(map(tgt_of, m1s))
+                       and list(map(src_of, ms)) == list(map(src_of, m1s))
+                       and list(map(tgt_of, ms)) == list(map(tgt_of, m2s)))
+        out = [[] for _ in objects]
         for p, x in enumerate(source):
             out[x].append(p)
-        return obj_pos, pos, source, target, identity, inverse, compose, out
+        well_formed = well_formed and len(compose) == sum(len(out[y]) for y in target)
+        return obj_pos, pos, source, target, identity, inverse, compose, out, well_formed
 
-    def check_axioms(self) -> list[str]:
-        """Exhaustive category-axiom suite; returns failures (empty = pass).
-
-        Well-formedness is checked on the dict tables: composable pairs are
-        walked through the out-index, so every pair is checked once and no
-        other is visited.  The identity, inverse and associativity laws run
-        on the integer index, only on a well-formed table, since they look up
-        composites the table must hold; every triple is checked once.
-        """
+    def _malformation(self) -> list[str]:
+        """Name what makes `_index` fail, walking the dict tables: every
+        dangling endpoint stops the walk, wrong identities and non-composable
+        keys are all listed, up to the first composite with wrong endpoints,
+        then the first missing composite, with out-lists read from `source`."""
         bad = []
         objset = set(self.objects)
         for m in self.morphisms:
@@ -122,14 +148,32 @@ class FiniteGroupoid:
             if self.source[m] != self.source[m1] or self.target[m] != self.target[m2]:
                 bad.append(f"endpoints of composite ({m2}, {m1}) are wrong")
                 break
+        out = {}
+        for m in self.morphisms:
+            out.setdefault(self.source[m], []).append(m)
         for m1 in self.morphisms:
-            for m2 in self._out.get(self.target[m1], ()):
+            for m2 in out.get(self.target[m1], ()):
                 if (m2, m1) not in self.compose:
                     bad.append(f"missing composite ({m2}, {m1})")
                     return bad
-        if bad:
-            return bad
-        _, _, src, tgt, ident, inv, comp, out = self._index()
+        if not bad:
+            raise ValueError(f"{self.name}: the tables repeat a cell or name one outside "
+                             "the groupoid")
+        return bad
+
+    def check_axioms(self) -> list[str]:
+        """Exhaustive category-axiom suite; returns failures (empty = pass).
+
+        Well-formedness is checked while the integer index is read; when it
+        fails, the dict walk of `_malformation` names the failures.  The
+        identity, inverse and associativity laws run on the index, only on a
+        well-formed table, since they look up composites the table must hold;
+        every triple is checked once.
+        """
+        _, _, src, tgt, ident, inv, comp, out, well_formed = self._index()
+        if not well_formed:
+            return self._malformation()
+        bad = []
         mors = self.morphisms
         M = len(mors)
         for m in range(M):
@@ -137,15 +181,24 @@ class FiniteGroupoid:
                 bad.append(f"right identity law fails at {mors[m]}")
             if comp[ident[tgt[m]] * M + m] != m:
                 bad.append(f"left identity law fails at {mors[m]}")
+            # an inverse outside the groupoid or with the wrong endpoints has
+            # no composite with m
             mi = inv[m]
-            if comp[mi * M + m] != ident[src[m]] or comp[m * M + mi] != ident[tgt[m]]:
+            if comp.get(mi * M + m) != ident[src[m]] or comp.get(m * M + mi) != ident[tgt[m]]:
                 bad.append(f"inverse law fails at {mors[m]}")
-        # after[m][k]: the composite of m with the k-th morphism out of its target
+        # after[m][k]: the k-th morphism out of the target of m, composed with m;
+        # slot[m]: the place of m in the out-list of its source
         after = [[comp[m3 * M + m] for m3 in out[tgt[m]]] for m in range(M)]
+        slot = [0] * M
+        for row in out:
+            for k, m in enumerate(row):
+                slot[m] = k
+        after_slot = [list(map(slot.__getitem__, row)) for row in after]
         for key, m21 in comp.items():
             m2, m1 = divmod(key, M)
-            # (m3 m2) m1 against m3 (m2 m1) for every m3 out of the target of m2
-            lhs = [comp[m32 * M + m1] for m32 in after[m2]]
+            # (m3 m2) m1 against m3 (m2 m1) for every m3 out of the target of
+            # m2; m3 m2 leaves the target of m1, so (m3 m2) m1 is in after[m1]
+            lhs = list(map(after[m1].__getitem__, after_slot[m2]))
             if lhs != after[m21]:
                 m3 = out[tgt[m2]][_first_difference(lhs, after[m21])]
                 bad.append(f"associativity fails at ({mors[m3]}, {mors[m2]}, {mors[m1]})")
@@ -252,51 +305,77 @@ class NaturalTransformation:
 # -- the bundle groupoid ---------------------------------------------------------
 
 class BundleGroupoid(FiniteGroupoid):
-    """The finite groupoid of a cocycle, together with its 2-group action."""
+    """The finite groupoid of a cocycle, together with its 2-group action.
+
+    Every cell is computed from the group tables, which the instance holds
+    for its action: `_gmul` and `_hmul` multiply in G and H, and `_alpha` is
+    the action of G on H.  Each object and morphism is one tuple, shared by
+    every table that names it.
+    """
 
     def __init__(self, z: Cocycle):
         self.z = z
-        self.cm = z.cm
-        self.complex = z.complex
-        cm, K = z.cm, z.complex
+        self.cm = cm = z.cm
+        self.complex = K = z.complex
         G, H = cm.G, cm.H
-        sigmas = K.simplices_sorted()
-        objects = [(i, s, g) for s in sigmas for i in s for g in G.elements()]
-        morphisms = [(i, j, s, h, g) for s in sigmas for i in s for j in s
-                     for h in H.elements() for g in G.elements()]
-        source, target, identity, inverse = {}, {}, {}, {}
-        for m in morphisms:
-            i, j, s, h, g = m
-            source[m] = (i, s, g)
-            target[m] = (j, s, G.mul_many(G.inv(z.g[(i, j)]), cm.beta_of(h), g))
-        for o in objects:
-            i, s, g = o
-            identity[o] = (i, i, s, H.identity, g)
-        for m in morphisms:
-            i, j, s, h, g = m
-            hh = cm.act(G.inv(z.g[(i, j)]),
-                        H.inv(H.mul(h, z.h[(i, j, i)])))
-            inverse[m] = (j, i, s, hh, target[m][2])
-        compose = {}
+        self._gmul, self._hmul, self._alpha = G.mul_table, H.mul_table, cm.alpha.table
+        gmul, hmul, alpha = self._gmul, self._hmul, self._alpha
+        ginv, hinv, beta = G.inv_table, H.inv_table, cm.beta.image
+        gs, hs, nG, eH = G.elements(), H.elements(), G.order, H.identity
+        objects, morphisms = [], []
+        obj_over = {}             # (i, sigma) -> the objects (i, sigma, g), by g
+        mor_over = {}             # (i, j, sigma) -> the morphisms (i, j, sigma, h, g), by h |G| + g
+        for s in K.simplices_sorted():
+            for i in s:
+                obj_over[(i, s)] = fib = [(i, s, g) for g in gs]
+                objects += fib
+            for i in s:
+                for j in s:
+                    mor_over[(i, j, s)] = fib = [(i, j, s, h, g) for h in hs for g in gs]
+                    morphisms += fib
+        source, target, identity, inverse, compose = {}, {}, {}, {}, {}
+        for (i, s), fib in obj_over.items():
+            ids = mor_over[(i, i, s)]
+            for g in gs:
+                identity[fib[g]] = ids[eH * nG + g]
+        for (i, j, s), fib in mor_over.items():
+            # m = (i, j, sigma, h, g) runs from (i, sigma, g) to (j, sigma, t) with
+            # t = g_ij^-1 beta(h) g; its inverse is (j, i, sigma, g_ij^-1 .
+            # (h h_iji)^-1, t), and it composes with each (j, k, sigma, h2, t) to
+            # (i, k, sigma, h_ijk (g_ij . h2) h, g)
+            gij, hiji = z.g[(i, j)], z.h[(i, j, i)]
+            at_source, at_target, back = obj_over[(i, s)], obj_over[(j, s)], mor_over[(j, i, s)]
+            per_k = []                # the m2 by (h2, t), the composites, h_ijk (g_ij . h2) by h2
+            for k in s:
+                hijk = hmul[z.h[(i, j, k)]]
+                per_k.append((mor_over[(j, k, s)], mor_over[(i, k, s)],
+                              [hijk[alpha[gij][h2]] for h2 in hs]))
+            for h in hs:
+                row = gmul[gmul[ginv[gij]][beta[h]]]
+                hh = alpha[ginv[gij]][hinv[hmul[h][hiji]]] * nG
+                # the composites' H parts times |G|, by h2
+                cols = [(out, into, [hmul[x][h] * nG for x in left])
+                        for out, into, left in per_k]
+                for g in gs:
+                    m, t = fib[h * nG + g], row[g]
+                    source[m] = at_source[g]
+                    target[m] = at_target[t]
+                    inverse[m] = back[hh + t]
+                    for out, into, col in cols:
+                        for m2, c in zip(out[t::nG], col):
+                            compose[(m2, m)] = into[c + g]
         super().__init__(objects, morphisms, source, target, compose,
                          identity, inverse, name="P_z")
-        for m1 in morphisms:
-            i, j, s, h, g = m1
-            for m2 in self._out[target[m1]]:
-                j2, k, s2, h2, g2 = m2
-                hh = H.mul_many(z.h[(i, j, k)], cm.act(z.g[(i, j)], h2), h)
-                compose[(m2, m1)] = (i, k, s, hh, g)
 
     # -- the strict right action of the structure 2-group ----------------------
 
     def act_obj(self, o, gbar: int):
         i, s, g = o
-        return (i, s, self.cm.G.mul(g, gbar))
+        return (i, s, self._gmul[g][gbar])
 
     def act_mor(self, m, hbar: int, gbar: int):
         i, j, s, h, g = m
-        return (i, j, s, self.cm.H.mul(h, self.cm.act(g, hbar)),
-                self.cm.G.mul(g, gbar))
+        return (i, j, s, self._hmul[h][self._alpha[g][hbar]], self._gmul[g][gbar])
 
     def object_fiber(self, i: int, s) -> list:
         return [(i, s, g) for g in self.cm.G.elements()]
@@ -348,7 +427,7 @@ def check_action(P: BundleGroupoid) -> list[str]:
         if P.act_obj(o, G.identity) != o:
             bad.append(f"identity object action moves {o}")
             return bad
-    obj_pos, pos, src, tgt, ident, _, comp, _ = P._index()
+    obj_pos, pos, src, tgt, ident, _, comp, _, _ = P._index()
     mors = P.morphisms
     M = len(mors)
     ns = tg.morphisms()
@@ -477,8 +556,8 @@ def chart_groupoid(K: SimplicialComplex, cm: CrossedModule, vertex: int) -> Fini
 def restricted_groupoid(P: BundleGroupoid, vertex: int) -> FiniteGroupoid:
     objs = [o for o in P.objects if vertex in o[1]]
     mors = [m for m in P.morphisms if vertex in m[2]]
-    keep = set(mors)
-    comp = {k: v for k, v in P.compose.items() if k[0] in keep and k[1] in keep}
+    # every key names two morphisms of P, which passed `check_axioms`
+    comp = {k: v for k, v in P.compose.items() if vertex in k[1][2] and vertex in k[0][2]}
     return FiniteGroupoid(objs, mors, {m: P.source[m] for m in mors},
                           {m: P.target[m] for m in mors}, comp,
                           {o: P.identity[o] for o in objs},
@@ -530,45 +609,66 @@ def canonical_trivializations(P: BundleGroupoid) -> dict[int, Trivialization]:
 
 def check_trivialization(z: Cocycle, triv: Trivialization) -> list[str]:
     """phi and phibar are functors, strictly equivariant, phi o phibar = id,
-    and taubar is natural."""
-    bad = triv.phi.check() + triv.phibar.check()
+    and taubar is natural.
+
+    The functor and naturality checks are exhaustive.  Equivariance is
+    checked on generators: on objects for gbar in a generating set of G, and
+    on morphisms for n in {(h, e) : h in gens H} and {(e, g) : g in gens G},
+    which generate the 2-group's morphisms H x G under the tensor product
+    (h, g) (h', g') = (h (g . h'), g g'), since (h, g) = (h, e) (e, g).  This
+    is exact.  Both sides of each test compute the acted cell by formula,
+    (j, sigma, g) . gbar = (j, sigma, g gbar) and (j, k, sigma, h, g) . (hbar,
+    gbar) = (j, k, sigma, h (g . hbar), g gbar), and on the chart alike.  That
+    formula is a right action, because alpha acts by automorphisms:
+    (m . n1) . n2 = m . (n1 n2).  So if phi(m . n) = phi(m) . n for every m
+    and for n in {n1, n2}, then for every m
+
+      phi(m . n1 n2) = phi((m . n1) . n2) = phi(m . n1) . n2
+                     = (phi(m) . n1) . n2 = phi(m) . n1 n2,
+
+    whatever the tables of phi hold; the same holds for objects and for
+    phibar.  Every element of a finite group is a product of generators.
+    """
+    phi, phibar = triv.phi, triv.phibar
+    bad = phi.check() + phibar.check()
     if bad:
         return bad
-    rt = triv.phibar.then(triv.phi)
+    phi_obj, phi_mor = phi.on_objects, phi.on_morphisms
     for o in triv.chart.objects:
-        if rt.on_objects[o] != o:
+        if phi_obj[phibar.on_objects[o]] != o:
             return [f"phi o phibar moves object {o}"]
     for m in triv.chart.morphisms:
-        if rt.on_morphisms[m] != m:
+        if phi_mor[phibar.on_morphisms[m]] != m:
             return [f"phi o phibar moves morphism {m}"]
     bad = triv.taubar.check()
     if bad:
         return bad
     cm = z.cm
     G, H = cm.G, cm.H
+    gmul, hmul, alpha = G.mul_table, H.mul_table, cm.alpha.table
+    gens_g = generating_set(G.elements(), gmul, G.identity)
+    gens_n = sorted([(hbar, G.identity) for hbar in generating_set(H.elements(), hmul, H.identity)]
+                    + [(H.identity, gbar) for gbar in gens_g])
     P = triv.restricted
-    for (j, s, g) in P.objects:
-        for gbar in G.elements():
-            lhs = triv.phi.on_objects[(j, s, G.mul(g, gbar))]
-            o = triv.phi.on_objects[(j, s, g)]
-            if lhs != (o[0], G.mul(o[1], gbar)):
+    for o in P.objects:
+        j, s, g = o
+        s2, g2 = phi_obj[o]
+        for gbar in gens_g:
+            if phi_obj[(j, s, gmul[g][gbar])] != (s2, gmul[g2][gbar]):
                 return [f"phi not equivariant at object (({j},{s},{g}), {gbar})"]
-    for (s, g) in triv.chart.objects:
-        for gbar in G.elements():
-            lhs = triv.phibar.on_objects[(s, G.mul(g, gbar))]
-            o = triv.phibar.on_objects[(s, g)]
-            if lhs != (o[0], o[1], G.mul(o[2], gbar)):
+    for o in triv.chart.objects:
+        s, g = o
+        j, s2, g2 = phibar.on_objects[o]
+        for gbar in gens_g:
+            if phibar.on_objects[(s, gmul[g][gbar])] != (j, s2, gmul[g2][gbar]):
                 return [f"phibar not equivariant at object (({s},{g}), {gbar})"]
     for m in P.morphisms:
-        for hbar in H.elements():
-            for gbar in G.elements():
-                i, j, s, h, g = m
-                moved = (i, j, s, H.mul(h, cm.act(g, hbar)), G.mul(g, gbar))
-                img = triv.phi.on_morphisms[m]
-                s2, h2, g2 = img
-                moved_img = (s2, H.mul(h2, cm.act(g2, hbar)), G.mul(g2, gbar))
-                if triv.phi.on_morphisms[moved] != moved_img:
-                    return [f"phi not equivariant at morphism ({m}, {hbar}, {gbar})"]
+        i, j, s, h, g = m
+        s2, h2, g2 = phi_mor[m]
+        for hbar, gbar in gens_n:
+            moved = (i, j, s, hmul[h][alpha[g][hbar]], gmul[g][gbar])
+            if phi_mor[moved] != (s2, hmul[h2][alpha[g2][hbar]], gmul[g2][gbar]):
+                return [f"phi not equivariant at morphism ({m}, {hbar}, {gbar})"]
     return []
 
 
@@ -587,10 +687,11 @@ def extract_cocycle(P: BundleGroupoid, trivs: dict[int, Trivialization]) -> Cocy
     """
     K, cm = P.complex, P.cm
     eG = cm.G.identity
+    simplices = [(s, set(s)) for s in K.simplices_sorted()]
 
     def read(what, tup, value):
         try:
-            vals = {value(s, *tup) for s in K.simplices_sorted() if set(tup) <= set(s)}
+            vals = {value(s, *tup) for s, support in simplices if support.issuperset(tup)}
         except KeyError as exc:
             raise TrivializationInvalid(f"missing chart data at {exc}")
         if len(vals) != 1:

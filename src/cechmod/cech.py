@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import CrossedModule, cyclic_powers
+from .algebra import CrossedModule, cyclic_powers, generating_set
 from .complexes import SimplicialComplex, is_degenerate, valid_tuples
 from .errors import (
     Cocyc1Failure,
@@ -591,26 +591,6 @@ def _apply_packed(ctx: _Context, packed: tuple, gamma: Sequence[int],
     return (g2, tuple(_act_triples(ctx, gvec, hvec, gamma, eta, range(len(ctx.free_triples)))))
 
 
-def _generating_set(elements: Sequence[int], mul_table, identity: int) -> list[int]:
-    """Generators of the group on `elements`, chosen greedily: an element
-    joins when it lies outside the subgroup the earlier ones generate."""
-    gens, closure = [], {identity}
-    for x in elements:
-        if x in closure:
-            continue
-        gens.append(x)
-        closure.add(x)
-        queue = list(closure)
-        while queue:
-            y = queue.pop()
-            for s in gens:
-                z = mul_table[y][s]
-                if z not in closure:
-                    closure.add(z)
-                    queue.append(z)
-    return gens
-
-
 def _slice_moves(ctx: _Context) -> list[tuple]:
     """Generator moves for the orbit partition within the slice, as tables.
 
@@ -659,10 +639,10 @@ def _slice_moves(ctx: _Context) -> list[tuple]:
 
     moves = []
     n = ctx.K.vertex_count
-    for a in _generating_set(ctx.kernel, H.mul_table, H.identity):
+    for a in generating_set(ctx.kernel, H.mul_table, H.identity):
         for p in range(npairs):
             moves.append(table([(p, fixed_g, [a] * G.order)], [G.identity] * n))
-    for x in _generating_set(G.elements(), gmul, G.identity):
+    for x in generating_set(G.elements(), gmul, G.identity):
         for v in range(n):
             gamma = [x if u == v else G.identity for u in range(n)]
             rows = []

@@ -245,7 +245,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError("<args>", 0, message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with the subparser of `command` only, or of
+    every command when it is None.  A subcommand's help and errors read the
+    same either way; only the top-level usage lists fewer choices."""
     # every subcommand takes the same options, declared once on a parent
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--complex", help="built-in name or complex file "
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cechmod",
         description="Exact nonabelian Cech cohomology over finite simplicial bases.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in COMMANDS if command is None else [command]:
         sub.add_parser(name, parents=[shared])
     return parser
 
@@ -273,9 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> tuple[int, str]:
     """Parse arguments, dispatch, and return (exit code, report text).
 
-    With --out the report is also written there, on every exit path."""
+    With --out the report is also written there, on every exit path.  Only
+    the named command's parser is built; an unknown or missing command, or
+    a bare --help, gets the full parser and so the full list of choices."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except ParseError as exc:  # argv rejected: read only --out from it
         pre = _Parser(add_help=False)
         pre.add_argument("--out", nargs="?")

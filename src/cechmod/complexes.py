@@ -47,7 +47,7 @@ class SimplicialComplex:
 
     def star_simplices(self, vertex: int) -> list[tuple[int, ...]]:
         """Simplices containing the vertex (the chart of its star)."""
-        return [s for s in self.simplices_sorted() if vertex in s]
+        return sorted(tuple(sorted(s)) for s in self.simplices if vertex in s)
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
         out = []

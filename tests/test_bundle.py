@@ -966,3 +966,268 @@ def test_weak_equivalence_matches_all_pairs_walk():
         got = is_weak_equivalence(F)
         assert got == _reference_is_weak_equivalence(F), name
         assert got == (first == "", first), name
+
+
+# -- well-formedness messages no earlier mutant reaches -----------------------------
+
+def _identity_off_its_object(P):
+    identity = dict(P.identity)
+    m1 = _generic_pair(P)[1]
+    identity[P.source[m1]] = m1
+    return FiniteGroupoid(P.objects, P.morphisms, P.source, P.target, P.compose,
+                          identity, P.inverse)
+
+
+def _composite_with_wrong_source(P):
+    compose = dict(P.compose)
+    m2, m1 = _generic_pair(P)
+    compose[(m2, m1)] = m2
+    return _with_tables(P, compose=compose)
+
+
+def _key_outside_morphisms(P, tabled):
+    # a key naming a morphism listed nowhere, or one with endpoints in the
+    # tables but missing from `morphisms`
+    ghost = (99, 99, (99,), 0, 0)
+    m1 = _generic_pair(P)[1]
+    compose, source, target = dict(P.compose), dict(P.source), dict(P.target)
+    compose[(ghost, m1)] = m1
+    if tabled:
+        source[ghost] = P.source[m1]
+        target[ghost] = P.target[m1]
+    return FiniteGroupoid(P.objects, P.morphisms, source, target, compose,
+                          P.identity, P.inverse)
+
+
+def _outcome(check, P):
+    try:
+        return check(P)
+    except KeyError as exc:
+        return ("KeyError", exc.args)
+
+
+WELL_FORMEDNESS_FIRST = {
+    "identity": ["identity of (0, (0,), 0) has wrong endpoints"],
+    "composite": ["endpoints of composite ((0, 0, (0,), 1, 1), (0, 0, (0,), 1, 0)) "
+                  "are wrong"],
+    "ghost": ("KeyError", ((99, 99, (99,), 0, 0),)),
+    "tabled_ghost": ["non-composable pair ((99, 99, (99,), 0, 0), (0, 0, (0,), 1, 0)) "
+                     "in table"],
+}
+
+
+def test_well_formedness_mutants_match_reference():
+    P = build_total_groupoid(sample_cocycle(cx("circle"), cm("z4_over_z2"), random.Random(30)))
+    mutants = {"identity": _identity_off_its_object(P),
+               "composite": _composite_with_wrong_source(P),
+               "ghost": _key_outside_morphisms(P, tabled=False),
+               "tabled_ghost": _key_outside_morphisms(P, tabled=True)}
+    for name, Q in mutants.items():
+        got = _outcome(FiniteGroupoid.check_axioms, Q)
+        assert got == _outcome(_reference_check_axioms, Q), name
+        assert got == WELL_FORMEDNESS_FIRST[name], name
+
+
+def test_inverse_off_the_table_fails_the_inverse_law():
+    # (m, m) is not composable for a morphism between two objects, and a
+    # morphism outside the groupoid composes with nothing, so the inverse law
+    # finds no composite to compare
+    P = build_total_groupoid(sample_cocycle(cx("circle"), cm("z4_over_z2"), random.Random(30)))
+    m = _generic_pair(P)[1]
+    assert P.source[m] != P.target[m]
+    for wrong in (m, (99, 99, (99,), 0, 0)):
+        inverse = dict(P.inverse)
+        inverse[m] = wrong
+        Q = FiniteGroupoid(P.objects, P.morphisms, P.source, P.target, P.compose,
+                           P.identity, inverse)
+        assert Q.check_axioms() == [f"inverse law fails at {m}"]
+
+
+# -- trivializations: equivariance on generators against the all-(hbar, gbar) walk --
+
+def _reference_check_trivialization(z, triv):
+    """The trivialization check with equivariance tested for every gbar in G
+    on objects and every (hbar, gbar) in H x G on morphisms."""
+    bad = triv.phi.check() + triv.phibar.check()
+    if bad:
+        return bad
+    rt = triv.phibar.then(triv.phi)
+    for o in triv.chart.objects:
+        if rt.on_objects[o] != o:
+            return [f"phi o phibar moves object {o}"]
+    for m in triv.chart.morphisms:
+        if rt.on_morphisms[m] != m:
+            return [f"phi o phibar moves morphism {m}"]
+    bad = triv.taubar.check()
+    if bad:
+        return bad
+    cmx = z.cm
+    G, H = cmx.G, cmx.H
+    P = triv.restricted
+    for (j, s, g) in P.objects:
+        for gbar in G.elements():
+            lhs = triv.phi.on_objects[(j, s, G.mul(g, gbar))]
+            o = triv.phi.on_objects[(j, s, g)]
+            if lhs != (o[0], G.mul(o[1], gbar)):
+                return [f"phi not equivariant at object (({j},{s},{g}), {gbar})"]
+    for (s, g) in triv.chart.objects:
+        for gbar in G.elements():
+            lhs = triv.phibar.on_objects[(s, G.mul(g, gbar))]
+            o = triv.phibar.on_objects[(s, g)]
+            if lhs != (o[0], o[1], G.mul(o[2], gbar)):
+                return [f"phibar not equivariant at object (({s},{g}), {gbar})"]
+    for m in P.morphisms:
+        for hbar in H.elements():
+            for gbar in G.elements():
+                i, j, s, h, g = m
+                moved = (i, j, s, H.mul(h, cmx.act(g, hbar)), G.mul(g, gbar))
+                s2, h2, g2 = triv.phi.on_morphisms[m]
+                moved_img = (s2, H.mul(h2, cmx.act(g2, hbar)), G.mul(g2, gbar))
+                if triv.phi.on_morphisms[moved] != moved_img:
+                    return [f"phi not equivariant at morphism ({m}, {hbar}, {gbar})"]
+    return []
+
+
+def _with_phi(tv, obj=None, mor=None, component=None):
+    phi = GroupoidFunctor(tv.restricted, tv.chart, obj or tv.phi.on_objects,
+                          mor or tv.phi.on_morphisms)
+    taubar = NaturalTransformation(phi.then(tv.phibar), identity_functor(tv.restricted),
+                                   component or tv.taubar.component)
+    return Trivialization(tv.vertex, tv.chart, tv.restricted, phi, tv.phibar, taubar)
+
+
+def _non_identity(G):
+    return next(g for g in G.elements() if g != G.identity)
+
+
+def _off_chart_object(tv, g):
+    """The object (j, sigma, g) over the first edge at the vertex, j the other end."""
+    s = next(s for s in tv.chart.objects if len(s[0]) == 2)[0]
+    return (next(j for j in s if j != tv.vertex), s, g)
+
+
+def _phi_morphism_kernel_shift(tv, cmx):
+    m = _generic_pair(tv.restricted)[1]
+    s, h, g = tv.phi.on_morphisms[m]
+    mor = dict(tv.phi.on_morphisms)
+    mor[m] = (s, cmx.H.mul(h, _kernel_element(cmx)), g)
+    return _with_phi(tv, mor=mor)
+
+
+def _phi_object_moved(tv, cmx):
+    x = _off_chart_object(tv, cmx.G.identity)
+    s, g = tv.phi.on_objects[x]
+    obj = dict(tv.phi.on_objects)
+    obj[x] = (s, cmx.G.mul(g, _non_identity(cmx.G)))
+    return _with_phi(tv, obj=obj)
+
+
+def _phibar_object_moved(tv, cmx):
+    o = tv.chart.objects[len(tv.chart.objects) // 2]
+    i, s, g = tv.phibar.on_objects[o]
+    obj = dict(tv.phibar.on_objects)
+    obj[o] = (i, s, cmx.G.mul(g, _non_identity(cmx.G)))
+    phibar = GroupoidFunctor(tv.chart, tv.restricted, obj, tv.phibar.on_morphisms)
+    return Trivialization(tv.vertex, tv.chart, tv.restricted, tv.phi, phibar, tv.taubar)
+
+
+def _phi_twisted(tv, cmx, h):
+    """phi conjugated by a natural isomorphism theta, with taubar adjusted:
+    theta is the identity except at one object x0 off the vertex's own
+    chart, where its H part is h.  The result is a functor, a section of
+    phibar and natural, but not equivariant, since x0's G-orbit keeps
+    theta = 1."""
+    C, R = tv.chart, tv.restricted
+    x0 = _off_chart_object(tv, cmx.G.order - 1)
+    s, g = tv.phi.on_objects[x0]
+    theta = {x: C.identity[tv.phi.on_objects[x]] for x in R.objects}
+    theta[x0] = (s, h, g)
+    obj = {x: C.target[theta[x]] for x in R.objects}
+    mor = {m: C.compose[(theta[R.target[m]],
+                         C.compose[(tv.phi.on_morphisms[m], C.inverse[theta[R.source[m]]])])]
+           for m in R.morphisms}
+    component = {x: R.compose[(tv.taubar.component[x],
+                               tv.phibar.on_morphisms[C.inverse[theta[x]]])]
+                 for x in R.objects}
+    return _with_phi(tv, obj=obj, mor=mor, component=component)
+
+
+def _phi_twisted_off_kernel(tv, cmx):
+    # theta moves x0, so object equivariance fails
+    return _phi_twisted(tv, cmx, next(h for h in cmx.H.elements()
+                                      if cmx.beta_of(h) != cmx.G.identity))
+
+
+def _phi_twisted_by_kernel_element(tv, cmx):
+    # theta is an automorphism of phi(x0): objects stay, morphisms at x0 move
+    return _phi_twisted(tv, cmx, _kernel_element(cmx))
+
+
+def _through_inversion(tv, cmx):
+    """phi followed by, and phibar preceded by, the chart functor that
+    inverts H parts: an automorphism of the chart when H is abelian and
+    beta(h^-1) = beta(h), as for Z4 over Z2.  Functors, sections and
+    naturality all survive; phi is still equivariant under G but not under
+    the action of H, which inversion does not commute with."""
+    H = cmx.H
+
+    def flip(c):
+        s, h, g = c
+        return (s, H.inv(h), g)
+
+    phi = GroupoidFunctor(tv.restricted, tv.chart, tv.phi.on_objects,
+                          {m: flip(c) for m, c in tv.phi.on_morphisms.items()})
+    phibar = GroupoidFunctor(tv.chart, tv.restricted, tv.phibar.on_objects,
+                             {c: tv.phibar.on_morphisms[flip(c)] for c in tv.chart.morphisms})
+    taubar = NaturalTransformation(phi.then(phibar), identity_functor(tv.restricted),
+                                   tv.taubar.component)
+    return Trivialization(tv.vertex, tv.chart, tv.restricted, phi, phibar, taubar)
+
+
+TRIVIALIZATION_MUTANTS = {
+    ("boundary3", "z4_over_z2"): [_phi_morphism_kernel_shift, _phi_object_moved,
+                                  _phibar_object_moved, _phi_twisted_off_kernel,
+                                  _phi_twisted_by_kernel_element, _through_inversion],
+    ("circle", "conj_s3"): [_phi_object_moved, _phibar_object_moved,
+                            _phi_twisted_off_kernel],
+}
+
+# the functor checks are exhaustive and run first, so only the twisted and
+# inverted mutants reach equivariance; on S3, which two elements generate,
+# the check on generators first fails at another object than the walk over
+# all of G
+TRIVIALIZATION_FIRST = {
+    ("boundary3", "_phi_morphism_kernel_shift"):
+        "composition not preserved at ((0, 0, (0,), 1, 1), (0, 0, (0,), 1, 0))",
+    ("boundary3", "_phi_object_moved"): "source/target not preserved at (0, 1, (0, 1), 0, 0)",
+    ("boundary3", "_phibar_object_moved"): "source/target not preserved at ((0, 1, 3), 0, 1)",
+    ("boundary3", "_phi_twisted_off_kernel"): "phi not equivariant at object ((1,(0, 1),0), 1)",
+    ("boundary3", "_phi_twisted_by_kernel_element"):
+        "phi not equivariant at morphism ((0, 1, (0, 1), 0, 0), 0, 1)",
+    ("boundary3", "_through_inversion"): "phi not equivariant at morphism "
+                                         "((0, 0, (0,), 0, 0), 1, 0)",
+    ("circle", "_phi_object_moved"): "source/target not preserved at (0, 1, (0, 1), 0, 3)",
+    ("circle", "_phibar_object_moved"): "source/target not preserved at ((0, 1), 0, 3)",
+    ("circle", "_phi_twisted_off_kernel"): "phi not equivariant at object ((1,(0, 1),3), 2)",
+}
+
+
+@pytest.mark.parametrize("kname,cmname", list(TRIVIALIZATION_MUTANTS))
+def test_trivialization_mutants_fail_as_in_reference(kname, cmname):
+    cmx = cm(cmname)
+    P = build_total_groupoid(sample_cocycle(cx(kname), cmx, random.Random(38)))
+    tv = trivializations(P, 0)
+    assert check_trivialization(P.z, tv) == []
+    for mutate in TRIVIALIZATION_MUTANTS[(kname, cmname)]:
+        got = check_trivialization(P.z, mutate(tv, cmx))
+        assert got and _reference_check_trivialization(P.z, mutate(tv, cmx)), mutate.__name__
+        assert got[0] == TRIVIALIZATION_FIRST[(kname, mutate.__name__)]
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "conj_s3"), ("boundary3", "z4_over_z2"), ("boundary3", "z2_into_z4"),
+    ("boundary3", "star_to_s3"), ("full2", "z2_into_z4"), ("circle", "aut_z3")])
+def test_canonical_trivializations_pass_as_in_reference(kname, cmname):
+    P = build_total_groupoid(sample_cocycle(cx(kname), cm(cmname), random.Random(38)))
+    for tv in canonical_trivializations(P).values():
+        assert check_trivialization(P.z, tv) == _reference_check_trivialization(P.z, tv) == []
