@@ -13,6 +13,7 @@ structure is realized as finite tables, so every axiom is checked exactly.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -553,11 +554,15 @@ def chart_groupoid(K: SimplicialComplex, cm: CrossedModule, vertex: int) -> Fini
                           identity, inverse, name=f"U_{vertex} x 2group")
 
 
-def restricted_groupoid(P: BundleGroupoid, vertex: int) -> FiniteGroupoid:
+def restricted_groupoid(P: BundleGroupoid, vertex: int,
+                        compose: dict | None = None) -> FiniteGroupoid:
+    """The full subgroupoid of P over the star of a vertex.  `compose`, when
+    given, is the part of `P.compose` over that star, in its order."""
     objs = [o for o in P.objects if vertex in o[1]]
     mors = [m for m in P.morphisms if vertex in m[2]]
     # every key names two morphisms of P, which passed `check_axioms`
-    comp = {k: v for k, v in P.compose.items() if vertex in k[1][2] and vertex in k[0][2]}
+    comp = compose if compose is not None else \
+        {k: v for k, v in P.compose.items() if vertex in k[1][2] and vertex in k[0][2]}
     return FiniteGroupoid(objs, mors, {m: P.source[m] for m in mors},
                           {m: P.target[m] for m in mors}, comp,
                           {o: P.identity[o] for o in objs},
@@ -565,7 +570,8 @@ def restricted_groupoid(P: BundleGroupoid, vertex: int) -> FiniteGroupoid:
                           name=f"P_z | star({vertex})")
 
 
-def trivializations(P: BundleGroupoid, vertex: int) -> Trivialization:
+def trivializations(P: BundleGroupoid, vertex: int,
+                    compose: dict | None = None) -> Trivialization:
     """The canonical chart data of the bundle groupoid P of z = P.z over the
     star of a vertex.
 
@@ -575,7 +581,7 @@ def trivializations(P: BundleGroupoid, vertex: int) -> Trivialization:
     (j, k, sigma, h, g) to (sigma, h_ijk * (g_ij . h), g_ij * g); phi o
     phibar is the identity on the nose, and taubar with components
     (j, sigma, g) -> (i, j, sigma, e, g_ij * g) is natural from phibar o phi
-    to the identity.
+    to the identity.  `compose` is passed on to `restricted_groupoid`.
     """
     z = P.z
     K, cm = z.complex, z.cm
@@ -584,7 +590,7 @@ def trivializations(P: BundleGroupoid, vertex: int) -> Trivialization:
     i = vertex
     G, H = cm.G, cm.H
     chart = chart_groupoid(K, cm, i)
-    restr = restricted_groupoid(P, i)
+    restr = restricted_groupoid(P, i, compose)
     phibar = GroupoidFunctor(
         chart, restr,
         {(s, g): (i, s, g) for (s, g) in chart.objects},
@@ -604,7 +610,21 @@ def trivializations(P: BundleGroupoid, vertex: int) -> Trivialization:
 
 
 def canonical_trivializations(P: BundleGroupoid) -> dict[int, Trivialization]:
-    return {i: trivializations(P, i) for i in range(P.complex.vertex_count)}
+    """The trivializations at every vertex.  P.compose is read once: it is
+    grouped by simplex, and each vertex gets the groups over its star.  The
+    two morphisms of a key lie over one simplex, as P has passed
+    `check_axioms`, and `BundleGroupoid` lists the composites simplex by
+    simplex in sorted order, so each share is in the order of P.compose."""
+    over = defaultdict(dict)
+    for key, m in P.compose.items():
+        over[key[1][2]][key] = m
+    trivs = {}
+    for i in range(P.complex.vertex_count):
+        share = {}
+        for s in P.complex.star_simplices(i):
+            share.update(over[s])
+        trivs[i] = trivializations(P, i, share)
+    return trivs
 
 
 def check_trivialization(z: Cocycle, triv: Trivialization) -> list[str]:

@@ -424,18 +424,22 @@ def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
 
 # -- enumeration and classification ----------------------------------------------
 
-def _enumerate_slice(ctx: _Context, bud: Budget,
-                     first_values: Sequence[int] | None = None,
-                     rng=None) -> list[bytes]:
+def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
+                     prefix: Sequence[int] = ()) -> list[bytes]:
     """All valid cocycles with every g_ij in the coset transversal, as leaves
-    encoded by `_Context.encode`.
+    encoded by `_Context.encode`, in sorted order.
 
     Every cohomology class meets this slice: multiplying g_ij on the left by
     beta(eta_ij) moves it anywhere in its beta(H)-coset.  Backtracking
     assigns g on ordered distinct pairs, prunes a triple as soon as its
     beta-fiber is empty, then assigns h per triple fiber under the
-    quadruple identity.  With an rng, every domain is tried in shuffled
-    order and the search stops at the first leaf.
+    quadruple identity.  g values are tried in transversal order and h
+    values in fiber order, so the leaves come out sorted.  With an rng,
+    every domain is tried in shuffled order and the search stops at the
+    first leaf.  With a `prefix`, the first len(prefix) pairs hold its
+    values and charge nothing, and the search starts at the next pair;
+    no triple check runs on the prefix, so it must consist of pairs that
+    no triple check sits on (the row-0 pairs of `_classify_brute`).
 
     Each candidate value is one node charged to `bud`, in domain order, so
     that the count and the point of exhaustion do not depend on how a node
@@ -537,13 +541,12 @@ def _enumerate_slice(ctx: _Context, bud: Budget,
         passing = every
         for ok, x, y in checks_at_pair[pi]:
             passing &= ok[gvec[x]][gvec[y]]
-        if rng is None and (pi > 0 or first_values is None):
+        if rng is None:
             steps, tail = plans.get(passing) or plans.setdefault(
                 passing, plan(ctx.transversal, passing))
         else:
-            domain = list(ctx.transversal if first_values is None or pi > 0 else first_values)
-            if rng is not None:
-                rng.shuffle(domain)
+            domain = list(ctx.transversal)
+            rng.shuffle(domain)
             steps, tail = plan(domain, passing)
         for val, n in steps:
             if bud.visited + n > limit:
@@ -557,7 +560,8 @@ def _enumerate_slice(ctx: _Context, bud: Budget,
         bud.visited += tail
         return False
 
-    assign_g(0)
+    gvec[:len(prefix)] = prefix
+    assign_g(len(prefix))
     return leaves
 
 
@@ -591,8 +595,10 @@ def _apply_packed(ctx: _Context, packed: tuple, gamma: Sequence[int],
     return (g2, tuple(_act_triples(ctx, gvec, hvec, gamma, eta, range(len(ctx.free_triples)))))
 
 
-def _slice_moves(ctx: _Context) -> list[tuple]:
-    """Generator moves for the orbit partition within the slice, as tables.
+def _slice_moves(ctx: _Context, d: int = 0) -> list[tuple]:
+    """Generator moves for the orbit partition within the slice, as tables,
+    or, for d > 0, within the part S0 of the slice whose first d pairs (the
+    row-0 pairs (0, j), j a neighbour of 0) all hold t0 = transversal[0].
 
     A vertex move sets gamma_v to a generator x of G and refills every eta
     with the minimal fiber element that keeps all g-values inside the
@@ -612,6 +618,25 @@ def _slice_moves(ctx: _Context) -> list[tuple]:
       of single-pair kernel moves.
     - A kernel move by a*b is the kernel move by a followed by the one by
       b, for the same reason.
+
+    For d > 0 the vertex moves are those of the stabilizer R of S0: the
+    gamma with gamma_j in t0^-1 gamma_0 t0 beta(H) at every neighbour j.
+    A coboundary takes one S0 leaf to another only if its gamma is in R,
+    since g'_0j = gamma_0^-1 beta(eta_0j) t0 gamma_j = t0 and beta(H) is
+    normal; and every gamma in R keeps S0, its refilled g'_0j being the
+    representative of t0.  R is generated, as a subgroup of G^n, by
+    gamma_0 = x with gamma_j = t0^-1 x t0 at every neighbour (the image of
+    x under a homomorphism G -> G^n), for x a generator of G; by a
+    generator of G at one vertex that is neither 0 nor a neighbour; and by
+    beta(H) at each neighbour.  The last need no moves of their own: for k
+    in H^n, gamma_i = beta(k_i) with eta_ij = k_i (g_ij . k_j^-1) fixes
+    every cocycle (by the Peiffer identity), so a move whose gamma differs
+    from another's by beta(H) at some vertices lands where the other does,
+    up to a coboundary with gamma = e between slice leaves, a product of
+    kernel moves.  The argument above, with R in place of G^n, then makes
+    these moves, with the kernel moves, join two S0 leaves exactly when
+    they are cohomologous.  With d = 0 the list is the slice's, move for
+    move.
 
     Each move is (rows, triples, eta).  `rows` holds (p, g2, e2) for every
     pair p the move touches: a current g-value c goes to g2[c], with
@@ -639,12 +664,19 @@ def _slice_moves(ctx: _Context) -> list[tuple]:
 
     moves = []
     n = ctx.K.vertex_count
+    neighbours = [j for _, j in ctx.distinct_pairs[:d]]
+    t0 = ctx.transversal[0]
     for a in generating_set(ctx.kernel, H.mul_table, H.identity):
         for p in range(npairs):
             moves.append(table([(p, fixed_g, [a] * G.order)], [G.identity] * n))
     for x in generating_set(G.elements(), gmul, G.identity):
         for v in range(n):
+            if v in neighbours:
+                continue
             gamma = [x if u == v else G.identity for u in range(n)]
+            if v == 0:
+                for j in neighbours:
+                    gamma[j] = gmul[gmul[ginv[t0]][x]][t0]
             rows = []
             for p, (i, j) in enumerate(ctx.distinct_pairs):
                 gi, gj = gamma[i], gamma[j]
@@ -655,9 +687,10 @@ def _slice_moves(ctx: _Context) -> list[tuple]:
     return moves
 
 
-def _slice_orbits(ctx: _Context, leaves: list[bytes]) -> list[int]:
+def _slice_orbits(ctx: _Context, leaves: list[bytes], d: int = 0) -> list[int]:
     """For each of the sorted leaves, the index of the least leaf in its
-    class; two leaves share a class when moves of `_slice_moves` join them."""
+    class; two leaves share a class when moves of `_slice_moves(ctx, d)`
+    join them.  The leaves are the slice, or its part S0 when d > 0."""
     hmul, hinv, act = ctx.cm.H.mul_table, ctx.cm.H.inv_table, ctx.cm.alpha.table
     index = {leaf: i for i, leaf in enumerate(leaves)}
     parent = list(range(len(leaves)))
@@ -673,7 +706,7 @@ def _slice_orbits(ctx: _Context, leaves: list[bytes]) -> list[int]:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    moves = _slice_moves(ctx)
+    moves = _slice_moves(ctx, d)
     for i, leaf in enumerate(leaves):
         cur = ctx.decode(leaf)
         for rows, triples, eta in moves:
@@ -710,57 +743,79 @@ def _unpack(ctx: _Context, leaf: bytes) -> Cocycle:
     return validate_cocycle(Cocycle(ctx.K, ctx.cm, g, h))
 
 
-def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int,
-                    workers: int) -> ClassifyResult:
+def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> ClassifyResult:
+    """The slice search and its orbit partition, run on one row-0 subtree.
+
+    Let d be the number of row-0 pairs (0, j), the first d distinct pairs,
+    T the number of beta(H)-cosets and t0 = transversal[0].  No triple check
+    sits on a row-0 pair (every free triple reads a pair (j, k) with j != 0),
+    so the first d levels of the slice search are T^k g-calls at level k,
+    every one consistent, each charging T nodes.  The T^d prefixes head
+    subtrees that are images of one another: for a prefix A, the
+    coboundary gamma_0 = e, gamma_j = t0^-1 A_j on the neighbours, with
+    g -> coset_rep[gamma_i^-1 g gamma_j] and eta refilled as in
+    `_slice_moves`, maps the subtree under (t0, ..., t0) onto the one
+    under A level by level, node for node.  It permutes each pair's
+    transversal, since beta(H) is normal; it keeps every triple check, a
+    coset identity in pi_0 = G/beta(H); it maps every h-fiber onto the
+    fiber of the image triple; and it keeps every quadruple identity, as a
+    coboundary does.  Every g-call charges all T candidates and every
+    h-call its whole fiber, so every subtree charges the same S nodes and
+    holds the same number of leaves, |S0|.  So the whole search charges
+
+        T + T^2 + ... + T^d + T^d * S
+
+    nodes and finds T^d * |S0| leaves, while only the subtree under
+    (t0, ..., t0) is searched.  Every class meets S0 (the coboundary above,
+    run backwards, moves any leaf into it), so its least leaf lies in S0,
+    and `_slice_orbits(ctx, S0, d)` partitions S0 by class.
+
+    The budget runs out where the full search would run out, at the same
+    node, phase and depth.  That search starts with one node at each row-0
+    level, all at t0, then searches the subtree under (t0, ..., t0): these
+    nodes are charged to the budget as they are searched here.  When the
+    whole search charges more than the budget yet that subtree fits,
+    `_run_out` finds the node past the budget from the counts.
+    """
     ctx = _Context(K, cm)
     bud = Budget(budget, ctx.estimate())
-    if workers > 1 and ctx.distinct_pairs:
-        leaves = []
-        tasks = _enumerate_parallel(ctx, budget, workers)
-        for first, (chunk, visited) in zip(ctx.transversal, tasks):
-            if bud.visited + visited > budget:
-                # the sequential search runs out inside this task (one that
-                # ran out alone reports budget + 1 nodes): rerun it here so
-                # the budget runs out at the same node, phase and depth
-                chunk = _enumerate_slice(ctx, bud, first_values=[first])
-            else:
-                bud.visited += visited
-            leaves.extend(chunk)
-    else:
-        leaves = _enumerate_slice(ctx, bud)
-    leaves = sorted(set(leaves))
-    roots = _slice_orbits(ctx, leaves)
+    npairs, T = len(ctx.distinct_pairs), len(ctx.transversal)
+    d = sum(1 for i, _ in ctx.distinct_pairs if i == 0)
+    bud.charge(d, "slice g", 0, npairs, rising=True)
+    leaves = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d)
+    # size[k]: the nodes a row-0 value at level k charges, its own and those
+    # of the levels below it
+    size = [1 + bud.visited - d]
+    for _ in range(1, d):
+        size.insert(0, 1 + T * size[0])
+    if d and T * size[0] > budget:
+        _run_out(ctx, bud, size)
+    roots = _slice_orbits(ctx, leaves, d)
     reps = [leaves[r] for r in sorted(set(roots))]
     return ClassifyResult(len(reps), [_unpack(ctx, leaf) for leaf in reps], "brute",
-                          len(leaves))
+                          T ** d * len(leaves))
 
 
-def _enumerate_parallel(ctx: _Context, budget: int,
-                        workers: int) -> list[tuple[list[bytes] | None, int]]:
-    """Split the top-level g-assignment across processes, one task per
-    transversal element in order.
+def _run_out(ctx: _Context, bud: Budget, size: list[int]) -> None:
+    """Raise SearchSpaceTooLarge where the full slice search runs out of
+    `bud`, which it does: size[k] is what a row-0 value at level k charges
+    (`_classify_brute`), and T * size[0] exceeds the budget.
 
-    Each task returns its leaves and the nodes it visited, or None and
-    budget + 1 if it ran out of budget on its own.  The per-task counts add up
-    to the sequential count, so the caller can charge them to one budget in
-    task order and make the outcome, exhaustion included, independent of
-    the worker count.
+    At each row-0 level the search tries the T values in transversal
+    order, so the values whose nodes all fit are skipped in one step; the
+    node of the next value is charged, and the last row-0 value leads to
+    the subtree, searched with the nodes before it already charged, where
+    the budget runs out.
     """
-    import multiprocessing as mp
-
-    tasks = [(ctx.K, ctx.cm, budget, [v]) for v in ctx.transversal]
-    with mp.get_context("fork").Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(_enumerate_task, tasks)
-
-
-def _enumerate_task(args) -> tuple[list[bytes] | None, int]:
-    K, cm, budget, first_values = args
-    ctx = _Context(K, cm)
-    bud = Budget(budget, ctx.estimate())
-    try:
-        return _enumerate_slice(ctx, bud, first_values=first_values), bud.visited
-    except SearchSpaceTooLarge:
-        return None, bud.visited
+    npairs = len(ctx.distinct_pairs)
+    bud.visited, prefix = 0, []
+    for k, n in enumerate(size):
+        a = (bud.limit - bud.visited) // n
+        bud.visited += a * n
+        prefix.append(ctx.transversal[a])
+        bud.tick("slice g", k, npairs)
+    _enumerate_slice(ctx, bud, prefix=prefix)
+    raise AssertionError("the slice search fits a budget its node count exceeds")
 
 
 def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult:
@@ -821,13 +876,17 @@ def classify(K: SimplicialComplex, cm: CrossedModule, strategy: str = "brute",
 
     brute: pruned backtracking enumeration restricted to the band slice
     (every g_ij in a fixed transversal of beta(H)-cosets), followed by an
-    orbit partition under slice-preserving coboundary moves.  abelian:
+    orbit partition under slice-preserving coboundary moves; both run on
+    the one subtree whose row-0 values are the least coset representative,
+    and the node and leaf counts of the whole slice follow from it.  abelian:
     linear algebra mod n; needs a trivial base group and cyclic coefficients.
     Representatives are lexicographically minimal in the fixed tuple order
-    (within the slice for brute); output is deterministic.
+    (within the slice for brute); output is deterministic.  `workers` is
+    accepted for existing callers and changes nothing: the one subtree is
+    searched on one process.
     """
     if strategy == "brute":
-        return _classify_brute(K, cm, budget, workers)
+        return _classify_brute(K, cm, budget)
     if strategy == "abelian":
         return _classify_abelian(K, cm)
     raise StrategyMismatch(f"unknown strategy {strategy!r}")

@@ -16,6 +16,7 @@ operations skip zero multipliers, which change nothing.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 
 def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False):
@@ -159,7 +160,7 @@ def solve_mod(matrix: list[list[int]], rhs: list[int], n: int,
     if rows == 0:
         return [0] * cols
     d, U, V = factors or smith_normal_form(matrix, want_transforms=True)
-    c = [sum(U[i][j] * rhs[j] for j in range(rows)) % n for i in range(rows)]
+    c = [sum(map(mul, row, rhs)) % n for row in U]
     y = [0] * cols
     for i in range(rows):
         di = d[i] if i < len(d) else 0
@@ -179,10 +180,10 @@ def solve_mod(matrix: list[list[int]], rhs: list[int], n: int,
     for i in range(min(rows, cols), rows):
         if c[i] % n:
             return None
-    x = [sum(V[r][j] * y[j] for j in range(cols)) % n for r in range(cols)]
+    x = [sum(map(mul, row, y)) % n for row in V]
     # verify
-    for i in range(rows):
-        if sum(matrix[i][j] * x[j] for j in range(cols)) % n != (rhs[i] % n):
+    for row, r in zip(matrix, rhs):
+        if sum(map(mul, row, x)) % n != r % n:
             raise AssertionError("modular solve produced a non-solution")
     return x
 

@@ -761,3 +761,184 @@ def test_slice_exhaustion_matches_reference(kname, cmname):
     for workers in (1, 2):
         result = classify(cx(kname), cm(cmname), "brute", budget=total, workers=workers)
         assert result.cocycles_enumerated == len(set(leaves))
+
+
+# -- brute on the row-0 subtree against the full slice ----------------------------
+
+def _previous_slice_moves(ctx):
+    """`_slice_moves` as it stood before the row-0 stabilizer: kernel moves,
+    then a vertex move by each generator of G at each vertex."""
+    from cechmod.algebra import generating_set
+    G, H = ctx.cm.G, ctx.cm.H
+    gmul, ginv, act = G.mul_table, G.inv_table, ctx.cm.alpha.table
+    npairs = len(ctx.distinct_pairs)
+    fixed_g, fixed_h = list(G.elements()), tuple(H.elements())
+
+    def table(rows, gamma):
+        rows = [(p, g2, e2) for p, g2, e2 in rows
+                if g2 != fixed_g or any(x != H.identity for x in e2)]
+        moved = {p for p, _, e2 in rows if any(x != H.identity for x in e2)}
+        triples = []
+        for t, (ij, jk, ik, i) in enumerate(ctx.triple_idx):
+            act_row = act[ginv[gamma[i]]]
+            if moved.intersection((ij, jk, ik)) or tuple(act_row) != fixed_h:
+                triples.append((npairs + t, ij, jk, ik, act_row))
+        return rows, triples, [H.identity] * (npairs + 1)
+
+    moves = []
+    n = ctx.K.vertex_count
+    for a in generating_set(ctx.kernel, H.mul_table, H.identity):
+        for p in range(npairs):
+            moves.append(table([(p, fixed_g, [a] * G.order)], [G.identity] * n))
+    for x in generating_set(G.elements(), gmul, G.identity):
+        for v in range(n):
+            gamma = [x if u == v else G.identity for u in range(n)]
+            rows = []
+            for p, (i, j) in enumerate(ctx.distinct_pairs):
+                gi, gj = gamma[i], gamma[j]
+                g2 = [ctx.coset_rep[gmul[gmul[ginv[gi]][c]][gj]] for c in G.elements()]
+                e2 = [ctx.fiber[ctx.pair_beta(gi, g2[c], gj, c)][0] for c in G.elements()]
+                rows.append((p, g2, e2))
+            moves.append(table(rows, gamma))
+    return moves
+
+
+def _complex(name):
+    """A catalog complex, or "a+b" for the disjoint union of two of them."""
+    from cechmod import disjoint_union
+    parts = [cx(part) for part in name.split("+")]
+    return functools.reduce(disjoint_union, parts)
+
+
+def _row0(ctx):
+    """(d, T): the number of row-0 pairs (0, j) and of beta(H)-cosets."""
+    d = sum(1 for i, _ in ctx.distinct_pairs if i == 0)
+    return d, len(ctx.transversal)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_slice_classify(kname, cmname):
+    """classify(K, cm, "brute") by the full slice search and the orbit
+    partition of every leaf: (count, leaves, representative keys, nodes)."""
+    from cechmod.cech import (DEFAULT_BUDGET, Budget, _Context, _enumerate_slice,
+                              _slice_orbits, _unpack)
+    ctx = _Context(_complex(kname), cm(cmname))
+    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    leaves = sorted(set(_enumerate_slice(ctx, bud)))
+    roots = _slice_orbits(ctx, leaves)
+    reps = [_unpack(ctx, leaves[r]).key() for r in sorted(set(roots))]
+    return len(reps), leaves, reps, bud.visited
+
+
+# the catalog pairs whose full slice search and partition take under 2 s, a
+# complex whose vertex 0 is isolated (no row-0 pair) and one with vertices
+# off row 0
+SUBTREE_PAIRS = [
+    (k, c)
+    for k in ("point", "full1", "full2", "full3", "circle", "boundary3", "rp26", "torus7")
+    for c in ("z2_trivial", "z4_over_z2", "z2_into_z4", "star_to_z2", "star_to_z3",
+              "star_to_s3", "z2_to_point", "z3_to_point", "z4_to_point", "conj_s3", "aut_z3")
+    if not (k in ("full3", "boundary3") and c in ("z3_to_point", "z4_to_point", "aut_z3"))
+    and not (k in ("rp26", "torus7") and c in ("z4_over_z2", "z2_to_point", "z3_to_point",
+                                                 "z4_to_point", "aut_z3", "star_to_s3"))
+] + [("point+circle", c) for c in ("star_to_s3", "aut_z3", "z4_over_z2")] \
+  + [("circle+circle", c) for c in ("star_to_z2", "z4_over_z2", "aut_z3")]
+
+
+def test_subtree_pairs_cover_every_case():
+    from cechmod.cech import _Context
+    seen = set()
+    for kname, cmname in SUBTREE_PAIRS:
+        ctx = _Context(_complex(kname), cm(cmname))
+        d, T = _row0(ctx)
+        cases = {"T = 1": T == 1, "T^d > 1": T ** d > 1, "ker > 1": len(ctx.kernel) > 1,
+                 "d = 0 with pairs": d == 0 < len(ctx.distinct_pairs)}
+        seen |= {name for name, holds in cases.items() if holds}
+    assert seen == {"T = 1", "T^d > 1", "ker > 1", "d = 0 with pairs"}
+
+
+@pytest.mark.parametrize("kname,cmname", SUBTREE_PAIRS)
+def test_row0_subtree_matches_full_slice(kname, cmname):
+    # the subtree holds the full search's leaves with row 0 at t0, in order,
+    # and the full search charges T + ... + T^d + T^d * (the subtree's nodes)
+    from cechmod.cech import DEFAULT_BUDGET, Budget, _Context, _enumerate_slice
+    K, cmx = _complex(kname), cm(cmname)
+    ctx = _Context(K, cmx)
+    d, T = _row0(ctx)
+    count, leaves, reps, visited = _full_slice_classify(kname, cmname)
+    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    sub = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d)
+    assert sub == [leaf for leaf in leaves
+                   if list(ctx.decode(leaf)[:d]) == ctx.transversal[:1] * d]
+    assert visited == sum(T ** k for k in range(1, d + 1)) + T ** d * bud.visited
+    assert len(leaves) == T ** d * len(sub)
+    # classify takes the same count, leaf count and representatives from it
+    result = classify(K, cmx, "brute")
+    assert (result.count, result.cocycles_enumerated,
+            [z.key() for z in result.representatives]) == (count, len(leaves), reps)
+    for workers in (1, 2):
+        result = classify(K, cmx, "brute", budget=visited, workers=workers)
+        assert (result.count, result.cocycles_enumerated) == (count, len(leaves))
+    if visited == 0:
+        return  # a search that charges no node cannot run out
+    with pytest.raises(SearchSpaceTooLarge) as want:
+        _enumerate_slice(ctx, Budget(visited - 1, ctx.estimate()))
+    for workers in (1, 2):
+        with pytest.raises(SearchSpaceTooLarge) as got:
+            classify(K, cmx, "brute", budget=visited - 1, workers=workers)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kname,cmname", sorted(PARTITION_CASES))
+def test_row0_moves_partition_the_subtree_like_every_move(kname, cmname):
+    from cechmod.cech import _Context, _slice_moves, _slice_orbits
+    ctx = _Context(cx(kname), cm(cmname))
+    assert _slice_moves(ctx, 0) == _slice_moves(ctx) == _previous_slice_moves(ctx)
+    d, _ = _row0(ctx)
+    leaves = _full_slice_classify(kname, cmname)[1]
+    sub = [leaf for leaf in leaves if list(ctx.decode(leaf)[:d]) == ctx.transversal[:1] * d]
+    restricted = {c & frozenset(sub) for c in _reference_partition(ctx, leaves)} - {frozenset()}
+    assert _classes(sub, _slice_orbits(ctx, sub, d)) == restricted
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "conj_s3"), ("circle", "z4_over_z2"), ("full2", "aut_z3"),
+    ("boundary3", "z4_over_z2"), ("rp26", "z2_into_z4"), ("full2", "z2_trivial")])
+def test_image_gauge_with_its_modification_fixes_every_cocycle(kname, cmname):
+    # gamma_i = beta(k_i), eta_ij = k_i (g_ij . k_j^-1) acts trivially, which
+    # is why the row-0 moves need no beta(H) moves at the neighbours of 0
+    K, cmx = cx(kname), cm(cmname)
+    H = cmx.H
+    rng = random.Random(9)
+    for _ in range(5):
+        z = sample_cocycle(K, cmx, rng)
+        k = [rng.randrange(H.order) for _ in range(K.vertex_count)]
+        eta = {(i, j): H.mul(k[i], cmx.act(z.g[(i, j)], H.inv(k[j])))
+               for (i, j) in valid_tuples(K, 2) if i != j}
+        c = coboundary(K, cmx, {v: cmx.beta_of(k[v]) for v in range(K.vertex_count)}, eta)
+        assert apply_coboundary(z, c) == z
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "star_to_s3"), ("full2", "aut_z3"), ("boundary3", "star_to_z3")])
+def test_exhaustion_matches_full_slice_around_every_row0_node(kname, cmname):
+    # the budget runs out at each row-0 node, just after it and just before
+    # it (at the end of the subtree before), as in the full search
+    from cechmod.cech import Budget, _Context, _enumerate_slice
+    ctx = _Context(cx(kname), cm(cmname))
+    d, T = _row0(ctx)
+    total = _full_slice_classify(kname, cmname)[3]
+    size = [1 + (total - sum(T ** k for k in range(1, d + 1))) // T ** d]
+    for _ in range(1, d):
+        size.insert(0, 1 + T * size[0])
+    nodes, starts = [], [0]   # the row-0 nodes, numbered from 1, level by level
+    for n in size:
+        nodes += [s + a * n + 1 for s in starts for a in range(T)]
+        starts = [s + a * n + 1 for s in starts for a in range(T)]
+    assert len(nodes) == sum(T ** k for k in range(1, d + 1)) and max(nodes) < total
+    for budget in sorted({b for node in nodes for b in (node - 2, node - 1, node)} - {-1}):
+        with pytest.raises(SearchSpaceTooLarge) as want:
+            _enumerate_slice(ctx, Budget(budget, ctx.estimate()))
+        with pytest.raises(SearchSpaceTooLarge) as got:
+            classify(cx(kname), cm(cmname), "brute", budget=budget)
+        assert str(got.value) == str(want.value)
