@@ -152,7 +152,23 @@ def is_degenerate(t: tuple[int, ...]) -> bool:
 
 
 def normalized_tuples(K: SimplicialComplex, arity: int) -> list[tuple[int, ...]]:
-    return [t for t in valid_tuples(K, arity) if not is_degenerate(t)]
+    """The valid tuples with no adjacent repeat, in the order of `valid_tuples`.
+
+    Each simplex contributes the sequences over its own vertices with no
+    adjacent repeat that use all of them, so the cost follows the tuples and
+    not vertex_count ** arity.
+    """
+    if arity not in (1, 2, 3, 4):
+        raise ValueError("arity must be 1, 2, 3 or 4")
+    out = []
+    for s in K.simplices:
+        if len(s) <= arity:
+            seqs = [(v,) for v in s]
+            for _ in range(arity - 1):
+                seqs = [q + (v,) for q in seqs for v in s if v != q[-1]]
+            out += [q for q in seqs if len(set(q)) == len(s)]
+    out.sort()
+    return out
 
 
 def coboundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
@@ -169,10 +185,10 @@ def coboundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
     for t in codomain:
         row = [0] * len(domain)
         for m in range(len(t)):
-            face = t[:m] + t[m + 1:]
-            if is_degenerate(face):
-                continue
-            row[col[face]] += (-1) ** m
+            # a face is a valid tuple, so it is a column unless degenerate
+            i = col.get(t[:m] + t[m + 1:])
+            if i is not None:
+                row[i] += (-1) ** m
         rows.append(row)
     return rows
 

@@ -5,108 +5,144 @@ over Z with explicit reduction mod n at the end.  A separate elimination
 over Z/p^e (combined by CRT) backs the mod-n cohomology counts that are
 checked against the Smith-form route, so the two never share arithmetic.
 
-Pivot rule, both routes: the pivot is the first entry in row-major order of
-the remaining block among those of least absolute value (over Z) or least
-p-valuation (over Z/p^e).  A unit is least on either measure, so the scan
-stops at the first entry of absolute value 1, or of valuation 0; the pivot,
-and with it every transform, is the one a full scan picks.  Row and column
-operations skip zero multipliers, which change nothing.
+Both routes hold a matrix as sparse rows and sparse columns (dicts of the
+nonzero entries), so an operation costs the nonzeros it reads, and a swap
+permutes positions, not storage.  U is kept as sparse rows and V as sparse
+columns, made dense on return; a caller that reads only V builds no U.
+
+Pivot rule, both routes: the first entry in row-major order of the
+remaining block among those of least absolute value (over Z) or least
+p-valuation (over Z/p^e).  No entry beats a unit, so the scan stops after
+the first row that holds one, and operations skip zero multipliers.  The
+pivots, transforms and valuations are those of a dense full-scan
+elimination that performs the same operations in the same order.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
 from operator import mul
 
 
-def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False):
+def _sparse(matrix, q: int | None = None):
+    """The nonzero entries (reduced mod q when q is given) twice over: per row
+    a dict from column to entry, and per column a dict from row to entry."""
+    cols = range(len(matrix[0]) if matrix else 0)
+    R = [dict(zip(compress(cols, row), filter(None, row))) for row in matrix]
+    if q is not None:
+        R = [{c: x for c, v in row.items() if (x := v % q)} for row in R]
+    C = [{} for _ in cols]
+    for r, row in enumerate(R):
+        for c, v in row.items():
+            C[c][r] = v
+    return R, C
+
+
+def _swap(at: list[int], pos: list[int], a: int, b: int) -> None:
+    """Exchange positions a and b of the permutation `at` and its inverse `pos`."""
+    at[a], at[b] = at[b], at[a]
+    pos[at[a]], pos[at[b]] = a, b
+
+
+def _dense(vec: dict[int, int], size: int) -> list[int]:
+    out = [0] * size
+    for k, v in vec.items():
+        out[k] = v
+    return out
+
+
+def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False, *,
+                      want_left: bool = True):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns (divisors, U, V) with U*A*V = diag(divisors), divisors positive
-    and each dividing the next.  U and V are None unless requested.
+    and each dividing the next.  U and V are None unless requested, and U is
+    None also when want_left is false.
     """
-    A = [row[:] for row in matrix]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)] if want_transforms else None
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_transforms else None
+    R, C = _sparse(matrix)
+    rows, cols = len(R), len(C)
+    rowat, rowpos = list(range(rows)), list(range(rows))  # position -> slot, slot -> position
+    colat, colpos = list(range(cols)), list(range(cols))
+    want_left = want_transforms and want_left
+    U = [{i: 1} for i in range(rows)] if want_left else None
+    Vc = [{i: 1} for i in range(cols)] if want_transforms else None  # the columns of V
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+    def axpy(X, i, j, q, Y=None):  # X[i] -= q * X[j] for q != 0, mirrored into Y[k][i]
+        x = X[i]
+        for k, v in X[j].items():
+            s = x.get(k, 0) - q * v
+            if s:
+                x[k] = s
+            else:
+                del x[k]
+            if Y is not None:
+                if s:
+                    Y[k][i] = s
+                else:
+                    del Y[k][i]
 
-    def col_op(i, j, q):  # col_i -= q * col_j, skipping the zero entries of col_j
-        for row in A:
-            if row[j]:
-                row[i] -= q * row[j]
-        if V is not None:
-            for row in V:
-                if row[j]:
-                    row[i] -= q * row[j]
+    def row_op(i, j, q):  # slot row_i -= q * slot row_j
+        if q:
+            axpy(R, i, j, q, C)
+            if want_left:
+                axpy(U, i, j, q)
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
+    def col_op(i, j, q):  # slot col_i -= q * slot col_j
+        if q:
+            axpy(C, i, j, q, R)
+            if want_transforms:
+                axpy(Vc, i, j, q)
 
     def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        if U is not None:
-            U[i] = [-a for a in U[i]]
+        for c in R[i]:
+            R[i][c] = C[c][i] = -R[i][c]
+        if want_left:
+            U[i] = {c: -v for c, v in U[i].items()}
+
+    def at(i, j):  # the entry at position (i, j)
+        return R[rowat[i]].get(colat[j], 0)
 
     t = 0
     while t < min(rows, cols):
         # smallest nonzero entry in the remaining block as pivot, the first
-        # in row-major order; no entry beats a unit, so the scan stops there
-        pivot = None
-        best = None
+        # in row-major order; no entry beats a unit, so the scan stops after
+        # the first row that holds one.  Rows from position t on hold no
+        # column before position t.
+        pivot = None  # the least (|entry|, row position, column position)
         for r in range(t, rows):
-            row = A[r]
-            for c in range(t, cols):
-                v = row[c]
-                if v:
-                    v = abs(v)
-                    if best is None or v < best:
-                        best, pivot = v, (r, c)
-                        if v == 1:
-                            break
-            if best == 1:
+            for c, v in R[rowat[r]].items():
+                key = (abs(v), r, colpos[c])
+                if pivot is None or key < pivot:
+                    pivot = key
+            if pivot and pivot[0] == 1:
                 break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        _swap(rowat, rowpos, t, pivot[1])
+        _swap(colat, colpos, t, pivot[2])
         while True:
-            # clear column t
+            # clear column t; an operation on one row or column leaves the
+            # entries of the others that the pass has still to visit
             done = True
-            for r in range(t + 1, rows):
-                if A[r][t]:
-                    q = A[r][t] // A[t][t]
-                    if q:
-                        row_op(r, t, q)
-                    if A[r][t]:
-                        swap_rows(t, r)
-                        done = False
-            for c in range(t + 1, cols):
-                if A[t][c]:
-                    q = A[t][c] // A[t][t]
-                    if q:
-                        col_op(c, t, q)
-                    if A[t][c]:
-                        swap_cols(t, c)
-                        done = False
+            ct = colat[t]
+            for r in sorted(rowpos[s] for s in C[ct] if rowpos[s] > t):
+                s = rowat[r]
+                row_op(s, rowat[t], R[s][ct] // at(t, t))
+                if ct in R[s]:
+                    _swap(rowat, rowpos, t, r)
+                    done = False
+            st = rowat[t]
+            for c in sorted(colpos[k] for k in R[st] if colpos[k] > t):
+                k = colat[c]
+                col_op(k, colat[t], R[st][k] // at(t, t))
+                if k in R[st]:
+                    _swap(colat, colpos, t, c)
+                    done = False
             if done:
                 break
-        if A[t][t] < 0:
-            negate_row(t)
+        if at(t, t) < 0:
+            negate_row(rowat[t])
         t += 1
 
     # enforce the divisibility chain
@@ -114,32 +150,33 @@ def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False):
     while changed:
         changed = False
         for i in range(t - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a:
+            if at(i + 1, i + 1) % at(i, i):
                 # fold entry (i+1, i+1) into row i and rediagonalize the 2x2 block
-                col_op(i, i + 1, -1)  # col_i += col_{i+1}
+                col_op(colat[i], colat[i + 1], -1)  # col_i += col_{i+1}
                 while True:
-                    if A[i + 1][i]:
-                        q = A[i + 1][i] // A[i][i]
-                        row_op(i + 1, i, q)
-                        if A[i + 1][i]:
-                            swap_rows(i, i + 1)
+                    if at(i + 1, i):
+                        row_op(rowat[i + 1], rowat[i], at(i + 1, i) // at(i, i))
+                        if at(i + 1, i):
+                            _swap(rowat, rowpos, i, i + 1)
                             continue
-                    if A[i][i + 1]:
-                        q = A[i][i + 1] // A[i][i]
-                        col_op(i + 1, i, q)
-                        if A[i][i + 1]:
-                            swap_cols(i, i + 1)
+                    if at(i, i + 1):
+                        col_op(colat[i + 1], colat[i], at(i, i + 1) // at(i, i))
+                        if at(i, i + 1):
+                            _swap(colat, colpos, i, i + 1)
                             continue
                     break
-                if A[i][i] < 0:
-                    negate_row(i)
-                if A[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
+                if at(i, i) < 0:
+                    negate_row(rowat[i])
+                if at(i + 1, i + 1) < 0:
+                    negate_row(rowat[i + 1])
                 changed = True
 
-    divisors = [A[i][i] for i in range(t) if A[i][i] != 0]
-    return divisors, U, V
+    divisors = [d for i in range(t) if (d := at(i, i))]
+    if want_left:
+        U = [_dense(U[s], rows) for s in rowat]
+    if want_transforms:
+        Vc = [list(r) for r in zip(*(_dense(Vc[s], cols) for s in colat))]  # V by rows
+    return divisors, U, Vc
 
 
 def rank_and_divisors(matrix: list[list[int]]) -> tuple[int, list[int]]:
@@ -160,26 +197,16 @@ def solve_mod(matrix: list[list[int]], rhs: list[int], n: int,
     if rows == 0:
         return [0] * cols
     d, U, V = factors or smith_normal_form(matrix, want_transforms=True)
-    c = [sum(map(mul, row, rhs)) % n for row in U]
     y = [0] * cols
-    for i in range(rows):
+    for i, row in enumerate(U):
+        # solve d_i * y_i == (U rhs)_i (mod n), with d_i = 0 past the divisors
+        ci = sum(map(mul, row, rhs))
         di = d[i] if i < len(d) else 0
-        if i >= cols:
-            if di:
-                raise AssertionError("diagonal outside column range")
-        if di == 0:
-            if i < len(c) and c[i] % n:
-                return None
-            continue
         g = gcd(di, n)
-        if c[i] % g:
+        if ci % g:
             return None
-        # solve di * y == c[i] (mod n)
-        n2 = n // g
-        y[i] = ((c[i] // g) * pow(di // g, -1, n2)) % n2
-    for i in range(min(rows, cols), rows):
-        if c[i] % n:
-            return None
+        if di:
+            y[i] = ((ci // g) * pow(di // g, -1, n // g)) % (n // g)
     x = [sum(map(mul, row, y)) % n for row in V]
     # verify
     for row, r in zip(matrix, rhs):
@@ -194,7 +221,7 @@ def kernel_generators_mod(matrix: list[list[int]], n: int) -> list[list[int]]:
     cols = len(matrix[0]) if rows else 0
     if rows == 0 or cols == 0:
         return [[int(i == j) % n for j in range(cols)] for i in range(cols)]
-    d, _, V = smith_normal_form(matrix, want_transforms=True)
+    d, _, V = smith_normal_form(matrix, want_transforms=True, want_left=False)
     gens = []
     for i in range(cols):
         di = d[i] if i < len(d) else 0
@@ -231,57 +258,51 @@ def pivot_valuations_mod_prime_power(matrix: list[list[int]], p: int, e: int) ->
     diagonal of the form p^{a_1}, ..., p^{a_r} (units times), a_i < e.
     """
     q = p ** e
-    A = [[v % q for v in row] for row in matrix]
-    rows, cols = len(A), len(A[0]) if matrix else 0
+    R, C = _sparse(matrix, q)
+    rows, cols = len(R), len(C)
+    rowat = list(range(rows))  # position -> slot
+    colat, colpos = list(range(cols)), list(range(cols))
 
-    def val(x: int) -> int:
-        if x == 0:
-            return e
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
+    val = [0] * q  # the p-valuation of each nonzero residue
+    for x in range(p, q, p):
+        val[x] = val[x // p] + 1
 
     pivots = []
     t = 0
     while t < min(rows, cols):
         # least valuation, the first in row-major order; a unit (valuation 0)
-        # cannot be beaten, so the scan stops there
-        best = None
-        pos = None
+        # cannot be beaten, so the scan stops after the first row that holds one
+        pivot = None  # the least (valuation, row position, column position)
         for r in range(t, rows):
-            row = A[r]
-            for c in range(t, cols):
-                if row[c]:
-                    v = val(row[c])
-                    if best is None or v < best:
-                        best, pos = v, (r, c)
-                        if v == 0:
-                            break
-            if best == 0:
+            for c, x in R[rowat[r]].items():
+                key = (val[x], r, colpos[c])
+                if pivot is None or key < pivot:
+                    pivot = key
+            if pivot and pivot[0] == 0:
                 break
-        if pos is None:
+        if pivot is None:
             break
-        r0, c0 = pos
-        A[t], A[r0] = A[r0], A[t]
-        for r in range(rows):
-            A[r][t], A[r][c0] = A[r][c0], A[r][t]
-        a = A[t][t]
-        unit = a // (p ** best)
-        inv_unit = pow(unit, -1, q)
-        A[t] = [(x * inv_unit) % q for x in A[t]]  # pivot is now p^best
+        best, r0, c0 = pivot
+        rowat[t], rowat[r0] = rowat[r0], rowat[t]
+        _swap(colat, colpos, t, c0)
+        st, ct = rowat[t], colat[t]
         piv = p ** best
-        for r in range(rows):
-            if r != t and A[r][t]:
-                f = A[r][t] // piv  # exact: val(A[r][t]) >= best
-                A[r] = [(A[r][c] - f * A[t][c]) % q for c in range(cols)]
-        live = [row for row in A if row[t]]  # the zero entries of column t add nothing
-        for c in range(t + 1, cols):
-            if A[t][c]:
-                f = A[t][c] // piv
-                for row in live:
-                    row[c] = (row[c] - f * row[t]) % q
+        inv_unit = pow(R[st][ct] // piv, -1, q)
+        top = {c: (x * inv_unit) % q for c, x in R[st].items()}  # pivot is now p^best
+        for r, a in list(C[ct].items()):
+            if r != st:
+                row = R[r]
+                f = a // piv  # exact: val(a) >= best
+                for c, x in top.items():
+                    y = (row.get(c, 0) - f * x) % q
+                    if y:
+                        row[c] = C[c][r] = y
+                    elif c in row:
+                        del row[c], C[c][r]
+        # column t now holds the pivot alone, so the column pass clears the
+        # rest of row t (each entry a multiple of the pivot) and nothing else
+        for c in R[st]:
+            del C[c][st]
         pivots.append(best)
         t += 1
     return pivots

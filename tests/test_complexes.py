@@ -141,3 +141,20 @@ def test_disjoint_union_shifts():
     K = disjoint_union(circle(), circle())
     assert K.vertex_count == 6
     assert K.is_simplex({3, 4}) and not K.is_simplex({2, 3})
+
+
+@pytest.mark.parametrize("name", ["point", "full1", "full2", "full3", "circle",
+                                  "boundary3", "torus7", "rp26", "point+circle",
+                                  "full1+boundary3"])
+def test_normalized_tuples_match_filtered_valid_tuples(name):
+    # per-simplex enumeration gives the filtered scan of all n^a tuples,
+    # element for element and in order
+    from cechmod.catalog import named_complex
+    from cechmod.complexes import normalized_tuples
+    parts = [named_complex(p) for p in name.split("+")]
+    K = parts[0] if len(parts) == 1 else disjoint_union(*parts)
+    for arity in (1, 2, 3, 4):
+        assert normalized_tuples(K, arity) == \
+            [t for t in valid_tuples(K, arity) if not is_degenerate(t)]
+    with pytest.raises(ValueError):
+        normalized_tuples(K, 5)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cechmod import (
+    abelian_cohomology_oracle,
     ad_equivariant_functor_count,
     apply_coboundary,
     compose_coboundaries,
@@ -16,6 +17,8 @@ from cechmod import (
     two_group_from_crossed_module,
     validate_crossed_module,
 )
+from cechmod.algebra import cyclic_powers, kernel_of_beta
+from cechmod.catalog import CM_BUILDERS
 from cechmod.errors import SearchSpaceTooLarge
 from conftest import cm, cx
 
@@ -170,3 +173,59 @@ def test_gauge_automorphisms_preserve_fibers_and_are_equivariant(cmname):
                 for gbar in cmx.G.elements():
                     assert F.on_morphisms[P.act_mor(m, hbar, gbar)] == \
                         F.codomain.act_mor(F.on_morphisms[m], hbar, gbar)
+
+
+# -- the trivial bundle's gauge 2-group against the mapping 2-group ---------------
+
+ALL_CMS = list(CM_BUILDERS)
+# the catalog cells whose gauge 2-group of the trivial cocycle is built in
+# under 1 s; the others (conj_s3 beyond full1, z4 kernels on full3 and
+# boundary3, most of rp26 and torus7) take seconds to minutes
+GAUGE_ORACLE_CELLS = [(k, c) for k in ("point", "full1") for c in ALL_CMS] + \
+    [(k, c) for k in ("full2", "circle") for c in ALL_CMS if c != "conj_s3"] + \
+    [(k, c) for k in ("full3", "boundary3") for c in ALL_CMS
+     if c not in ("conj_s3", "z4_over_z2", "z4_to_point")] + \
+    [("torus7", c) for c in ("star_to_z2", "star_to_z3", "star_to_s3")] + \
+    [("rp26", c) for c in ("z2_trivial", "star_to_z2", "star_to_z3", "star_to_s3")]
+
+
+def _mapping_2group_orders(K, cmx):
+    """(|PI0|, |PI1|) that the trivial bundle's gauge 2-group must have.
+
+    The gauge 2-group of a bundle is its 2-group of equivariant
+    automorphisms; for the trivial bundle K x Gamma these are the
+    Gamma-valued maps on K, the mapping 2-group C(K, Gamma), as C(X, G) is
+    for a trivial classical bundle.  The realization |Gamma| has
+    pi_0 = coker beta and pi_1 = ker beta, which is central, hence abelian
+    (Baez & Lauda, Higher-dimensional algebra V: 2-groups, TAC 12, 2004),
+    and every component of |Gamma| is a K(ker beta, 1).  So for connected K
+    the maps K -> |Gamma| have pi_0 = coker beta x H^1(K; ker beta) and,
+    at the constant map, pi_1 = H^0(K; ker beta) = ker beta.  H^1 comes from
+    the integer Smith-form oracle, which shares no code with the gauge
+    construction; every catalog kernel is cyclic.
+    """
+    kernel, _ = kernel_of_beta(cmx)
+    assert cyclic_powers(kernel) is not None
+    coker = cmx.G.order // len(set(cmx.beta.image))
+    h1 = abelian_cohomology_oracle(K, kernel.order, 1) if kernel.order > 1 else 1
+    return coker * h1, kernel.order
+
+
+def _orders(gcm):
+    return gcm.cm.G.order, gcm.cm.H.order, gcm.pi0.order, gcm.pi1.order
+
+
+@pytest.mark.parametrize("kname,cmname", GAUGE_ORACLE_CELLS)
+def test_trivial_gauge_2group_matches_mapping_2group(kname, cmname):
+    from cechmod import random_coboundary
+    K, cmx = cx(kname), cm(cmname)
+    assert abelian_cohomology_oracle(K, 2, 0) == 2  # K is connected
+    pi0, pi1 = _mapping_2group_orders(K, cmx)
+    z = trivial_cocycle(K, cmx)
+    gstar, hstar, got_pi0, got_pi1 = _orders(gauge_crossed_module(z))
+    assert (got_pi0, got_pi1) == (pi0, pi1)
+    assert hstar == cmx.H.order ** K.vertex_count
+    assert gstar * pi1 == pi0 * hstar
+    # isomorphic bundles have equivalent gauge 2-groups, and here equal orders
+    moved = apply_coboundary(z, random_coboundary(K, cmx, random.Random(f"{kname}:{cmname}")))
+    assert _orders(gauge_crossed_module(moved)) == (gstar, hstar, pi0, pi1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -366,3 +367,273 @@ def test_unit_pivots_match_full_scan():
         for p, e in ((2, 1), (2, 3), (3, 2), (5, 1)):
             assert pivot_valuations_mod_prime_power(A, p, e) == \
                 _reference_pivot_valuations(A, p, e)
+
+
+# -- the sparse routines against the dense ones they replaced ---------------------
+
+def _dense_smith_normal_form(matrix, want_transforms=False, fixups=None):
+    """smith_normal_form as it stood on dense rows, with the pivot scan that
+    stops at a unit; `fixups` collects the index of every divisibility
+    fix-up."""
+    A = [row[:] for row in matrix]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)] if want_transforms else None
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_transforms else None
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+        if U is not None:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j, skipping the zero entries of col_j
+        for row in A:
+            if row[j]:
+                row[i] -= q * row[j]
+        if V is not None:
+            for row in V:
+                if row[j]:
+                    row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        if V is not None:
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+
+    def negate_row(i):
+        A[i] = [-a for a in A[i]]
+        if U is not None:
+            U[i] = [-a for a in U[i]]
+
+    t = 0
+    while t < min(rows, cols):
+        pivot = None
+        best = None
+        for r in range(t, rows):
+            row = A[r]
+            for c in range(t, cols):
+                v = row[c]
+                if v:
+                    v = abs(v)
+                    if best is None or v < best:
+                        best, pivot = v, (r, c)
+                        if v == 1:
+                            break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            done = True
+            for r in range(t + 1, rows):
+                if A[r][t]:
+                    q = A[r][t] // A[t][t]
+                    if q:
+                        row_op(r, t, q)
+                    if A[r][t]:
+                        swap_rows(t, r)
+                        done = False
+            for c in range(t + 1, cols):
+                if A[t][c]:
+                    q = A[t][c] // A[t][t]
+                    if q:
+                        col_op(c, t, q)
+                    if A[t][c]:
+                        swap_cols(t, c)
+                        done = False
+            if done:
+                break
+        if A[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(t - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if b % a:
+                if fixups is not None:
+                    fixups.append(i)
+                col_op(i, i + 1, -1)
+                while True:
+                    if A[i + 1][i]:
+                        q = A[i + 1][i] // A[i][i]
+                        row_op(i + 1, i, q)
+                        if A[i + 1][i]:
+                            swap_rows(i, i + 1)
+                            continue
+                    if A[i][i + 1]:
+                        q = A[i][i + 1] // A[i][i]
+                        col_op(i + 1, i, q)
+                        if A[i][i + 1]:
+                            swap_cols(i, i + 1)
+                            continue
+                    break
+                if A[i][i] < 0:
+                    negate_row(i)
+                if A[i + 1][i + 1] < 0:
+                    negate_row(i + 1)
+                changed = True
+
+    divisors = [A[i][i] for i in range(t) if A[i][i] != 0]
+    return divisors, U, V
+
+
+def _dense_solve_mod(matrix, rhs, n):
+    """solve_mod as it stood, on the dense Smith form."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if rows == 0:
+        return [0] * cols
+    d, U, V = _dense_smith_normal_form(matrix, want_transforms=True)
+    c = [sum(u * b for u, b in zip(row, rhs)) % n for row in U]
+    y = [0] * cols
+    for i in range(rows):
+        di = d[i] if i < len(d) else 0
+        if di == 0:
+            if c[i] % n:
+                return None
+            continue
+        g = math.gcd(di, n)
+        if c[i] % g:
+            return None
+        n2 = n // g
+        y[i] = ((c[i] // g) * pow(di // g, -1, n2)) % n2
+    return [sum(v * w for v, w in zip(row, y)) % n for row in V]
+
+
+def _dense_kernel_generators(matrix, n):
+    cols = len(matrix[0])
+    d, _, V = _dense_smith_normal_form(matrix, want_transforms=True)
+    gens = []
+    for i in range(cols):
+        di = d[i] if i < len(d) else 0
+        scale = (n // math.gcd(di, n)) if di else 1
+        vec = [(V[r][i] * scale) % n for r in range(cols)]
+        if any(vec):
+            gens.append(vec)
+    return gens
+
+
+def _dense_pivot_valuations(matrix, p, e):
+    """pivot_valuations_mod_prime_power as it stood on dense rows."""
+    q = p ** e
+    A = [[v % q for v in row] for row in matrix]
+    rows, cols = len(A), len(A[0]) if matrix else 0
+
+    def val(x):
+        if x == 0:
+            return e
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    pivots = []
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        pos = None
+        for r in range(t, rows):
+            row = A[r]
+            for c in range(t, cols):
+                if row[c]:
+                    v = val(row[c])
+                    if best is None or v < best:
+                        best, pos = v, (r, c)
+                        if v == 0:
+                            break
+            if best == 0:
+                break
+        if pos is None:
+            break
+        r0, c0 = pos
+        A[t], A[r0] = A[r0], A[t]
+        for r in range(rows):
+            A[r][t], A[r][c0] = A[r][c0], A[r][t]
+        inv_unit = pow(A[t][t] // (p ** best), -1, q)
+        A[t] = [(x * inv_unit) % q for x in A[t]]
+        piv = p ** best
+        for r in range(rows):
+            if r != t and A[r][t]:
+                f = A[r][t] // piv
+                A[r] = [(A[r][c] - f * A[t][c]) % q for c in range(cols)]
+        live = [row for row in A if row[t]]
+        for c in range(t + 1, cols):
+            if A[t][c]:
+                f = A[t][c] // piv
+                for row in live:
+                    row[c] = (row[c] - f * row[t]) % q
+        pivots.append(best)
+        t += 1
+    return pivots
+
+
+def _sparse_corpus(seed, count):
+    """Seeded matrices up to 40 x 40 with a few nonzeros per row: +-1/+-2
+    entries, zero rows and columns, rows of non-unit entries ahead of the
+    first unit, and wide and tall shapes."""
+    rng = random.Random(seed)
+    out = [[[2, 0], [0, 3]], [[0, 0, 0]], [[0], [0]], [[6, 4], [4, 6]]]
+    while len(out) < count:
+        shape = rng.choice(["square", "wide", "tall"])
+        small, large = rng.randrange(1, 16), rng.randrange(16, 41)
+        rows, cols = {"square": (large, large), "wide": (small, large),
+                      "tall": (large, small)}[shape]
+        per_row = rng.choice([1, 2, 3])
+        A = [[0] * cols for _ in range(rows)]
+        for r in range(rows):
+            for _ in range(rng.randrange(per_row + 1)):
+                A[r][rng.randrange(cols)] = rng.choice([1, -1, 2, -2])
+        for r in rng.sample(range(rows), rng.randrange(rows // 4 + 1)):
+            A[r] = [0] * cols  # zero rows
+        for c in rng.sample(range(cols), rng.randrange(cols // 4 + 1)):
+            for row in A:
+                row[c] = 0  # zero columns
+        for r in range(rng.randrange(min(rows, 4))):
+            # non-unit minima in the leading rows, a unit only further down
+            A[r] = [rng.choice([2, -2, 4, 6]) if v else 0 for v in A[r]]
+        out.append(A)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sparse_routines_match_dense_references(seed):
+    from cechmod.snf import (kernel_generators_mod,
+                             pivot_valuations_mod_prime_power)
+    rng = random.Random(100 + seed)
+    fixups = []
+    for A in _sparse_corpus(seed, 60):
+        rows, cols = len(A), len(A[0])
+        d, U, V = _dense_smith_normal_form(A, True, fixups)
+        assert smith_normal_form(A, True) == (d, U, V)
+        assert smith_normal_form(A) == (d, None, None)
+        assert smith_normal_form(A, True, want_left=False) == (d, None, V)
+        for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+            assert pivot_valuations_mod_prime_power(A, p, e) == _dense_pivot_valuations(A, p, e)
+        for n, factors in ((2, [(2, 1)]), (3, [(3, 1)]), (4, [(2, 2)]),
+                           (6, [(2, 1), (3, 1)]), (12, [(2, 2), (3, 1)])):
+            assert kernel_generators_mod(A, n) == _dense_kernel_generators(A, n)
+            kernel = image = 1
+            for p, e in factors:
+                vals = _dense_pivot_valuations(A, p, e)
+                kernel *= p ** (e * (cols - len(vals)) + sum(vals))
+                image *= p ** sum(e - v for v in vals)
+            assert (kernel_size_mod(A, n), image_size_mod(A, n)) == (kernel, image)
+            x = [rng.randrange(n) for _ in range(cols)]
+            feasible = [sum(a * b for a, b in zip(row, x)) for row in A]
+            for b in (feasible, [rng.randrange(n) for _ in range(rows)]):
+                assert solve_mod(A, b, n) == _dense_solve_mod(A, b, n)
+    # the corpus reaches the divisibility fix-up, and not only in [[2, 0], [0, 3]]
+    assert len(fixups) > 1
