@@ -201,9 +201,6 @@ class GroupHom:
         e = self.target.identity
         return [a for a in self.source.elements() if self.image[a] == e]
 
-    def image_indices(self) -> list[int]:
-        return sorted(set(self.image))
-
 
 def validate_hom(source: FiniteGroup, target: FiniteGroup,
                  image: Sequence[int]) -> GroupHom:
@@ -342,7 +339,8 @@ class Strict2Group:
 
     The morphism (h, g) runs from g to beta(h)*g.  Vertical composition is
     (h', beta(h)g) o (h, g) = (h'h, g); the tensor (horizontal) product is
-    (h, g) * (hb, gb) = (h * (g.hb), g*gb).
+    (h, g) * (hb, gb) = (h * (g.hb), g*gb).  Its groupoid and axiom checks
+    are in `bundle`.
     """
 
     cm: CrossedModule
@@ -392,49 +390,6 @@ class Strict2Group:
         h, g = self.decode(m)
         gi = self.cm.G.inv(g)
         return self.encode(self.cm.act(gi, self.cm.H.inv(h)), gi)
-
-
-def two_group_from_crossed_module(cm: CrossedModule) -> Strict2Group:
-    """Build the strict 2-group and verify category axioms and interchange."""
-    tg = Strict2Group(cm)
-    G, H = cm.G, cm.H
-    for m in tg.morphisms():
-        h, g = tg.decode(m)
-        assert tg.source(m) == g
-        assert tg.target(m) == G.mul(cm.beta_of(h), g)
-    composable = [(m2, m1) for m1 in tg.morphisms() for m2 in tg.morphisms()
-                  if tg.source(m2) == tg.target(m1)]
-    assert len(composable) == H.order * H.order * G.order
-    for m2, m1 in composable:
-        c = tg.compose(m2, m1)
-        assert tg.source(c) == tg.source(m1) and tg.target(c) == tg.target(m2)
-    for g in tg.objects():
-        e = tg.identity(g)
-        for m in tg.morphisms():
-            if tg.source(m) == g:
-                assert tg.compose(m, e) == m
-            if tg.target(m) == g:
-                assert tg.compose(e, m) == m
-    for m in tg.morphisms():
-        vi = tg.vertical_inverse(m)
-        assert tg.compose(vi, m) == tg.identity(tg.source(m))
-        assert tg.compose(m, vi) == tg.identity(tg.target(m))
-    for m3 in tg.morphisms():
-        for m2 in tg.morphisms():
-            if tg.source(m3) != tg.target(m2):
-                continue
-            for m1 in tg.morphisms():
-                if tg.source(m2) != tg.target(m1):
-                    continue
-                assert tg.compose(tg.compose(m3, m2), m1) == \
-                    tg.compose(m3, tg.compose(m2, m1))
-    # interchange: (f1 o f2) * (f3 o f4) = (f1 * f3) o (f2 * f4)
-    for f1, f2 in composable:
-        for f3, f4 in composable:
-            lhs = tg.tensor(tg.compose(f1, f2), tg.compose(f3, f4))
-            rhs = tg.compose(tg.tensor(f1, f3), tg.tensor(f2, f4))
-            assert lhs == rhs, "interchange law fails"
-    return tg
 
 
 # -- automorphisms, kernels, quotients ----------------------------------------

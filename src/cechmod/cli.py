@@ -15,7 +15,6 @@ import sys
 
 from . import bundle as bundle_mod
 from . import gauge as gauge_mod
-from .algebra import two_group_from_crossed_module
 from .catalog import CM_BUILDERS, COMPLEX_BUILDERS
 from .cech import (
     DEFAULT_BUDGET,
@@ -158,7 +157,8 @@ def cmd_band(args) -> tuple[int, list[str]]:
     for p in valid_tuples(z.complex, 2):
         if b.values[p] != b.group.identity:
             lines.append(f"BAND g {p[0]} {p[1]} {b.values[p]}")
-    lines.append(f"BAND_TRIVIAL_CLASS: {'yes' if b.is_trivial_class() else 'no'}")
+    trivial = b.is_trivial_class(budget=args.budget)
+    lines.append(f"BAND_TRIVIAL_CLASS: {'yes' if trivial else 'no'}")
     return OK, lines
 
 
@@ -210,7 +210,7 @@ def cmd_gauge(args) -> tuple[int, list[str]]:
 
 def cmd_aut2group(args) -> tuple[int, list[str]]:
     cm = resolve_crossed_module(args.cm)
-    tg = two_group_from_crossed_module(cm)
+    tg = bundle_mod.two_group_from_crossed_module(cm)
     fs, ts = gauge_mod.equivariant_endofunctors_of_2group(tg)
     return OK, [f"FUNCTORS: {len(fs)}", f"TRANSFORMATIONS: {len(ts)}"]
 

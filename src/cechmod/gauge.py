@@ -26,10 +26,12 @@ from .algebra import (
 )
 from .bundle import (
     GroupoidFunctor,
+    NaturalTransformation,
     build_total_groupoid,
     check_action,
     coboundary_to_bundle_morphism,
     is_weak_equivalence,
+    two_group_groupoid,
 )
 from .cech import (
     Budget,
@@ -50,14 +52,6 @@ class EquivariantEndofunctor:
 
     translation: int  # the object k with F(g) = k * g
 
-    def on_object(self, tg: Strict2Group, g: int) -> int:
-        return tg.cm.G.mul(self.translation, g)
-
-    def on_morphism(self, tg: Strict2Group, m: int) -> int:
-        h, g = tg.decode(m)
-        return tg.encode(tg.cm.act(self.translation, h),
-                         tg.cm.G.mul(self.translation, g))
-
 
 @dataclass
 class EndofunctorTransformation:
@@ -73,69 +67,36 @@ def equivariant_endofunctors_of_2group(
     natural transformations between them.
 
     Candidates F with F(e,e) = (k1, k2) are forced onto F(h,g) =
-    (k1 * (k2.h), k2*g) by equivariance; the functor axioms are then checked
-    on the full tables, which leaves exactly the translations k1 = e.  A
-    transformation is determined by its value at the identity object.
+    (k1 * (k2.h), k2*g) by equivariance; each is checked as a functor of
+    the 2-group's groupoid and for equivariance on the full tables, which
+    leaves exactly the translations k1 = e.  A transformation is determined
+    by its value at the identity object, and its naturality is checked on
+    every morphism.
     """
     cm = tg.cm
     G, H = cm.G, cm.H
-    functors = []
+    TG = two_group_groupoid(tg)
+    kept = {}                     # translation -> its functor of TG
     for k1 in H.elements():
         for k2 in G.elements():
-            def F1(m, k1=k1, k2=k2):
+            F1 = {}
+            for m in TG.morphisms:
                 h, g = tg.decode(m)
-                return tg.encode(H.mul(k1, cm.act(k2, h)), G.mul(k2, g))
-
-            ok = True
-            for m in tg.morphisms():
-                fm = F1(m)
-                if tg.source(fm) != G.mul(k2, tg.source(m)) or \
-                        tg.target(fm) != G.mul(k2, tg.target(m)):
-                    ok = False
-                    break
-            if ok:
-                for g in tg.objects():
-                    if F1(tg.identity(g)) != tg.identity(G.mul(k2, g)):
-                        ok = False
-                        break
-            if ok:
-                for m1 in tg.morphisms():
-                    for h2 in H.elements():
-                        m2 = tg.encode(h2, tg.target(m1))
-                        if F1(tg.compose(m2, m1)) != tg.compose(F1(m2), F1(m1)):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                # equivariance for the right translation action
-                for m in tg.morphisms():
-                    for a in tg.morphisms():
-                        if F1(tg.tensor(m, a)) != tg.tensor(F1(m), a):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
+                F1[m] = tg.encode(H.mul(k1, cm.act(k2, h)), G.mul(k2, g))
+            F = GroupoidFunctor(TG, TG, {g: G.mul(k2, g) for g in TG.objects}, F1)
+            # equivariance for the right translation action
+            if not F.check() and all(F1[tg.tensor(m, a)] == tg.tensor(F1[m], a)
+                                     for m in TG.morphisms for a in TG.morphisms):
                 assert k1 == H.identity, "non-translation functor survived"
-                functors.append(EquivariantEndofunctor(k2))
+                kept[k2] = F
+    functors = [EquivariantEndofunctor(k) for k in kept]
     transformations = []
-    for F in functors:
-        k = F.translation
+    for k, F in kept.items():
         for hbar in H.elements():
             k2 = G.mul(cm.beta_of(hbar), k)
-            # component at g is (hbar, k*g); check naturality exhaustively
-            natural = True
-            for m in tg.morphisms():
-                h, g = tg.decode(m)
-                tau_s = tg.encode(hbar, G.mul(k, g))
-                tau_t = tg.encode(hbar, G.mul(k, tg.target(m)))
-                Fm = tg.encode(cm.act(k, h), G.mul(k, g))
-                F2m = tg.encode(cm.act(k2, h), G.mul(k2, g))
-                if tg.compose(tau_t, Fm) != tg.compose(F2m, tau_s):
-                    natural = False
-                    break
-            if natural:
+            # the component at g is (hbar, k*g)
+            tau = {g: tg.encode(hbar, G.mul(k, g)) for g in TG.objects}
+            if not NaturalTransformation(F, kept[k2], tau).check():
                 transformations.append(EndofunctorTransformation(k, k2, hbar))
     return functors, transformations
 
@@ -188,6 +149,7 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
     cm, K = z.cm, z.complex
     G, H = cm.G, cm.H
     tg = Strict2Group(cm)
+    TG = two_group_groupoid(tg)
     P = build_total_groupoid(z)
     verts = list(range(K.vertex_count))
     dpairs = [p for p in valid_tuples(K, 2) if p[0] != p[1]]
@@ -200,28 +162,15 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
     eta = {}
 
     def functor_ok() -> bool:
-        # build the candidate on all of P and check the axioms
-        def F0(o):
-            i, s, g = o
-            return G.mul_many(G.inv(g), v[i], g)
-
-        def F1(m):
+        # build the candidate on all of P and check the functor axioms
+        F0 = {o: G.mul_many(G.inv(o[2]), v[o[0]], o[2]) for o in P.objects}
+        F1 = {}
+        for m in P.morphisms:
             i, j, s, h, g = m
             w = tg.encode(eta.get((i, j), H.identity) if i != j else H.identity, v[i])
             a = tg.encode(h, g)
-            return tg.tensor(tg.tensor(tg.tensor_inverse(a), w), a)
-
-        for m in P.morphisms:
-            fm = F1(m)
-            if tg.source(fm) != F0(P.source[m]) or tg.target(fm) != F0(P.target[m]):
-                return False
-        for o in P.objects:
-            if F1(P.identity[o]) != tg.identity(F0(o)):
-                return False
-        for (m2, m1), m in P.compose.items():
-            if tg.compose(F1(m2), F1(m1)) != F1(m):
-                return False
-        return True
+            F1[m] = tg.tensor(tg.tensor(tg.tensor_inverse(a), w), a)
+        return not GroupoidFunctor(P, TG, F0, F1).check()
 
     def assign_pair(idx: int):
         nonlocal count

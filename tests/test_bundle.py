@@ -339,6 +339,39 @@ def test_band_class_invariance():
         assert band_cohomologous_to(b1, b2.values)
 
 
+def _reference_band_cohomologous_to(b, other):
+    """The band test by trying every vertex tuple lambda in (G/beta(H))^n."""
+    grp = b.group
+    verts = sorted({v for p in b.values for v in p})
+    for lam in itertools.product(grp.elements(), repeat=len(verts)):
+        lam_of = dict(zip(verts, lam))
+        if all(other[p] == grp.mul_many(grp.inv(lam_of[p[0]]), b.values[p], lam_of[p[1]])
+               for p in b.values):
+            return True
+    return False
+
+
+def test_band_classes_match_the_vertex_tuple_search():
+    # independent samples give both verdicts; a coboundary move gives "yes"
+    rng = random.Random(41)
+    verdicts = []
+    for kname, cmname in [("circle", "z2_into_z4"), ("circle", "star_to_s3"),
+                          ("boundary3", "star_to_s3"), ("full2", "aut_z3"),
+                          ("boundary3", "star_to_z3")]:
+        K, cmx = cx(kname), cm(cmname)
+        for _ in range(6):
+            z, z2 = sample_cocycle(K, cmx, rng), sample_cocycle(K, cmx, rng)
+            moved = apply_coboundary(z2, random_coboundary(K, cmx, rng))
+            b, b2, bm = band(z), band(z2), band(moved)
+            want = _reference_band_cohomologous_to(b, b2.values)
+            assert band_cohomologous_to(b, b2.values) == want
+            assert band_cohomologous_to(b2, bm.values)
+            assert b.is_trivial_class() == _reference_band_cohomologous_to(
+                b, {p: b.group.identity for p in b.values})
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
 def test_central_reduction_trivial_and_random():
     K, cmx = cx("circle"), cm("z4_over_z2")
     red = central_reduction(trivial_cocycle(K, cmx))

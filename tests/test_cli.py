@@ -251,6 +251,16 @@ def test_gauge_and_quotient_and_band_commands(tmp_path):
     assert code == 0 and "SIZE: 2" in report
 
 
+def test_band_budget_exhaustion_exits_3(tmp_path):
+    zpath = _write(tmp_path / "zb.coc",
+                   "cocycle circle z2_into_z4\ng 0 1 1\ng 1 0 3\n"
+                   "g 1 2 1\ng 2 1 3\ng 0 2 1\ng 2 0 3\n")
+    code, report = run(["band", "--cocycle", zpath, "--budget", "1"])
+    assert code == 3 and report.startswith("REASON: ")
+    code, report = run(["band", "--cocycle", zpath, "--budget", "100"])
+    assert code == 0 and "BAND_TRIVIAL_CLASS: no" in report
+
+
 def test_bundle_check_reports_axiom_failure(tmp_path, monkeypatch):
     from cechmod.bundle import FiniteGroupoid
     monkeypatch.setattr(FiniteGroupoid, "check_axioms", lambda self: ["x"])

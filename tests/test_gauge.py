@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from cechmod import (
     stabilizer,
     trivial_cocycle,
     two_group_from_crossed_module,
+    valid_tuples,
     validate_crossed_module,
 )
 from cechmod.algebra import cyclic_powers, kernel_of_beta
@@ -23,7 +25,7 @@ from cechmod.errors import SearchSpaceTooLarge
 from conftest import cm, cx
 
 
-@pytest.mark.parametrize("cmname", ["z2_trivial", "conj_s3", "z4_over_z2", "aut_z3"])
+@pytest.mark.parametrize("cmname", list(CM_BUILDERS))
 def test_endofunctor_and_transformation_counts(cmname):
     cmx = cm(cmname)
     tg = two_group_from_crossed_module(cmx)
@@ -100,6 +102,13 @@ def test_ad_functor_count_matches_gauge_objects():
         assert ad_equivariant_functor_count(z) == len(gauge_objects(z))
     for _ in range(3):
         z = sample_cocycle(cx("circle"), cm("z2_trivial"), rng)
+        assert ad_equivariant_functor_count(z) == len(stabilizer(z))
+
+
+@pytest.mark.parametrize("cmname", ["conj_s3", "aut_z3"])
+def test_ad_functor_count_matches_stabilizer(cmname):
+    K, cmx = cx("circle"), cm(cmname)
+    for z in (trivial_cocycle(K, cmx), sample_cocycle(K, cmx, random.Random(f"ad:{cmname}"))):
         assert ad_equivariant_functor_count(z) == len(stabilizer(z))
 
 
@@ -211,6 +220,15 @@ def _mapping_2group_orders(K, cmx):
     return coker * h1, kernel.order
 
 
+def _twisted_h0(z):
+    """|H^0(K; ker beta)| twisted by the band: the tuples t in (ker beta)^n
+    with t_i = g_ij . t_j on every valid pair, counted directly."""
+    K, cmx = z.complex, z.cm
+    kernel = cmx.beta.kernel_indices()
+    return sum(all(t[i] == cmx.act(z.g[(i, j)], t[j]) for (i, j) in valid_tuples(K, 2))
+               for t in itertools.product(kernel, repeat=K.vertex_count))
+
+
 def _orders(gcm):
     return gcm.cm.G.order, gcm.cm.H.order, gcm.pi0.order, gcm.pi1.order
 
@@ -224,8 +242,10 @@ def test_trivial_gauge_2group_matches_mapping_2group(kname, cmname):
     z = trivial_cocycle(K, cmx)
     gstar, hstar, got_pi0, got_pi1 = _orders(gauge_crossed_module(z))
     assert (got_pi0, got_pi1) == (pi0, pi1)
+    assert got_pi1 == _twisted_h0(z)
     assert hstar == cmx.H.order ** K.vertex_count
     assert gstar * pi1 == pi0 * hstar
     # isomorphic bundles have equivalent gauge 2-groups, and here equal orders
     moved = apply_coboundary(z, random_coboundary(K, cmx, random.Random(f"{kname}:{cmname}")))
     assert _orders(gauge_crossed_module(moved)) == (gstar, hstar, pi0, pi1)
+    assert pi1 == _twisted_h0(moved)
