@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .algebra import CrossedModule, cyclic_powers, generating_set
 from .complexes import SimplicialComplex, is_degenerate, valid_tuples
@@ -123,13 +123,18 @@ def identity_coboundary(K: SimplicialComplex, cm: CrossedModule) -> Coboundary:
 def validate_cocycle(z: Cocycle) -> Cocycle:
     """Exhaustive check of totality, normalization and both cocycle identities.
 
-    Diagnostics name the first failing tuple in lexicographic order.
+    Diagnostics name the first failing tuple in lexicographic order.  Once
+    the normalization holds, the pair/triple identity holds on every
+    degenerate triple (it reads g_ik = g_ik) and the quadruple identity on
+    every quadruple with an adjacent repeat (it reads h = h for one of its
+    faces), so the identities are checked on the tuples with no adjacent
+    repeat, in lexicographic order.  Those quadruples extend the free
+    triples (i, j, k) by an l != k within a simplex.
     """
     K, cm = z.complex, z.cm
     G, H = cm.G, cm.H
     pairs = valid_tuples(K, 2)
     triples = valid_tuples(K, 3)
-    quads = valid_tuples(K, 4)
     stray = sorted(set(z.g).difference(pairs)) + sorted(set(z.h).difference(triples))
     if stray:
         raise SemanticError(f"value given on {stray[0]}, which is not a valid tuple")
@@ -149,10 +154,13 @@ def validate_cocycle(z: Cocycle) -> Cocycle:
     for t in triples:
         if (t[0] == t[1] or t[1] == t[2]) and z.h[t] != H.identity:
             raise NormalizationFailure(t)
-    for (i, j, k) in triples:
+    free = [t for t in triples if t[0] != t[1] != t[2]]
+    for (i, j, k) in free:
         lhs = G.mul_many(cm.beta_of(z.h[(i, j, k)]), z.g[(i, j)], z.g[(j, k)])
         if lhs != z.g[(i, k)]:
             raise Cocyc1Failure(i, j, k)
+    quads = [t + (l,) for t in free for l in range(K.vertex_count)
+             if l != t[2] and (l in t or K.is_simplex(t + (l,)))]
     for (i, j, k, l) in quads:
         lhs = H.mul(z.h[(i, k, l)], z.h[(i, j, k)])
         rhs = H.mul(z.h[(i, j, l)], cm.act(z.g[(i, j)], z.h[(j, k, l)]))
@@ -290,6 +298,9 @@ class _Context:
         self.triples_at_vertex = [[] for _ in range(n)]
         for t, triple in enumerate(self.free_triples):
             self.triples_at_vertex[max(triple)].append(t)
+        # the row-0 pairs (0, j) and free triples (0, j, k) come first
+        self.row0_pairs = sum(1 for i, _ in self.distinct_pairs if i == 0)
+        self.row0_triples = sum(1 for t in self.free_triples if t[0] == 0)
         # a slice leaf is one bytes object: the g digits, then the h digits,
         # each high byte first at one fixed width, so that bytes compare as
         # the digit tuples do
@@ -425,7 +436,7 @@ def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
 # -- enumeration and classification ----------------------------------------------
 
 def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
-                     prefix: Sequence[int] = ()) -> list[bytes]:
+                     prefix: Sequence[int] = (), kernel_subtree: bool = False) -> list[bytes]:
     """All valid cocycles with every g_ij in the coset transversal, as leaves
     encoded by `_Context.encode`, in sorted order.
 
@@ -462,6 +473,28 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
       one node per free triple and yields one leaf, and the search charges
       those nodes in one step and reads the h-values off the fibers.  (A
       shuffle of a one-element domain draws nothing from the rng.)
+
+    With `kernel_subtree` and no rng, each g-leaf's h-search runs on one
+    kernel subtree, and only the leaves whose R row-0 triples (0, j, k),
+    the first R free triples, hold their fiber minima are returned.  A
+    quadruple checked at a row-0 level has only row-0 free faces, so it is
+    (0, j, k, l) with an adjacent repeat, and under the normalization its
+    identity reads h = h.  So row-0 level k tries and passes a whole fiber,
+    of |ker beta| = m elements, at each of its m^k calls.  The coboundary with
+    gamma = e and eta = e except for eta_jk in ker(beta) keeps g, multiplies
+    h_0jk by (g_0j . eta_jk)^-1, leaves every other row-0 triple alone and
+    multiplies each further triple by a constant of the g-leaf (ker(beta)
+    is central).  It keeps every quadruple identity one by one, so it maps
+    the h-subtree under one row-0 prefix onto the one under any other,
+    node for node.  With S the nodes of the subtree under the fiber-minimum
+    prefix, the h-search of the g-leaf charges
+        m + m^2 + ... + m^R + m^R * S,
+    the size of a row-0 value at level k being 1 + m * (that at k + 1).
+    The search charges the R nodes of that prefix, rising, searches its
+    subtree on the budget (first in depth-first order, so it runs out
+    where the full h-search would), and charges the rest in one step.
+    Where that step crosses the budget, `_descend` locates the prefix
+    whose subtree holds the node past it, and that subtree is searched.
     """
     G, H = ctx.cm.G, ctx.cm.H
     gmul, ginv, hmul, act = G.mul_table, G.inv_table, H.mul_table, ctx.cm.alpha.table
@@ -491,7 +524,9 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
             checks_at_pair[pi].append((ik_ok, ij, jk) if pi == ik else
                                       (ij_ok, jk, ik) if pi == ij else (jk_ok, ij, ik))
     every = (1 << G.order) - 1
-    forced = len(ctx.kernel) == 1
+    m = len(ctx.kernel)
+    forced = m == 1
+    R = ctx.row0_triples if kernel_subtree and rng is None and not forced else 0
     plans: dict[int, tuple] = {}
 
     def plan(domain: Sequence[int], passing: int) -> tuple:
@@ -528,8 +563,28 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
                     return True
         return False
 
+    def assign_kernel_subtree() -> None:
+        """The h-search of one g-leaf, on its kernel subtree."""
+        start = bud.visited
+        fibers = [fiber_at[gmul[gvec[ij]][gvec[jk]]][gvec[ik]] for ij, jk, ik in triple_pairs[:R]]
+        bud.charge(R, "slice h", 0, ntrip, rising=True)
+        hvec[:R] = [fib[0] for fib in fibers]
+        assign_h(R)
+        size = [1 + bud.visited - start - R]
+        for _ in range(1, R):
+            size.insert(0, 1 + m * size[0])
+        if start + m * size[0] <= limit:
+            bud.visited = start + m * size[0]
+            return
+        hvec[:R] = _descend(bud, start, size, fibers, "slice h", ntrip)
+        assign_h(R)
+        raise AssertionError("an h-subtree fits a budget its node count exceeds")
+
     def assign_g(pi: int) -> bool:
         if pi == npairs:
+            if R:
+                assign_kernel_subtree()
+                return False
             if not forced:
                 return assign_h(0)
             if bud.visited + ntrip > limit:
@@ -595,7 +650,7 @@ def _apply_packed(ctx: _Context, packed: tuple, gamma: Sequence[int],
     return (g2, tuple(_act_triples(ctx, gvec, hvec, gamma, eta, range(len(ctx.free_triples)))))
 
 
-def _slice_moves(ctx: _Context, d: int = 0) -> list[tuple]:
+def _slice_moves(ctx: _Context, d: int = 0, fixed: Collection[int] = ()) -> list[tuple]:
     """Generator moves for the orbit partition within the slice, as tables,
     or, for d > 0, within the part S0 of the slice whose first d pairs (the
     row-0 pairs (0, j), j a neighbour of 0) all hold t0 = transversal[0].
@@ -638,6 +693,9 @@ def _slice_moves(ctx: _Context, d: int = 0) -> list[tuple]:
     they are cohomologous.  With d = 0 the list is the slice's, move for
     move.
 
+    Kernel moves on the pairs in `fixed` are left out; `_slice_orbits`
+    passes the pairs whose kernel moves its compensation undoes.
+
     Each move is (rows, triples, eta).  `rows` holds (p, g2, e2) for every
     pair p the move touches: a current g-value c goes to g2[c], with
     eta_p = e2[c].  `triples` holds (position, ij, jk, ik, act_row) for
@@ -668,7 +726,8 @@ def _slice_moves(ctx: _Context, d: int = 0) -> list[tuple]:
     t0 = ctx.transversal[0]
     for a in generating_set(ctx.kernel, H.mul_table, H.identity):
         for p in range(npairs):
-            moves.append(table([(p, fixed_g, [a] * G.order)], [G.identity] * n))
+            if p not in fixed:
+                moves.append(table([(p, fixed_g, [a] * G.order)], [G.identity] * n))
     for x in generating_set(G.elements(), gmul, G.identity):
         for v in range(n):
             if v in neighbours:
@@ -687,13 +746,47 @@ def _slice_moves(ctx: _Context, d: int = 0) -> list[tuple]:
     return moves
 
 
-def _slice_orbits(ctx: _Context, leaves: list[bytes], d: int = 0) -> list[int]:
+def _slice_orbits(ctx: _Context, leaves: list[bytes], d: int = 0,
+                  kernel_subtree: bool = False) -> list[int]:
     """For each of the sorted leaves, the index of the least leaf in its
     class; two leaves share a class when moves of `_slice_moves(ctx, d)`
-    join them.  The leaves are the slice, or its part S0 when d > 0."""
-    hmul, hinv, act = ctx.cm.H.mul_table, ctx.cm.H.inv_table, ctx.cm.alpha.table
+    join them.  The leaves are the slice, or its part S0 when d > 0.
+
+    With `kernel_subtree` the leaves are the part S0' of S0 whose row-0
+    triples hold their fiber minima (`_enumerate_slice`), and each move is
+    followed by its compensation: the coboundary with gamma = e and eta_jk
+    in ker(beta) on the pair (j, k) of each row-0 triple (0, j, k), the
+    unique one that takes the row-0 h-values back to the fiber minima.  It
+    keeps g, so the image is in S0'.  Compensated moves join two leaves of
+    S0' exactly when moves join them in S0.  Let N be the coboundaries
+    with gamma = e and eta in ker(beta).  They keep g, multiply pairwise
+    (ker(beta) is central), and are normal among coboundaries.  So
+    N = N0 x N1, N0 on the pairs (j, k) of the row-0 triples and N1 on the
+    others, and h_0jk moves by (g_0j . eta_jk)^-1 times a factor read off
+    N1: for each n1 in N1 exactly one n0 in N0 takes n1 z into S0'.
+    Write pi for the compensation.  A move M acts on a leaf by a
+    coboundary c that depends on g alone, so for n in N0,
+    M(n z) = (c n c^-1) M(z), and pi(M(n z)) = n0 n1 pi(M(z)) with n0 in
+    N0, n1 in N1.  The compensated kernel moves by generators of ker(beta)
+    on the N1 pairs take pi(M(z)) to n0' n1 pi(M(z)) in S0', so n0' = n0.
+    Thus a chain of moves in S0 between two leaves of S0' descends, step
+    by step, to a chain of compensated moves; kernel moves on the N0 pairs
+    compensate to the identity and are left out.  The least leaf of a
+    class lies in S0': pi keeps g and lowers the first h-digits to the
+    fiber minima, so it never makes a leaf greater.
+    """
+    G, H = ctx.cm.G, ctx.cm.H
+    gmul, ginv = G.mul_table, G.inv_table
+    hmul, hinv, act = H.mul_table, H.inv_table, ctx.cm.alpha.table
+    npairs = len(ctx.distinct_pairs)
     index = {leaf: i for i, leaf in enumerate(leaves)}
     parent = list(range(len(leaves)))
+    # the row-0 triples and every free triple that reads one of their pairs (j, k)
+    row0 = ctx.triple_idx[:ctx.row0_triples] if kernel_subtree and len(ctx.kernel) > 1 else []
+    fixed = {jk for _, jk, _, _ in row0}
+    touched = [(npairs + t, ij, jk, ik) for t, (ij, jk, ik, _) in enumerate(ctx.triple_idx)
+               if fixed.intersection((ij, jk, ik))]
+    ceta = [H.identity] * (npairs + 1)
 
     def find(x):
         while parent[x] != x:
@@ -706,7 +799,7 @@ def _slice_orbits(ctx: _Context, leaves: list[bytes], d: int = 0) -> list[int]:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    moves = _slice_moves(ctx, d)
+    moves = _slice_moves(ctx, d, fixed)
     for i, leaf in enumerate(leaves):
         cur = ctx.decode(leaf)
         for rows, triples, eta in moves:
@@ -717,6 +810,14 @@ def _slice_orbits(ctx: _Context, leaves: list[bytes], d: int = 0) -> list[int]:
             for pos, ij, jk, ik, act_row in triples:
                 inner = hmul[hmul[eta[ik]][cur[pos]]][hinv[act[cur[ij]][eta[jk]]]]
                 img[pos] = act_row[hmul[inner][hinv[eta[ij]]]]
+            for t, (ij, jk, ik, _) in enumerate(row0):
+                # h''_0jk = h'_0jk (g_0j . eta_jk)^-1 is the fiber minimum
+                gik = img[ik] if ik >= 0 else G.identity
+                least = ctx.fiber[gmul[gik][ginv[gmul[img[ij]][img[jk]]]]][0]
+                ceta[jk] = act[ginv[img[ij]]][hmul[hinv[least]][img[npairs + t]]]
+            for pos, ij, jk, ik in touched:
+                inner = hmul[hmul[ceta[ik]][img[pos]]][hinv[act[img[ij]][ceta[jk]]]]
+                img[pos] = hmul[inner][hinv[ceta[ij]]]
             union(i, index[ctx.encode(img)])
     return [find(i) for i in range(len(leaves))]
 
@@ -744,7 +845,8 @@ def _unpack(ctx: _Context, leaf: bytes) -> Cocycle:
 
 
 def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> ClassifyResult:
-    """The slice search and its orbit partition, run on one row-0 subtree.
+    """The slice search and its orbit partition, run on one row-0 subtree
+    and, within each of its g-leaves, on one kernel subtree.
 
     Let d be the number of row-0 pairs (0, j), the first d distinct pairs,
     T the number of beta(H)-cosets and t0 = transversal[0].  No triple check
@@ -767,8 +869,12 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> Cla
 
     nodes and finds T^d * |S0| leaves, while only the subtree under
     (t0, ..., t0) is searched.  Every class meets S0 (the coboundary above,
-    run backwards, moves any leaf into it), so its least leaf lies in S0,
-    and `_slice_orbits(ctx, S0, d)` partitions S0 by class.
+    run backwards, moves any leaf into it), so its least leaf lies in S0.
+    Within S0 the h-search of each g-leaf runs on the kernel subtree
+    whose R row-0 triples hold their fiber minima (`_enumerate_slice`), so
+    S counts every node and the search keeps the part S0' of S0, with
+    |S0| = |ker beta|^R * |S0'|; `_slice_orbits(ctx, S0', d, True)`
+    partitions S0' by class and finds each class's least leaf.
 
     The budget runs out where the full search would run out, at the same
     node, phase and depth.  That search starts with one node at each row-0
@@ -779,10 +885,9 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> Cla
     """
     ctx = _Context(K, cm)
     bud = Budget(budget, ctx.estimate())
-    npairs, T = len(ctx.distinct_pairs), len(ctx.transversal)
-    d = sum(1 for i, _ in ctx.distinct_pairs if i == 0)
+    npairs, T, d = len(ctx.distinct_pairs), len(ctx.transversal), ctx.row0_pairs
     bud.charge(d, "slice g", 0, npairs, rising=True)
-    leaves = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d)
+    leaves = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d, kernel_subtree=True)
     # size[k]: the nodes a row-0 value at level k charges, its own and those
     # of the levels below it
     size = [1 + bud.visited - d]
@@ -790,31 +895,38 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> Cla
         size.insert(0, 1 + T * size[0])
     if d and T * size[0] > budget:
         _run_out(ctx, bud, size)
-    roots = _slice_orbits(ctx, leaves, d)
+    roots = _slice_orbits(ctx, leaves, d, kernel_subtree=True)
     reps = [leaves[r] for r in sorted(set(roots))]
     return ClassifyResult(len(reps), [_unpack(ctx, leaf) for leaf in reps], "brute",
-                          T ** d * len(leaves))
+                          T ** d * len(ctx.kernel) ** ctx.row0_triples * len(leaves))
+
+
+def _descend(bud: Budget, start: int, size: list[int], domains: list[Sequence[int]],
+             phase: str, levels: int) -> list[int]:
+    """The prefix under which a search runs out of `bud`, charged up to the
+    prefix's last node.  The search starts with `start` nodes charged and
+    tries domains[k] in order at level k, each value charging size[k]
+    nodes, its own and those below it; it is known to run out before its
+    last node.  At each level the values whose nodes all fit are skipped
+    in one step, and the node of the next value is charged."""
+    bud.visited, prefix = start, []
+    for k, (n, domain) in enumerate(zip(size, domains)):
+        a = (bud.limit - bud.visited) // n
+        bud.visited += a * n
+        prefix.append(domain[a])
+        bud.tick(phase, k, levels)
+    return prefix
 
 
 def _run_out(ctx: _Context, bud: Budget, size: list[int]) -> None:
     """Raise SearchSpaceTooLarge where the full slice search runs out of
     `bud`, which it does: size[k] is what a row-0 value at level k charges
-    (`_classify_brute`), and T * size[0] exceeds the budget.
-
-    At each row-0 level the search tries the T values in transversal
-    order, so the values whose nodes all fit are skipped in one step; the
-    node of the next value is charged, and the last row-0 value leads to
-    the subtree, searched with the nodes before it already charged, where
-    the budget runs out.
-    """
+    (`_classify_brute`), and T * size[0] exceeds the budget.  The search
+    under the located row-0 prefix, with the nodes before it charged,
+    runs out."""
     npairs = len(ctx.distinct_pairs)
-    bud.visited, prefix = 0, []
-    for k, n in enumerate(size):
-        a = (bud.limit - bud.visited) // n
-        bud.visited += a * n
-        prefix.append(ctx.transversal[a])
-        bud.tick("slice g", k, npairs)
-    _enumerate_slice(ctx, bud, prefix=prefix)
+    prefix = _descend(bud, 0, size, [ctx.transversal] * len(size), "slice g", npairs)
+    _enumerate_slice(ctx, bud, prefix=prefix, kernel_subtree=True)
     raise AssertionError("the slice search fits a budget its node count exceeds")
 
 
@@ -843,7 +955,7 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
     gens = kernel_generators_mod(d3, n) if d3 else \
         [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
 
-    factors = smith_normal_form(d2, want_transforms=True) if d2 else None
+    factors = smith_normal_form(d2, want_transforms=True, sparse_left=True) if d2 else None
 
     def cohomologous_vec(a, b):
         diff = [(x - y) % n for x, y in zip(a, b)]

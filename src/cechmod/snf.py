@@ -8,7 +8,8 @@ checked against the Smith-form route, so the two never share arithmetic.
 Both routes hold a matrix as sparse rows and sparse columns (dicts of the
 nonzero entries), so an operation costs the nonzeros it reads, and a swap
 permutes positions, not storage.  U is kept as sparse rows and V as sparse
-columns, made dense on return; a caller that reads only V builds no U.
+columns, made dense on return (U may stay sparse, for `solve_mod`); a caller
+that reads only V builds no U.
 
 Pivot rule, both routes: the first entry in row-major order of the
 remaining block among those of least absolute value (over Z) or least
@@ -53,12 +54,13 @@ def _dense(vec: dict[int, int], size: int) -> list[int]:
 
 
 def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False, *,
-                      want_left: bool = True):
+                      want_left: bool = True, sparse_left: bool = False):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns (divisors, U, V) with U*A*V = diag(divisors), divisors positive
     and each dividing the next.  U and V are None unless requested, and U is
-    None also when want_left is false.
+    None also when want_left is false.  With sparse_left, U comes as sparse
+    rows (dicts from column to nonzero entry) instead of dense ones.
     """
     R, C = _sparse(matrix)
     rows, cols = len(R), len(C)
@@ -173,7 +175,7 @@ def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False, *,
 
     divisors = [d for i in range(t) if (d := at(i, i))]
     if want_left:
-        U = [_dense(U[s], rows) for s in rowat]
+        U = [U[s] if sparse_left else _dense(U[s], rows) for s in rowat]
     if want_transforms:
         Vc = [list(r) for r in zip(*(_dense(Vc[s], cols) for s in colat))]  # V by rows
     return divisors, U, Vc
@@ -189,18 +191,21 @@ def solve_mod(matrix: list[list[int]], rhs: list[int], n: int,
     """One solution x of  matrix @ x == rhs (mod n),  or None if infeasible.
 
     `factors` is `smith_normal_form(matrix, want_transforms=True)`, passed by
-    a caller that solves many systems with one matrix; the solution is
-    checked against `matrix` either way.
+    a caller that solves many systems with one matrix; with sparse_left=True
+    each solve reads only U's nonzeros.  The solution is checked against
+    `matrix` either way.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if rows == 0:
         return [0] * cols
-    d, U, V = factors or smith_normal_form(matrix, want_transforms=True)
+    d, U, V = factors or smith_normal_form(matrix, want_transforms=True, sparse_left=True)
+    if not isinstance(U[0], dict):  # a dense U, from the default smith_normal_form
+        U = _sparse(U)[0]
     y = [0] * cols
     for i, row in enumerate(U):
         # solve d_i * y_i == (U rhs)_i (mod n), with d_i = 0 past the divisors
-        ci = sum(map(mul, row, rhs))
+        ci = sum(map(mul, row.values(), map(rhs.__getitem__, row)))
         di = d[i] if i < len(d) else 0
         g = gcd(di, n)
         if ci % g:

@@ -942,3 +942,185 @@ def test_exhaustion_matches_full_slice_around_every_row0_node(kname, cmname):
         with pytest.raises(SearchSpaceTooLarge) as got:
             classify(cx(kname), cm(cmname), "brute", budget=budget)
         assert str(got.value) == str(want.value)
+
+
+# -- brute on one kernel subtree per g-leaf against the full slice ------------------
+
+def _row0_triples(ctx):
+    """R, the number of free triples (0, j, k); they come first."""
+    R = sum(1 for t in ctx.free_triples if t[0] == 0)
+    assert all(t[0] == 0 for t in ctx.free_triples[:R])
+    return R
+
+
+def _kernel_part(ctx, leaves):
+    """The leaves with row 0 at t0 whose row-0 triples each hold the least h
+    of their beta-fiber, read off the groups."""
+    G, H, cmx = ctx.cm.G, ctx.cm.H, ctx.cm
+    d, R, npairs = _row0(ctx)[0], _row0_triples(ctx), len(ctx.distinct_pairs)
+    out = []
+    for leaf in leaves:
+        digits = ctx.decode(leaf)
+        g = {(i, i): G.identity for i in range(ctx.K.vertex_count)}
+        g.update(zip(ctx.distinct_pairs, digits))
+        least = [min(h for h in H.elements() if cmx.beta_of(h) ==
+                     G.mul(g[(i, k)], G.inv(G.mul(g[(i, j)], g[(j, k)]))))
+                 for (i, j, k) in ctx.free_triples[:R]]
+        if list(digits[:d]) == ctx.transversal[:1] * d and \
+                list(digits[npairs:npairs + R]) == least:
+            out.append(leaf)
+    return out
+
+
+# the catalog cells with ker(beta) > 1 whose full slice search and partition
+# take a few seconds at most, and unions with vertex 0 isolated or with
+# several g-leaves
+KERNEL_PAIRS = [
+    (k, c) for k in ("point", "full1", "full2", "full3", "circle", "boundary3")
+    for c in ("z4_over_z2", "z2_to_point", "z3_to_point", "z4_to_point", "aut_z3")
+    if not (k in ("full3", "boundary3") and c in ("z3_to_point", "z4_to_point", "aut_z3"))
+] + [("point+circle", c) for c in ("aut_z3", "z4_over_z2")] \
+  + [("circle+circle", c) for c in ("z4_over_z2", "aut_z3")]
+
+
+def test_kernel_pairs_cover_every_case():
+    from cechmod.cech import _Context
+    seen = set()
+    for kname, cmname in KERNEL_PAIRS:
+        ctx = _Context(_complex(kname), cm(cmname))
+        d, T = _row0(ctx)
+        gleaves = {bytes(ctx.decode(leaf)[:len(ctx.distinct_pairs)])
+                   for leaf in _full_slice_classify(kname, cmname)[1]}
+        assert len(ctx.kernel) > 1
+        cases = {"T > 1": T > 1, "R > 1": _row0_triples(ctx) > 1,
+                 "several g-leaves": len(gleaves) > T ** d > 1, "R = 0": d == 0}
+        seen |= {name for name, holds in cases.items() if holds}
+    assert seen == {"T > 1", "R > 1", "several g-leaves", "R = 0"}
+
+
+@pytest.mark.parametrize("kname,cmname", KERNEL_PAIRS)
+def test_kernel_subtree_matches_full_slice(kname, cmname):
+    # the kernel subtrees hold the full search's leaves with row 0 at t0 and
+    # the row-0 triples at their fiber minima, in order; the full search
+    # charges T + ... + T^d + T^d * (their nodes, counted by multiplicity)
+    from cechmod.cech import DEFAULT_BUDGET, Budget, _Context, _enumerate_slice
+    K, cmx = _complex(kname), cm(cmname)
+    ctx = _Context(K, cmx)
+    d, T = _row0(ctx)
+    count, leaves, reps, visited = _full_slice_classify(kname, cmname)
+    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    sub = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d, kernel_subtree=True)
+    assert sub == _kernel_part(ctx, leaves)
+    assert visited == sum(T ** k for k in range(1, d + 1)) + T ** d * bud.visited
+    assert len(leaves) == T ** d * len(ctx.kernel) ** _row0_triples(ctx) * len(sub)
+    result = classify(K, cmx, "brute")
+    assert (result.count, result.cocycles_enumerated,
+            [z.key() for z in result.representatives]) == (count, len(leaves), reps)
+    result = classify(K, cmx, "brute", budget=visited)
+    assert (result.count, result.cocycles_enumerated) == (count, len(leaves))
+    if visited == 0:
+        return  # a search that charges no node cannot run out
+    with pytest.raises(SearchSpaceTooLarge) as want:
+        _enumerate_slice(ctx, Budget(visited - 1, ctx.estimate()))
+    with pytest.raises(SearchSpaceTooLarge) as got:
+        classify(K, cmx, "brute", budget=visited - 1)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "aut_z3"), ("circle", "z4_to_point"), ("full2", "z3_to_point")])
+def test_exhaustion_matches_full_slice_around_every_kernel_prefix_node(kname, cmname):
+    # the budget runs out at each row-0 h node of every g-leaf, just after it
+    # and just before it, as in the full search
+    from cechmod.cech import DEFAULT_BUDGET, Budget, _Context, _enumerate_slice
+    ctx = _Context(cx(kname), cm(cmname))
+    R, m = _row0_triples(ctx), len(ctx.kernel)
+    nodes = []   # numbered from 1
+
+    class Recorder(Budget):
+        def tick(self, phase, level, levels):
+            super().tick(phase, level, levels)
+            if phase == "slice h" and level < R:
+                nodes.append(self.visited)
+
+    leaves = _enumerate_slice(ctx, Recorder(DEFAULT_BUDGET, ctx.estimate()))
+    gleaves = {bytes(ctx.decode(leaf)[:len(ctx.distinct_pairs)]) for leaf in leaves}
+    assert len(nodes) == len(gleaves) * sum(m ** k for k in range(1, R + 1)) > 0
+    for budget in sorted({b for node in nodes for b in (node - 2, node - 1, node)} - {-1}):
+        with pytest.raises(SearchSpaceTooLarge) as want:
+            _enumerate_slice(ctx, Budget(budget, ctx.estimate()))
+        with pytest.raises(SearchSpaceTooLarge) as got:
+            classify(cx(kname), cm(cmname), "brute", budget=budget)
+        assert str(got.value) == str(want.value)
+
+
+KERNEL_PARTITION_CASES = sorted(
+    (k, c) for k, c in PARTITION_CASES
+    if sum(1 for h in cm(c).H.elements() if cm(c).beta_of(h) == cm(c).G.identity) > 1)
+
+
+@pytest.mark.parametrize("kname,cmname", KERNEL_PARTITION_CASES)
+def test_compensated_moves_partition_the_kernel_part_like_every_move(kname, cmname):
+    from cechmod.cech import _Context, _slice_orbits
+    assert len(KERNEL_PARTITION_CASES) == 3
+    ctx = _Context(cx(kname), cm(cmname))
+    d, _ = _row0(ctx)
+    count, leaves, _, _ = _full_slice_classify(kname, cmname)
+    sub = _kernel_part(ctx, leaves)
+    restricted = {c & frozenset(sub) for c in _reference_partition(ctx, leaves)} - {frozenset()}
+    assert len(restricted) == count
+    assert _classes(sub, _slice_orbits(ctx, sub, d, kernel_subtree=True)) == restricted
+
+
+# -- validate_cocycle on the tuples with no adjacent repeat ------------------------
+
+def _previous_identity_failure(z):
+    """The first cocycle-identity failure as validate_cocycle found it when
+    it scanned every valid triple and quadruple: (type, witness) or None."""
+    K, cmx = z.complex, z.cm
+    G, H = cmx.G, cmx.H
+    for (i, j, k) in valid_tuples(K, 3):
+        if G.mul_many(cmx.beta_of(z.h[(i, j, k)]), z.g[(i, j)], z.g[(j, k)]) != z.g[(i, k)]:
+            return Cocyc1Failure, (i, j, k)
+    for (i, j, k, l) in valid_tuples(K, 4):
+        if H.mul(z.h[(i, k, l)], z.h[(i, j, k)]) != \
+                H.mul(z.h[(i, j, l)], cmx.act(z.g[(i, j)], z.h[(j, k, l)])):
+            return Cocyc2Failure, (i, j, k, l)
+    return None
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "conj_s3"), ("full2", "aut_z3"), ("full3", "z4_over_z2"),
+    ("boundary3", "star_to_s3"), ("rp26", "z2_into_z4")])
+def test_validate_cocycle_names_the_failure_of_the_full_scan(kname, cmname):
+    # corrupted cocycles: a g-value, an h-value, or an h-value moved inside
+    # its beta-fiber (which keeps every pair/triple identity)
+    K, cmx = cx(kname), cm(cmname)
+    G, H = cmx.G, cmx.H
+    kernel = [h for h in H.elements() if cmx.beta_of(h) == G.identity]
+    dpairs = [p for p in valid_tuples(K, 2) if p[0] != p[1]]
+    free3 = [t for t in valid_tuples(K, 3) if not (t[0] == t[1] or t[1] == t[2])]
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(30):
+        z = sample_cocycle(K, cmx, rng)
+        g, h = dict(z.g), dict(z.h)
+        for _ in range(rng.randrange(1, 3)):
+            kind, t = rng.randrange(3), rng.choice(free3)
+            if kind == 0:
+                g[rng.choice(dpairs)] = rng.randrange(G.order)
+            elif kind == 1:
+                h[t] = rng.randrange(H.order)
+            else:
+                h[t] = H.mul(h[t], rng.choice(kernel))
+        bad = Cocycle(K, cmx, g, h)
+        want = _previous_identity_failure(bad)
+        if want is None:
+            assert validate_cocycle(bad) is bad
+            continue
+        with pytest.raises(want[0]) as info:
+            validate_cocycle(bad)
+        assert info.value.witness == want[1]
+        seen.add(want[0])
+    assert Cocyc1Failure in seen
+    assert Cocyc2Failure in seen or len(kernel) == 1

@@ -81,6 +81,19 @@ def test_solve_mod_with_one_factorization():
             assert solve_mod(A, list(b), n, factors) == solve_mod(A, list(b), n)
 
 
+def test_solve_mod_with_sparse_left_factors():
+    # U kept as sparse rows is the dense U, and solves give the same answers
+    rng = random.Random(6)
+    for _ in range(20):
+        A, rows, cols, n = _random_system(rng)
+        dense = smith_normal_form(A, want_transforms=True)
+        sparse = smith_normal_form(A, want_transforms=True, sparse_left=True)
+        assert (sparse[0], sparse[2]) == (dense[0], dense[2])
+        assert [[row.get(c, 0) for c in range(rows)] for row in sparse[1]] == dense[1]
+        for b in itertools.product(range(n), repeat=rows):
+            assert solve_mod(A, list(b), n, sparse) == solve_mod(A, list(b), n, dense)
+
+
 def _det(M):
     """Determinant of a square integer matrix by fraction-free elimination."""
     M = [row[:] for row in M]
