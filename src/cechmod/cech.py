@@ -357,6 +357,45 @@ class Budget:
             self.tick(phase, level + k if rising else level, levels)
 
 
+def _least_prefix(bud: Budget, domains: Sequence[Sequence[int]], phase: str,
+                  levels: int, search) -> bool:
+    """Run a backtracking search whose first len(domains) levels are free
+    on the subtree of their least prefix alone, charge `bud` as the search
+    of the whole tree would, and return what `search` returns.
+
+    A level is free when every value of its domain passes and the subtrees
+    under any two prefixes charge the same nodes.  With S the nodes of one
+    such subtree, a value at the last free level charges 1 + S nodes, and
+    one at level k charges 1 + |domains[k + 1]| times what a value at level
+    k + 1 charges.  The nodes of the least prefix (each domain's first
+    value) are charged rising, `search(prefix)` searches its subtree on the
+    budget (first in depth-first order, so it runs out where the whole
+    search would), and the rest is charged in one step.  Where that step
+    crosses the budget, the prefix whose subtree holds the node past it is
+    located level by level, the values before it charged whole, and the
+    search of its subtree runs out.
+    """
+    start, depth = bud.visited, len(domains)
+    bud.charge(depth, phase, 0, levels, rising=True)
+    stop = search([domain[0] for domain in domains])
+    # size[k]: the nodes a value at level depth - 1 - k charges
+    total, size = bud.visited - start - depth, []
+    for domain in reversed(domains):
+        size.append(1 + total)
+        total = len(domain) * (1 + total)
+    if start + total <= bud.limit:
+        bud.visited = start + total
+        return stop
+    bud.visited, prefix = start, []
+    for k, (n, domain) in enumerate(zip(reversed(size), domains)):
+        a = (bud.limit - bud.visited) // n
+        bud.visited += a * n
+        prefix.append(domain[a])
+        bud.tick(phase, k, levels)
+    search(prefix)
+    raise AssertionError("a subtree fits a budget its node count exceeds")
+
+
 # -- coboundary search (cohomology testing, stabilizers) --------------------------
 
 def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
@@ -454,15 +493,18 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
 
     Each candidate value is one node charged to `bud`, in domain order, so
     that the count and the point of exhaustion do not depend on how a node
-    is tested.  Two shortcuts test nodes in bulk:
+    is tested.  The pair checks of a g candidate are bit masks over G, one
+    per role of the pair in a triple (ik, ij or jk), indexed by the values
+    of the other two pairs; their AND is the set of candidates that pass.
+    The candidates skipped before a survivor are charged with it, the ones
+    after the last survivor at the end.
 
-    - The pair checks of a g candidate are bit masks over G, one per role
-      of the pair in a triple (ik, ij or jk), indexed by the values of the
-      other two pairs; their AND is the set of candidates that pass.  The
-      candidates skipped before a survivor are charged with it, the ones
-      after the last survivor at the end.
-    - When ker(beta) = 1 the h-chain is forced.  beta is then injective, so
-      each fiber, nonempty once g passed its checks, holds one element h_ijk
+    Free levels, where every value passes and the subtrees under any two
+    prefixes charge the same nodes, are searched on the least prefix's
+    subtree alone and charged by `_least_prefix`.  Three kinds are used:
+
+    - When ker(beta) = 1, all h levels.  beta is then injective, so each
+      fiber, nonempty once g passed its checks, holds one element h_ijk
       with beta(h_ijk) = g_ik g_jk^-1 g_ij^-1; degenerate triples satisfy
       this too, with h = e and g_ii = e.  Both sides of the quadruple
       identity then have the same image: by equivariance,
@@ -470,37 +512,28 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
           beta(h_ikl h_ijk) = g_il g_kl^-1 g_jk^-1 g_ij^-1
                             = beta(h_ijl (g_ij . h_jkl)),
       and injectivity makes the identity hold.  Every g-leaf thus visits
-      one node per free triple and yields one leaf, and the search charges
-      those nodes in one step and reads the h-values off the fibers.  (A
-      shuffle of a one-element domain draws nothing from the rng.)
-
-    With `kernel_subtree` and no rng, each g-leaf's h-search runs on one
-    kernel subtree, and only the leaves whose R row-0 triples (0, j, k),
-    the first R free triples, hold their fiber minima are returned.  A
-    quadruple checked at a row-0 level has only row-0 free faces, so it is
-    (0, j, k, l) with an adjacent repeat, and under the normalization its
-    identity reads h = h.  So row-0 level k tries and passes a whole fiber,
-    of |ker beta| = m elements, at each of its m^k calls.  The coboundary with
-    gamma = e and eta = e except for eta_jk in ker(beta) keeps g, multiplies
-    h_0jk by (g_0j . eta_jk)^-1, leaves every other row-0 triple alone and
-    multiplies each further triple by a constant of the g-leaf (ker(beta)
-    is central).  It keeps every quadruple identity one by one, so it maps
-    the h-subtree under one row-0 prefix onto the one under any other,
-    node for node.  With S the nodes of the subtree under the fiber-minimum
-    prefix, the h-search of the g-leaf charges
-        m + m^2 + ... + m^R + m^R * S,
-    the size of a row-0 value at level k being 1 + m * (that at k + 1).
-    The search charges the R nodes of that prefix, rising, searches its
-    subtree on the budget (first in depth-first order, so it runs out
-    where the full h-search would), and charges the rest in one step.
-    Where that step crosses the budget, `_descend` locates the prefix
-    whose subtree holds the node past it, and that subtree is searched.
+      one node per free triple and yields one leaf, read off the fibers.
+      (A shuffle of a one-element domain draws nothing from the rng.)
+    - With `kernel_subtree` and no rng, the R row-0 triples (0, j, k), the
+      first R free triples, of each g-leaf.  A quadruple checked at their
+      levels has only row-0 free faces, so it is (0, j, k, l) with an
+      adjacent repeat, and under the normalization its identity reads
+      h = h: each level passes a whole fiber of |ker beta| elements.  The
+      coboundary with gamma = e and eta = e except for eta_jk in ker(beta)
+      keeps g, multiplies h_0jk by (g_0j . eta_jk)^-1, leaves every other
+      row-0 triple alone and multiplies each further triple by a constant
+      of the g-leaf (ker(beta) is central).  It keeps every quadruple
+      identity one by one, so it maps the h-subtree under one row-0 prefix
+      onto the one under any other, node for node.  Only the leaves whose
+      row-0 triples hold their fiber minima are returned.
+    - With `kernel_subtree`, no rng and no `prefix`, the d row-0 pairs
+      (0, j), by the argument of `_classify_brute`.  Only the leaves whose
+      row 0 holds transversal[0] are returned.
     """
     G, H = ctx.cm.G, ctx.cm.H
     gmul, ginv, hmul, act = G.mul_table, G.inv_table, H.mul_table, ctx.cm.alpha.table
     leaves: list[bytes] = []
     npairs, ntrip = len(ctx.distinct_pairs), len(ctx.free_triples)
-    limit = bud.limit
     gvec = [G.identity] * (npairs + 1)
     hvec = [H.identity] * (ntrip + 1)
     # fiber_at[g_ij * g_jk][g_ik] is the fiber of g_ik * (g_ij * g_jk)^-1,
@@ -524,9 +557,9 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
             checks_at_pair[pi].append((ik_ok, ij, jk) if pi == ik else
                                       (ij_ok, jk, ik) if pi == ij else (jk_ok, ij, ik))
     every = (1 << G.order) - 1
-    m = len(ctx.kernel)
-    forced = m == 1
-    R = ctx.row0_triples if kernel_subtree and rng is None and not forced else 0
+    least = kernel_subtree and rng is None
+    # the free h levels of every g-leaf
+    R = ntrip if len(ctx.kernel) == 1 else ctx.row0_triples if least else 0
     plans: dict[int, tuple] = {}
 
     def plan(domain: Sequence[int], passing: int) -> tuple:
@@ -563,36 +596,15 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
                     return True
         return False
 
-    def assign_kernel_subtree() -> None:
-        """The h-search of one g-leaf, on its kernel subtree."""
-        start = bud.visited
-        fibers = [fiber_at[gmul[gvec[ij]][gvec[jk]]][gvec[ik]] for ij, jk, ik in triple_pairs[:R]]
-        bud.charge(R, "slice h", 0, ntrip, rising=True)
-        hvec[:R] = [fib[0] for fib in fibers]
-        assign_h(R)
-        size = [1 + bud.visited - start - R]
-        for _ in range(1, R):
-            size.insert(0, 1 + m * size[0])
-        if start + m * size[0] <= limit:
-            bud.visited = start + m * size[0]
-            return
-        hvec[:R] = _descend(bud, start, size, fibers, "slice h", ntrip)
-        assign_h(R)
-        raise AssertionError("an h-subtree fits a budget its node count exceeds")
+    def search_h(values: Sequence[int]) -> bool:
+        hvec[:R] = values
+        return assign_h(R)
 
     def assign_g(pi: int) -> bool:
         if pi == npairs:
-            if R:
-                assign_kernel_subtree()
-                return False
-            if not forced:
-                return assign_h(0)
-            if bud.visited + ntrip > limit:
-                bud.charge(ntrip, "slice h", 0, ntrip, rising=True)
-            bud.visited += ntrip
-            hs = [fiber_at[gmul[gvec[ij]][gvec[jk]]][gvec[ik]][0] for ij, jk, ik in triple_pairs]
-            leaves.append(ctx.encode(gvec[:npairs] + hs))
-            return rng is not None
+            fibers = [fiber_at[gmul[gvec[ij]][gvec[jk]]][gvec[ik]]
+                      for ij, jk, ik in triple_pairs[:R]]
+            return _least_prefix(bud, fibers, "slice h", ntrip, search_h)
         passing = every
         for ok, x, y in checks_at_pair[pi]:
             passing &= ok[gvec[x]][gvec[y]]
@@ -604,19 +616,21 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
             rng.shuffle(domain)
             steps, tail = plan(domain, passing)
         for val, n in steps:
-            if bud.visited + n > limit:
-                bud.charge(n, "slice g", pi, npairs)
-            bud.visited += n
+            bud.charge(n, "slice g", pi, npairs)
             gvec[pi] = val
             if assign_g(pi + 1):
                 return True
-        if bud.visited + tail > limit:
-            bud.charge(tail, "slice g", pi, npairs)
-        bud.visited += tail
+        bud.charge(tail, "slice g", pi, npairs)
         return False
 
-    gvec[:len(prefix)] = prefix
-    assign_g(len(prefix))
+    def search_g(values: Sequence[int]) -> bool:
+        gvec[:len(values)] = values
+        return assign_g(len(values))
+
+    if least and not prefix:
+        _least_prefix(bud, [ctx.transversal] * ctx.row0_pairs, "slice g", npairs, search_g)
+    else:
+        search_g(prefix)
     return leaves
 
 
@@ -851,83 +865,35 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> Cla
     Let d be the number of row-0 pairs (0, j), the first d distinct pairs,
     T the number of beta(H)-cosets and t0 = transversal[0].  No triple check
     sits on a row-0 pair (every free triple reads a pair (j, k) with j != 0),
-    so the first d levels of the slice search are T^k g-calls at level k,
-    every one consistent, each charging T nodes.  The T^d prefixes head
-    subtrees that are images of one another: for a prefix A, the
-    coboundary gamma_0 = e, gamma_j = t0^-1 A_j on the neighbours, with
-    g -> coset_rep[gamma_i^-1 g gamma_j] and eta refilled as in
+    so every value passes at the first d levels of the slice search.  The
+    T^d prefixes head subtrees that are images of one another: for a prefix
+    A, the coboundary gamma_0 = e, gamma_j = t0^-1 A_j on the neighbours,
+    with g -> coset_rep[gamma_i^-1 g gamma_j] and eta refilled as in
     `_slice_moves`, maps the subtree under (t0, ..., t0) onto the one
     under A level by level, node for node.  It permutes each pair's
     transversal, since beta(H) is normal; it keeps every triple check, a
     coset identity in pi_0 = G/beta(H); it maps every h-fiber onto the
     fiber of the image triple; and it keeps every quadruple identity, as a
     coboundary does.  Every g-call charges all T candidates and every
-    h-call its whole fiber, so every subtree charges the same S nodes and
-    holds the same number of leaves, |S0|.  So the whole search charges
-
-        T + T^2 + ... + T^d + T^d * S
-
-    nodes and finds T^d * |S0| leaves, while only the subtree under
-    (t0, ..., t0) is searched.  Every class meets S0 (the coboundary above,
-    run backwards, moves any leaf into it), so its least leaf lies in S0.
-    Within S0 the h-search of each g-leaf runs on the kernel subtree
-    whose R row-0 triples hold their fiber minima (`_enumerate_slice`), so
-    S counts every node and the search keeps the part S0' of S0, with
-    |S0| = |ker beta|^R * |S0'|; `_slice_orbits(ctx, S0', d, True)`
-    partitions S0' by class and finds each class's least leaf.
-
-    The budget runs out where the full search would run out, at the same
-    node, phase and depth.  That search starts with one node at each row-0
-    level, all at t0, then searches the subtree under (t0, ..., t0): these
-    nodes are charged to the budget as they are searched here.  When the
-    whole search charges more than the budget yet that subtree fits,
-    `_run_out` finds the node past the budget from the counts.
+    h-call its whole fiber, so every subtree charges the same nodes and
+    holds the same number of leaves, |S0|: the row-0 levels are free, and
+    `_enumerate_slice` searches only the subtree under (t0, ..., t0), with
+    the budget running out where the full search would.  Every class meets
+    S0 (the coboundary above, run backwards, moves any leaf into it), so
+    its least leaf lies in S0.  Within S0 the h-search of each g-leaf runs
+    on the kernel subtree whose R row-0 triples hold their fiber minima,
+    so the search keeps the part S0' of S0, with |S0| = |ker beta|^R *
+    |S0'| and T^d * |S0| leaves in the whole slice;
+    `_slice_orbits(ctx, S0', d, True)` partitions S0' by class and finds
+    each class's least leaf.
     """
     ctx = _Context(K, cm)
-    bud = Budget(budget, ctx.estimate())
-    npairs, T, d = len(ctx.distinct_pairs), len(ctx.transversal), ctx.row0_pairs
-    bud.charge(d, "slice g", 0, npairs, rising=True)
-    leaves = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d, kernel_subtree=True)
-    # size[k]: the nodes a row-0 value at level k charges, its own and those
-    # of the levels below it
-    size = [1 + bud.visited - d]
-    for _ in range(1, d):
-        size.insert(0, 1 + T * size[0])
-    if d and T * size[0] > budget:
-        _run_out(ctx, bud, size)
-    roots = _slice_orbits(ctx, leaves, d, kernel_subtree=True)
+    leaves = _enumerate_slice(ctx, Budget(budget, ctx.estimate()), kernel_subtree=True)
+    roots = _slice_orbits(ctx, leaves, ctx.row0_pairs, kernel_subtree=True)
     reps = [leaves[r] for r in sorted(set(roots))]
-    return ClassifyResult(len(reps), [_unpack(ctx, leaf) for leaf in reps], "brute",
-                          T ** d * len(ctx.kernel) ** ctx.row0_triples * len(leaves))
-
-
-def _descend(bud: Budget, start: int, size: list[int], domains: list[Sequence[int]],
-             phase: str, levels: int) -> list[int]:
-    """The prefix under which a search runs out of `bud`, charged up to the
-    prefix's last node.  The search starts with `start` nodes charged and
-    tries domains[k] in order at level k, each value charging size[k]
-    nodes, its own and those below it; it is known to run out before its
-    last node.  At each level the values whose nodes all fit are skipped
-    in one step, and the node of the next value is charged."""
-    bud.visited, prefix = start, []
-    for k, (n, domain) in enumerate(zip(size, domains)):
-        a = (bud.limit - bud.visited) // n
-        bud.visited += a * n
-        prefix.append(domain[a])
-        bud.tick(phase, k, levels)
-    return prefix
-
-
-def _run_out(ctx: _Context, bud: Budget, size: list[int]) -> None:
-    """Raise SearchSpaceTooLarge where the full slice search runs out of
-    `bud`, which it does: size[k] is what a row-0 value at level k charges
-    (`_classify_brute`), and T * size[0] exceeds the budget.  The search
-    under the located row-0 prefix, with the nodes before it charged,
-    runs out."""
-    npairs = len(ctx.distinct_pairs)
-    prefix = _descend(bud, 0, size, [ctx.transversal] * len(size), "slice g", npairs)
-    _enumerate_slice(ctx, bud, prefix=prefix, kernel_subtree=True)
-    raise AssertionError("the slice search fits a budget its node count exceeds")
+    enumerated = len(ctx.transversal) ** ctx.row0_pairs * \
+        len(ctx.kernel) ** ctx.row0_triples * len(leaves)
+    return ClassifyResult(len(reps), [_unpack(ctx, leaf) for leaf in reps], "brute", enumerated)
 
 
 def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult:

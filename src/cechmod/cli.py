@@ -237,6 +237,21 @@ COMMANDS = {
     "oracle-h": cmd_oracle_h,
 }
 
+# the options without a default that each command reads, in the order it reads them
+NEEDS = {
+    "classify": ("complex", "cm"),
+    "cohomologous": ("cocycle", "cocycle2"),
+    "stabilizer": ("cocycle",),
+    "bundle-check": ("cocycle",),
+    "band": ("cocycle",),
+    "reduce-central": ("cocycle",),
+    "lift": ("complex", "cm", "cocycle"),
+    "quotient": ("cocycle",),
+    "gauge": ("cocycle",),
+    "aut2group": ("cm",),
+    "oracle-h": ("complex",),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Raises ParseError where argparse would exit; subparsers inherit it."""
@@ -299,6 +314,9 @@ def _dispatch(args) -> tuple[int, str]:
     if args.budget <= 0 or args.workers <= 0:
         return PARSE, "REASON: budget and worker count must be positive\n"
     try:
+        for option in NEEDS.get(args.command, ()):
+            if getattr(args, option) is None:
+                raise ParseError("<args>", 0, f"{args.command} needs --{option}")
         code, lines = COMMANDS[args.command](args)
     except ParseError as exc:
         return PARSE, f"REASON: {exc}\n"

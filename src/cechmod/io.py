@@ -11,6 +11,7 @@ Cocycle file:      `cocycle <complex> <cm>` (names or paths), then lines
                    default to the identity.
 Coboundary file:   lines `gamma i <Gindex>` and `eta i j <Hindex>`.
 1-cocycle file:    lines `g i j <Gindex>`.
+In the last three, a second line for the same entry is a parse error.
 
 Parse problems raise ParseError with file and line; semantic validation is
 delegated to the module validators.
@@ -46,6 +47,14 @@ def _ints(path: str, no: int, parts: list[str]) -> list[int]:
         return [int(p) for p in parts]
     except ValueError:
         raise ParseError(path, no, f"expected integers, got {' '.join(parts)!r}")
+
+
+def _once(path: str, no: int, seen: dict, key: tuple) -> None:
+    """Record the line of an entry; a second line for it is a parse error."""
+    if key in seen:
+        raise ParseError(path, no, f"repeated entry `{' '.join(map(str, key))}`, "
+                                   f"first given on line {seen[key]}")
+    seen[key] = no
 
 
 def parse_group_file(path: str) -> FiniteGroup:
@@ -152,14 +161,16 @@ def parse_cocycle_file(path: str) -> Cocycle:
 
     K = local(parts[1], resolve_complex, COMPLEX_BUILDERS)
     cm = local(parts[2], resolve_crossed_module, CM_BUILDERS)
-    g, h = {}, {}
+    g, h, seen = {}, {}, {}
     for no, line in lines[1:]:
         parts = line.split()
         if parts[0] == "g" and len(parts) == 4:
             i, j, v = _ints(path, no, parts[1:])
+            _once(path, no, seen, ("g", i, j))
             g[(i, j)] = v
         elif parts[0] == "h" and len(parts) == 5:
             i, j, k, v = _ints(path, no, parts[1:])
+            _once(path, no, seen, ("h", i, j, k))
             h[(i, j, k)] = v
         else:
             raise ParseError(path, no, f"unrecognized cocycle line {line!r}")
@@ -170,13 +181,16 @@ def parse_coboundary_file(path: str, K: SimplicialComplex,
                           cm: CrossedModule) -> Coboundary:
     gamma = {v: cm.G.identity for v in range(K.vertex_count)}
     eta = {p: cm.H.identity for p in valid_tuples(K, 2)}
+    seen: dict = {}
     for no, line in _lines(path):
         parts = line.split()
         if parts[0] == "gamma" and len(parts) == 3:
             i, v = _ints(path, no, parts[1:])
+            _once(path, no, seen, ("gamma", i))
             gamma[i] = v
         elif parts[0] == "eta" and len(parts) == 4:
             i, j, v = _ints(path, no, parts[1:])
+            _once(path, no, seen, ("eta", i, j))
             eta[(i, j)] = v
         else:
             raise ParseError(path, no, f"unrecognized coboundary line {line!r}")
@@ -186,10 +200,12 @@ def parse_coboundary_file(path: str, K: SimplicialComplex,
 def parse_one_cocycle_file(path: str, K: SimplicialComplex,
                            G: FiniteGroup) -> dict:
     g = {p: G.identity for p in valid_tuples(K, 2)}
+    seen: dict = {}
     for no, line in _lines(path):
         parts = line.split()
         if parts[0] == "g" and len(parts) == 4:
             i, j, v = _ints(path, no, parts[1:])
+            _once(path, no, seen, ("g", i, j))
             g[(i, j)] = v
         else:
             raise ParseError(path, no, f"unrecognized transition line {line!r}")

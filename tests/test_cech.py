@@ -1124,3 +1124,47 @@ def test_validate_cocycle_names_the_failure_of_the_full_scan(kname, cmname):
         seen.add(want[0])
     assert Cocyc1Failure in seen
     assert Cocyc2Failure in seen or len(kernel) == 1
+
+
+# -- brute at frontier scale ---------------------------------------------------------
+
+# the frontier cells of the benchmark's classify workload, run out at its
+# budget 200000, and three cells that run out at the default budget, each in
+# a subtree located from the counts
+FRONTIER_REASONS = [
+    ("rp26", "z4_over_z2", 200000, "slice h at depth 72 of 90"),
+    ("torus7", "z4_over_z2", 200000, "slice h at depth 93 of 126"),
+    ("rp26", "z2_to_point", 200000, "slice h at depth 72 of 90"),
+    ("boundary3", "z3_to_point", 200000, "slice h at depth 20 of 36"),
+    ("rp26", "star_to_s3", 200000, "slice g at depth 16 of 30"),
+    ("torus7", "star_to_s3", 200000, "slice g at depth 24 of 42"),
+    ("torus7", "star_to_s3", 10 ** 8, "slice g at depth 21 of 42"),
+    ("boundary3", "z4_to_point", 10 ** 8, "slice h at depth 27 of 36"),
+    ("rp26", "z2_to_point", 10 ** 8, "slice h at depth 46 of 90"),
+]
+
+# sha256 of whole classify reports that finish: (complex, cm, budget, CLASSES,
+# ENUMERATED, digest)
+FRONTIER_REPORTS = [
+    ("torus7", "star_to_s3", 10 ** 15, 8, 839808,
+     "bb3ca8267d48b92419a28f281577567078aa858021a41c90d13990e1fc13d31c"),
+    ("boundary3", "z4_to_point", 10 ** 15, 4, 1048576,
+     "7c3eb68906d143e8ef800cb4e80cafde6a77ddab01e1da02e91c4136571c8b41"),
+    ("rp26", "star_to_s3", 10 ** 8, 2, 31104,
+     "11774eba3b2cdf6463bf0c3d295c4f5b0ffc5dc10bf2ed0a58253b6ea7eeef3e"),
+]
+
+
+def test_brute_reports_are_pinned_at_frontier_scale():
+    import hashlib
+    from cechmod.cli import run
+    for kname, cmname, budget, where in FRONTIER_REASONS:
+        argv = ["classify", "--complex", kname, "--cm", cmname, "--strategy", "brute",
+                "--budget", str(budget)]
+        assert run(argv) == (3, f"REASON: visited nodes exceed budget {budget} in {where}\n")
+    for kname, cmname, budget, count, enumerated, digest in FRONTIER_REPORTS:
+        code, report = run(["classify", "--complex", kname, "--cm", cmname,
+                            "--strategy", "brute", "--budget", str(budget)])
+        assert code == 0
+        assert report.splitlines()[3:5] == [f"CLASSES: {count}", f"ENUMERATED: {enumerated}"]
+        assert hashlib.sha256(report.encode()).hexdigest() == digest

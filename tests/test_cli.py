@@ -467,3 +467,68 @@ def test_single_command_parser_matches_full_parser(monkeypatch, capsys):
         with pytest.raises(ParseError) as exc:
             build_parser().parse_args(argv)
         assert run(argv) == (2, f"REASON: {exc.value}\n"), argv
+
+
+# every option without a default that each command reads, with a value
+NEEDED_OPTIONS = {
+    "classify": {"--complex": "circle", "--cm": "star_to_s3"},
+    "cohomologous": {"--cocycle": "z.coc", "--cocycle2": "z.coc"},
+    "stabilizer": {"--cocycle": "z.coc"},
+    "bundle-check": {"--cocycle": "z.coc"},
+    "band": {"--cocycle": "z.coc"},
+    "reduce-central": {"--cocycle": "z.coc"},
+    "lift": {"--complex": "circle", "--cm": "z4_over_z2", "--cocycle": "g.coc"},
+    "quotient": {"--cocycle": "z.coc"},
+    "gauge": {"--cocycle": "z.coc"},
+    "aut2group": {"--cm": "z4_over_z2"},
+    "oracle-h": {"--complex": "circle"},
+}
+
+
+def test_missing_option_gives_structured_report(tmp_path):
+    # each needed option of each command, dropped in turn, gives exit 2 and
+    # names the option, and --out still receives the report
+    from cechmod.cli import COMMANDS
+    assert set(NEEDED_OPTIONS) == set(COMMANDS) - {"validate"}
+    _write(tmp_path / "z.coc", "cocycle circle z2_trivial\n")
+    _write(tmp_path / "g.coc", "g 0 1 1\ng 1 0 1\n")
+    out = tmp_path / "report.txt"
+    for command, options in NEEDED_OPTIONS.items():
+        for dropped in options:
+            argv = [command]
+            for option, value in options.items():
+                if option != dropped:
+                    argv += [option, str(tmp_path / value) if value.endswith(".coc") else value]
+            report = f"REASON: <args>:0: {command} needs {dropped}\n"
+            assert run(argv) == (2, report), argv
+            out.write_text("STALE\n")
+            assert run(argv + ["--out", str(out)]) == (2, report)
+            assert out.read_text() == report
+
+
+def test_repeated_entry_is_a_parse_error(tmp_path):
+    # a second line for the same tuple is rejected at that line, whichever
+    # value comes first, in all three file kinds
+    from cechmod import circle
+    from cechmod.catalog import named_crossed_module
+    for first, second in (("g 0 1 1", "g 0 1 0"), ("g 0 1 0", "g 0 1 1")):
+        path = _write(tmp_path / "z.coc", f"cocycle circle z2_trivial\n{first}\n{second}\n")
+        code, report = run(["validate", "--cocycle", path])
+        assert code == 2 and report.startswith(f"REASON: {path}:3: ")
+    path = _write(tmp_path / "h.coc", "cocycle circle z4_over_z2\nh 0 1 0 2\n# again\n"
+                                      "h 1 0 1 2\nh 0 1 0 2\n")
+    with pytest.raises(ParseError) as exc:
+        parse_cocycle_file(path)
+    assert exc.value.line == 5
+    K, cmx = circle(), named_crossed_module("z2_trivial")
+    for text, line in (("gamma 0 1\neta 0 1 1\ngamma 0 1\n", 3),
+                       ("eta 0 1 1\neta 1 0 1\neta 0 1 0\n", 3)):
+        with pytest.raises(ParseError) as exc:
+            parse_coboundary_file(_write(tmp_path / "c.cob", text), K, cmx)
+        assert exc.value.line == line
+    path = _write(tmp_path / "g.coc", "g 0 1 1\ng 1 0 1\ng 0 1 0\n")
+    code, report = run(["lift", "--complex", "circle", "--cm", "z4_over_z2", "--cocycle", path])
+    assert code == 2 and report.startswith(f"REASON: {path}:3: ")
+    # distinct tuples are no repeat
+    path = _write(tmp_path / "g.coc", "g 0 1 1\ng 1 0 1\n")
+    assert run(["lift", "--complex", "circle", "--cm", "z4_over_z2", "--cocycle", path])[0] == 0
