@@ -1027,7 +1027,7 @@ def lifting_obstruction(K: SimplicialComplex, cm: CrossedModule, g: dict,
 
 
 def _solve_lift(K, cm, g, A, inc, sec, a, budget):
-    from .complexes import coboundary_matrix, normalized_tuples
+    from .complexes import differential, normalized_tuples
     from .snf import solve_mod
 
     H = cm.H
@@ -1037,7 +1037,7 @@ def _solve_lift(K, cm, g, A, inc, sec, a, budget):
         log = {a: t for t, a in enumerate(powers)}
         pairs = normalized_tuples(K, 2)
         triples = normalized_tuples(K, 3)
-        d1 = coboundary_matrix(K, 1)
+        d1 = differential(K, 1)
         rhs = [(-log[a[t]]) % A.order for t in triples]
         sol = solve_mod(d1, rhs, A.order)
         if sol is None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Sequence
 
 from .algebra import CrossedModule, cyclic_powers, generating_set
-from .complexes import SimplicialComplex, is_degenerate, valid_tuples
+from .complexes import SimplicialComplex, is_degenerate, normalized_tuples, valid_tuples
 from .errors import (
     Cocyc1Failure,
     Cocyc2Failure,
@@ -128,8 +128,8 @@ def validate_cocycle(z: Cocycle) -> Cocycle:
     degenerate triple (it reads g_ik = g_ik) and the quadruple identity on
     every quadruple with an adjacent repeat (it reads h = h for one of its
     faces), so the identities are checked on the tuples with no adjacent
-    repeat, in lexicographic order.  Those quadruples extend the free
-    triples (i, j, k) by an l != k within a simplex.
+    repeat, in lexicographic order: `normalized_tuples(K, 3)` and
+    `normalized_tuples(K, 4)`, read against the group tables.
     """
     K, cm = z.complex, z.cm
     G, H = cm.G, cm.H
@@ -154,17 +154,14 @@ def validate_cocycle(z: Cocycle) -> Cocycle:
     for t in triples:
         if (t[0] == t[1] or t[1] == t[2]) and z.h[t] != H.identity:
             raise NormalizationFailure(t)
-    free = [t for t in triples if t[0] != t[1] != t[2]]
-    for (i, j, k) in free:
-        lhs = G.mul_many(cm.beta_of(z.h[(i, j, k)]), z.g[(i, j)], z.g[(j, k)])
-        if lhs != z.g[(i, k)]:
+    g, h = z.g, z.h
+    gmul, hmul = G.mul_table, H.mul_table
+    beta, act = cm.beta.image, cm.alpha.table
+    for (i, j, k) in normalized_tuples(K, 3):
+        if gmul[gmul[beta[h[(i, j, k)]]][g[(i, j)]]][g[(j, k)]] != g[(i, k)]:
             raise Cocyc1Failure(i, j, k)
-    quads = [t + (l,) for t in free for l in range(K.vertex_count)
-             if l != t[2] and (l in t or K.is_simplex(t + (l,)))]
-    for (i, j, k, l) in quads:
-        lhs = H.mul(z.h[(i, k, l)], z.h[(i, j, k)])
-        rhs = H.mul(z.h[(i, j, l)], cm.act(z.g[(i, j)], z.h[(j, k, l)]))
-        if lhs != rhs:
+    for (i, j, k, l) in normalized_tuples(K, 4):
+        if hmul[h[(i, k, l)]][h[(i, j, k)]] != hmul[h[(i, j, l)]][act[g[(i, j)]][h[(j, k, l)]]]:
             raise Cocyc2Failure(i, j, k, l)
     return z
 
@@ -252,9 +249,10 @@ class _Context:
       and its first vertex (ij and jk are never diagonal).
     - `triples_at_pair[p]`: the free triples whose last pair is p, checkable
       once g is set up to p.
-    - `quads_at_triple[t]`: for each quadruple (i, j, k, l) whose last free
-      face is t, the positions (ikl, ijk, ijl, jkl, ij).  Quadruples with
-      every face degenerate hold for any g and are left out.
+    - `quads_at_triple[t]`: for each quadruple (i, j, k, l) with no adjacent
+      repeat whose last free face is t, the positions (ikl, ijk, ijl, jkl,
+      ij).  A quadruple with an adjacent repeat reads h = h under the
+      normalization and is left out.
     - `pairs_at_vertex[v]`, `triples_at_vertex[v]`: the distinct pairs and
       free triples whose largest vertex is v, for the coboundary search.
     """
@@ -264,8 +262,8 @@ class _Context:
         G, H = cm.G, cm.H
         self.pairs = valid_tuples(K, 2)
         self.triples = valid_tuples(K, 3)
-        self.distinct_pairs = [p for p in self.pairs if p[0] != p[1]]
-        self.free_triples = [t for t in self.triples if not is_degenerate(t)]
+        self.distinct_pairs = normalized_tuples(K, 2)
+        self.free_triples = normalized_tuples(K, 3)
         # beta fibers, each sorted ascending
         self.fiber = {g: [] for g in G.elements()}
         for h in H.elements():
@@ -287,10 +285,9 @@ class _Context:
         for t, (ij, jk, ik, _) in enumerate(self.triple_idx):
             self.triples_at_pair[max(ij, jk, ik)].append(t)
         self.quads_at_triple = [[] for _ in self.free_triples]
-        for (i, j, k, l) in valid_tuples(K, 4):
+        for (i, j, k, l) in normalized_tuples(K, 4):
             faces = (pos[(i, k, l)], pos[(i, j, k)], pos[(i, j, l)], pos[(j, k, l)])
-            if max(faces) >= 0:
-                self.quads_at_triple[max(faces)].append(faces + (pos[(i, j)],))
+            self.quads_at_triple[max(faces)].append(faces + (pos[(i, j)],))
         n = K.vertex_count
         self.pairs_at_vertex = [[] for _ in range(n)]
         for p, pair in enumerate(self.distinct_pairs):
@@ -899,10 +896,20 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> Cla
 def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult:
     """Linear route: solve the cocycle system and quotient by the coboundary
     image over Z/n.  The count comes from elimination over Z/p^e (combined by
-    CRT), a route independent of the integer-Smith-form oracle."""
-    from .complexes import coboundary_matrix, normalized_tuples
-    from .snf import (image_size_mod, kernel_generators_mod, kernel_size_mod,
-                      smith_normal_form, solve_mod)
+    CRT), a route independent of the integer-Smith-form oracle.
+
+    Classes are keyed by the Smith form D = U * d2 * V of the coboundaries
+    d2: C^1 -> C^2.  As V is invertible over Z, c - c' lies in the image of d2
+    mod n exactly when U(c - c') lies in that of D, that is when (U c)_i and
+    (U c')_i agree mod gcd(d_i, n) on every row i, with d_i = 0 past the
+    divisors.  The search walks the kernel generators out from the zero
+    cochain and keeps each candidate whose key is new.
+    """
+    from math import gcd
+
+    from .complexes import differential
+    from .snf import (check_smith_form, image_size_mod, kernel_generators_mod,
+                      kernel_size_mod, smith_normal_form)
 
     if cm.G.order != 1:
         raise StrategyMismatch("abelian strategy needs a trivial base group")
@@ -913,38 +920,59 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
         raise StrategyMismatch("abelian strategy needs cyclic coefficients")
     n = cm.H.order
 
-    d2 = coboundary_matrix(K, 1)   # C^1 -> C^2, coboundaries
-    d3 = coboundary_matrix(K, 2)   # C^2 -> C^3, cocycle condition
+    d2 = differential(K, 1)   # C^1 -> C^2, coboundaries
+    d3 = differential(K, 2)   # C^2 -> C^3, cocycle condition
     count = kernel_size_mod(d3, n) // image_size_mod(d2, n)
+    gens = kernel_generators_mod(d3, n)
 
+    factors = smith_normal_form(d2, want_transforms=True, sparse_left=True)
+    check_smith_form(d2, factors)
+    d, U, _ = factors
+    moduli = [gcd(d[i], n) if i < len(d) else n for i in range(len(U))]
+    ucols = [[] for _ in U]  # U by columns, so a key costs its cochain's nonzeros
+    for k, row in enumerate(U):
+        for r, u in row.items():
+            ucols[r].append((k, u))
+
+    def key(vec):
+        acc = [0] * len(moduli)
+        for r, x in enumerate(vec):
+            if x:
+                for k, u in ucols[r]:
+                    acc[k] += u * x
+        return [a % m for a, m in zip(acc, moduli)]
+
+    # keys are linear: a candidate's key is its base's plus its generator's,
+    # so every key vanishes where all the generators' keys do (on every row
+    # of modulus 1, for one)
+    gen_keys = [key(gvec) for gvec in gens]
+    live = [k for k in range(len(moduli)) if any(gk[k] for gk in gen_keys)]
+    gen_keys = [[gk[k] for k in live] for gk in gen_keys]
+    moduli = [moduli[k] for k in live]
     cols = normalized_tuples(K, 3)
-    gens = kernel_generators_mod(d3, n) if d3 else \
-        [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
-
-    factors = smith_normal_form(d2, want_transforms=True, sparse_left=True) if d2 else None
-
-    def cohomologous_vec(a, b):
-        diff = [(x - y) % n for x, y in zip(a, b)]
-        return solve_mod(d2, diff, n, factors) is not None if d2 else all(v == 0 for v in diff)
-
     reps = [tuple([0] * len(cols))]
-    queue = [reps[0]]
+    rep_keys = [tuple([0] * len(live))]
+    seen = set(rep_keys)
+    queue = [0]
     while queue and len(reps) < count:
-        base = queue.pop(0)
-        for gvec in gens:
-            cand = tuple((x + y) % n for x, y in zip(base, gvec))
-            if not any(cohomologous_vec(cand, r) for r in reps):
-                reps.append(cand)
-                queue.append(cand)
+        b = queue.pop(0)
+        for gvec, gkey in zip(gens, gen_keys):
+            k = tuple((x + y) % m for x, y, m in zip(rep_keys[b], gkey, moduli))
+            if k not in seen:
+                seen.add(k)
+                queue.append(len(reps))
+                reps.append(tuple((x + y) % n for x, y in zip(reps[b], gvec)))
+                rep_keys.append(k)
                 if len(reps) == count:
                     break
     assert len(reps) == count, "class representatives do not exhaust the count"
 
+    g = {p: cm.G.identity for p in valid_tuples(K, 2)}
+    h = dict.fromkeys(valid_tuples(K, 3), cm.H.identity)
     out = []
     for vec in reps:
-        h = {t: power[v] for t, v in zip(cols, vec)}
-        g = {p: cm.G.identity for p in valid_tuples(K, 2)}
-        out.append(cocycle(K, cm, g, h))
+        h.update(zip(cols, map(power.__getitem__, vec)))
+        out.append(validate_cocycle(Cocycle(K, cm, dict(g), dict(h))))
     return ClassifyResult(count, out, "abelian")
 
 

@@ -10,17 +10,20 @@ simplex.
 The oracle computes simplicial cohomology with Z/n coefficients on the
 ordered, *normalized* cochain complex (cochains vanish on tuples with an
 adjacent repeated index), which keeps its degree-2 answers in the same basis
-convention as the nonabelian machinery elsewhere in the package.
+convention as the nonabelian machinery elsewhere in the package.  Each
+complex builds that cochain complex once, a piece at a time on first use:
+the normalized tuples of each arity and the differentials d_0, d_1, d_2 as
+sparse rows, held on the instance and shared by every caller.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, IndexOutOfRange, SemanticError
-from .snf import rank_and_divisors
+from .snf import SparseMatrix, rank_and_divisors
 
 
 @dataclass(frozen=True)
@@ -29,6 +32,12 @@ class SimplicialComplex:
 
     vertex_count: int
     simplices: frozenset[frozenset[int]]
+    # the normalized tuples by arity and the differentials by degree, each
+    # built on first use by `normalized_tuples` and `differential`; equality,
+    # hashing and repr ignore it.  A field, not a cached_property: adding an
+    # attribute after construction would give the instance a dict of its own,
+    # and every attribute read on it (`simplices` in `valid_tuples`) slower.
+    _cochains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_simplex(self, vertices: Iterable[int]) -> bool:
         return frozenset(vertices) in self.simplices
@@ -156,41 +165,61 @@ def normalized_tuples(K: SimplicialComplex, arity: int) -> list[tuple[int, ...]]
 
     Each simplex contributes the sequences over its own vertices with no
     adjacent repeat that use all of them, so the cost follows the tuples and
-    not vertex_count ** arity.
+    not vertex_count ** arity.  Built once per complex and held on it; each
+    call returns a fresh list.
     """
     if arity not in (1, 2, 3, 4):
         raise ValueError("arity must be 1, 2, 3 or 4")
-    out = []
-    for s in K.simplices:
-        if len(s) <= arity:
-            seqs = [(v,) for v in s]
-            for _ in range(arity - 1):
-                seqs = [q + (v,) for q in seqs for v in s if v != q[-1]]
-            out += [q for q in seqs if len(set(q)) == len(s)]
-    out.sort()
-    return out
+    held = K._cochains
+    key = ("tuples", arity)
+    if key not in held:
+        patterns: dict[int, list[tuple[int, ...]]] = {}  # simplex size -> index sequences
+        out = []
+        for s in K.simplices:
+            size = len(s)
+            if size <= arity:
+                if size not in patterns:
+                    seqs = [(v,) for v in range(size)]
+                    for _ in range(arity - 1):
+                        seqs = [q + (v,) for q in seqs for v in range(size) if v != q[-1]]
+                    patterns[size] = [q for q in seqs if len(set(q)) == size]
+                vs = sorted(s)
+                out += [tuple([vs[i] for i in q]) for q in patterns[size]]
+        out.sort()
+        held[key] = tuple(out)
+    return list(held[key])
 
 
-def coboundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
-    """Integer matrix of the normalized Cech differential C^k -> C^(k+1).
+def differential(K: SimplicialComplex, k: int) -> SparseMatrix:
+    """The normalized Cech differential C^k -> C^(k+1), for k = 0, 1, 2.
 
     Rows are indexed by normalized (k+2)-tuples, columns by normalized
     (k+1)-tuples; (dc)(t) = sum_m (-1)^m c(t drop m), with c extended by
-    zero on degenerate tuples.
+    zero on degenerate tuples.  Built once per complex straight from the
+    faces, as sparse rows, and held on it; the value is immutable.
     """
-    domain = normalized_tuples(K, k + 1)
-    codomain = normalized_tuples(K, k + 2)
-    col = {t: i for i, t in enumerate(domain)}
-    rows = []
-    for t in codomain:
-        row = [0] * len(domain)
-        for m in range(len(t)):
-            # a face is a valid tuple, so it is a column unless degenerate
-            i = col.get(t[:m] + t[m + 1:])
-            if i is not None:
-                row[i] += (-1) ** m
-        rows.append(row)
-    return rows
+    if k not in (0, 1, 2):
+        raise ValueError("degree must be 0, 1 or 2")
+    held = K._cochains
+    key = ("d", k)
+    if key not in held:
+        col = {t: i for i, t in enumerate(normalized_tuples(K, k + 1))}
+        # combinations(t, k + 1) drops t[k + 1], ..., t[0] in turn, and t drop m
+        # has sign (-1)^m.  A face is a valid tuple, so it is a column unless
+        # degenerate, and the faces of a tuple with no adjacent repeat are
+        # distinct, so no entry adds up or cancels.
+        signs = [(-1) ** m for m in reversed(range(k + 2))]
+        rows = tuple(
+            tuple(sorted((i, sign) for face, sign in zip(itertools.combinations(t, k + 1), signs)
+                         if (i := col.get(face)) is not None))
+            for t in normalized_tuples(K, k + 2))
+        held[key] = SparseMatrix(rows, len(col))
+    return held[key]
+
+
+def coboundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
+    """The dense integer matrix of `differential(K, k)`."""
+    return differential(K, k).dense()
 
 
 def abelian_cohomology_oracle(K: SimplicialComplex, n: int, k: int) -> int:
@@ -205,13 +234,8 @@ def abelian_cohomology_oracle(K: SimplicialComplex, n: int, k: int) -> int:
     if n < 2:
         raise SemanticError("modulus must be at least 2")
     c_k = len(normalized_tuples(K, k + 1))
-    mat_k = coboundary_matrix(K, k)
-    r_k, div_k = rank_and_divisors(mat_k) if mat_k else (0, [])
-    if k == 0:
-        r_prev, div_prev = 0, []
-    else:
-        mat_prev = coboundary_matrix(K, k - 1)
-        r_prev, div_prev = rank_and_divisors(mat_prev) if mat_prev else (0, [])
+    r_k, div_k = rank_and_divisors(differential(K, k))
+    r_prev, div_prev = rank_and_divisors(differential(K, k - 1)) if k else (0, [])
     from math import gcd
     size = n ** (c_k - r_k - r_prev)
     for d in div_k:

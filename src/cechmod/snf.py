@@ -5,11 +5,18 @@ over Z with explicit reduction mod n at the end.  A separate elimination
 over Z/p^e (combined by CRT) backs the mod-n cohomology counts that are
 checked against the Smith-form route, so the two never share arithmetic.
 
+Every routine takes a matrix in either of two forms: dense, a list of rows
+of integers, or sparse, a `SparseMatrix` of per-row (column, entry) pairs
+and a column count, such as `complexes.differential` holds for each base.
+Both give the same results; only the sparse form knows its column count
+when it has no rows.
+
 Both routes hold a matrix as sparse rows and sparse columns (dicts of the
 nonzero entries), so an operation costs the nonzeros it reads, and a swap
 permutes positions, not storage.  U is kept as sparse rows and V as sparse
 columns, made dense on return (U may stay sparse, for `solve_mod`); a caller
-that reads only V builds no U.
+that reads only V builds no U, and `kernel_generators_mod` reads V's sparse
+columns as they are.
 
 Pivot rule, both routes: the first entry in row-major order of the
 remaining block among those of least absolute value (over Z) or least
@@ -24,15 +31,48 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd
 from operator import mul
+from typing import NamedTuple
+
+
+class SparseMatrix(NamedTuple):
+    """An integer matrix by its nonzero entries: per row a tuple of
+    (column, entry) pairs in column order, and the number of columns."""
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    cols: int
+
+    def dense(self) -> list[list[int]]:
+        out = []
+        for row in self.rows:
+            dense_row = [0] * self.cols
+            for c, v in row:
+                dense_row[c] = v
+            out.append(dense_row)
+        return out
+
+
+def _shape(matrix) -> tuple[int, int]:
+    """(rows, columns) of either form; a dense matrix with no rows has none."""
+    if isinstance(matrix, SparseMatrix):
+        return len(matrix.rows), matrix.cols
+    return len(matrix), len(matrix[0]) if matrix else 0
 
 
 def _sparse(matrix, q: int | None = None):
     """The nonzero entries (reduced mod q when q is given) twice over: per row
-    a dict from column to entry, and per column a dict from row to entry."""
-    cols = range(len(matrix[0]) if matrix else 0)
-    R = [dict(zip(compress(cols, row), filter(None, row))) for row in matrix]
-    if q is not None:
-        R = [{c: x for c, v in row.items() if (x := v % q)} for row in R]
+    a dict from column to entry, and per column a dict from row to entry.
+    Each row's dict holds its columns in increasing order, whichever the form."""
+    if isinstance(matrix, SparseMatrix):
+        cols = range(matrix.cols)
+        if q is None:
+            R = [dict(row) for row in matrix.rows]
+        else:
+            R = [{c: x for c, v in row if (x := v % q)} for row in matrix.rows]
+    else:
+        cols = range(len(matrix[0]) if matrix else 0)
+        R = [dict(zip(compress(cols, row), filter(None, row))) for row in matrix]
+        if q is not None:
+            R = [{c: x for c, v in row.items() if (x := v % q)} for row in R]
     C = [{} for _ in cols]
     for r, row in enumerate(R):
         for c, v in row.items():
@@ -53,22 +93,36 @@ def _dense(vec: dict[int, int], size: int) -> list[int]:
     return out
 
 
-def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False, *,
+def smith_normal_form(matrix, want_transforms: bool = False, *,
                       want_left: bool = True, sparse_left: bool = False):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+    """Diagonalize an integer matrix, dense or sparse, by unimodular row and
+    column operations.
 
     Returns (divisors, U, V) with U*A*V = diag(divisors), divisors positive
     and each dividing the next.  U and V are None unless requested, and U is
     None also when want_left is false.  With sparse_left, U comes as sparse
     rows (dicts from column to nonzero entry) instead of dense ones.
     """
+    want_left = want_transforms and want_left
+    divisors, U, Vc = _smith(matrix, want_left, want_transforms)
+    rows, cols = _shape(matrix)
+    if want_left and not sparse_left:
+        U = [_dense(row, rows) for row in U]
+    if want_transforms:
+        Vc = [list(r) for r in zip(*(_dense(col, cols) for col in Vc))]  # V by rows
+    return divisors, U, Vc
+
+
+def _smith(matrix, want_left: bool, want_right: bool):
+    """The Smith form of `smith_normal_form`, with U as sparse rows and V as
+    sparse columns (dicts from index to nonzero entry), each None unless
+    wanted."""
     R, C = _sparse(matrix)
     rows, cols = len(R), len(C)
     rowat, rowpos = list(range(rows)), list(range(rows))  # position -> slot, slot -> position
     colat, colpos = list(range(cols)), list(range(cols))
-    want_left = want_transforms and want_left
     U = [{i: 1} for i in range(rows)] if want_left else None
-    Vc = [{i: 1} for i in range(cols)] if want_transforms else None  # the columns of V
+    Vc = [{i: 1} for i in range(cols)] if want_right else None  # the columns of V
 
     def axpy(X, i, j, q, Y=None):  # X[i] -= q * X[j] for q != 0, mirrored into Y[k][i]
         x = X[i]
@@ -93,7 +147,7 @@ def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False, *,
     def col_op(i, j, q):  # slot col_i -= q * slot col_j
         if q:
             axpy(C, i, j, q, R)
-            if want_transforms:
+            if want_right:
                 axpy(Vc, i, j, q)
 
     def negate_row(i):
@@ -175,18 +229,40 @@ def smith_normal_form(matrix: list[list[int]], want_transforms: bool = False, *,
 
     divisors = [d for i in range(t) if (d := at(i, i))]
     if want_left:
-        U = [U[s] if sparse_left else _dense(U[s], rows) for s in rowat]
-    if want_transforms:
-        Vc = [list(r) for r in zip(*(_dense(Vc[s], cols) for s in colat))]  # V by rows
+        U = [U[s] for s in rowat]
+    if want_right:
+        Vc = [Vc[s] for s in colat]
     return divisors, U, Vc
 
 
-def rank_and_divisors(matrix: list[list[int]]) -> tuple[int, list[int]]:
+def check_smith_form(matrix, factors) -> None:
+    """Raise AssertionError unless U * matrix * V == diag(divisors), for the
+    `factors` = (divisors, U, V) of `smith_normal_form(matrix, True,
+    sparse_left=True)`.  The products run on sparse rows, U * matrix first:
+    its rows are those of diag(divisors) * V^-1, which are sparse."""
+    d, U, V = factors
+    R = _sparse(matrix)[0]
+    Vr = _sparse(V)[0]
+    for i, urow in enumerate(U):
+        ua: dict[int, int] = {}  # row i of U * matrix
+        for r, u in urow.items():
+            for c, a in R[r].items():
+                ua[c] = ua.get(c, 0) + u * a
+        uav: dict[int, int] = {}  # row i of U * matrix * V
+        for c, x in ua.items():
+            if x:
+                for j, v in Vr[c].items():
+                    uav[j] = uav.get(j, 0) + x * v
+        if {j: v for j, v in uav.items() if v} != ({i: d[i]} if i < len(d) else {}):
+            raise AssertionError("U * A * V is not the Smith form of A")
+
+
+def rank_and_divisors(matrix) -> tuple[int, list[int]]:
     d, _, _ = smith_normal_form(matrix)
     return len(d), d
 
 
-def solve_mod(matrix: list[list[int]], rhs: list[int], n: int,
+def solve_mod(matrix, rhs: list[int], n: int,
               factors: tuple | None = None) -> list[int] | None:
     """One solution x of  matrix @ x == rhs (mod n),  or None if infeasible.
 
@@ -195,8 +271,7 @@ def solve_mod(matrix: list[list[int]], rhs: list[int], n: int,
     each solve reads only U's nonzeros.  The solution is checked against
     `matrix` either way.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    rows, cols = _shape(matrix)
     if rows == 0:
         return [0] * cols
     d, U, V = factors or smith_normal_form(matrix, want_transforms=True, sparse_left=True)
@@ -214,24 +289,30 @@ def solve_mod(matrix: list[list[int]], rhs: list[int], n: int,
             y[i] = ((ci // g) * pow(di // g, -1, n // g)) % (n // g)
     x = [sum(map(mul, row, y)) % n for row in V]
     # verify
-    for row, r in zip(matrix, rhs):
-        if sum(map(mul, row, x)) % n != r % n:
+    if isinstance(matrix, SparseMatrix):
+        products = (sum(v * x[c] for c, v in row) for row in matrix.rows)
+    else:
+        products = (sum(map(mul, row, x)) for row in matrix)
+    for got, r in zip(products, rhs):
+        if got % n != r % n:
             raise AssertionError("modular solve produced a non-solution")
     return x
 
 
-def kernel_generators_mod(matrix: list[list[int]], n: int) -> list[list[int]]:
-    """Generators of {x : matrix @ x == 0 (mod n)} as vectors mod n."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+def kernel_generators_mod(matrix, n: int) -> list[list[int]]:
+    """Generators of {x : matrix @ x == 0 (mod n)} as vectors mod n: the
+    columns of V, column i scaled by n / gcd(d_i, n)."""
+    rows, cols = _shape(matrix)
     if rows == 0 or cols == 0:
         return [[int(i == j) % n for j in range(cols)] for i in range(cols)]
-    d, _, V = smith_normal_form(matrix, want_transforms=True, want_left=False)
+    d, _, Vc = _smith(matrix, False, True)
     gens = []
-    for i in range(cols):
+    for i, col in enumerate(Vc):
         di = d[i] if i < len(d) else 0
         scale = (n // gcd(di, n)) if di else 1
-        vec = [(V[r][i] * scale) % n for r in range(cols)]
+        vec = [0] * cols
+        for r, v in col.items():
+            vec[r] = (v * scale) % n
         if any(vec):
             gens.append(vec)
     return gens
@@ -255,7 +336,7 @@ def _factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def pivot_valuations_mod_prime_power(matrix: list[list[int]], p: int, e: int) -> list[int]:
+def pivot_valuations_mod_prime_power(matrix, p: int, e: int) -> list[int]:
     """Diagonalize over Z/p^e; return the p-valuations of the nonzero pivots.
 
     Z/p^e is a chain ring: an entry of minimal valuation divides every other
@@ -313,9 +394,9 @@ def pivot_valuations_mod_prime_power(matrix: list[list[int]], p: int, e: int) ->
     return pivots
 
 
-def kernel_size_mod(matrix: list[list[int]], n: int) -> int:
+def kernel_size_mod(matrix, n: int) -> int:
     """|{x mod n : matrix @ x == 0 (mod n)}| by per-prime-power elimination."""
-    cols = len(matrix[0]) if matrix else 0
+    _, cols = _shape(matrix)
     if cols == 0:
         return 1
     total = 1
@@ -326,9 +407,9 @@ def kernel_size_mod(matrix: list[list[int]], n: int) -> int:
     return total
 
 
-def image_size_mod(matrix: list[list[int]], n: int) -> int:
+def image_size_mod(matrix, n: int) -> int:
     """|column span of matrix mod n| by per-prime-power elimination."""
-    if not matrix or not matrix[0]:
+    if 0 in _shape(matrix):
         return 1
     total = 1
     for p, e in _factor(n):

@@ -1168,3 +1168,185 @@ def test_brute_reports_are_pinned_at_frontier_scale():
         assert code == 0
         assert report.splitlines()[3:5] == [f"CLASSES: {count}", f"ENUMERATED: {enumerated}"]
         assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+# -- abelian classes keyed by the Smith form -----------------------------------------
+
+def _reference_classify_abelian(K, cmx):
+    """The abelian search as it was before classes were keyed by the Smith
+    form of d2: a candidate is kept when `solve_mod` finds it cohomologous to
+    no representative kept so far.  Returns (count, representatives)."""
+    from cechmod.algebra import cyclic_powers
+    from cechmod.complexes import coboundary_matrix, normalized_tuples
+    from cechmod.snf import (image_size_mod, kernel_generators_mod, kernel_size_mod,
+                             smith_normal_form, solve_mod)
+    power = cyclic_powers(cmx.H)
+    n = cmx.H.order
+    d2 = coboundary_matrix(K, 1)
+    d3 = coboundary_matrix(K, 2)
+    count = kernel_size_mod(d3, n) // image_size_mod(d2, n)
+    cols = normalized_tuples(K, 3)
+    gens = kernel_generators_mod(d3, n) if d3 else \
+        [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
+    factors = smith_normal_form(d2, want_transforms=True, sparse_left=True) if d2 else None
+
+    def cohomologous_vec(a, b):
+        diff = [(x - y) % n for x, y in zip(a, b)]
+        return solve_mod(d2, diff, n, factors) is not None if d2 else all(v == 0 for v in diff)
+
+    reps = [tuple([0] * len(cols))]
+    queue = [reps[0]]
+    while queue and len(reps) < count:
+        base = queue.pop(0)
+        for gvec in gens:
+            cand = tuple((x + y) % n for x, y in zip(base, gvec))
+            if not any(cohomologous_vec(cand, r) for r in reps):
+                reps.append(cand)
+                queue.append(cand)
+                if len(reps) == count:
+                    break
+    g = {p: cmx.G.identity for p in valid_tuples(K, 2)}
+    return count, [cocycle(K, cmx, g, {t: power[v] for t, v in zip(cols, vec)})
+                   for vec in reps]
+
+
+ABELIAN_CELLS = [(k, c) for k in ("point", "full1", "full2", "full3", "circle", "boundary3",
+                                  "torus7", "rp26", "point+circle", "circle+circle")
+                 for c in ("z2_to_point", "z3_to_point", "z4_to_point")]
+
+
+@pytest.mark.parametrize("kname,cmname", ABELIAN_CELLS)
+def test_abelian_keys_match_pairwise_solves(kname, cmname):
+    from cechmod import disjoint_union
+    parts = [cx(p) for p in kname.split("+")]
+    K = parts[0] if len(parts) == 1 else disjoint_union(*parts)
+    count, reps = _reference_classify_abelian(K, cm(cmname))
+    result = classify(K, cm(cmname), "abelian")
+    assert result.count == count == abelian_cohomology_oracle(K, cm(cmname).H.order, 2)
+    assert [z.key() for z in result.representatives] == [z.key() for z in reps]
+
+
+# sha256 of the `classify --strategy abelian` reports on cells the benchmark
+# does not hash, recorded with the pairwise-solve search
+ABELIAN_REPORT_PINS = {
+    ("boundary3", 2): "a8d4805edac8905e607ee63609d2f5470096b9120f8f1e1b691e9284f8c289c3",
+    ("boundary3", 3): "f3fa0c5fbbcd5243ddbdda1a5a95a4896fe13f23bc5c8ca7e94878e23a07a64f",
+    ("boundary3", 4): "2b9e189783dfcfc315006f5dce3aa0d6f57d7cf5ba84af331bf08ed307b10b49",
+    ("circle", 2): "3d7e81cc80467ebf1066506a451e31999cbaa922cc3d779bb3df8a52ee26f5da",
+    ("circle", 3): "c97be7fc34c6b9ac1fc3cb5b4754c494183b990cacbb937571144126a07571dc",
+    ("circle", 4): "8d2cfc4d6f65434e9729ae71f0e82d0c4854b6be4ff962044114f3c99712a49d",
+    ("full2", 2): "fae4acd06202bde0fbe7b1a59a8e1d29d5d3af489251d0f28ef8fe0f044cfde8",
+    ("full2", 3): "2941106f2222a5bdd3be1c8f5229f830ca7e2343a72049a9f459a2eb41586421",
+    ("full2", 4): "ed2e603176078dd308bde1ee304db16eecba414cae5ae3347525eb2a5f69bbf7",
+}
+
+
+@pytest.mark.parametrize("kname,n", sorted(ABELIAN_REPORT_PINS))
+def test_small_abelian_reports_are_pinned(kname, n):
+    import hashlib
+    from cechmod.cli import run
+    code, report = run(["classify", "--complex", kname, "--cm", f"z{n}_to_point",
+                        "--strategy", "abelian"])
+    assert code == 0
+    assert hashlib.sha256(report.encode()).hexdigest() == ABELIAN_REPORT_PINS[(kname, n)]
+
+
+# -- validate_cocycle against its scan of every valid tuple ---------------------------
+
+def _reference_validate_cocycle(z):
+    """validate_cocycle as it was before it read the normalized tuples held
+    on the complex: the free triples filtered from the valid ones, each
+    extended by every vertex l, and the identities through the group
+    methods."""
+    from cechmod.errors import SemanticError
+    K, cmx = z.complex, z.cm
+    G, H = cmx.G, cmx.H
+    pairs = valid_tuples(K, 2)
+    triples = valid_tuples(K, 3)
+    stray = sorted(set(z.g).difference(pairs)) + sorted(set(z.h).difference(triples))
+    if stray:
+        raise SemanticError(f"value given on {stray[0]}, which is not a valid tuple")
+    for p in pairs:
+        if p not in z.g:
+            raise MissingEntry(p)
+        if not (0 <= z.g[p] < G.order):
+            raise SemanticError(f"g{p} out of range")
+    for t in triples:
+        if t not in z.h:
+            raise MissingEntry(t)
+        if not (0 <= z.h[t] < H.order):
+            raise SemanticError(f"h{t} out of range")
+    for p in pairs:
+        if p[0] == p[1] and z.g[p] != G.identity:
+            raise NormalizationFailure(p)
+    for t in triples:
+        if (t[0] == t[1] or t[1] == t[2]) and z.h[t] != H.identity:
+            raise NormalizationFailure(t)
+    free = [t for t in triples if t[0] != t[1] != t[2]]
+    for (i, j, k) in free:
+        lhs = G.mul_many(cmx.beta_of(z.h[(i, j, k)]), z.g[(i, j)], z.g[(j, k)])
+        if lhs != z.g[(i, k)]:
+            raise Cocyc1Failure(i, j, k)
+    quads = [t + (l,) for t in free for l in range(K.vertex_count)
+             if l != t[2] and (l in t or K.is_simplex(t + (l,)))]
+    for (i, j, k, l) in quads:
+        lhs = H.mul(z.h[(i, k, l)], z.h[(i, j, k)])
+        rhs = H.mul(z.h[(i, j, l)], cmx.act(z.g[(i, j)], z.h[(j, k, l)]))
+        if lhs != rhs:
+            raise Cocyc2Failure(i, j, k, l)
+    return z
+
+
+def _outcome(check, z):
+    try:
+        return check(z) is z
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "conj_s3"), ("full2", "aut_z3"), ("full3", "z4_over_z2"),
+    ("boundary3", "star_to_s3"), ("torus7", "z2_into_z4"), ("torus7", "aut_z3"),
+    ("rp26", "z4_over_z2"), ("rp26", "conj_s3")])
+def test_validate_cocycle_matches_the_scan_of_every_valid_tuple(kname, cmname):
+    # seeded single changes of sampled cocycles: a g- or h-value changed
+    # (in range, just out of it, or within its beta-fiber), an entry deleted, a stray tuple added, a
+    # diagonal value set off e; both checks raise the same error with the
+    # same message, or both pass
+    from cechmod.errors import SemanticError
+    K, cmx = cx(kname), cm(cmname)
+    G, H = cmx.G, cmx.H
+    kernel = [x for x in H.elements() if cmx.beta_of(x) == G.identity]
+    n = K.vertex_count
+    rng = random.Random(f"validate:{kname}:{cmname}")
+    seen = set()
+    for _ in range(80):
+        z = sample_cocycle(K, cmx, rng)
+        g, h = dict(z.g), dict(z.h)
+        kind = rng.randrange(5)
+        if kind == 0:
+            g[rng.choice(sorted(g))] = rng.randrange(-1, G.order + 1)
+        elif kind == 1:
+            t = rng.choice(sorted(h))
+            if rng.randrange(2):
+                h[t] = rng.randrange(-1, H.order + 1)
+            else:  # within its beta-fiber, which keeps every pair/triple identity
+                h[t] = H.mul(h[t], rng.choice(kernel))
+        elif kind == 2:
+            table = rng.choice([g, h])
+            del table[rng.choice(sorted(table))]
+        elif kind == 3:
+            arity = rng.choice([2, 3])
+            t = tuple(rng.randrange(n + 1) for _ in range(arity))
+            (g if arity == 2 else h)[t] = 0
+        elif H.order == 1 or (G.order > 1 and rng.randrange(2)):
+            g[(v := rng.randrange(n), v)] = rng.randrange(1, G.order)
+        else:
+            diagonal = [t for t in h if t[0] == t[1] or t[1] == t[2]]
+            h[rng.choice(diagonal)] = rng.randrange(1, H.order)
+        bad = Cocycle(K, cmx, g, h)
+        want = _outcome(_reference_validate_cocycle, bad)
+        assert _outcome(validate_cocycle, bad) == want
+        seen.add(want if want is True else want[0])
+    assert {MissingEntry, NormalizationFailure, SemanticError, Cocyc1Failure} <= seen
+    assert Cocyc2Failure in seen or len(kernel) == 1

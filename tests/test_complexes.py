@@ -158,3 +158,67 @@ def test_normalized_tuples_match_filtered_valid_tuples(name):
             [t for t in valid_tuples(K, arity) if not is_degenerate(t)]
     with pytest.raises(ValueError):
         normalized_tuples(K, 5)
+
+
+# -- the held cochain complex --------------------------------------------------------
+
+def _reference_coboundary_matrix(K, k):
+    """The dense differential as coboundary_matrix built it before the
+    complex held its differentials: one dense row per normalized tuple."""
+    from cechmod.complexes import normalized_tuples
+    domain = normalized_tuples(K, k + 1)
+    col = {t: i for i, t in enumerate(domain)}
+    rows = []
+    for t in normalized_tuples(K, k + 2):
+        row = [0] * len(domain)
+        for m in range(len(t)):
+            i = col.get(t[:m] + t[m + 1:])
+            if i is not None:
+                row[i] += (-1) ** m
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["point", "full1", "full2", "full3", "circle",
+                                  "boundary3", "torus7", "rp26", "point+circle",
+                                  "full1+boundary3"])
+def test_differentials_match_dense_reference(name):
+    # d_k is built from the faces as sparse rows; its dense view is the dense
+    # matrix entry for entry, and its rows list their nonzeros by column
+    from cechmod.catalog import named_complex
+    from cechmod.complexes import differential, normalized_tuples
+    parts = [named_complex(p) for p in name.split("+")]
+    K = parts[0] if len(parts) == 1 else disjoint_union(*parts)
+    for k in (0, 1, 2):
+        want = _reference_coboundary_matrix(K, k)
+        d = differential(K, k)
+        assert d.cols == len(normalized_tuples(K, k + 1))
+        assert len(d.rows) == len(normalized_tuples(K, k + 2))
+        assert d.dense() == coboundary_matrix(K, k) == want
+        assert all([c for c, _ in row] == sorted(c for c, _ in row) and all(v for _, v in row)
+                   for row in d.rows)
+    for k in (-1, 3):
+        with pytest.raises(ValueError):
+            differential(K, k)
+
+
+def test_held_cochains_are_built_lazily_and_cannot_be_changed():
+    from cechmod.complexes import differential, normalized_tuples
+    K = torus_7()
+    assert K._cochains == {}  # nothing is built with the complex
+    tuples = normalized_tuples(K, 3)
+    dense = coboundary_matrix(K, 1)
+    d = differential(K, 1)
+    assert differential(K, 1) is d  # built once, then held
+    tuples.append((9, 9, 9))
+    tuples[0] = (0, 0, 0)
+    dense[0][0] = 5
+    dense.append([1])
+    assert normalized_tuples(K, 3) == normalized_tuples(torus_7(), 3) != tuples
+    assert coboundary_matrix(K, 1) == coboundary_matrix(torus_7(), 1) != dense
+    with pytest.raises(TypeError):
+        d.rows[0] = ()
+    with pytest.raises(TypeError):
+        d.rows[0][0] = (0, 1)
+    # equality and hashing ignore what the complex holds
+    assert K == torus_7() and hash(K) == hash(torus_7())

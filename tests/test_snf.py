@@ -650,3 +650,53 @@ def test_sparse_routines_match_dense_references(seed):
                 assert solve_mod(A, b, n) == _dense_solve_mod(A, b, n)
     # the corpus reaches the divisibility fix-up, and not only in [[2, 0], [0, 3]]
     assert len(fixups) > 1
+
+
+def _sparse_form(A):
+    from cechmod.snf import SparseMatrix
+    return SparseMatrix(tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in A),
+                        len(A[0]) if A else 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sparse_form_matches_dense_form(seed):
+    # every entry point gives on the SparseMatrix of a corpus matrix what it
+    # gives on its dense rows: divisors, U, V, valuations, sizes, generators
+    # and solutions
+    from cechmod.snf import (check_smith_form, kernel_generators_mod,
+                             pivot_valuations_mod_prime_power, rank_and_divisors)
+    rng = random.Random(200 + seed)
+    for A in _sparse_corpus(seed, 60):
+        S = _sparse_form(A)
+        assert S.dense() == A
+        for args, kw in (((True,), {}), ((), {}), ((True,), {"want_left": False}),
+                         ((True,), {"sparse_left": True})):
+            assert smith_normal_form(S, *args, **kw) == smith_normal_form(A, *args, **kw)
+        assert rank_and_divisors(S) == rank_and_divisors(A)
+        check_smith_form(S, smith_normal_form(S, True, sparse_left=True))
+        for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+            assert pivot_valuations_mod_prime_power(S, p, e) == \
+                pivot_valuations_mod_prime_power(A, p, e)
+        for n in (2, 3, 4, 6, 12):
+            assert kernel_generators_mod(S, n) == kernel_generators_mod(A, n)
+            assert kernel_size_mod(S, n) == kernel_size_mod(A, n)
+            assert image_size_mod(S, n) == image_size_mod(A, n)
+            x = [rng.randrange(n) for _ in range(len(A[0]))]
+            feasible = [sum(a * b for a, b in zip(row, x)) for row in A]
+            for b in (feasible, [rng.randrange(n) for _ in range(len(A))]):
+                assert solve_mod(S, b, n) == solve_mod(A, b, n)
+
+
+def test_check_smith_form_rejects_a_wrong_factorization():
+    # each corruption changes entry (0, 0) of U * A * V or of diag(d)
+    from cechmod.snf import check_smith_form
+    for A in _sparse_corpus(0, 20):
+        d, U, V = smith_normal_form(A, True, sparse_left=True)
+        check_smith_form(A, (d, U, V))
+        if not d:
+            continue
+        doubled_u = [{c: 2 * v for c, v in U[0].items()}] + U[1:]
+        doubled_v = [[2 * row[0]] + row[1:] for row in V]
+        for bad in (([d[0] + 1] + d[1:], U, V), (d, doubled_u, V), (d, U, doubled_v)):
+            with pytest.raises(AssertionError):
+                check_smith_form(A, bad)
