@@ -35,9 +35,10 @@ from .cech import (
     Coboundary,
     apply_coboundary,
     are_cohomologous,
+    cocycle,
     validate_cocycle,
 )
-from .complexes import SimplicialComplex, valid_tuples
+from .complexes import SimplicialComplex, differential, normalized_tuples, valid_tuples
 from .errors import (
     ActionNotFree,
     ActionNotFreeTransitive,
@@ -47,6 +48,7 @@ from .errors import (
     TrivializationInvalid,
     VertexOutOfRange,
 )
+from .snf import solve_mod
 
 
 def _first_difference(a: list, b: list) -> int:
@@ -945,7 +947,9 @@ def central_reduction(z: Cocycle) -> CentralReduction:
 
     The coboundary (gamma = e, eta_ij = s(g_ij)^-1) for a section s kills
     the g part; the remaining h part lands in ker(beta) and satisfies the
-    abelian quadruple identity.
+    abelian quadruple identity.  Under the normalization a quadruple with an
+    adjacent repeat reads x = x, so the identity is checked on the
+    quadruples with no adjacent repeat.
     """
     cm, K = z.cm, z.complex
     A, inc = kernel_of_beta(cm)  # checks centrality when beta is surjective
@@ -961,7 +965,7 @@ def central_reduction(z: Cocycle) -> CentralReduction:
         if z2.h[t] not in back:
             raise AssertionError("reduced value escapes the kernel")
         reduced[t] = back[z2.h[t]]
-    for (i, j, k, l) in valid_tuples(K, 4):
+    for (i, j, k, l) in normalized_tuples(K, 4):
         lhs = A.mul(reduced[(i, k, l)], reduced[(i, j, k)])
         rhs = A.mul(reduced[(i, j, l)], reduced[(j, k, l)])
         assert lhs == rhs, "reduced cochain violates the abelian identity"
@@ -1001,101 +1005,90 @@ def lifting_obstruction(K: SimplicialComplex, cm: CrossedModule, g: dict,
                         budget: int = DEFAULT_BUDGET) -> LiftResult:
     """The kernel-valued obstruction to lifting a 1-cocycle through beta.
 
-    a_ijk = s(g_ij) * s(g_jk) * s(g_ik)^-1 for a fixed section s; the lift
-    exists exactly when the affine system 'h on edges with beta(h) = g and
-    h a 1-cocycle' is solvable, i.e. when the class of a vanishes.  Cyclic
-    kernels go through an exact modular linear solve; otherwise a pruned
-    search runs over the kernel fibers.
+    The obstruction is the central reduction of the cocycle (g, h = e).  Its
+    witness is gamma = e, eta_ij = s(g_ij)^-1 for the section s, and since
+    beta(s(g_ij)) = g_ij the Peiffer identity turns g_ij . x into
+    s(g_ij) x s(g_ij)^-1, so the reduced value is
+
+        h'_ijk = s(g_ik)^-1 s(g_ij) s(g_jk) = s(g_ik)^-1 a_ijk s(g_ik),
+        a_ijk  = s(g_ij) s(g_jk) s(g_ik)^-1.
+
+    a_ijk lies in ker(beta), which is central when beta is surjective, so
+    h' = a.  A lift l_ij = s(g_ij) b_ij with b in ker(beta) is a 1-cocycle
+    exactly when a_ijk = b_ik b_ij^-1 b_jk^-1, i.e. when the class of a
+    vanishes.  Every cyclic kernel, the trivial one included, goes through
+    an exact modular linear solve; otherwise a pruned search runs over the
+    kernel fibers.
     """
     G, H = cm.G, cm.H
     g = validate_one_cocycle(K, G, g)
-    A, inc = kernel_of_beta(cm)
-    back = {hidx: a for a, hidx in enumerate(inc)}
-    sec = section_of_beta(cm)
-    a = {}
-    for (i, j, k) in valid_tuples(K, 3):
-        v = H.mul_many(sec[g[(i, j)]], sec[g[(j, k)]], H.inv(sec[g[(i, k)]]))
-        a[(i, j, k)] = back[v]
-
-    lift = _solve_lift(K, cm, g, A, inc, sec, a, budget)
+    red = central_reduction(cocycle(K, cm, g, {}))
+    base = {p: H.inv(eta) for p, eta in red.witness.eta.items()}  # s(g_ij)
+    lift = _solve_lift(K, H, red, base, budget)
     if lift is not None:
         for (i, j, k) in valid_tuples(K, 3):
             assert H.mul(lift[(i, j)], lift[(j, k)]) == lift[(i, k)]
         for p in valid_tuples(K, 2):
             assert cm.beta_of(lift[p]) == g[p]
-    return LiftResult(a, A, lift is not None, lift)
+    return LiftResult(red.reduced, red.kernel, lift is not None, lift)
 
 
-def _solve_lift(K, cm, g, A, inc, sec, a, budget):
-    from .complexes import differential, normalized_tuples
-    from .snf import solve_mod
-
-    H = cm.H
+def _solve_lift(K, H, red, base, budget):
+    """A lift s(g_ij) * x^(b_ij) for a generator x of a cyclic kernel, with
+    db = -log a solved mod |A|; a non-cyclic kernel goes to the search."""
+    A, inc = red.kernel, red.inclusion
     powers = cyclic_powers(A)
-    if powers is not None and A.order > 1:
-        # coordinates: A = <x>, exponent log
-        log = {a: t for t, a in enumerate(powers)}
-        pairs = normalized_tuples(K, 2)
-        triples = normalized_tuples(K, 3)
-        d1 = differential(K, 1)
-        rhs = [(-log[a[t]]) % A.order for t in triples]
-        sol = solve_mod(d1, rhs, A.order)
-        if sol is None:
-            return None
-        lift = {}
-        pair_pos = {p: i for i, p in enumerate(pairs)}
-        for p in valid_tuples(K, 2):
-            if p[0] == p[1]:
-                lift[p] = H.identity
-            else:
-                bexp = sol[pair_pos[p]] % A.order
-                lift[p] = H.mul(sec[g[p]], inc[powers[bexp]])
-        return lift
-    if A.order == 1:
-        lift = {p: sec[g[p]] for p in valid_tuples(K, 2)}
-        for (i, j, k) in valid_tuples(K, 3):
-            if H.mul(lift[(i, j)], lift[(j, k)]) != lift[(i, k)]:
-                return None
-        return lift
-    return _search_lift(K, cm, g, A, inc, sec, budget)
+    if powers is None:
+        return _search_lift(K, H, red, base, budget)
+    log = {x: t for t, x in enumerate(powers)}
+    rhs = [(-log[red.reduced[t]]) % A.order for t in normalized_tuples(K, 3)]
+    sol = solve_mod(differential(K, 1), rhs, A.order)
+    if sol is None:
+        return None
+    lift = dict(base)  # s(e) = e on the diagonal
+    for p, b in zip(normalized_tuples(K, 2), sol):
+        lift[p] = H.mul(base[p], inc[powers[b]])
+    return lift
 
 
-def _search_lift(K, cm, g, A, inc, sec, budget):
-    """Pruned backtracking over undirected edges for non-cyclic kernels."""
-    H = cm.H
-    edges = sorted({tuple(sorted(p)) for p in valid_tuples(K, 2) if p[0] != p[1]})
-    triangles = [t for t in valid_tuples(K, 3) if len(set(t)) == 3]
-    lift = {p: H.identity for p in valid_tuples(K, 2) if p[0] == p[1]}
+def _search_lift(K, H, red, base, budget):
+    """Pruned backtracking over the edges i < j for non-cyclic kernels.
+
+    Edge ij takes the values s(g_ij) * x for x in ker(beta), in order, with
+    l_ji = l_ij^-1 and l_ii = e.  Under these the six orders of a triangle
+    i < j < k state one equation, l_ij * l_jk = l_ik, and a triple with a
+    repeated vertex always holds; so each triangle is checked once, when
+    its last edge jk is set, and a full assignment is a lift.
+    """
+    A, inc = red.kernel, red.inclusion
+    edges = [p for p in normalized_tuples(K, 2) if p[0] < p[1]]
+    at = {e: n for n, e in enumerate(edges)}
+    closing = [[] for _ in edges]  # (ij, ik) of each triangle with last edge jk
+    for (i, j, k) in normalized_tuples(K, 3):
+        if i < j < k:
+            closing[at[(j, k)]].append((at[(i, j)], at[(i, k)]))
     bud = Budget(budget, A.order ** len(edges))
-
-    def fiber(p):
-        return [H.mul(sec[g[p]], inc[x]) for x in A.elements()]
-
-    def consistent():
-        for (i, j, k) in triangles:
-            if (i, j) in lift and (j, k) in lift and (i, k) in lift:
-                if H.mul(lift[(i, j)], lift[(j, k)]) != lift[(i, k)]:
-                    return False
-        return True
+    mul = H.mul_table
+    vals = [H.identity] * len(edges)
 
     def assign(idx):
         if idx == len(edges):
-            return all(
-                H.mul(lift[(i, j)], lift[(j, k)]) == lift[(i, k)]
-                for (i, j, k) in valid_tuples(K, 3))
-        i, j = edges[idx]
-        for h in fiber((i, j)):
+            return True
+        for x in A.elements():
+            h = mul[base[edges[idx]]][inc[x]]
             bud.tick("lift", idx, len(edges))
-            lift[(i, j)] = h
-            lift[(j, i)] = H.inv(h)
-            if consistent() and assign(idx + 1):
+            vals[idx] = h
+            if all(mul[vals[ij]][h] == vals[ik] for ij, ik in closing[idx]) \
+                    and assign(idx + 1):
                 return True
-            del lift[(i, j)], lift[(j, i)]
         return False
 
-    if assign(0):
-        return dict(lift)
-    return None
+    if not assign(0):
+        return None
+    lift = dict(base)
+    for (i, j), h in zip(edges, vals):
+        lift[(i, j)], lift[(j, i)] = h, H.inv(h)
+    return lift
 
 
 # -- the structure quotient -------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Sequence
 
 from .algebra import CrossedModule, cyclic_powers, generating_set
-from .complexes import SimplicialComplex, is_degenerate, normalized_tuples, valid_tuples
+from .complexes import SimplicialComplex, normalized_tuples, valid_tuples
 from .errors import (
     Cocyc1Failure,
     Cocyc2Failure,
@@ -848,9 +848,9 @@ def _pack(ctx: _Context, z: Cocycle) -> tuple:
 def _unpack(ctx: _Context, leaf: bytes) -> Cocycle:
     G, H = ctx.cm.G, ctx.cm.H
     digits = ctx.decode(leaf)
-    g = {p: G.identity for p in ctx.pairs if p[0] == p[1]}
+    g = dict.fromkeys(ctx.pairs, G.identity)
     g.update(zip(ctx.distinct_pairs, digits))
-    h = {t: H.identity for t in ctx.triples if is_degenerate(t)}
+    h = dict.fromkeys(ctx.triples, H.identity)
     h.update(zip(ctx.free_triples, digits[len(ctx.distinct_pairs):]))
     return validate_cocycle(Cocycle(ctx.K, ctx.cm, g, h))
 

@@ -35,28 +35,27 @@ from .io import (
 OK, INVALID, PARSE, BUDGET = 0, 1, 2, 3
 
 
-def _cocycle_lines(prefix: str, z) -> list[str]:
+def _entry_lines(prefix: str, kind: str, keys, values: dict, identity: int) -> list[str]:
+    """`<prefix><kind> <indices> <value>` for each key whose value is not the
+    identity, in the line format the input files use; a vertex key prints as
+    its one index."""
     out = []
-    eG, eH = z.cm.G.identity, z.cm.H.identity
-    for (i, j) in valid_tuples(z.complex, 2):
-        if z.g[(i, j)] != eG:
-            out.append(f"{prefix}g {i} {j} {z.g[(i, j)]}")
-    for (i, j, k) in valid_tuples(z.complex, 3):
-        if z.h[(i, j, k)] != eH:
-            out.append(f"{prefix}h {i} {j} {k} {z.h[(i, j, k)]}")
+    for key in keys:
+        if values[key] != identity:
+            index = key if isinstance(key, tuple) else (key,)
+            out.append(f"{prefix}{kind} {' '.join(map(str, index))} {values[key]}")
     return out
+
+
+def _cocycle_lines(prefix: str, z) -> list[str]:
+    return (_entry_lines(prefix, "g", valid_tuples(z.complex, 2), z.g, z.cm.G.identity)
+            + _entry_lines(prefix, "h", valid_tuples(z.complex, 3), z.h, z.cm.H.identity))
 
 
 def _coboundary_lines(prefix: str, c) -> list[str]:
-    out = []
-    eG, eH = c.cm.G.identity, c.cm.H.identity
-    for v in range(c.complex.vertex_count):
-        if c.gamma[v] != eG:
-            out.append(f"{prefix}gamma {v} {c.gamma[v]}")
-    for p in valid_tuples(c.complex, 2):
-        if c.eta[p] != eH:
-            out.append(f"{prefix}eta {p[0]} {p[1]} {c.eta[p]}")
-    return out
+    return (_entry_lines(prefix, "gamma", range(c.complex.vertex_count), c.gamma,
+                         c.cm.G.identity)
+            + _entry_lines(prefix, "eta", valid_tuples(c.complex, 2), c.eta, c.cm.H.identity))
 
 
 def cmd_validate(args) -> tuple[int, list[str]]:
@@ -154,9 +153,7 @@ def cmd_band(args) -> tuple[int, list[str]]:
     z = parse_cocycle_file(args.cocycle)
     b = bundle_mod.band(z)
     lines = [f"BAND_GROUP_ORDER: {b.group.order}"]
-    for p in valid_tuples(z.complex, 2):
-        if b.values[p] != b.group.identity:
-            lines.append(f"BAND g {p[0]} {p[1]} {b.values[p]}")
+    lines += _entry_lines("BAND ", "g", valid_tuples(z.complex, 2), b.values, b.group.identity)
     trivial = b.is_trivial_class(budget=args.budget)
     lines.append(f"BAND_TRIVIAL_CLASS: {'yes' if trivial else 'no'}")
     return OK, lines
@@ -166,9 +163,8 @@ def cmd_reduce_central(args) -> tuple[int, list[str]]:
     z = parse_cocycle_file(args.cocycle)
     red = bundle_mod.central_reduction(z)
     lines = [f"KERNEL_ORDER: {red.kernel.order}"]
-    for t in valid_tuples(z.complex, 3):
-        if red.reduced[t] != red.kernel.identity:
-            lines.append(f"REDUCED h {t[0]} {t[1]} {t[2]} {red.reduced[t]}")
+    lines += _entry_lines("REDUCED ", "h", valid_tuples(z.complex, 3), red.reduced,
+                          red.kernel.identity)
     body = _coboundary_lines("WITNESS ", red.witness)
     lines += body if body else ["WITNESS identity"]
     return OK, lines
@@ -180,16 +176,12 @@ def cmd_lift(args) -> tuple[int, list[str]]:
     g = parse_one_cocycle_file(args.cocycle, K, cm.G)
     res = bundle_mod.lifting_obstruction(K, cm, g, budget=args.budget)
     lines = [f"KERNEL_ORDER: {res.kernel.order}"]
-    for t in valid_tuples(K, 3):
-        if res.obstruction[t] != res.kernel.identity:
-            lines.append(f"OBSTRUCTION a {t[0]} {t[1]} {t[2]} {res.obstruction[t]}")
+    lines += _entry_lines("OBSTRUCTION ", "a", valid_tuples(K, 3), res.obstruction,
+                          res.kernel.identity)
     if not res.exists:
         return INVALID, lines + ["LIFT: none", "REASON: obstruction class nonvanishing"]
     lines.append("LIFT: exists")
-    for p in valid_tuples(K, 2):
-        if res.lift[p] != cm.H.identity:
-            lines.append(f"LIFT h {p[0]} {p[1]} {res.lift[p]}")
-    return OK, lines
+    return OK, lines + _entry_lines("LIFT ", "h", valid_tuples(K, 2), res.lift, cm.H.identity)
 
 
 def cmd_quotient(args) -> tuple[int, list[str]]:

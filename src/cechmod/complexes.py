@@ -58,13 +58,6 @@ class SimplicialComplex:
         """Simplices containing the vertex (the chart of its star)."""
         return sorted(tuple(sorted(s)) for s in self.simplices if vertex in s)
 
-    def maximal_simplices(self) -> list[tuple[int, ...]]:
-        out = []
-        for s in self.simplices:
-            if not any(s < t for t in self.simplices):
-                out.append(tuple(sorted(s)))
-        return sorted(out)
-
 
 def build_complex(maximal_simplices: Sequence[Sequence[int]],
                   vertex_count: int | None = None) -> SimplicialComplex:

@@ -11,7 +11,9 @@ Cocycle file:      `cocycle <complex> <cm>` (names or paths), then lines
                    default to the identity.
 Coboundary file:   lines `gamma i <Gindex>` and `eta i j <Hindex>`.
 1-cocycle file:    lines `g i j <Gindex>`.
-In the last three, a second line for the same entry is a parse error.
+In the last three, a second line for the same entry is a parse error.  The
+reports print cochain entries in the same `<kind> <indices> <value>` line
+format the files use.
 
 Parse problems raise ParseError with file and line; semantic validation is
 delegated to the module validators.
@@ -55,6 +57,21 @@ def _once(path: str, no: int, seen: dict, key: tuple) -> None:
         raise ParseError(path, no, f"repeated entry `{' '.join(map(str, key))}`, "
                                    f"first given on line {seen[key]}")
     seen[key] = no
+
+
+def _entries(path: str, lines: list[tuple[int, str]], tables: dict, what: str) -> None:
+    """Read `<kind> <indices> <value>` lines into tables[kind] = (index count,
+    dict); an entry with one index is keyed by it, others by the index tuple.
+    A line of another kind or length is an unrecognized `what` line."""
+    seen: dict = {}
+    for no, line in lines:
+        parts = line.split()
+        if parts[0] in tables and len(parts) == tables[parts[0]][0] + 2:
+            *key, v = _ints(path, no, parts[1:])
+            _once(path, no, seen, (parts[0], *key))
+            tables[parts[0]][1][key[0] if len(key) == 1 else tuple(key)] = v
+        else:
+            raise ParseError(path, no, f"unrecognized {what} line {line!r}")
 
 
 def parse_group_file(path: str) -> FiniteGroup:
@@ -161,19 +178,8 @@ def parse_cocycle_file(path: str) -> Cocycle:
 
     K = local(parts[1], resolve_complex, COMPLEX_BUILDERS)
     cm = local(parts[2], resolve_crossed_module, CM_BUILDERS)
-    g, h, seen = {}, {}, {}
-    for no, line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "g" and len(parts) == 4:
-            i, j, v = _ints(path, no, parts[1:])
-            _once(path, no, seen, ("g", i, j))
-            g[(i, j)] = v
-        elif parts[0] == "h" and len(parts) == 5:
-            i, j, k, v = _ints(path, no, parts[1:])
-            _once(path, no, seen, ("h", i, j, k))
-            h[(i, j, k)] = v
-        else:
-            raise ParseError(path, no, f"unrecognized cocycle line {line!r}")
+    g, h = {}, {}
+    _entries(path, lines[1:], {"g": (2, g), "h": (3, h)}, "cocycle")
     return cocycle(K, cm, g, h)
 
 
@@ -181,32 +187,12 @@ def parse_coboundary_file(path: str, K: SimplicialComplex,
                           cm: CrossedModule) -> Coboundary:
     gamma = {v: cm.G.identity for v in range(K.vertex_count)}
     eta = {p: cm.H.identity for p in valid_tuples(K, 2)}
-    seen: dict = {}
-    for no, line in _lines(path):
-        parts = line.split()
-        if parts[0] == "gamma" and len(parts) == 3:
-            i, v = _ints(path, no, parts[1:])
-            _once(path, no, seen, ("gamma", i))
-            gamma[i] = v
-        elif parts[0] == "eta" and len(parts) == 4:
-            i, j, v = _ints(path, no, parts[1:])
-            _once(path, no, seen, ("eta", i, j))
-            eta[(i, j)] = v
-        else:
-            raise ParseError(path, no, f"unrecognized coboundary line {line!r}")
+    _entries(path, _lines(path), {"gamma": (1, gamma), "eta": (2, eta)}, "coboundary")
     return coboundary(K, cm, gamma, eta)
 
 
 def parse_one_cocycle_file(path: str, K: SimplicialComplex,
                            G: FiniteGroup) -> dict:
     g = {p: G.identity for p in valid_tuples(K, 2)}
-    seen: dict = {}
-    for no, line in _lines(path):
-        parts = line.split()
-        if parts[0] == "g" and len(parts) == 4:
-            i, j, v = _ints(path, no, parts[1:])
-            _once(path, no, seen, ("g", i, j))
-            g[(i, j)] = v
-        else:
-            raise ParseError(path, no, f"unrecognized transition line {line!r}")
+    _entries(path, _lines(path), {"g": (2, g)}, "transition")
     return g
