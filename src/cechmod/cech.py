@@ -896,7 +896,11 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> Cla
 def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult:
     """Linear route: solve the cocycle system and quotient by the coboundary
     image over Z/n.  The count comes from elimination over Z/p^e (combined by
-    CRT), a route independent of the integer-Smith-form oracle.
+    CRT), a route independent of the integer-Smith-form oracle, on the
+    oriented differentials, one cochain per simplex: the oriented complex has
+    the cohomology of the normalized one (see `abelian_cohomology_oracle`)
+    and is far smaller.  Keys, generators and representatives read the
+    normalized complex, and the search must find exactly `count` classes.
 
     Classes are keyed by the Smith form D = U * d2 * V of the coboundaries
     d2: C^1 -> C^2.  As V is invertible over Z, c - c' lies in the image of d2
@@ -907,7 +911,7 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
     """
     from math import gcd
 
-    from .complexes import differential
+    from .complexes import differential, oriented_differential
     from .snf import (check_smith_form, image_size_mod, kernel_generators_mod,
                       kernel_size_mod, smith_normal_form)
 
@@ -922,7 +926,8 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
 
     d2 = differential(K, 1)   # C^1 -> C^2, coboundaries
     d3 = differential(K, 2)   # C^2 -> C^3, cocycle condition
-    count = kernel_size_mod(d3, n) // image_size_mod(d2, n)
+    count = kernel_size_mod(oriented_differential(K, 2), n) // \
+        image_size_mod(oriented_differential(K, 1), n)
     gens = kernel_generators_mod(d3, n)
 
     factors = smith_normal_form(d2, want_transforms=True, sparse_left=True)

@@ -47,9 +47,10 @@ def _entry_lines(prefix: str, kind: str, keys, values: dict, identity: int) -> l
     return out
 
 
-def _cocycle_lines(prefix: str, z) -> list[str]:
-    return (_entry_lines(prefix, "g", valid_tuples(z.complex, 2), z.g, z.cm.G.identity)
-            + _entry_lines(prefix, "h", valid_tuples(z.complex, 3), z.h, z.cm.H.identity))
+def _cocycle_lines(prefix: str, z, pairs, triples) -> list[str]:
+    """The entry lines of z, over `valid_tuples` of its complex at arity 2 and 3."""
+    return (_entry_lines(prefix, "g", pairs, z.g, z.cm.G.identity)
+            + _entry_lines(prefix, "h", triples, z.h, z.cm.H.identity))
 
 
 def _coboundary_lines(prefix: str, c) -> list[str]:
@@ -93,8 +94,9 @@ def cmd_classify(args) -> tuple[int, list[str]]:
              f"STRATEGY: {result.strategy}", f"CLASSES: {result.count}"]
     if result.cocycles_enumerated is not None:
         lines.append(f"ENUMERATED: {result.cocycles_enumerated}")
+    pairs, triples = valid_tuples(K, 2), valid_tuples(K, 3)
     for idx, rep in enumerate(result.representatives):
-        body = _cocycle_lines(f"REP {idx} ", rep)
+        body = _cocycle_lines(f"REP {idx} ", rep, pairs, triples)
         lines += body if body else [f"REP {idx} trivial"]
     return OK, lines
 

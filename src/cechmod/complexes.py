@@ -7,12 +7,14 @@ locally constant cochain is therefore a single group element per ordered
 tuple, and an ordered tuple carries data exactly when its support spans a
 simplex.
 
-The oracle computes simplicial cohomology with Z/n coefficients on the
-ordered, *normalized* cochain complex (cochains vanish on tuples with an
-adjacent repeated index), which keeps its degree-2 answers in the same basis
-convention as the nonabelian machinery elsewhere in the package.  Each
-complex builds that cochain complex once, a piece at a time on first use:
-the normalized tuples of each arity and the differentials d_0, d_1, d_2 as
+The nonabelian machinery reads the ordered, *normalized* cochain complex
+(cochains vanish on tuples with an adjacent repeated index).  The oracle
+reads the oriented one instead, one cochain per simplex: its k-cochains are
+the values on the k-simplices with their vertices in increasing order.  The
+two are chain-equivalent (see `abelian_cohomology_oracle`), so they give the
+same cohomology, while the oriented one is far smaller.  Each complex builds
+both once, a piece at a time on first use: the normalized tuples of each
+arity and the differentials d_0, d_1, d_2 of both cochain complexes as
 sparse rows, held on the instance and shared by every caller.
 """
 
@@ -32,8 +34,9 @@ class SimplicialComplex:
 
     vertex_count: int
     simplices: frozenset[frozenset[int]]
-    # the normalized tuples by arity and the differentials by degree, each
-    # built on first use by `normalized_tuples` and `differential`; equality,
+    # the normalized tuples by arity and the normalized and oriented
+    # differentials by degree, each built on first use by `normalized_tuples`,
+    # `differential` and `oriented_differential`; equality,
     # hashing and repr ignore it.  A field, not a cached_property: adding an
     # attribute after construction would give the instance a dict of its own,
     # and every attribute read on it (`simplices` in `valid_tuples`) slower.
@@ -183,6 +186,22 @@ def normalized_tuples(K: SimplicialComplex, arity: int) -> list[tuple[int, ...]]
     return list(held[key])
 
 
+def _coboundary(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]],
+                k: int) -> SparseMatrix:
+    """The coboundary from cochains on the (k+1)-tuples `cols` to those on
+    the (k+2)-tuples `rows`: (dc)(t) = sum_m (-1)^m c(t drop m), with c zero on
+    every face that is not a column, as sparse rows."""
+    col = {t: i for i, t in enumerate(cols)}
+    # combinations(t, k + 1) drops t[k + 1], ..., t[0] in turn, and t drop m
+    # has sign (-1)^m.  The faces of a tuple with no adjacent repeat are
+    # distinct, so no entry adds up or cancels.
+    signs = [(-1) ** m for m in reversed(range(k + 2))]
+    return SparseMatrix(tuple(
+        tuple(sorted((i, sign) for face, sign in zip(itertools.combinations(t, k + 1), signs)
+                     if (i := col.get(face)) is not None))
+        for t in rows), len(col))
+
+
 def differential(K: SimplicialComplex, k: int) -> SparseMatrix:
     """The normalized Cech differential C^k -> C^(k+1), for k = 0, 1, 2.
 
@@ -196,17 +215,8 @@ def differential(K: SimplicialComplex, k: int) -> SparseMatrix:
     held = K._cochains
     key = ("d", k)
     if key not in held:
-        col = {t: i for i, t in enumerate(normalized_tuples(K, k + 1))}
-        # combinations(t, k + 1) drops t[k + 1], ..., t[0] in turn, and t drop m
-        # has sign (-1)^m.  A face is a valid tuple, so it is a column unless
-        # degenerate, and the faces of a tuple with no adjacent repeat are
-        # distinct, so no entry adds up or cancels.
-        signs = [(-1) ** m for m in reversed(range(k + 2))]
-        rows = tuple(
-            tuple(sorted((i, sign) for face, sign in zip(itertools.combinations(t, k + 1), signs)
-                         if (i := col.get(face)) is not None))
-            for t in normalized_tuples(K, k + 2))
-        held[key] = SparseMatrix(rows, len(col))
+        # a face is a valid tuple, so it is a column unless degenerate
+        held[key] = _coboundary(normalized_tuples(K, k + 2), normalized_tuples(K, k + 1), k)
     return held[key]
 
 
@@ -215,8 +225,39 @@ def coboundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
     return differential(K, k).dense()
 
 
+def oriented_differential(K: SimplicialComplex, k: int) -> SparseMatrix:
+    """The oriented simplicial coboundary C^k -> C^(k+1), for k = 0, 1, 2.
+
+    Rows are indexed by the (k+1)-simplices, columns by the k-simplices, each
+    as its increasing vertex tuple in lexicographic order; (dc)(s) =
+    sum_m (-1)^m c(s drop m).  Built once per complex straight from the
+    faces, as sparse rows, and held on it; the value is immutable.
+    """
+    if k not in (0, 1, 2):
+        raise ValueError("degree must be 0, 1 or 2")
+    held = K._cochains
+    key = ("oriented", k)
+    if key not in held:
+        # every face of a simplex is a simplex, so a column
+        simplices = K.simplices_sorted()
+        held[key] = _coboundary([s for s in simplices if len(s) == k + 2],
+                                [s for s in simplices if len(s) == k + 1], k)
+    return held[key]
+
+
 def abelian_cohomology_oracle(K: SimplicialComplex, n: int, k: int) -> int:
-    """|H^k(K; Z/n)| via integer Smith normal form of the normalized complex.
+    """|H^k(K; Z/n)| via integer Smith normal form of the oriented complex.
+
+    The oriented cochain complex gives the cohomology of the normalized
+    ordered one that the nonabelian machinery reads.  The ordered and the
+    oriented chain complexes are chain-equivalent (Munkres, Elements of
+    Algebraic Topology, 1984, Thm 13.6), and the ordered one is in turn
+    chain-equivalent to its normalized quotient by the tuples with an
+    adjacent repeat (the degenerate simplices of the ordered complex as a
+    simplicial set).  The composite sends a simplex to its increasing tuple;
+    its dual restricts a normalized cochain to the increasing tuples.  All
+    three are complexes of free Z-modules, so Hom into Z/n keeps the
+    equivalences, and the cohomology groups agree.
 
     For a complex of free Z-modules, reducing the Smith form mod n gives
     |ker| = n^(c_k - r_k) * prod gcd(d_i, n) and |im| = n^(r_{k-1}) /
@@ -226,9 +267,10 @@ def abelian_cohomology_oracle(K: SimplicialComplex, n: int, k: int) -> int:
         raise SemanticError("degree must be 0, 1 or 2")
     if n < 2:
         raise SemanticError("modulus must be at least 2")
-    c_k = len(normalized_tuples(K, k + 1))
-    r_k, div_k = rank_and_divisors(differential(K, k))
-    r_prev, div_prev = rank_and_divisors(differential(K, k - 1)) if k else (0, [])
+    d_k = oriented_differential(K, k)
+    c_k = d_k.cols
+    r_k, div_k = rank_and_divisors(d_k)
+    r_prev, div_prev = rank_and_divisors(oriented_differential(K, k - 1)) if k else (0, [])
     from math import gcd
     size = n ** (c_k - r_k - r_prev)
     for d in div_k:

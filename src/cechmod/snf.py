@@ -4,10 +4,14 @@ One integer algorithm serves all moduli: the Smith normal form is computed
 over Z with explicit reduction mod n at the end.  A separate elimination
 over Z/p^e (combined by CRT) backs the mod-n cohomology counts that are
 checked against the Smith-form route, so the two never share arithmetic.
+Both count routes factor the oriented differentials of a base, one cochain
+per simplex; the Smith forms whose transforms read cochain values factor
+the normalized ones.
 
 Every routine takes a matrix in either of two forms: dense, a list of rows
 of integers, or sparse, a `SparseMatrix` of per-row (column, entry) pairs
-and a column count, such as `complexes.differential` holds for each base.
+and a column count, such as `complexes.differential` and
+`complexes.oriented_differential` hold for each base.
 Both give the same results; only the sparse form knows its column count
 when it has no rows.
 

@@ -1350,3 +1350,23 @@ def test_validate_cocycle_matches_the_scan_of_every_valid_tuple(kname, cmname):
         seen.add(want if want is True else want[0])
     assert {MissingEntry, NormalizationFailure, SemanticError, Cocyc1Failure} <= seen
     assert Cocyc2Failure in seen or len(kernel) == 1
+
+
+# -- the abelian count on the oriented complex ---------------------------------------
+
+@pytest.mark.parametrize("kname", ["point", "full1", "full2", "full3", "circle",
+                                   "boundary3", "torus7", "rp26"])
+def test_abelian_count_matches_normalized_complex(kname):
+    # the count factors the oriented differentials; the normalized ones,
+    # which the keys and generators read, give the same quotient
+    from cechmod.algebra import crossed_module, cyclic_group, trivial_action, trivial_group
+    from cechmod.complexes import differential
+    from cechmod.snf import image_size_mod, kernel_size_mod
+    K = cx(kname)
+    one = trivial_group()
+    for n in range(2, 7):
+        Zn = cyclic_group(n)
+        cmx = crossed_module(one, Zn, [0] * n, trivial_action(one, Zn).table)
+        result = classify(K, cmx, "abelian")
+        assert result.count == len(result.representatives) == \
+            kernel_size_mod(differential(K, 2), n) // image_size_mod(differential(K, 1), n)

@@ -222,3 +222,89 @@ def test_held_cochains_are_built_lazily_and_cannot_be_changed():
         d.rows[0][0] = (0, 1)
     # equality and hashing ignore what the complex holds
     assert K == torus_7() and hash(K) == hash(torus_7())
+
+
+# -- the oriented cochain complex ------------------------------------------------------
+
+CATALOG = ["point", "full1", "full2", "full3", "circle", "boundary3", "torus7", "rp26"]
+
+
+def _random_complexes(seed, count):
+    """Seeded random complexes: random facets on 4-8 vertices, each vertex
+    in one, and the disjoint unions of consecutive ones."""
+    import random
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nv = rng.randint(4, 8)
+        facets = [rng.sample(range(nv), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
+        covered = set().union(*facets)
+        facets += [[v] for v in range(nv) if v not in covered]
+        out.append(build_complex(facets))
+    return out + [disjoint_union(a, b) for a, b in zip(out, out[1:])]
+
+
+def _normalized_oracle(K, n, k):
+    """|H^k(K; Z/n)| as the oracle computed it before it read the oriented
+    complex: Smith forms of the normalized ordered differentials."""
+    from cechmod.complexes import differential, normalized_tuples
+    from cechmod.snf import rank_and_divisors
+    c_k = len(normalized_tuples(K, k + 1))
+    r_k, div_k = rank_and_divisors(differential(K, k))
+    r_prev, div_prev = rank_and_divisors(differential(K, k - 1)) if k else (0, [])
+    size = n ** (c_k - r_k - r_prev)
+    for d in div_k + div_prev:
+        size *= math.gcd(d, n)
+    return size
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_oracle_matches_normalized_complex_on_catalog(name):
+    from cechmod.catalog import named_complex
+    K = named_complex(name)
+    for n in range(2, 9):
+        for k in (0, 1, 2):
+            assert abelian_cohomology_oracle(K, n, k) == _normalized_oracle(K, n, k), (n, k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_matches_normalized_complex_on_random_complexes(seed):
+    for K in _random_complexes(seed, 5):
+        for n in (2, 3, 4, 6):
+            for k in (0, 1, 2):
+                assert abelian_cohomology_oracle(K, n, k) == _normalized_oracle(K, n, k)
+
+
+@pytest.mark.parametrize("name", CATALOG + ["point+circle", "full1+boundary3"])
+def test_oriented_differentials_form_a_complex(name):
+    # d_k maps the k-simplices to the (k+1)-simplices, and d_{k+1} d_k = 0
+    from cechmod.catalog import named_complex
+    from cechmod.complexes import oriented_differential
+    parts = [named_complex(p) for p in name.split("+")]
+    K = parts[0] if len(parts) == 1 else disjoint_union(*parts)
+    counts = K.simplex_counts()
+    for k in (0, 1, 2):
+        d = oriented_differential(K, k)
+        assert (len(d.rows), d.cols) == (counts.get(k + 1, 0), counts.get(k, 0))
+        assert all(len(row) == k + 2 and [c for c, _ in row] == sorted(c for c, _ in row)
+                   for row in d.rows)
+    for k in (0, 1):
+        lower = oriented_differential(K, k).dense()
+        for row in oriented_differential(K, k + 1).dense():
+            for j in range(counts.get(k, 0)):
+                assert sum(row[i] * lower[i][j] for i in range(len(lower))) == 0
+    for k in (-1, 3):
+        with pytest.raises(ValueError):
+            oriented_differential(K, k)
+
+
+def test_oriented_differentials_are_held_and_ignored_by_equality():
+    from cechmod.complexes import oriented_differential
+    K = torus_7()
+    d = oriented_differential(K, 1)
+    assert oriented_differential(K, 1) is d
+    # row (0, 1, 3) over the edges (0, 1), (0, 2), (0, 3), ..., (1, 3), ...: +01 -03 +13
+    assert d.dense()[0] == [1, 0, -1, 0, 0, 0, 0, 1] + [0] * 13
+    with pytest.raises(TypeError):
+        d.rows[0] = ()
+    assert K == torus_7() and hash(K) == hash(torus_7())
