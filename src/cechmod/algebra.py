@@ -71,15 +71,47 @@ class FiniteGroup:
         return n
 
 
-def cyclic_powers(A: FiniteGroup) -> list[int] | None:
-    """[e, x, x^2, ...] for the first generator x of A, or None if A is not cyclic."""
-    for x in A.elements():
-        if A.element_order(x) == A.order:
-            powers = [A.identity]
-            while len(powers) < A.order:
-                powers.append(A.mul(powers[-1], x))
-            return powers
-    return None
+def abelian_invariants(A: FiniteGroup) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """The invariant factors n_1, n_2, ... of an abelian A, each divisible by
+    the next, and the isomorphism `coords` from A onto (+) Z/n_r.
+
+    Basis elements x_1, x_2, ... are chosen greedily.  With S the span of
+    those chosen so far, take the first y of largest order m modulo S, then
+    x = the first element of y + S whose order in A is m.  Such an x exists,
+    and S + <x> is direct:
+    - write S_r for the span of x_1..x_r and n_r for the order of x_r.  The
+      largest order in a finite abelian group is its exponent, so n_r kills
+      A / S_(r-1), and m divides n_r, since A / S is a quotient of it;
+    - so m y = sum_r c_r x_r, and in A / S_(r-1), where the x_s with s >= r
+      stay independent of orders n_s, (n_r / m) m y = n_r y = 0 reads
+      (n_r / m) c_r = 0 mod n_r, i.e. m | c_r;
+    - then y - sum_r (c_r / m) x_r lies in y + S and has order m in A;
+    - any x in y + S of order m in A has order m modulo S, so k x lies in
+      S only when m | k, that is when k x = e.
+    m | n_r for every earlier r gives the divisibility chain.
+    A cyclic A gets its first generator x, and sorted(coords,
+    key=coords.get) is [e, x, x^2, ...].
+    """
+    mul = A.mul_table
+    orders, coords = [], {A.identity: ()}
+    while len(coords) < A.order:
+        quotient = []
+        for y in A.elements():  # the order of y modulo the span
+            k, z = 1, y
+            while z not in coords:
+                z, k = mul[z][y], k + 1
+            quotient.append(k)
+        m = max(quotient)
+        y = quotient.index(m)
+        x = min(z for z in (mul[y][s] for s in coords) if A.element_order(z) == m)
+        extended, xt = {}, A.identity
+        for t in range(m):
+            for s, c in coords.items():
+                extended[mul[s][xt]] = (*c, t)
+            xt = mul[xt][x]
+        orders.append(m)
+        coords = extended
+    return orders, coords
 
 
 def generating_set(elements: Sequence[int], mul_table, identity: int) -> list[int]:

@@ -20,8 +20,8 @@ from .algebra import (
     CrossedModule,
     FiniteGroup,
     Strict2Group,
+    abelian_invariants,
     crossed_module,
-    cyclic_powers,
     generating_set,
     kernel_of_beta,
     quotient_by_image,
@@ -30,12 +30,10 @@ from .algebra import (
 )
 from .cech import (
     DEFAULT_BUDGET,
-    Budget,
     Cocycle,
     Coboundary,
     apply_coboundary,
     are_cohomologous,
-    cocycle,
     validate_cocycle,
 )
 from .complexes import SimplicialComplex, differential, normalized_tuples, valid_tuples
@@ -1004,8 +1002,7 @@ def validate_one_cocycle(K: SimplicialComplex, G: FiniteGroup, g: dict) -> dict:
     return full
 
 
-def lifting_obstruction(K: SimplicialComplex, cm: CrossedModule, g: dict,
-                        budget: int = DEFAULT_BUDGET) -> LiftResult:
+def lifting_obstruction(K: SimplicialComplex, cm: CrossedModule, g: dict) -> LiftResult:
     """The kernel-valued obstruction to lifting a 1-cocycle through beta.
 
     The obstruction is the central reduction of the cocycle (g, h = e).  Its
@@ -1019,15 +1016,21 @@ def lifting_obstruction(K: SimplicialComplex, cm: CrossedModule, g: dict,
     a_ijk lies in ker(beta), which is central when beta is surjective, so
     h' = a.  A lift l_ij = s(g_ij) b_ij with b in ker(beta) is a 1-cocycle
     exactly when a_ijk = b_ik b_ij^-1 b_jk^-1, i.e. when the class of a
-    vanishes.  Every cyclic kernel, the trivial one included, goes through
-    an exact modular linear solve; otherwise a pruned search runs over the
-    kernel fibers.
+    vanishes.  ker(beta) is abelian, so db = -a splits over its invariant
+    factors into one exact modular linear solve per factor; a trivial kernel
+    has none, and its lift is the section.
+
+    g is validated once, by `validate_one_cocycle`, and (g, e) is built
+    without `validate_cocycle`: with h = e the h totality, normalization and
+    quadruple identity hold trivially, and the pair and triple identities
+    are the 1-cocycle identity just checked.  `central_reduction` still
+    validates its result through `apply_coboundary`.
     """
     G, H = cm.G, cm.H
     g = validate_one_cocycle(K, G, g)
-    red = central_reduction(cocycle(K, cm, g, {}))
+    red = central_reduction(Cocycle(K, cm, g, dict.fromkeys(valid_tuples(K, 3), H.identity)))
     base = {p: H.inv(eta) for p, eta in red.witness.eta.items()}  # s(g_ij)
-    lift = _solve_lift(K, H, red, base, budget)
+    lift = _solve_lift(K, H, red, base)
     if lift is not None:
         for (i, j, k) in valid_tuples(K, 3):
             assert H.mul(lift[(i, j)], lift[(j, k)]) == lift[(i, k)]
@@ -1036,61 +1039,20 @@ def lifting_obstruction(K: SimplicialComplex, cm: CrossedModule, g: dict,
     return LiftResult(red.reduced, red.kernel, lift is not None, lift)
 
 
-def _solve_lift(K, H, red, base, budget):
-    """A lift s(g_ij) * x^(b_ij) for a generator x of a cyclic kernel, with
-    db = -log a solved mod |A|; a non-cyclic kernel goes to the search."""
-    A, inc = red.kernel, red.inclusion
-    powers = cyclic_powers(A)
-    if powers is None:
-        return _search_lift(K, H, red, base, budget)
-    log = {x: t for t, x in enumerate(powers)}
-    rhs = [(-log[red.reduced[t]]) % A.order for t in normalized_tuples(K, 3)]
-    sol = solve_mod(differential(K, 1), rhs, A.order)
-    if sol is None:
-        return None
+def _solve_lift(K, H, red, base):
+    """A lift s(g_ij) * b_ij, with db = -a solved mod n_r in each coordinate
+    of ker(beta) = (+) Z/n_r, or None when some coordinate has no solution."""
+    orders, coords = abelian_invariants(red.kernel)
+    sols = []
+    for r, n in enumerate(orders):
+        rhs = [(-coords[red.reduced[t]][r]) % n for t in normalized_tuples(K, 3)]
+        sols.append(solve_mod(differential(K, 1), rhs, n))
+        if sols[-1] is None:
+            return None
+    element = {c: x for x, c in coords.items()}
     lift = dict(base)  # s(e) = e on the diagonal
-    for p, b in zip(normalized_tuples(K, 2), sol):
-        lift[p] = H.mul(base[p], inc[powers[b]])
-    return lift
-
-
-def _search_lift(K, H, red, base, budget):
-    """Pruned backtracking over the edges i < j for non-cyclic kernels.
-
-    Edge ij takes the values s(g_ij) * x for x in ker(beta), in order, with
-    l_ji = l_ij^-1 and l_ii = e.  Under these the six orders of a triangle
-    i < j < k state one equation, l_ij * l_jk = l_ik, and a triple with a
-    repeated vertex always holds; so each triangle is checked once, when
-    its last edge jk is set, and a full assignment is a lift.
-    """
-    A, inc = red.kernel, red.inclusion
-    edges = [p for p in normalized_tuples(K, 2) if p[0] < p[1]]
-    at = {e: n for n, e in enumerate(edges)}
-    closing = [[] for _ in edges]  # (ij, ik) of each triangle with last edge jk
-    for (i, j, k) in normalized_tuples(K, 3):
-        if i < j < k:
-            closing[at[(j, k)]].append((at[(i, j)], at[(i, k)]))
-    bud = Budget(budget, A.order ** len(edges))
-    mul = H.mul_table
-    vals = [H.identity] * len(edges)
-
-    def assign(idx):
-        if idx == len(edges):
-            return True
-        for x in A.elements():
-            h = mul[base[edges[idx]]][inc[x]]
-            bud.tick("lift", idx, len(edges))
-            vals[idx] = h
-            if all(mul[vals[ij]][h] == vals[ik] for ij, ik in closing[idx]) \
-                    and assign(idx + 1):
-                return True
-        return False
-
-    if not assign(0):
-        return None
-    lift = dict(base)
-    for (i, j), h in zip(edges, vals):
-        lift[(i, j)], lift[(j, i)] = h, H.inv(h)
+    for p, b in zip(normalized_tuples(K, 2), zip(*sols)):
+        lift[p] = H.mul(base[p], red.inclusion[element[b]])
     return lift
 
 

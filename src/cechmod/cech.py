@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Collection, Iterator, Sequence
 
-from .algebra import CrossedModule, cyclic_powers, generating_set
+from .algebra import CrossedModule, abelian_invariants, generating_set
 from .complexes import SimplicialComplex, normalized_tuples, valid_tuples
 from .errors import (
     Cocyc1Failure,
@@ -919,9 +919,10 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
         raise StrategyMismatch("abelian strategy needs a trivial base group")
     if not cm.H.is_abelian():
         raise StrategyMismatch("abelian strategy needs abelian coefficients")
-    power = cyclic_powers(cm.H)
-    if power is None:
+    orders, coords = abelian_invariants(cm.H)
+    if len(orders) > 1:
         raise StrategyMismatch("abelian strategy needs cyclic coefficients")
+    power = sorted(coords, key=coords.get)
     n = cm.H.order
 
     d2 = differential(K, 1)   # C^1 -> C^2, coboundaries

@@ -176,7 +176,7 @@ def cmd_lift(args) -> tuple[int, list[str]]:
     K = resolve_complex(args.complex)
     cm = resolve_crossed_module(args.cm)
     g = parse_one_cocycle_file(args.cocycle, K, cm.G)
-    res = bundle_mod.lifting_obstruction(K, cm, g, budget=args.budget)
+    res = bundle_mod.lifting_obstruction(K, cm, g)
     lines = [f"KERNEL_ORDER: {res.kernel.order}"]
     lines += _entry_lines("OBSTRUCTION ", "a", valid_tuples(K, 3), res.obstruction,
                           res.kernel.identity)

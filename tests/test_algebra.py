@@ -19,7 +19,7 @@ from cechmod import (
     two_group_from_crossed_module,
     validate_group,
 )
-from cechmod.algebra import AUT_SEARCH_BOUND, cyclic_powers
+from cechmod.algebra import AUT_SEARCH_BOUND, abelian_invariants
 from cechmod.errors import (
     EquivarianceFailure,
     NoIdentity,
@@ -221,12 +221,37 @@ def test_conjugation_action_is_valid_and_two_group_checks(s3):
         assert tg.target(m) == s3.mul(cm("conj_s3").beta_of(h), g)
 
 
-def test_cyclic_powers():
-    assert cyclic_powers(cyclic_group(4)) == [0, 1, 2, 3]
-    assert cyclic_powers(trivial_group()) == [0]
-    assert cyclic_powers(symmetric_group(3)) is None
-    assert cyclic_powers(power_group(cyclic_group(2), 2)[0]) is None
+def _cyclic_product(*ns):
+    return group_from_operation(
+        list(itertools.product(*map(range, ns))),
+        lambda x, y: tuple((a + b) % n for a, b, n in zip(x, y, ns)),
+        "x".join(f"Z{n}" for n in ns))[0]
+
+
+def test_abelian_invariants():
+    for ns, factors in [((1,), []), ((4,), [4]), ((6,), [6]), ((2, 2), [2, 2]),
+                        ((2, 4), [4, 2]), ((2, 6), [6, 2]), ((2, 2, 2), [2, 2, 2]),
+                        ((3, 9), [9, 3])]:
+        A = _cyclic_product(*ns)
+        orders, coords = abelian_invariants(A)
+        assert orders == factors
+        assert all(n % m == 0 for n, m in zip(orders, orders[1:]))
+        # a bijective homomorphism onto (+) Z/n_r
+        assert sorted(coords.values()) == list(itertools.product(*map(range, orders)))
+        assert all(coords[A.mul(a, b)] == tuple((x + y) % n for x, y, n in
+                                                zip(coords[a], coords[b], orders))
+                   for a in A.elements() for b in A.elements())
+
+    def powers(A):
+        coords = abelian_invariants(A)[1]
+        return sorted(coords, key=coords.get)
+
+    # a cyclic group's coordinates order its elements as powers of a generator
+    assert powers(cyclic_group(4)) == [0, 1, 2, 3]
+    assert powers(trivial_group()) == [0]
     Z6 = cyclic_group(6)
-    powers = cyclic_powers(Z6)
-    assert sorted(powers) == list(range(6))
-    assert all(Z6.mul(powers[t], powers[1]) == powers[(t + 1) % 6] for t in range(6))
+    power = powers(Z6)
+    assert sorted(power) == list(range(6))
+    assert all(Z6.mul(power[t], power[1]) == power[(t + 1) % 6] for t in range(6))
+
+

@@ -1176,11 +1176,12 @@ def _reference_classify_abelian(K, cmx):
     """The abelian search as it was before classes were keyed by the Smith
     form of d2: a candidate is kept when `solve_mod` finds it cohomologous to
     no representative kept so far.  Returns (count, representatives)."""
-    from cechmod.algebra import cyclic_powers
+    from cechmod.algebra import abelian_invariants
     from cechmod.complexes import coboundary_matrix, normalized_tuples
     from cechmod.snf import (image_size_mod, kernel_generators_mod, kernel_size_mod,
                              smith_normal_form, solve_mod)
-    power = cyclic_powers(cmx.H)
+    coords = abelian_invariants(cmx.H)[1]
+    power = sorted(coords, key=coords.get)
     n = cmx.H.order
     d2 = coboundary_matrix(K, 1)
     d3 = coboundary_matrix(K, 2)

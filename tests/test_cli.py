@@ -152,6 +152,25 @@ def test_lift_trivial_bundle(tmp_path):
     assert code == 0 and "LIFT: exists" in report
 
 
+def test_non_cyclic_lift_from_files():
+    """The files of the CI step "A non-cyclic lift through main": Z2 x Z4 ->
+    Z2 has kernel Z2 x Z2, so the verdict takes one solve per invariant
+    factor and reads no budget."""
+    from test_lift import _z2xz4_over_z2
+
+    data = os.path.join(os.path.dirname(__file__), "data")
+    cm_path = os.path.join(data, "z2xz4_over_z2.cm")
+    cmx, want = parse_cm_file(cm_path), _z2xz4_over_z2()
+    assert (cmx.H.mul_table, cmx.beta.image) == (want.H.mul_table, want.beta.image)
+    code, report = run(["lift", "--complex", "rp26", "--cm", cm_path, "--cocycle",
+                        os.path.join(data, "rp26_nontrivial_z2.coc"), "--budget", "1"])
+    assert code == 1
+    assert "LIFT: none" in report.splitlines() and "\nREASON: " in report
+    code, report = run(["lift", "--complex", "torus7", "--cm", cm_path, "--cocycle",
+                        os.path.join(data, "trivial_transitions.coc")])
+    assert code == 0 and "LIFT: exists" in report.splitlines()
+
+
 def test_exit_codes(tmp_path):
     code, _ = run(["validate", "--complex", "nonexistent-file.cplx"])
     assert code == 2  # parse error
