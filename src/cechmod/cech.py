@@ -54,10 +54,6 @@ class Cocycle:
         hs = tuple(self.h[t] for t in valid_tuples(self.complex, 3))
         return gs + hs
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Cocycle) and self.complex == other.complex
-                and self.cm == other.cm and self.g == other.g and self.h == other.h)
-
     def __hash__(self) -> int:
         return hash(self.key())
 
@@ -73,11 +69,6 @@ class Coboundary:
         gs = tuple(self.gamma[v] for v in range(self.complex.vertex_count))
         es = tuple(self.eta[p] for p in valid_tuples(self.complex, 2))
         return gs + es
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Coboundary) and self.complex == other.complex
-                and self.cm == other.cm and self.gamma == other.gamma
-                and self.eta == other.eta)
 
     def __hash__(self) -> int:
         return hash(self.key())
@@ -983,7 +974,7 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
 
 
 def classify(K: SimplicialComplex, cm: CrossedModule, strategy: str = "brute",
-             budget: int = DEFAULT_BUDGET, workers: int = 1) -> ClassifyResult:
+             budget: int = DEFAULT_BUDGET) -> ClassifyResult:
     """Cohomology classes over K with coefficients in cm.
 
     brute: pruned backtracking enumeration restricted to the band slice
@@ -993,9 +984,7 @@ def classify(K: SimplicialComplex, cm: CrossedModule, strategy: str = "brute",
     and the node and leaf counts of the whole slice follow from it.  abelian:
     linear algebra mod n; needs a trivial base group and cyclic coefficients.
     Representatives are lexicographically minimal in the fixed tuple order
-    (within the slice for brute); output is deterministic.  `workers` is
-    accepted for existing callers and changes nothing: the one subtree is
-    searched on one process.
+    (within the slice for brute); output is deterministic.
     """
     if strategy == "brute":
         return _classify_brute(K, cm, budget)

@@ -89,7 +89,7 @@ def cmd_validate(args) -> tuple[int, list[str]]:
 def cmd_classify(args) -> tuple[int, list[str]]:
     K = resolve_complex(args.complex)
     cm = resolve_crossed_module(args.cm)
-    result = classify(K, cm, args.strategy, budget=args.budget, workers=args.workers)
+    result = classify(K, cm, args.strategy, budget=args.budget)
     lines = [f"COMPLEX: {args.complex}", f"CM: {args.cm}",
              f"STRATEGY: {result.strategy}", f"CLASSES: {result.count}"]
     if result.cocycles_enumerated is not None:

@@ -10,19 +10,10 @@ from __future__ import annotations
 class CechmodError(Exception):
     """Base class for all structured errors raised by this package.
 
-    Subclasses take their own constructor arguments, so pickling rebuilds
-    the error from its message and attributes instead of calling
-    `__init__`; errors raised in worker processes reach the parent intact.
+    Every error is raised and caught in the process that made it, so none
+    needs to survive pickling; a subclass whose only argument is its message
+    inherits `Exception.__init__`.
     """
-
-    def __reduce__(self):
-        return _rebuild, (type(self), self.args), self.__dict__
-
-
-def _rebuild(cls: type, args: tuple) -> CechmodError:
-    exc = cls.__new__(cls)
-    exc.args = args
-    return exc
 
 
 # -- finite group validation -------------------------------------------------
@@ -62,12 +53,6 @@ class PeifferFailure(CechmodError):
     def __init__(self, h: int, h2: int):
         self.witness = (h, h2)
         super().__init__(f"alpha(beta(h)).h' != h*h'*h^-1 at (h={h}, h'={h2})")
-
-
-class KernelNotCentral(CechmodError):
-    def __init__(self, a: int, h: int):
-        self.witness = (a, h)
-        super().__init__(f"kernel element {a} does not commute with {h}")
 
 
 class BetaNotSurjective(CechmodError):
@@ -138,25 +123,21 @@ class SearchSpaceTooLarge(CechmodError):
 
 
 class StrategyMismatch(CechmodError):
-    def __init__(self, msg: str):
-        super().__init__(msg)
+    pass
 
 
 # -- bundle groupoids ----------------------------------------------------------
 
 class ActionNotFreeTransitive(CechmodError):
-    def __init__(self, msg: str):
-        super().__init__(msg)
+    pass
 
 
 class ActionNotFree(CechmodError):
-    def __init__(self, msg: str):
-        super().__init__(msg)
+    pass
 
 
 class TrivializationInvalid(CechmodError):
-    def __init__(self, msg: str):
-        super().__init__(msg)
+    pass
 
 
 class NotA1Cocycle(CechmodError):
@@ -168,8 +149,7 @@ class NotA1Cocycle(CechmodError):
 # -- gauge ---------------------------------------------------------------------
 
 class ConventionMismatch(CechmodError):
-    def __init__(self, msg: str):
-        super().__init__(msg)
+    pass
 
 
 # -- parsing -------------------------------------------------------------------
@@ -183,6 +163,3 @@ class ParseError(CechmodError):
 class SemanticError(CechmodError, ValueError):
     """Well-formed input that violates a definition (a table entry out of
     range, a value on a tuple that is not a simplex, a non-homomorphism)."""
-
-    def __init__(self, msg: str):
-        super().__init__(msg)

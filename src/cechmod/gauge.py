@@ -16,13 +16,13 @@ from .algebra import (
     CrossedModule,
     FiniteGroup,
     GroupAction,
-    GroupHom,
     Strict2Group,
     group_from_operation,
     kernel_of_beta,
     power_group,
     quotient_by_image,
     validate_crossed_module,
+    validate_hom,
 )
 from .bundle import (
     GroupoidFunctor,
@@ -219,10 +219,12 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     Hstar is the group of vertex-indexed H-tuples.  betastar sends a tuple t
     to the stabilizer element with gamma_i = beta(t_i) and eta_ij =
     t_i * (g_ij . t_j)^-1, and alphastar acts pointwise through the base
-    action.  The result passes the full crossed-module validation; an image
-    of betastar outside the stabilizer raises ConventionMismatch, and any
-    failed axiom raises its validator error.  `convention` is always "left",
-    naming the side on which t_i multiplies in eta.
+    action.  An image of betastar outside the stabilizer raises
+    ConventionMismatch.  betastar is checked to be a homomorphism by
+    `validate_hom`, then equivariance and the Peiffer identity by
+    `validate_crossed_module`; each failure raises its validator error.
+    alphastar is not checked to be an action.  `convention` is always
+    "left", naming the side on which t_i multiplies in eta.
     """
     K, cm = z.complex, z.cm
     H = cm.H
@@ -246,7 +248,7 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
             raise ConventionMismatch(
                 f"betastar image of {tup} does not stabilize the cocycle")
         images.append(gindex[k])
-    betastar = GroupHom(Hstar, Gstar, tuple(images))
+    betastar = validate_hom(Hstar, Gstar, images)
     act_rows = []
     for gk in gitems:
         c = by_key[gk]

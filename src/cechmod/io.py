@@ -11,7 +11,8 @@ Cocycle file:      `cocycle <complex> <cm>` (names or paths), then lines
                    default to the identity.
 Coboundary file:   lines `gamma i <Gindex>` and `eta i j <Hindex>`.
 1-cocycle file:    lines `g i j <Gindex>`.
-In the last three, a second line for the same entry is a parse error.  The
+In the last three, a second line for the same entry is a parse error, as is
+a second `G`, `H`, `beta` or `alpha` directive in a crossed-module file.  The
 reports print cochain entries in the same `<kind> <indices> <value>` line
 format the files use.
 
@@ -103,10 +104,13 @@ def parse_cm_file(path: str) -> CrossedModule:
     G = H = None
     beta = None
     alpha: list[list[int]] = []
+    seen: dict = {}
     idx = 1
     while idx < len(lines):
         no, line = lines[idx]
         parts = line.split()
+        if parts[0] in ("G", "H", "beta", "alpha"):
+            _once(path, no, seen, (parts[0],))
         if parts[0] in ("G", "H") and len(parts) != 2:
             raise ParseError(path, no, f"expected `{parts[0]} <groupfile>`")
         if parts[0] == "G":

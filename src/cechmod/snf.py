@@ -98,19 +98,19 @@ def _dense(vec: dict[int, int], size: int) -> list[int]:
 
 
 def smith_normal_form(matrix, want_transforms: bool = False, *,
-                      want_left: bool = True, sparse_left: bool = False):
+                      sparse_left: bool = False):
     """Diagonalize an integer matrix, dense or sparse, by unimodular row and
     column operations.
 
     Returns (divisors, U, V) with U*A*V = diag(divisors), divisors positive
-    and each dividing the next.  U and V are None unless requested, and U is
-    None also when want_left is false.  With sparse_left, U comes as sparse
-    rows (dicts from column to nonzero entry) instead of dense ones.
+    and each dividing the next.  U and V are None unless requested.  With
+    sparse_left, U comes as sparse rows (dicts from column to nonzero entry)
+    instead of dense ones.  A caller that needs V alone, as
+    `kernel_generators_mod` does, calls `_smith` and skips U.
     """
-    want_left = want_transforms and want_left
-    divisors, U, Vc = _smith(matrix, want_left, want_transforms)
+    divisors, U, Vc = _smith(matrix, want_transforms, want_transforms)
     rows, cols = _shape(matrix)
-    if want_left and not sparse_left:
+    if want_transforms and not sparse_left:
         U = [_dense(row, rows) for row in U]
     if want_transforms:
         Vc = [list(r) for r in zip(*(_dense(col, cols) for col in Vc))]  # V by rows

@@ -35,3 +35,13 @@ def cm(name):
 
 def cx(name):
     return named_complex(name)
+
+
+def assert_image_normal_and_kernel_central(cmx):
+    """beta(H) is normal in G and ker(beta) is central in H: both follow
+    from the crossed-module axioms, so no validator checks them."""
+    G, H = cmx.G, cmx.H
+    image = set(cmx.beta.image)
+    assert all(G.conj(g, b) in image for g in G.elements() for b in image)
+    kernel = cmx.beta.kernel_indices()
+    assert all(H.mul(a, h) == H.mul(h, a) for a in kernel for h in H.elements())

@@ -28,7 +28,8 @@ from cechmod.errors import (
     PeifferFailure,
     TooLarge,
 )
-from conftest import cm
+from cechmod.catalog import CM_BUILDERS
+from conftest import assert_image_normal_and_kernel_central, cm
 
 
 def test_z2_addition_table():
@@ -140,6 +141,24 @@ def test_equivariance_failure_for_trivial_action_identity_beta():
     S3 = symmetric_group(3)
     with pytest.raises(EquivarianceFailure):
         crossed_module(S3, S3, list(range(6)), trivial_action(S3, S3).table)
+
+
+def test_non_normal_image_fails_equivariance():
+    # beta(Z2) = <(0 1)> is not normal in S3; the equivariance check rejects
+    # it, at a g that conjugates beta(h) out of the image
+    Z2, S3 = cyclic_group(2), symmetric_group(3)
+    beta = [S3.identity, 2]  # 2 is (1, 0, 2), the transposition (0 1)
+    with pytest.raises(EquivarianceFailure) as exc:
+        crossed_module(S3, Z2, beta, trivial_action(S3, Z2).table)
+    g, h = exc.value.witness
+    assert S3.conj(g, beta[h]) not in beta
+
+
+@pytest.mark.parametrize("cmname", list(CM_BUILDERS))
+def test_catalog_image_normal_and_kernel_central(cmname):
+    cmx = cm(cmname)
+    assert_image_normal_and_kernel_central(cmx)
+    assert kernel_of_beta(cmx)[1] == cmx.beta.kernel_indices()
 
 
 def test_two_group_structure():

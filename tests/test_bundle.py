@@ -44,6 +44,8 @@ from cechmod.bundle import (
     Trivialization,
     band_cohomologous_to,
 )
+from cechmod.catalog import CM_BUILDERS, COMPLEX_BUILDERS
+from cechmod.complexes import normalized_tuples
 from cechmod.errors import BetaNotSurjective, NotA1Cocycle, VertexOutOfRange
 from conftest import cm, cx
 
@@ -382,6 +384,22 @@ def test_central_reduction_trivial_and_random():
         red = central_reduction(z)
         assert red.kernel.order == 2
         assert are_cohomologous(z, red.reduced_cocycle) is not None
+
+
+SURJECTIVE = [name for name in CM_BUILDERS if cm(name).beta.is_surjective()]
+
+
+@pytest.mark.parametrize("cmname", SURJECTIVE)
+@pytest.mark.parametrize("kname", list(COMPLEX_BUILDERS))
+def test_central_reduction_satisfies_abelian_identity(kname, cmname):
+    # central_reduction leaves this identity to the validation of its
+    # reduced cocycle, with g = e and every value in the kernel
+    K = cx(kname)
+    z = sample_cocycle(K, cm(cmname), random.Random(f"reduce:{kname}:{cmname}"))
+    red = central_reduction(z)
+    A, r = red.kernel, red.reduced
+    for (i, j, k, l) in normalized_tuples(K, 4):
+        assert A.mul(r[(i, k, l)], r[(i, j, k)]) == A.mul(r[(i, j, l)], r[(j, k, l)])
 
 
 def test_central_reduction_requires_surjective_beta():

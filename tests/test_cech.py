@@ -243,14 +243,6 @@ def test_classify_representatives_are_valid_and_distinct():
         assert are_cohomologous(a, b) is None
 
 
-def test_classify_workers_agree():
-    K, cmx = circle(), cm("z4_over_z2")
-    r1 = classify(K, cmx, "brute", workers=1)
-    r2 = classify(K, cmx, "brute", workers=2)
-    assert r1.count == r2.count
-    assert [z.key() for z in r1.representatives] == [z.key() for z in r2.representatives]
-
-
 def test_classify_budget_exceeded():
     with pytest.raises(SearchSpaceTooLarge) as exc:
         classify(circle(), cm("star_to_s3"), "brute", budget=10)
@@ -754,13 +746,11 @@ def test_slice_exhaustion_matches_reference(kname, cmname):
     assert f"in slice h at depth {ntrip // 2 + 1} of {ntrip}" in _reference_exhaustion(ctx, mid)
     for budget in (0, mid, total - 1):
         want = _reference_exhaustion(ctx, budget)
-        for workers in (1, 2):
-            with pytest.raises(SearchSpaceTooLarge) as info:
-                classify(cx(kname), cm(cmname), "brute", budget=budget, workers=workers)
-            assert str(info.value) == want
-    for workers in (1, 2):
-        result = classify(cx(kname), cm(cmname), "brute", budget=total, workers=workers)
-        assert result.cocycles_enumerated == len(set(leaves))
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            classify(cx(kname), cm(cmname), "brute", budget=budget)
+        assert str(info.value) == want
+    result = classify(cx(kname), cm(cmname), "brute", budget=total)
+    assert result.cocycles_enumerated == len(set(leaves))
 
 
 # -- brute on the row-0 subtree against the full slice ----------------------------
@@ -876,17 +866,15 @@ def test_row0_subtree_matches_full_slice(kname, cmname):
     result = classify(K, cmx, "brute")
     assert (result.count, result.cocycles_enumerated,
             [z.key() for z in result.representatives]) == (count, len(leaves), reps)
-    for workers in (1, 2):
-        result = classify(K, cmx, "brute", budget=visited, workers=workers)
-        assert (result.count, result.cocycles_enumerated) == (count, len(leaves))
+    result = classify(K, cmx, "brute", budget=visited)
+    assert (result.count, result.cocycles_enumerated) == (count, len(leaves))
     if visited == 0:
         return  # a search that charges no node cannot run out
     with pytest.raises(SearchSpaceTooLarge) as want:
         _enumerate_slice(ctx, Budget(visited - 1, ctx.estimate()))
-    for workers in (1, 2):
-        with pytest.raises(SearchSpaceTooLarge) as got:
-            classify(K, cmx, "brute", budget=visited - 1, workers=workers)
-        assert str(got.value) == str(want.value)
+    with pytest.raises(SearchSpaceTooLarge) as got:
+        classify(K, cmx, "brute", budget=visited - 1)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("kname,cmname", sorted(PARTITION_CASES))

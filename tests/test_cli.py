@@ -49,6 +49,20 @@ def test_parse_cm_file_and_bad_beta_length(tmp_path):
     assert exc.value.line == 4
 
 
+@pytest.mark.parametrize("directive,first", [("G", 2), ("H", 3), ("beta", 4), ("alpha", 5)])
+def test_repeated_cm_directive_is_a_parse_error(tmp_path, directive, first):
+    # a second directive would replace the first, or leave the alpha block
+    # looking incomplete; it is rejected at its own line instead
+    _write(tmp_path / "z2.grp", Z2_GROUP)
+    _write(tmp_path / "z4.grp", Z4_GROUP)
+    lines = ["cm z4_over_z2", "G z2.grp", "H z4.grp", "beta 0 1 0 1",
+             "alpha", "0 1 2 3", "0 1 2 3"]
+    again = lines[4:] if directive == "alpha" else [lines[first - 1]]
+    path = _write(tmp_path / "twice.cm", "\n".join(lines + again) + "\n")
+    assert run(["validate", "--cm", path]) == (
+        2, f"REASON: {path}:8: repeated entry `{directive}`, first given on line {first}\n")
+
+
 def test_parse_complex_file_with_comments(tmp_path):
     text = "# a hollow triangle\n0 1\n1 2\n0 2\n"
     K = parse_complex_file(_write(tmp_path / "c.cplx", text))

@@ -22,7 +22,7 @@ from cechmod import (
 from cechmod.algebra import abelian_invariants, kernel_of_beta
 from cechmod.catalog import CM_BUILDERS
 from cechmod.errors import SearchSpaceTooLarge
-from conftest import cm, cx
+from conftest import assert_image_normal_and_kernel_central, cm, cx
 
 
 @pytest.mark.parametrize("cmname", list(CM_BUILDERS))
@@ -137,6 +137,12 @@ def test_gauge_crossed_module_circle_instances():
         # Lagrange bookkeeping for the homotopy groups
         assert gcm.cm.G.order % gcm.pi0.order == 0
         assert gcm.cm.H.order % gcm.pi1.order == 0
+
+
+@pytest.mark.parametrize("kname,cmname", [("boundary3", "z2_into_z4"), ("circle", "aut_z3")])
+def test_gauge_image_normal_and_kernel_central(kname, cmname):
+    gcm = gauge_crossed_module(trivial_cocycle(cx(kname), cm(cmname)))
+    assert_image_normal_and_kernel_central(gcm.cm)
 
 
 def test_betastar_of_identity_tuple_is_identity():

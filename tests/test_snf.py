@@ -632,7 +632,6 @@ def test_sparse_routines_match_dense_references(seed):
         d, U, V = _dense_smith_normal_form(A, True, fixups)
         assert smith_normal_form(A, True) == (d, U, V)
         assert smith_normal_form(A) == (d, None, None)
-        assert smith_normal_form(A, True, want_left=False) == (d, None, V)
         for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
             assert pivot_valuations_mod_prime_power(A, p, e) == _dense_pivot_valuations(A, p, e)
         for n, factors in ((2, [(2, 1)]), (3, [(3, 1)]), (4, [(2, 2)]),
@@ -669,8 +668,7 @@ def test_sparse_form_matches_dense_form(seed):
     for A in _sparse_corpus(seed, 60):
         S = _sparse_form(A)
         assert S.dense() == A
-        for args, kw in (((True,), {}), ((), {}), ((True,), {"want_left": False}),
-                         ((True,), {"sparse_left": True})):
+        for args, kw in (((True,), {}), ((), {}), ((True,), {"sparse_left": True})):
             assert smith_normal_form(S, *args, **kw) == smith_normal_form(A, *args, **kw)
         assert rank_and_divisors(S) == rank_and_divisors(A)
         check_smith_form(S, smith_normal_form(S, True, sparse_left=True))
