@@ -267,26 +267,49 @@ class GroupAction:
 
 def validate_action(actor: FiniteGroup, space: FiniteGroup,
                     table: Sequence[Sequence[int]]) -> GroupAction:
+    """Check that `table` is an action of `actor` on `space` by automorphisms,
+    on generating sets X of the actor and Y of the space
+    (`generating_set`): the identity row is the identity; for each x in X,
+    row x is a bijection with row x (h y) = row x (h) row x (y) for every h
+    and every y in Y; and table[g x] = table[g] o table[x] for every g and
+    every x in X.
+
+    That is exhaustive.  In a finite group every element is a word in the
+    generators, with no inverses needed.  Row x (e) = e, by h = e and
+    cancellation; then, by induction on the length of a word h' in Y,
+    row x (h h') = row x (h) row x (h'), so row x is an automorphism.  By
+    induction on the length of a word g' = x_1 ... x_k in X,
+    table[g g'] = table[g] o table[x_1] o ... o table[x_k]; at g = e, whose
+    row is the identity, this says table[g'] = table[x_1] o ... o table[x_k].
+    So every row is a composite of automorphisms, and
+    table[g g'] = table[g] o table[g'] for all g and g'.  The cost is
+    |X| |space| (|actor| + |Y|) lookups, against |actor| |space|
+    (|actor| + |space|) for the check at every pair.
+    """
     table = tuple(tuple(row) for row in table)
     if len(table) != actor.order or any(len(r) != space.order for r in table):
         raise SemanticError("action table has wrong shape")
     ident = tuple(range(space.order))
     if table[actor.identity] != ident:
         raise SemanticError("identity does not act trivially")
-    for g in actor.elements():
-        row = table[g]
+    gens = generating_set(actor.elements(), actor.mul_table, actor.identity)
+    space_gens = generating_set(space.elements(), space.mul_table, space.identity)
+    smul = space.mul_table
+    for x in gens:
+        row = table[x]
         if sorted(row) != list(ident):
-            raise SemanticError(f"element {g} does not act bijectively")
+            raise SemanticError(f"element {x} does not act bijectively")
         for h in space.elements():
-            for h2 in space.elements():
-                if row[space.mul(h, h2)] != space.mul(row[h], row[h2]):
-                    raise SemanticError(f"element {g} does not act by automorphisms")
-    for g1 in actor.elements():
-        for g2 in actor.elements():
-            g12 = actor.mul(g1, g2)
+            for y in space_gens:
+                if row[smul[h][y]] != smul[row[h]][row[y]]:
+                    raise SemanticError(f"element {x} does not act by automorphisms")
+    for g in actor.elements():
+        tg = table[g]
+        for x in gens:
+            tx, tgx = table[x], table[actor.mul(g, x)]
             for h in space.elements():
-                if table[g1][table[g2][h]] != table[g12][h]:
-                    raise SemanticError(f"action is not associative at ({g1}, {g2}, {h})")
+                if tg[tx[h]] != tgx[h]:
+                    raise SemanticError(f"action is not associative at ({g}, {x}, {h})")
     return GroupAction(actor, space, table)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Sequence
 
 from .algebra import CrossedModule, abelian_invariants, generating_set
-from .complexes import SimplicialComplex, normalized_tuples, valid_tuples
+from .complexes import SimplicialComplex, degenerate_tuples, normalized_tuples, valid_tuples
 from .errors import (
     Cocyc1Failure,
     Cocyc2Failure,
@@ -111,21 +111,12 @@ def identity_coboundary(K: SimplicialComplex, cm: CrossedModule) -> Coboundary:
                       {p: cm.H.identity for p in valid_tuples(K, 2)})
 
 
-def validate_cocycle(z: Cocycle) -> Cocycle:
-    """Exhaustive check of totality, normalization and both cocycle identities.
-
-    Diagnostics name the first failing tuple in lexicographic order.  Once
-    the normalization holds, the pair/triple identity holds on every
-    degenerate triple (it reads g_ik = g_ik) and the quadruple identity on
-    every quadruple with an adjacent repeat (it reads h = h for one of its
-    faces), so the identities are checked on the tuples with no adjacent
-    repeat, in lexicographic order: `normalized_tuples(K, 3)` and
-    `normalized_tuples(K, 4)`, read against the group tables.
-    """
-    K, cm = z.complex, z.cm
-    G, H = cm.G, cm.H
-    pairs = valid_tuples(K, 2)
-    triples = valid_tuples(K, 3)
+def _entry_failure(z: Cocycle, pairs: list, triples: list) -> None:
+    """Raise the first failure of totality, range or normalization, scanning
+    the valid pairs and triples, each list in lexicographic order: first a
+    stray key, then per tuple a missing or out-of-range value, then per
+    tuple a degenerate value other than e."""
+    G, H = z.cm.G, z.cm.H
     stray = sorted(set(z.g).difference(pairs)) + sorted(set(z.h).difference(triples))
     if stray:
         raise SemanticError(f"value given on {stray[0]}, which is not a valid tuple")
@@ -145,10 +136,43 @@ def validate_cocycle(z: Cocycle) -> Cocycle:
     for t in triples:
         if (t[0] == t[1] or t[1] == t[2]) and z.h[t] != H.identity:
             raise NormalizationFailure(t)
+
+
+def validate_cocycle(z: Cocycle) -> Cocycle:
+    """Exhaustive check of totality, normalization and both cocycle identities.
+
+    The valid pairs and triples split into the normalized ones, with no
+    adjacent repeat, and the degenerate ones (`normalized_tuples` and
+    `degenerate_tuples` of the complex).  The entries pass when every
+    normalized tuple carries a value in range, every degenerate one carries
+    e, and each dict has exactly as many keys as there are such tuples, so
+    that none is a stray.  Only when they fail are the two parts merged in
+    lexicographic order and scanned (`_entry_failure`), so diagnostics name
+    the first failing tuple in lexicographic order.  Once the normalization
+    holds, the pair/triple identity holds on every degenerate triple (it
+    reads g_ik = g_ik) and the quadruple identity on every quadruple with an
+    adjacent repeat (it reads h = h for one of its faces), so the identities
+    are checked on the tuples with no adjacent repeat, in lexicographic
+    order: `normalized_tuples(K, 3)` and `normalized_tuples(K, 4)`, read
+    against the group tables.
+    """
+    K, cm = z.complex, z.cm
+    G, H = cm.G, cm.H
     g, h = z.g, z.h
+    pairs, triples = normalized_tuples(K, 2), normalized_tuples(K, 3)
+    flat_pairs, flat_triples = degenerate_tuples(K, 2), degenerate_tuples(K, 3)
+    eG, eH = G.identity, H.identity
+    if not (len(g) == len(pairs) + len(flat_pairs)
+            and len(h) == len(triples) + len(flat_triples)
+            and all(p in g and 0 <= g[p] < G.order for p in pairs)
+            and all(t in h and 0 <= h[t] < H.order for t in triples)
+            and all(p in g and g[p] == eG for p in flat_pairs)
+            and all(t in h and h[t] == eH for t in flat_triples)):
+        _entry_failure(z, sorted(pairs + flat_pairs), sorted(triples + flat_triples))
+        raise AssertionError("entries fail, but their scan finds no failure")
     gmul, hmul = G.mul_table, H.mul_table
     beta, act = cm.beta.image, cm.alpha.table
-    for (i, j, k) in normalized_tuples(K, 3):
+    for (i, j, k) in triples:
         if gmul[gmul[beta[h[(i, j, k)]]][g[(i, j)]]][g[(j, k)]] != g[(i, k)]:
             raise Cocyc1Failure(i, j, k)
     for (i, j, k, l) in normalized_tuples(K, 4):
@@ -251,10 +275,10 @@ class _Context:
     def __init__(self, K: SimplicialComplex, cm: CrossedModule):
         self.K, self.cm = K, cm
         G, H = cm.G, cm.H
-        self.pairs = valid_tuples(K, 2)
-        self.triples = valid_tuples(K, 3)
         self.distinct_pairs = normalized_tuples(K, 2)
         self.free_triples = normalized_tuples(K, 3)
+        self.flat_pairs = degenerate_tuples(K, 2)
+        self.flat_triples = degenerate_tuples(K, 3)
         # beta fibers, each sorted ascending
         self.fiber = {g: [] for g in G.elements()}
         for h in H.elements():
@@ -267,7 +291,7 @@ class _Context:
             self.coset_rep[g] = min(G.mul(b, g) for b in img)
         self.transversal = sorted(set(self.coset_rep.values()))
         # positions in the packed encoding; -1 is the identity slot
-        pos = {t: -1 for t in self.pairs + self.triples}
+        pos = dict.fromkeys(self.flat_pairs + self.flat_triples, -1)
         pos.update((p, n) for n, p in enumerate(self.distinct_pairs))
         pos.update((t, n) for n, t in enumerate(self.free_triples))
         self.triple_idx = [(pos[(i, j)], pos[(j, k)], pos[(i, k)], i)
@@ -839,9 +863,9 @@ def _pack(ctx: _Context, z: Cocycle) -> tuple:
 def _unpack(ctx: _Context, leaf: bytes) -> Cocycle:
     G, H = ctx.cm.G, ctx.cm.H
     digits = ctx.decode(leaf)
-    g = dict.fromkeys(ctx.pairs, G.identity)
+    g = dict.fromkeys(ctx.flat_pairs, G.identity)
     g.update(zip(ctx.distinct_pairs, digits))
-    h = dict.fromkeys(ctx.triples, H.identity)
+    h = dict.fromkeys(ctx.flat_triples, H.identity)
     h.update(zip(ctx.free_triples, digits[len(ctx.distinct_pairs):]))
     return validate_cocycle(Cocycle(ctx.K, ctx.cm, g, h))
 
@@ -884,27 +908,72 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> Cla
     return ClassifyResult(len(reps), [_unpack(ctx, leaf) for leaf in reps], "brute", enumerated)
 
 
+def _class_key(K: SimplicialComplex, n: int) -> tuple:
+    """(key, moduli): a map from normalized 2-cochains mod n, as vectors over
+    `normalized_tuples(K, 3)`, to residues mod `moduli`, which two normalized
+    cocycles share exactly when they are cohomologous.
+
+    Restricting a normalized cochain to the increasing tuples is a chain map
+    to the oriented cochains, the dual of the chain equivalence of
+    `abelian_cohomology_oracle`, so it is an isomorphism on cohomology.  For
+    normalized cocycles c and c', c - c' is then a normalized coboundary
+    exactly when its restriction r(c - c') is an oriented one: if
+    c - c' = d b, then r(c - c') = d r(b); if r(c - c') is a coboundary, the
+    class of c - c' maps to zero, so it is zero.  The key comes from the
+    Smith form D = U * d1 * V of the oriented coboundaries d1: C^1 -> C^2.
+    As V is invertible over Z, r(c - c') lies in the image of d1 mod n
+    exactly when U r(c) and U r(c') agree mod gcd(d_i, n) on every row i,
+    with d_i = 0 past the divisors.
+    """
+    from math import gcd
+
+    from .complexes import oriented_differential
+    from .snf import check_smith_form, smith_normal_form
+
+    d1 = oriented_differential(K, 1)
+    factors = smith_normal_form(d1, want_transforms=True, sparse_left=True)
+    check_smith_form(d1, factors)
+    d, U, _ = factors
+    moduli = [gcd(d[i], n) if i < len(d) else n for i in range(len(U))]
+    # the rows of d1 are the 2-simplices, the increasing normalized triples,
+    # in order; U by the columns of those triples, so a key costs the
+    # nonzeros of its cochain's restriction
+    cols = normalized_tuples(K, 3)
+    simplex_col = [c for c, (i, j, k) in enumerate(cols) if i < j < k]
+    ucols = [[] for _ in cols]
+    for k, row in enumerate(U):
+        for r, u in row.items():
+            ucols[simplex_col[r]].append((k, u))
+
+    def key(vec):
+        acc = [0] * len(moduli)
+        for r, x in enumerate(vec):
+            if x:
+                for k, u in ucols[r]:
+                    acc[k] += u * x
+        return [a % m for a, m in zip(acc, moduli)]
+
+    return key, moduli
+
+
 def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult:
     """Linear route: solve the cocycle system and quotient by the coboundary
     image over Z/n.  The count comes from elimination over Z/p^e (combined by
     CRT), a route independent of the integer-Smith-form oracle, on the
     oriented differentials, one cochain per simplex: the oriented complex has
     the cohomology of the normalized one (see `abelian_cohomology_oracle`)
-    and is far smaller.  Keys, generators and representatives read the
-    normalized complex, and the search must find exactly `count` classes.
+    and is far smaller.  Generators and representatives read the normalized
+    complex, and the search must find exactly `count` classes.
 
-    Classes are keyed by the Smith form D = U * d2 * V of the coboundaries
-    d2: C^1 -> C^2.  As V is invertible over Z, c - c' lies in the image of d2
-    mod n exactly when U(c - c') lies in that of D, that is when (U c)_i and
-    (U c')_i agree mod gcd(d_i, n) on every row i, with d_i = 0 past the
-    divisors.  The search walks the kernel generators out from the zero
-    cochain and keeps each candidate whose key is new.
+    Classes are keyed on the oriented complex by `_class_key`: the Smith
+    form of the oriented d1 applied to each cochain's restriction to the
+    increasing triples.  For cocycles, equal keys mean equal classes.  The
+    search walks the kernel generators (V of the Smith form of the
+    normalized d3) out from the zero cochain; every candidate is a cocycle,
+    and it is kept when its key is new.
     """
-    from math import gcd
-
     from .complexes import differential, oriented_differential
-    from .snf import (check_smith_form, image_size_mod, kernel_generators_mod,
-                      kernel_size_mod, smith_normal_form)
+    from .snf import image_size_mod, kernel_generators_mod, kernel_size_mod
 
     if cm.G.order != 1:
         raise StrategyMismatch("abelian strategy needs a trivial base group")
@@ -916,28 +985,11 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
     power = sorted(coords, key=coords.get)
     n = cm.H.order
 
-    d2 = differential(K, 1)   # C^1 -> C^2, coboundaries
-    d3 = differential(K, 2)   # C^2 -> C^3, cocycle condition
     count = kernel_size_mod(oriented_differential(K, 2), n) // \
         image_size_mod(oriented_differential(K, 1), n)
-    gens = kernel_generators_mod(d3, n)
-
-    factors = smith_normal_form(d2, want_transforms=True, sparse_left=True)
-    check_smith_form(d2, factors)
-    d, U, _ = factors
-    moduli = [gcd(d[i], n) if i < len(d) else n for i in range(len(U))]
-    ucols = [[] for _ in U]  # U by columns, so a key costs its cochain's nonzeros
-    for k, row in enumerate(U):
-        for r, u in row.items():
-            ucols[r].append((k, u))
-
-    def key(vec):
-        acc = [0] * len(moduli)
-        for r, x in enumerate(vec):
-            if x:
-                for k, u in ucols[r]:
-                    acc[k] += u * x
-        return [a % m for a, m in zip(acc, moduli)]
+    gens = kernel_generators_mod(differential(K, 2), n)  # normalized cocycles
+    key, moduli = _class_key(K, n)
+    cols = normalized_tuples(K, 3)
 
     # keys are linear: a candidate's key is its base's plus its generator's,
     # so every key vanishes where all the generators' keys do (on every row
@@ -946,7 +998,6 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
     live = [k for k in range(len(moduli)) if any(gk[k] for gk in gen_keys)]
     gen_keys = [[gk[k] for k in live] for gk in gen_keys]
     moduli = [moduli[k] for k in live]
-    cols = normalized_tuples(K, 3)
     reps = [tuple([0] * len(cols))]
     rep_keys = [tuple([0] * len(live))]
     seen = set(rep_keys)
@@ -964,8 +1015,8 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
                     break
     assert len(reps) == count, "class representatives do not exhaust the count"
 
-    g = {p: cm.G.identity for p in valid_tuples(K, 2)}
-    h = dict.fromkeys(valid_tuples(K, 3), cm.H.identity)
+    g = dict.fromkeys(normalized_tuples(K, 2) + degenerate_tuples(K, 2), cm.G.identity)
+    h = dict.fromkeys(degenerate_tuples(K, 3), cm.H.identity)
     out = []
     for vec in reps:
         h.update(zip(cols, map(power.__getitem__, vec)))

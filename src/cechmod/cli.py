@@ -22,7 +22,7 @@ from .cech import (
     classify,
     stabilizer,
 )
-from .complexes import abelian_cohomology_oracle, valid_tuples
+from .complexes import abelian_cohomology_oracle, normalized_tuples
 from .errors import CechmodError, ParseError, SearchSpaceTooLarge
 from .io import (
     parse_cocycle_file,
@@ -38,7 +38,12 @@ OK, INVALID, PARSE, BUDGET = 0, 1, 2, 3
 def _entry_lines(prefix: str, kind: str, keys, values: dict, identity: int) -> list[str]:
     """`<prefix><kind> <indices> <value>` for each key whose value is not the
     identity, in the line format the input files use; a vertex key prints as
-    its one index."""
+    its one index.
+
+    Reports pass the normalized tuples of the complex as the keys: every
+    cochain they print (cocycles, coboundaries, bands, reductions,
+    obstructions and lifts) is e on each tuple with an adjacent repeat, so
+    no line is lost, and the lines come in lexicographic order."""
     out = []
     for key in keys:
         if values[key] != identity:
@@ -48,7 +53,7 @@ def _entry_lines(prefix: str, kind: str, keys, values: dict, identity: int) -> l
 
 
 def _cocycle_lines(prefix: str, z, pairs, triples) -> list[str]:
-    """The entry lines of z, over `valid_tuples` of its complex at arity 2 and 3."""
+    """The entry lines of z, over the normalized pairs and triples."""
     return (_entry_lines(prefix, "g", pairs, z.g, z.cm.G.identity)
             + _entry_lines(prefix, "h", triples, z.h, z.cm.H.identity))
 
@@ -56,7 +61,8 @@ def _cocycle_lines(prefix: str, z, pairs, triples) -> list[str]:
 def _coboundary_lines(prefix: str, c) -> list[str]:
     return (_entry_lines(prefix, "gamma", range(c.complex.vertex_count), c.gamma,
                          c.cm.G.identity)
-            + _entry_lines(prefix, "eta", valid_tuples(c.complex, 2), c.eta, c.cm.H.identity))
+            + _entry_lines(prefix, "eta", normalized_tuples(c.complex, 2), c.eta,
+                           c.cm.H.identity))
 
 
 def cmd_validate(args) -> tuple[int, list[str]]:
@@ -94,7 +100,7 @@ def cmd_classify(args) -> tuple[int, list[str]]:
              f"STRATEGY: {result.strategy}", f"CLASSES: {result.count}"]
     if result.cocycles_enumerated is not None:
         lines.append(f"ENUMERATED: {result.cocycles_enumerated}")
-    pairs, triples = valid_tuples(K, 2), valid_tuples(K, 3)
+    pairs, triples = normalized_tuples(K, 2), normalized_tuples(K, 3)
     for idx, rep in enumerate(result.representatives):
         body = _cocycle_lines(f"REP {idx} ", rep, pairs, triples)
         lines += body if body else [f"REP {idx} trivial"]
@@ -155,7 +161,8 @@ def cmd_band(args) -> tuple[int, list[str]]:
     z = parse_cocycle_file(args.cocycle)
     b = bundle_mod.band(z)
     lines = [f"BAND_GROUP_ORDER: {b.group.order}"]
-    lines += _entry_lines("BAND ", "g", valid_tuples(z.complex, 2), b.values, b.group.identity)
+    lines += _entry_lines("BAND ", "g", normalized_tuples(z.complex, 2), b.values,
+                          b.group.identity)
     trivial = b.is_trivial_class(budget=args.budget)
     lines.append(f"BAND_TRIVIAL_CLASS: {'yes' if trivial else 'no'}")
     return OK, lines
@@ -165,7 +172,7 @@ def cmd_reduce_central(args) -> tuple[int, list[str]]:
     z = parse_cocycle_file(args.cocycle)
     red = bundle_mod.central_reduction(z)
     lines = [f"KERNEL_ORDER: {red.kernel.order}"]
-    lines += _entry_lines("REDUCED ", "h", valid_tuples(z.complex, 3), red.reduced,
+    lines += _entry_lines("REDUCED ", "h", normalized_tuples(z.complex, 3), red.reduced,
                           red.kernel.identity)
     body = _coboundary_lines("WITNESS ", red.witness)
     lines += body if body else ["WITNESS identity"]
@@ -178,12 +185,13 @@ def cmd_lift(args) -> tuple[int, list[str]]:
     g = parse_one_cocycle_file(args.cocycle, K, cm.G)
     res = bundle_mod.lifting_obstruction(K, cm, g)
     lines = [f"KERNEL_ORDER: {res.kernel.order}"]
-    lines += _entry_lines("OBSTRUCTION ", "a", valid_tuples(K, 3), res.obstruction,
+    lines += _entry_lines("OBSTRUCTION ", "a", normalized_tuples(K, 3), res.obstruction,
                           res.kernel.identity)
     if not res.exists:
         return INVALID, lines + ["LIFT: none", "REASON: obstruction class nonvanishing"]
     lines.append("LIFT: exists")
-    return OK, lines + _entry_lines("LIFT ", "h", valid_tuples(K, 2), res.lift, cm.H.identity)
+    return OK, lines + _entry_lines("LIFT ", "h", normalized_tuples(K, 2), res.lift,
+                                    cm.H.identity)
 
 
 def cmd_quotient(args) -> tuple[int, list[str]]:

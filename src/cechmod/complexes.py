@@ -13,9 +13,9 @@ reads the oriented one instead, one cochain per simplex: its k-cochains are
 the values on the k-simplices with their vertices in increasing order.  The
 two are chain-equivalent (see `abelian_cohomology_oracle`), so they give the
 same cohomology, while the oriented one is far smaller.  Each complex builds
-both once, a piece at a time on first use: the normalized tuples of each
-arity and the differentials d_0, d_1, d_2 of both cochain complexes as
-sparse rows, held on the instance and shared by every caller.
+both once, a piece at a time on first use: the normalized and degenerate
+tuples of each arity and the differentials d_0, d_1, d_2 of both cochain
+complexes as sparse rows, held on the instance and shared by every caller.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ class SimplicialComplex:
 
     vertex_count: int
     simplices: frozenset[frozenset[int]]
-    # the normalized tuples by arity and the normalized and oriented
-    # differentials by degree, each built on first use by `normalized_tuples`,
-    # `differential` and `oriented_differential`; equality,
-    # hashing and repr ignore it.  A field, not a cached_property: adding an
-    # attribute after construction would give the instance a dict of its own,
-    # and every attribute read on it (`simplices` in `valid_tuples`) slower.
+    # the normalized and degenerate tuples by arity and the normalized and
+    # oriented differentials by degree, each built on first use by
+    # `normalized_tuples`, `degenerate_tuples`, `differential` and
+    # `oriented_differential`; equality, hashing and repr ignore it.  A
+    # field, not a cached_property: adding an attribute after construction
+    # would give the instance a dict of its own, and every attribute read on
+    # it (`simplices` in `valid_tuples`) slower.
     _cochains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_simplex(self, vertices: Iterable[int]) -> bool:
@@ -182,6 +183,28 @@ def normalized_tuples(K: SimplicialComplex, arity: int) -> list[tuple[int, ...]]
                 vs = sorted(s)
                 out += [tuple([vs[i] for i in q]) for q in patterns[size]]
         out.sort()
+        held[key] = tuple(out)
+    return list(held[key])
+
+
+def degenerate_tuples(K: SimplicialComplex, arity: int) -> list[tuple[int, ...]]:
+    """The valid tuples with an adjacent repeat, for arity 2 and 3.
+
+    At arity 2 these are the (v, v).  At arity 3 they are the (v, v, v), and
+    the (i, i, j) and (i, j, j) for each normalized pair (i, j): a triple
+    with an adjacent repeat has one vertex or two, and two must span an
+    edge.  With `normalized_tuples` they split `valid_tuples`.  Built once
+    per complex and held on it; each call returns a fresh list.
+    """
+    if arity not in (2, 3):
+        raise ValueError("arity must be 2 or 3")
+    held = K._cochains
+    key = ("degenerate", arity)
+    if key not in held:
+        out = sorted((v,) * arity for s in K.simplices if len(s) == 1 for v in s)
+        if arity == 3:
+            for i, j in normalized_tuples(K, 2):
+                out += [(i, i, j), (i, j, j)]
         held[key] = tuple(out)
     return list(held[key])
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from .algebra import (
     CrossedModule,
     FiniteGroup,
-    GroupAction,
     Strict2Group,
     group_from_operation,
     kernel_of_beta,
     power_group,
     quotient_by_image,
+    validate_action,
     validate_crossed_module,
     validate_hom,
 )
@@ -221,10 +221,11 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     t_i * (g_ij . t_j)^-1, and alphastar acts pointwise through the base
     action.  An image of betastar outside the stabilizer raises
     ConventionMismatch.  betastar is checked to be a homomorphism by
-    `validate_hom`, then equivariance and the Peiffer identity by
-    `validate_crossed_module`; each failure raises its validator error.
-    alphastar is not checked to be an action.  `convention` is always
-    "left", naming the side on which t_i multiplies in eta.
+    `validate_hom`, alphastar to be an action by automorphisms by
+    `validate_action` (on generators), then equivariance and the Peiffer
+    identity by `validate_crossed_module`; each failure raises its validator
+    error.  `convention` is always "left", naming the side on which t_i
+    multiplies in eta.
     """
     K, cm = z.complex, z.cm
     H = cm.H
@@ -257,7 +258,7 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
             moved = tuple(cm.act(c.gamma[i], tup[i]) for i in range(n))
             row.append(hindex[moved])
         act_rows.append(tuple(row))
-    alphastar = GroupAction(Gstar, Hstar, tuple(act_rows))
+    alphastar = validate_action(Gstar, Hstar, act_rows)
     gauge_cm = validate_crossed_module(Gstar, Hstar, betastar, alphastar)
     pi0, _ = quotient_by_image(gauge_cm)
     pi1, _ = kernel_of_beta(gauge_cm)

@@ -274,3 +274,104 @@ def test_abelian_invariants():
     assert all(Z6.mul(power[t], power[1]) == power[(t + 1) % 6] for t in range(6))
 
 
+
+
+# -- validate_action on generators ---------------------------------------------------
+
+def _exhaustive_validate_action(actor, space, table):
+    """validate_action as it was before it checked on generators: every row
+    bijective and multiplicative at every pair, and the action law at every
+    pair of actor elements.  Returns nothing; raises SemanticError."""
+    from cechmod.errors import SemanticError
+    table = tuple(tuple(row) for row in table)
+    if len(table) != actor.order or any(len(r) != space.order for r in table):
+        raise SemanticError("action table has wrong shape")
+    ident = tuple(range(space.order))
+    if table[actor.identity] != ident:
+        raise SemanticError("identity does not act trivially")
+    for g in actor.elements():
+        row = table[g]
+        if sorted(row) != list(ident):
+            raise SemanticError(f"element {g} does not act bijectively")
+        for h in space.elements():
+            for h2 in space.elements():
+                if row[space.mul(h, h2)] != space.mul(row[h], row[h2]):
+                    raise SemanticError(f"element {g} does not act by automorphisms")
+    for g1 in actor.elements():
+        for g2 in actor.elements():
+            for h in space.elements():
+                if table[g1][table[g2][h]] != table[actor.mul(g1, g2)][h]:
+                    raise SemanticError(f"action is not associative at ({g1}, {g2}, {h})")
+
+
+def _verdict(check, *args):
+    from cechmod.errors import SemanticError
+    try:
+        check(*args)
+    except SemanticError:
+        return False
+    return True
+
+
+def test_validate_action_matches_exhaustive_reference():
+    # seeded tables on small actors and spaces, whose rows are drawn from the
+    # automorphisms of the space (an action exactly when the rows form a
+    # homomorphism into Aut), from its permutations, or copied from a valid
+    # action with a few rows swapped; both checks accept the same tables
+    import random
+    from cechmod import validate_action
+    rng = random.Random("validate_action")
+    S3 = symmetric_group(3)
+    spaces = [cyclic_group(2), cyclic_group(3), cyclic_group(4), _cyclic_product(2, 2), S3]
+    actors = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+              _cyclic_product(2, 2), S3]
+    verdicts = set()
+    for space in spaces:
+        auts = automorphism_group(space)[1].table
+        perms = list(itertools.permutations(range(space.order)))
+        for actor in actors:
+            # the valid actions through homomorphisms actor -> Aut(space) that
+            # an actor of this size has, beside the trivial one
+            valid = [trivial_action(actor, space).table]
+            if actor is S3 and space is S3:
+                valid.append(conjugation_action(S3).table)
+            for _ in range(12):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    rows = [rng.choice(auts) for _ in actor.elements()]
+                elif kind == 1:
+                    rows = [rng.choice(perms) for _ in actor.elements()]
+                else:
+                    rows = list(rng.choice(valid))
+                    for _ in range(rng.randrange(3)):
+                        a, b = rng.randrange(actor.order), rng.randrange(actor.order)
+                        rows[a], rows[b] = rows[b], rows[a]
+                rows[actor.identity] = tuple(space.elements())
+                want = _verdict(_exhaustive_validate_action, actor, space, rows)
+                assert _verdict(validate_action, actor, space, rows) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_validate_action_catches_a_wrong_row_off_the_generators(s3):
+    # S3 acting on itself by conjugation, with the row of w, a word of length
+    # three in the two generating transpositions, replaced by the identity
+    # automorphism: every generator row is still an automorphism and the
+    # action law holds at every pair of generators, so the law fails only
+    # at products g x with g not a generator
+    from cechmod import validate_action
+    from cechmod.algebra import generating_set
+    from cechmod.errors import SemanticError
+    table = [list(row) for row in conjugation_action(s3).table]
+    gens = generating_set(s3.elements(), s3.mul_table, s3.identity)
+    products = {s3.mul(g, x) for g in gens for x in gens}
+    w = next(g for g in s3.elements() if g not in gens and g not in products)
+    assert table[w] != list(s3.elements())
+    table[w] = list(s3.elements())
+    assert all(table[s3.mul(g, x)][h] == table[g][table[x][h]]
+               for g in gens for x in gens for h in s3.elements())
+    with pytest.raises(SemanticError, match="not associative"):
+        _exhaustive_validate_action(s3, s3, table)
+    with pytest.raises(SemanticError, match="not associative"):
+        validate_action(s3, s3, table)
+    validate_action(s3, s3, conjugation_action(s3).table)

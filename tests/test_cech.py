@@ -1246,7 +1246,9 @@ def _reference_validate_cocycle(z):
     """validate_cocycle as it was before it read the normalized tuples held
     on the complex: the free triples filtered from the valid ones, each
     extended by every vertex l, and the identities through the group
-    methods."""
+    methods.  Its entry checks, a scan of `valid_tuples` in lexicographic
+    order, are also those of validate_cocycle before it read the degenerate
+    tuples."""
     from cechmod.errors import SemanticError
     K, cmx = z.complex, z.cm
     G, H = cmx.G, cmx.H
@@ -1341,13 +1343,49 @@ def test_validate_cocycle_matches_the_scan_of_every_valid_tuple(kname, cmname):
     assert Cocyc2Failure in seen or len(kernel) == 1
 
 
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "conj_s3"), ("full2", "aut_z3"), ("full3", "z4_over_z2"),
+    ("boundary3", "star_to_s3"), ("torus7", "z2_into_z4"), ("rp26", "z4_over_z2")])
+def test_size_preserving_entry_mutants_match_the_scan(kname, cmname):
+    # each mutant keeps the size of both dicts, so only the membership of
+    # each key can catch it: (a) a normalized key dropped and an off-complex
+    # tuple added (a non-simplex or a vertex past the last); (b) a degenerate
+    # key dropped and a stray key added (a tuple of the other arity, or of
+    # arity 1); both raise the reference's first message, on the stray key
+    from cechmod.complexes import degenerate_tuples, normalized_tuples
+    from cechmod.errors import SemanticError
+    K, cmx = cx(kname), cm(cmname)
+    n = K.vertex_count
+    rng = random.Random(f"size-preserving:{kname}:{cmname}")
+    for _ in range(40):
+        z = sample_cocycle(K, cmx, rng)
+        arity = rng.choice([2, 3])
+        entries = dict(z.g if arity == 2 else z.h)
+        if rng.randrange(2):
+            del entries[rng.choice(normalized_tuples(K, arity))]
+            while True:
+                t = tuple(rng.randrange(n + 1) for _ in range(arity))
+                if not K.is_simplex(t):
+                    break
+        else:
+            del entries[rng.choice(degenerate_tuples(K, arity))]
+            t = rng.choice([tuple(rng.randrange(n) for _ in range(5 - arity)),
+                            (rng.randrange(n),)])
+        entries[t] = 0
+        assert len(entries) == len(z.g if arity == 2 else z.h)
+        bad = Cocycle(K, cmx, entries, z.h) if arity == 2 else Cocycle(K, cmx, z.g, entries)
+        want = _outcome(_reference_validate_cocycle, bad)
+        assert want == (SemanticError, f"value given on {t}, which is not a valid tuple")
+        assert _outcome(validate_cocycle, bad) == want
+
+
 # -- the abelian count on the oriented complex ---------------------------------------
 
 @pytest.mark.parametrize("kname", ["point", "full1", "full2", "full3", "circle",
                                    "boundary3", "torus7", "rp26"])
 def test_abelian_count_matches_normalized_complex(kname):
     # the count factors the oriented differentials; the normalized ones,
-    # which the keys and generators read, give the same quotient
+    # which the generators read, give the same quotient
     from cechmod.algebra import crossed_module, cyclic_group, trivial_action, trivial_group
     from cechmod.complexes import differential
     from cechmod.snf import image_size_mod, kernel_size_mod
@@ -1359,3 +1397,55 @@ def test_abelian_count_matches_normalized_complex(kname):
         result = classify(K, cmx, "abelian")
         assert result.count == len(result.representatives) == \
             kernel_size_mod(differential(K, 2), n) // image_size_mod(differential(K, 1), n)
+
+
+# -- abelian classes keyed on the oriented complex -----------------------------------
+
+def _normalized_class_key(K, n):
+    """The class key as `_classify_abelian` took it before it keyed on the
+    oriented complex: U of the Smith form U * d2 * V = diag(d) of the
+    normalized d2, applied to the whole normalized cochain, mod gcd(d_i, n)
+    on row i (mod n past the divisors)."""
+    import math
+    from cechmod.complexes import differential
+    from cechmod.snf import check_smith_form, smith_normal_form
+    d2 = differential(K, 1)
+    factors = smith_normal_form(d2, want_transforms=True, sparse_left=True)
+    check_smith_form(d2, factors)
+    d, U, _ = factors
+    moduli = [math.gcd(d[i], n) if i < len(d) else n for i in range(len(U))]
+    return lambda vec: tuple(sum(u * vec[c] for c, u in row.items()) % m
+                             for row, m in zip(U, moduli))
+
+
+@pytest.mark.parametrize("kname", ["point", "full1", "full2", "full3", "circle",
+                                   "boundary3", "torus7", "rp26"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_oriented_keys_partition_candidates_as_normalized_keys(kname, n):
+    # the candidates of the abelian search (each representative, and each
+    # representative plus each kernel generator) and seeded random sums of
+    # generators are all cocycles; the oriented keys split them into the
+    # same classes as the normalized-d2 keys did, one class per representative
+    from cechmod.algebra import abelian_invariants
+    from cechmod.cech import _class_key
+    from cechmod.complexes import differential, normalized_tuples
+    from cechmod.snf import kernel_generators_mod
+    K, cmx = cx(kname), cm(f"z{n}_to_point")
+    cols = normalized_tuples(K, 3)
+    coords = abelian_invariants(cmx.H)[1]
+    result = classify(K, cmx, "abelian")
+    reps = [tuple(coords[z.h[t]][0] for t in cols) for z in result.representatives]
+    gens = kernel_generators_mod(differential(K, 2), n)
+    rng = random.Random(f"abelian-keys:{kname}:{n}")
+    candidates = reps + [tuple((x + y) % n for x, y in zip(r, gvec))
+                         for r in reps for gvec in gens]
+    for _ in range(40):
+        vec = [0] * len(cols)
+        for gvec in gens:
+            c = rng.randrange(n)
+            vec = [(x + c * y) % n for x, y in zip(vec, gvec)]
+        candidates.append(tuple(vec))
+    old, new = _normalized_class_key(K, n), _class_key(K, n)[0]
+    keys = {(old(vec), tuple(new(vec))) for vec in candidates}
+    assert len(keys) == len({o for o, _ in keys}) == len({k for _, k in keys}) == result.count
+    assert len({tuple(new(vec)) for vec in reps}) == len(reps)

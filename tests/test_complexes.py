@@ -308,3 +308,33 @@ def test_oriented_differentials_are_held_and_ignored_by_equality():
     with pytest.raises(TypeError):
         d.rows[0] = ()
     assert K == torus_7() and hash(K) == hash(torus_7())
+
+
+# -- the degenerate tuples ----------------------------------------------------------
+
+def _assert_tuples_split(K):
+    from cechmod.complexes import degenerate_tuples, normalized_tuples
+    for arity in (2, 3):
+        free, flat = normalized_tuples(K, arity), degenerate_tuples(K, arity)
+        assert not set(free) & set(flat)
+        assert all(is_degenerate(t) for t in flat)
+        assert sorted(free + flat) == valid_tuples(K, arity)
+
+
+@pytest.mark.parametrize("name", CATALOG + ["point+circle", "full1+boundary3"])
+def test_normalized_and_degenerate_tuples_split_valid_tuples(name):
+    from cechmod.catalog import named_complex
+    from cechmod.complexes import degenerate_tuples
+    parts = [named_complex(p) for p in name.split("+")]
+    K = parts[0] if len(parts) == 1 else disjoint_union(*parts)
+    _assert_tuples_split(K)
+    assert degenerate_tuples(K, 3) is not degenerate_tuples(K, 3)  # a fresh list each call
+    for arity in (1, 4):
+        with pytest.raises(ValueError):
+            degenerate_tuples(K, arity)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normalized_and_degenerate_tuples_split_on_random_complexes(seed):
+    for K in _random_complexes(seed, 5):
+        _assert_tuples_split(K)
