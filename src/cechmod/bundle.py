@@ -36,7 +36,7 @@ from .cech import (
     are_cohomologous,
     validate_cocycle,
 )
-from .complexes import SimplicialComplex, differential, normalized_tuples, valid_tuples
+from .complexes import SimplicialComplex, degenerate_tuples, differential, normalized_tuples
 from .errors import (
     ActionNotFree,
     ActionNotFreeTransitive,
@@ -768,8 +768,11 @@ def extract_cocycle(P: BundleGroupoid, trivs: dict[int, Trivialization]) -> Cocy
         o = trivs[k].phibar.on_objects[(s, eG)]
         return trivs[i].phi.on_morphisms[trivs[j].taubar.component[o]][1]
 
-    g = {p: read("transition value on pair", p, g_value) for p in valid_tuples(K, 2)}
-    h = {t: read("triple value on", t, h_value) for t in valid_tuples(K, 3)}
+    # every valid tuple, in lexicographic order, so a failure names the first
+    pairs = sorted(normalized_tuples(K, 2) + degenerate_tuples(K, 2))
+    triples = sorted(normalized_tuples(K, 3) + degenerate_tuples(K, 3))
+    g = {p: read("transition value on pair", p, g_value) for p in pairs}
+    h = {t: read("triple value on", t, h_value) for t in triples}
     try:
         return validate_cocycle(Cocycle(K, cm, g, h))
     except Exception as exc:
@@ -899,12 +902,14 @@ class Band:
 
 def band(z: Cocycle) -> Band:
     """The ordinary 1-cocycle obtained by projecting g to G/beta(H)."""
+    K = z.complex
     Kgrp, proj = quotient_by_image(z.cm)
-    vals = {p: proj(z.g[p]) for p in valid_tuples(z.complex, 2)}
-    for (i, j, k) in valid_tuples(z.complex, 3):
+    vals = {p: proj(z.g[p]) for p in normalized_tuples(K, 2) + degenerate_tuples(K, 2)}
+    # g_ii = e, so the identity holds on every triple with an adjacent repeat
+    for (i, j, k) in normalized_tuples(K, 3):
         assert Kgrp.mul(vals[(i, j)], vals[(j, k)]) == vals[(i, k)], \
             "band violates the 1-cocycle identity"
-    return Band(Kgrp, proj, vals, z.complex)
+    return Band(Kgrp, proj, vals, K)
 
 
 def band_cohomologous_to(b: Band, other: dict, budget: int = DEFAULT_BUDGET) -> bool:
@@ -915,9 +920,10 @@ def band_cohomologous_to(b: Band, other: dict, budget: int = DEFAULT_BUDGET) -> 
     counts only when its validated image of b equals `other`."""
     grp, one = b.group, trivial_group()
     cm = crossed_module(grp, one, [grp.identity], trivial_action(grp, one).table)
-    h = {t: one.identity for t in valid_tuples(b.complex, 3)}
-    return are_cohomologous(Cocycle(b.complex, cm, b.values, h),
-                            Cocycle(b.complex, cm, other, h), budget) is not None
+    K = b.complex
+    h = dict.fromkeys(normalized_tuples(K, 3) + degenerate_tuples(K, 3), one.identity)
+    return are_cohomologous(Cocycle(K, cm, b.values, h),
+                            Cocycle(K, cm, other, h), budget) is not None
 
 
 def section_of_beta(cm: CrossedModule) -> dict:
@@ -954,19 +960,19 @@ def central_reduction(z: Cocycle) -> CentralReduction:
     A, inc = kernel_of_beta(cm)
     sec = section_of_beta(cm)
     from .cech import coboundary as make_coboundary
-    pairs = valid_tuples(K, 2)
-    eta = {p: cm.H.inv(sec[z.g[p]]) for p in pairs}
+    # eta is e on the diagonal, where `coboundary` fills it in: s(e) = e
+    eta = {p: cm.H.inv(sec[z.g[p]]) for p in normalized_tuples(K, 2)}
     c = make_coboundary(K, cm, {v: cm.G.identity for v in range(K.vertex_count)}, eta)
     z2 = apply_coboundary(z, c)
     # every valid pair (i, j) leads the valid triple (i, j, j), so this reads
     # each transition that a check per triple would
-    assert all(z2.g[p] == cm.G.identity for p in pairs), "reduced transition is not trivial"
+    assert all(v == cm.G.identity for v in z2.g.values()), "reduced transition is not trivial"
     back = {hidx: a for a, hidx in enumerate(inc)}
     reduced = {}
-    for t in valid_tuples(K, 3):
-        if z2.h[t] not in back:
+    for t, v in z2.h.items():
+        if v not in back:
             raise AssertionError("reduced value escapes the kernel")
-        reduced[t] = back[z2.h[t]]
+        reduced[t] = back[v]
     return CentralReduction(A, inc, reduced, c, z2)
 
 
@@ -979,7 +985,14 @@ class LiftResult:
 
 
 def validate_one_cocycle(K: SimplicialComplex, G: FiniteGroup, g: dict) -> dict:
-    pairs = valid_tuples(K, 2)
+    """g on every valid pair, checked to be a normalized 1-cocycle; g may
+    omit a diagonal pair, which then reads e.  The valid pairs are the
+    normalized and degenerate ones the complex holds, scanned in
+    lexicographic order, so a failure names the first failing pair.  With
+    g_ii = e the identity g_ij g_jk = g_ik holds on every triple with an
+    adjacent repeat, so it is checked on the normalized triples, in
+    lexicographic order."""
+    pairs = sorted(normalized_tuples(K, 2) + degenerate_tuples(K, 2))
     stray = sorted(set(g).difference(pairs))
     if stray:
         raise SemanticError(f"value given on {stray[0]}, which is not a valid pair")
@@ -993,7 +1006,7 @@ def validate_one_cocycle(K: SimplicialComplex, G: FiniteGroup, g: dict) -> dict:
             raise SemanticError(f"g{p} out of range")
         if full[p] != G.identity and p[0] == p[1]:
             raise NotA1Cocycle(p)
-    for (i, j, k) in valid_tuples(K, 3):
+    for (i, j, k) in normalized_tuples(K, 3):
         if G.mul(full[(i, j)], full[(j, k)]) != full[(i, k)]:
             raise NotA1Cocycle((i, j, k))
     return full
@@ -1025,13 +1038,14 @@ def lifting_obstruction(K: SimplicialComplex, cm: CrossedModule, g: dict) -> Lif
     """
     G, H = cm.G, cm.H
     g = validate_one_cocycle(K, G, g)
-    red = central_reduction(Cocycle(K, cm, g, dict.fromkeys(valid_tuples(K, 3), H.identity)))
+    triples = normalized_tuples(K, 3) + degenerate_tuples(K, 3)
+    red = central_reduction(Cocycle(K, cm, g, dict.fromkeys(triples, H.identity)))
     base = {p: H.inv(eta) for p, eta in red.witness.eta.items()}  # s(g_ij)
     lift = _solve_lift(K, H, red, base)
     if lift is not None:
-        for (i, j, k) in valid_tuples(K, 3):
+        for (i, j, k) in triples:
             assert H.mul(lift[(i, j)], lift[(j, k)]) == lift[(i, k)]
-        for p in valid_tuples(K, 2):
+        for p in g:
             assert cm.beta_of(lift[p]) == g[p]
     return LiftResult(red.reduced, red.kernel, lift is not None, lift)
 

@@ -77,9 +77,11 @@ class Coboundary:
 def coboundary(K: SimplicialComplex, cm: CrossedModule, gamma: dict,
                eta: dict) -> Coboundary:
     """Well-formedness: total gamma, total eta on valid pairs, eta_ii = e,
-    every value in range and no value off the complex."""
+    every value in range and no value off the complex.  The valid pairs are
+    the normalized and degenerate ones the complex holds, scanned in
+    lexicographic order, so a failure names the first failing pair."""
     eH = cm.H.identity
-    pairs = valid_tuples(K, 2)
+    pairs = sorted(normalized_tuples(K, 2) + degenerate_tuples(K, 2))
     stray = sorted(set(eta).difference(pairs)) + \
         sorted((v,) for v in set(gamma).difference(range(K.vertex_count)))
     if stray:
@@ -108,7 +110,7 @@ def coboundary(K: SimplicialComplex, cm: CrossedModule, gamma: dict,
 
 def identity_coboundary(K: SimplicialComplex, cm: CrossedModule) -> Coboundary:
     return coboundary(K, cm, {v: cm.G.identity for v in range(K.vertex_count)},
-                      {p: cm.H.identity for p in valid_tuples(K, 2)})
+                      dict.fromkeys(normalized_tuples(K, 2), cm.H.identity))
 
 
 def _entry_failure(z: Cocycle, pairs: list, triples: list) -> None:
@@ -183,34 +185,32 @@ def validate_cocycle(z: Cocycle) -> Cocycle:
 
 def cocycle(K: SimplicialComplex, cm: CrossedModule, g: dict, h: dict) -> Cocycle:
     """Fill omitted entries with identities, then validate."""
-    eG, eH = cm.G.identity, cm.H.identity
-    gg = dict(g)
-    hh = dict(h)
-    for p in valid_tuples(K, 2):
-        gg.setdefault(p, eG)
-    for t in valid_tuples(K, 3):
-        hh.setdefault(t, eH)
+    gg = dict.fromkeys(normalized_tuples(K, 2) + degenerate_tuples(K, 2), cm.G.identity)
+    hh = dict.fromkeys(normalized_tuples(K, 3) + degenerate_tuples(K, 3), cm.H.identity)
+    gg.update(g)
+    hh.update(h)
     return validate_cocycle(Cocycle(K, cm, gg, hh))
 
 
 def trivial_cocycle(K: SimplicialComplex, cm: CrossedModule) -> Cocycle:
-    g = {p: cm.G.identity for p in valid_tuples(K, 2)}
-    h = {t: cm.H.identity for t in valid_tuples(K, 3)}
-    return validate_cocycle(Cocycle(K, cm, g, h))
+    return cocycle(K, cm, {}, {})
 
 
 def apply_coboundary(z: Cocycle, c: Coboundary) -> Cocycle:
-    """Act on a cocycle; the result is re-validated before being returned."""
+    """Act on a cocycle; the result is re-validated before being returned.
+
+    Both parts are computed on every valid tuple, the degenerate ones
+    included, so the validation also sees where c breaks the normalization."""
     K, cm = z.complex, z.cm
     if c.complex != K or c.cm != cm:
         raise SemanticError("coboundary lives over a different complex or crossed module")
     G, H = cm.G, cm.H
     g2 = {}
-    for (i, j) in valid_tuples(K, 2):
+    for (i, j) in normalized_tuples(K, 2) + degenerate_tuples(K, 2):
         g2[(i, j)] = G.mul_many(G.inv(c.gamma[i]), cm.beta_of(c.eta[(i, j)]),
                                 z.g[(i, j)], c.gamma[j])
     h2 = {}
-    for (i, j, k) in valid_tuples(K, 3):
+    for (i, j, k) in normalized_tuples(K, 3) + degenerate_tuples(K, 3):
         inner = H.mul_many(
             c.eta[(i, k)],
             z.h[(i, j, k)],

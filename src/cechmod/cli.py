@@ -6,6 +6,13 @@ Every negative verdict carries a machine-readable `REASON:` line.
 
 Exit codes: 0 success or affirmative verdict; 1 semantic invalidity or a
 negative verdict; 2 parse error; 3 enumeration budget exceeded.
+
+Every command takes the options of one table, `OPTIONS`.  An argv of the
+documented form, the command and then `--option value` pairs, is read
+against that table directly (`parse_strict`).  Any other argv goes to
+argparse, which reads abbreviations and `--option=value`, prints help and
+words every rejection.  A report that cannot be written to `--out` gives
+exit 2 with a REASON line naming the path.
 """
 
 from __future__ import annotations
@@ -255,6 +262,26 @@ NEEDS = {
 }
 
 
+# The options every command takes, in the order --help lists them:
+# name -> (type, default, choices, help).  `build_parser` declares them to
+# argparse and `parse_strict` reads an argv against them.
+OPTIONS = {
+    "complex": (str, None, None, "built-in name or complex file "
+                f"(built-ins: {', '.join(sorted(COMPLEX_BUILDERS))})"),
+    "cm": (str, None, None, "built-in name or crossed-module file "
+           f"(built-ins: {', '.join(sorted(CM_BUILDERS))})"),
+    "group": (str, None, None, "group file (validate)"),
+    "cocycle": (str, None, None, "cocycle file (or 1-cocycle file for lift)"),
+    "cocycle2": (str, None, None, "second cocycle file"),
+    "strategy": (str, "brute", ("brute", "abelian"), None),
+    "budget": (int, DEFAULT_BUDGET, None, None),
+    "workers": (int, 1, None, None),
+    "out": (str, None, None, "write the report to this path"),
+    "coeff": (int, 2, None, None),
+    "degree": (int, 2, None, None),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ParseError where argparse would exit; subparsers inherit it."""
 
@@ -268,19 +295,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     same either way; only the top-level usage lists fewer choices."""
     # every subcommand takes the same options, declared once on a parent
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--complex", help="built-in name or complex file "
-                        f"(built-ins: {', '.join(sorted(COMPLEX_BUILDERS))})")
-    shared.add_argument("--cm", help="built-in name or crossed-module file "
-                        f"(built-ins: {', '.join(sorted(CM_BUILDERS))})")
-    shared.add_argument("--group", help="group file (validate)")
-    shared.add_argument("--cocycle", help="cocycle file (or 1-cocycle file for lift)")
-    shared.add_argument("--cocycle2", help="second cocycle file")
-    shared.add_argument("--strategy", choices=["brute", "abelian"], default="brute")
-    shared.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    shared.add_argument("--workers", type=int, default=1)
-    shared.add_argument("--out", help="write the report to this path")
-    shared.add_argument("--coeff", type=int, default=2)
-    shared.add_argument("--degree", type=int, default=2)
+    for name, (kind, default, choices, text) in OPTIONS.items():
+        shared.add_argument(f"--{name}", type=kind, default=default, choices=choices,
+                            help=text)
     parser = _Parser(
         prog="cechmod",
         description="Exact nonabelian Cech cohomology over finite simplicial bases.")
@@ -290,25 +307,67 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def parse_strict(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace `build_parser().parse_args(argv)` returns, read without
+    building a parser, when argv has the documented form; None otherwise.
+
+    The form is a command, then `--option value` pairs: each option spelled
+    out in full, each value not starting with `-`, an int option's value
+    read by int() and --strategy's value one of its choices.  A repeated
+    option keeps its last value, as in argparse.  Any other argv (--help or
+    -h, an abbreviated option, `--option=value`, a value starting with `-`,
+    a stray token, a bad int or choice, no command) gets None, so argparse
+    parses it and renders its help text or rejection message."""
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
+        return None
+    values = {name: default for name, (_, default, _, _) in OPTIONS.items()}
+    values["command"] = argv[0]
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        name = flag[2:]
+        if not flag.startswith("--") or name not in OPTIONS or value.startswith("-"):
+            return None
+        kind, _, choices, _ = OPTIONS[name]
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[name] = value
+    return argparse.Namespace(**values)
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     """Parse arguments, dispatch, and return (exit code, report text).
 
-    With --out the report is also written there, on every exit path.  Only
-    the named command's parser is built; an unknown or missing command, or
-    a bare --help, gets the full parser and so the full list of choices."""
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    try:
-        args = build_parser(command).parse_args(argv)
-    except ParseError as exc:  # argv rejected: read only --out from it
-        pre = _Parser(add_help=False)
-        pre.add_argument("--out", nargs="?")
-        args = pre.parse_known_args(argv)[0]
-        code, report = PARSE, f"REASON: {exc}\n"
-    else:
-        code, report = _dispatch(args)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+    `parse_strict` reads a well-formed argv.  Only an argv it declines
+    builds an argparse parser, and then only the named command's; an
+    unknown or missing command, or a bare --help, gets the full parser and
+    so the full list of choices.  With --out the report is also written
+    there, on every exit path; a failed write is a parse error in its own
+    right and replaces the report."""
+    args = parse_strict(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        try:
+            args = build_parser(command).parse_args(argv)
+        except ParseError as exc:  # argv rejected: read only --out from it
+            pre = _Parser(add_help=False)
+            pre.add_argument("--out", nargs="?")
+            out = pre.parse_known_args(argv)[0].out
+            return _deliver(out, PARSE, f"REASON: {exc}\n")
+    return _deliver(args.out, *_dispatch(args))
+
+
+def _deliver(out: str | None, code: int, report: str) -> tuple[int, str]:
+    """Write the report to `out`, when given.  A write that fails gives
+    exit 2 and a REASON line worded as the input files' read errors."""
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            return PARSE, f"REASON: {ParseError(out, 0, f'cannot write file: {exc}')}\n"
     return code, report
 
 

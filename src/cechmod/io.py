@@ -27,7 +27,7 @@ import os
 from .algebra import CrossedModule, FiniteGroup, crossed_module, validate_group
 from .catalog import CM_BUILDERS, COMPLEX_BUILDERS, named_complex, named_crossed_module
 from .cech import Cocycle, Coboundary, coboundary, cocycle
-from .complexes import SimplicialComplex, build_complex, valid_tuples
+from .complexes import SimplicialComplex, build_complex, degenerate_tuples, normalized_tuples
 from .errors import ParseError
 
 
@@ -190,13 +190,13 @@ def parse_cocycle_file(path: str) -> Cocycle:
 def parse_coboundary_file(path: str, K: SimplicialComplex,
                           cm: CrossedModule) -> Coboundary:
     gamma = {v: cm.G.identity for v in range(K.vertex_count)}
-    eta = {p: cm.H.identity for p in valid_tuples(K, 2)}
+    eta = dict.fromkeys(normalized_tuples(K, 2) + degenerate_tuples(K, 2), cm.H.identity)
     _entries(path, _lines(path), {"gamma": (1, gamma), "eta": (2, eta)}, "coboundary")
     return coboundary(K, cm, gamma, eta)
 
 
 def parse_one_cocycle_file(path: str, K: SimplicialComplex,
                            G: FiniteGroup) -> dict:
-    g = {p: G.identity for p in valid_tuples(K, 2)}
+    g = dict.fromkeys(normalized_tuples(K, 2) + degenerate_tuples(K, 2), G.identity)
     _entries(path, _lines(path), {"g": (2, g)}, "transition")
     return g

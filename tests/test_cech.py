@@ -1379,6 +1379,93 @@ def test_size_preserving_entry_mutants_match_the_scan(kname, cmname):
         assert _outcome(validate_cocycle, bad) == want
 
 
+# -- coboundary against its scan of every valid pair ----------------------------------
+
+def _reference_coboundary(K, cmx, gamma, eta):
+    """coboundary as it was before it read the normalized and degenerate
+    pairs held on the complex: one scan of `valid_tuples(K, 2)`, in
+    lexicographic order."""
+    from cechmod.cech import Coboundary
+    from cechmod.errors import SemanticError
+    eH = cmx.H.identity
+    pairs = valid_tuples(K, 2)
+    stray = sorted(set(eta).difference(pairs)) + \
+        sorted((v,) for v in set(gamma).difference(range(K.vertex_count)))
+    if stray:
+        raise SemanticError(f"value given on {stray[0]}, which is not a valid tuple")
+    full_eta = {}
+    for p in pairs:
+        if p[0] == p[1]:
+            if eta.get(p, eH) != eH:
+                raise NormalizationFailure(p)
+            full_eta[p] = eH
+        else:
+            if p not in eta:
+                raise MissingEntry(p)
+            if not (0 <= eta[p] < cmx.H.order):
+                raise SemanticError(f"eta{p} out of range")
+            full_eta[p] = eta[p]
+    full_gamma = {}
+    for v in range(K.vertex_count):
+        if v not in gamma:
+            raise MissingEntry((v,))
+        if not (0 <= gamma[v] < cmx.G.order):
+            raise SemanticError(f"gamma({v}) out of range")
+        full_gamma[v] = gamma[v]
+    return Coboundary(K, cmx, full_gamma, full_eta)
+
+
+def _result(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "conj_s3"), ("full2", "aut_z3"), ("boundary3", "star_to_s3"),
+    ("torus7", "z2_into_z4"), ("rp26", "z4_over_z2"), ("full3", "z2_to_point")])
+def test_coboundary_matches_the_scan_of_every_valid_pair(kname, cmname):
+    # one or two seeded changes of random coboundaries: an eta value changed
+    # (in range or just out of it), an entry deleted, a diagonal eta set off
+    # e, a stray pair or vertex added, a gamma changed, or a normalized pair
+    # traded for an off-complex one (so the size stays); both raise the same
+    # error with the same message, or both return equal coboundaries
+    from cechmod.complexes import normalized_tuples
+    from cechmod.errors import SemanticError
+    K, cmx = cx(kname), cm(cmname)
+    G, H = cmx.G, cmx.H
+    n = K.vertex_count
+    rng = random.Random(f"coboundary:{kname}:{cmname}")
+    seen = set()
+    for _ in range(80):
+        c = random_coboundary(K, cmx, rng)
+        gamma, eta = dict(c.gamma), dict(c.eta)
+        for _ in range(rng.randrange(1, 3)):
+            kind = rng.randrange(7)
+            if kind == 0:
+                eta[rng.choice(normalized_tuples(K, 2))] = rng.randrange(-1, H.order + 1)
+            elif kind == 1:
+                table = rng.choice([gamma, eta])
+                if table:
+                    del table[rng.choice(sorted(table))]
+            elif kind == 2:
+                eta[(v := rng.randrange(n), v)] = rng.randrange(1, H.order + 1)
+            elif kind == 3:
+                eta[(rng.randrange(n + 1), rng.randrange(n + 1))] = 0
+            elif kind == 4:
+                gamma[rng.randrange(n + 1)] = rng.randrange(-1, G.order + 1)
+            elif kind == 5:
+                gamma[rng.randrange(n)] = rng.randrange(G.order)
+            else:
+                eta.pop(rng.choice(normalized_tuples(K, 2)), None)
+                eta[(rng.randrange(n), n)] = 0
+        want = _result(_reference_coboundary, K, cmx, gamma, eta)
+        assert _result(coboundary, K, cmx, gamma, eta) == want
+        seen.add(want[0] if isinstance(want, tuple) else True)
+    assert {True, MissingEntry, NormalizationFailure, SemanticError} <= seen
+
+
 # -- the abelian count on the oriented complex ---------------------------------------
 
 @pytest.mark.parametrize("kname", ["point", "full1", "full2", "full3", "circle",

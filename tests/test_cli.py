@@ -565,3 +565,170 @@ def test_repeated_entry_is_a_parse_error(tmp_path):
     # distinct tuples are no repeat
     path = _write(tmp_path / "g.coc", "g 0 1 1\ng 1 0 1\n")
     assert run(["lift", "--complex", "circle", "--cm", "z4_over_z2", "--cocycle", path])[0] == 0
+
+
+# -- the strict parser ------------------------------------------------------------
+
+def _argparse_outcome(argv):
+    """What the full argparse parser makes of argv: a Namespace, or the
+    type of what it raises (ParseError on a rejection, SystemExit on help)."""
+    import contextlib
+    import io
+    from cechmod.cli import build_parser
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return build_parser().parse_args(argv)
+    except (ParseError, SystemExit) as exc:
+        return type(exc)
+
+
+def _option_value(draw, name):
+    """A value of the option's kind: one of its choices, a decimal int, or
+    a short string (which may start with `-`)."""
+    from cechmod.cli import OPTIONS
+    kind, _, choices, _ = OPTIONS[name]
+    if choices is not None:
+        return draw(st.sampled_from(choices))
+    if kind is int:
+        return str(draw(st.integers(-3, 10 ** 9)))
+    return draw(st.text(alphabet="ab./_ 0-=", max_size=6))
+
+
+@st.composite
+def _argv(draw):
+    """A command and `--option value` pairs from the option table.  Each
+    pair is well formed, or has its option abbreviated, joined to its value
+    by `=` or given a value argparse may reject (a bad int or choice, a
+    value starting with `-`); then a token may be dropped, or a stray one
+    inserted (help, `--`, a word, an unknown option)."""
+    from cechmod.cli import COMMANDS, OPTIONS
+    tokens = [draw(st.sampled_from(sorted(COMMANDS)))]
+    for _ in range(draw(st.integers(0, 5))):
+        name = draw(st.sampled_from(sorted(OPTIONS)))
+        flag, value = f"--{name}", _option_value(draw, name)
+        form = draw(st.sampled_from(["pair"] * 4 + ["abbreviated", "joined", "value"]))
+        if form == "abbreviated":
+            tokens += [flag[:draw(st.integers(3, len(flag) - 1))], value]
+        elif form == "joined":
+            tokens.append(f"{flag}={value}")
+        elif form == "value":
+            tokens += [flag, draw(st.sampled_from(
+                ["abel", "Brute", "x", "", "1.5", "1e3", "-5", "-x", " 7", "1_000", "+3",
+                 "--cm", "-h"]))]
+        else:
+            tokens += [flag, value]
+    stray = st.sampled_from(["--help", "-h", "--", "-", "x", "", "--nosuch", "classify",
+                             "--strategy", "--out"])
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+            if not tokens:
+                break
+        else:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(stray))
+    return tokens
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_strict_parser_agrees_with_argparse(argv):
+    # the strict parser declines, or returns what argparse returns; it never
+    # accepts an argv that argparse rejects or answers with help
+    from cechmod.cli import parse_strict
+    got = parse_strict(list(argv))
+    want = _argparse_outcome(list(argv))
+    assert got is None or got == want, argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_strict_parser_reads_every_well_formed_argv(data):
+    # a command and `--option value` pairs, each value not starting with `-`:
+    # the strict parser accepts them all, as argparse reads them
+    from cechmod.cli import COMMANDS, OPTIONS, parse_strict
+    argv = [data.draw(st.sampled_from(sorted(COMMANDS)))]
+    for _ in range(data.draw(st.integers(0, 6))):
+        name = data.draw(st.sampled_from(sorted(OPTIONS)))
+        value = _option_value(data.draw, name)
+        if value.startswith("-"):
+            continue
+        argv += [f"--{name}", value]
+    got = parse_strict(argv)
+    assert got is not None and got == _argparse_outcome(argv), argv
+
+
+def test_strict_parser_edge_cases(capsys):
+    from cechmod.cli import parse_strict
+    # a repeated option keeps its last value, as in argparse
+    argv = ["oracle-h", "--complex", "rp26", "--coeff", "3", "--degree", "1", "--coeff", "2"]
+    args = parse_strict(argv)
+    assert args is not None and args.coeff == 2 and args == _argparse_outcome(argv)
+    assert run(argv) == (0, "COMPLEX: rp26\nCOEFF: 2\nDEGREE: 1\nCARDINALITY: 2\n")
+    # a negative value is declined; argparse reads it and the run still exits 2
+    argv = ["classify", "--complex", "circle", "--cm", "star_to_s3", "--budget", "-5"]
+    assert parse_strict(argv) is None
+    assert run(argv) == (2, "REASON: budget and worker count must be positive\n")
+    # an empty --out is read, and writes nothing
+    argv = ["oracle-h", "--complex", "rp26", "--out", ""]
+    args = parse_strict(argv)
+    assert args is not None and args.out == "" and args == _argparse_outcome(argv)
+    assert run(argv)[0] == 0
+    # a `--` token is declined, and argparse still rejects it
+    strict = ["classify", "--complex", "circle", "--cm", "star_to_s3"]
+    assert parse_strict(strict + ["--"]) is None
+    assert run(strict + ["--"]) == (2, "REASON: <args>:0: unrecognized arguments: --\n")
+    # -h after options is declined and gets argparse's help
+    assert parse_strict(strict + ["-h"]) is None
+    with pytest.raises(SystemExit) as exc:
+        run(strict + ["-h"])
+    assert exc.value.code == 0 and "usage: cechmod classify" in capsys.readouterr().out
+    # an option before the command is declined; argparse rejects it
+    argv = ["--complex", "circle", "classify", "--cm", "star_to_s3"]
+    assert parse_strict(argv) is None
+    assert run(argv)[1].startswith("REASON: <args>:0: argument command: invalid choice: 'circle'")
+    # an abbreviation and --opt=value are declined, and argparse reads them
+    # to the same report as the strict form
+    for argv in (["classify", "--comp", "circle", "--cm", "star_to_s3"],
+                 ["classify", "--complex", "circle", "--cm=star_to_s3"]):
+        assert parse_strict(argv) is None and run(argv) == run(strict)
+
+
+def test_benchmark_jobs_build_no_parser(tmp_path, monkeypatch):
+    # every job shape of the benchmark workloads, the --workers 2 probe
+    # included, parses without argparse and still gives a correct outcome
+    import cechmod.cli as cli
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a benchmark job built the argparse parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for workload in workloads.WORKLOADS:
+        jobs = workloads.build_jobs(workload, workloads.DEFAULT_SEED, str(tmp_path))
+        shapes = {}
+        for job in jobs:
+            assert cli.parse_strict(job.argv) is not None, job.argv
+            # the last job of each shape is the cheapest to run
+            shapes[(job.argv[0], tuple(a for a in job.argv if a.startswith("--")))] = job
+        for job in shapes.values():
+            code, report = cli.run(list(job.argv))
+            assert job.check(code, report) is None, job.name
+            if job.kind == "classify":
+                assert cli.run(job.argv + ["--workers", "2"]) == (code, report)
+
+
+def test_unwritable_out_gives_structured_report(tmp_path):
+    # a failed --out write exits 2 with a REASON line worded as the read
+    # errors, after an accepted argv and after a rejected one
+    out = str(tmp_path / "missing" / "x")
+    with pytest.raises(OSError) as exc:
+        open(out, "w")
+    reason = f"REASON: {out}:0: cannot write file: {exc.value}\n"
+    for argv in (["classify", "--complex", "circle", "--cm", "star_to_s3"],
+                 ["classify", "--complex", "circle", "--cm", "star_to_s3", "--budget", "x"],
+                 ["nosuch"]):
+        assert run(argv + ["--out", out]) == (2, reason), argv

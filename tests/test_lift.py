@@ -285,3 +285,74 @@ def test_obstruction_is_the_direct_formula(cmname):
         for _ in range(3):
             g = _random_one_cocycle(K, cmx.G, rng)
             assert lifting_obstruction(K, cmx, g).obstruction == _reference_obstruction(K, cmx, g)
+
+
+# -- validate_one_cocycle against its scan of every valid pair -----------------------
+
+def _reference_validate_one_cocycle(K, G, g):
+    """validate_one_cocycle as it was before it read the normalized and
+    degenerate tuples held on the complex: scans of `valid_tuples(K, 2)` and
+    `valid_tuples(K, 3)`, in lexicographic order."""
+    from cechmod.errors import NotA1Cocycle, SemanticError
+    pairs = valid_tuples(K, 2)
+    stray = sorted(set(g).difference(pairs))
+    if stray:
+        raise SemanticError(f"value given on {stray[0]}, which is not a valid pair")
+    full = dict(g)
+    for p in pairs:
+        if p[0] == p[1]:
+            full.setdefault(p, G.identity)
+        if p not in full:
+            raise NotA1Cocycle(p)
+        if not (0 <= full[p] < G.order):
+            raise SemanticError(f"g{p} out of range")
+        if full[p] != G.identity and p[0] == p[1]:
+            raise NotA1Cocycle(p)
+    for (i, j, k) in valid_tuples(K, 3):
+        if G.mul(full[(i, j)], full[(j, k)]) != full[(i, k)]:
+            raise NotA1Cocycle((i, j, k))
+    return full
+
+
+@pytest.mark.parametrize("kname", COMPLEXES)
+def test_validate_one_cocycle_matches_the_scan(kname):
+    # one or two seeded changes of sampled S3 1-cocycles: a value changed (in
+    # range, which may break the identity on a triangle, or just out of it),
+    # an entry or a diagonal entry deleted, a diagonal value set off e, a
+    # stray pair added, or a normalized pair traded for an off-complex one;
+    # both raise the same error with the same message, or both return the
+    # same dict
+    from cechmod.bundle import validate_one_cocycle
+    from cechmod.cech import sample_cocycle
+    from cechmod.errors import NotA1Cocycle, SemanticError
+    K, cmx = cx(kname), cm("star_to_s3")
+    G = cmx.G
+    n = K.vertex_count
+    rng = random.Random(f"one-cocycle:{kname}")
+    seen = set()
+    for _ in range(60):
+        g = dict(sample_cocycle(K, cmx, rng).g)
+        for _ in range(rng.randrange(1, 3)):
+            kind = rng.randrange(6)
+            if kind == 0:
+                g[rng.choice(normalized_tuples(K, 2))] = rng.randrange(-1, G.order + 1)
+            elif kind == 5:  # a diagonal entry may be omitted
+                g.pop((v := rng.randrange(n), v), None)
+            elif kind == 1 and g:
+                del g[rng.choice(sorted(g))]
+            elif kind == 2:
+                g[(v := rng.randrange(n), v)] = rng.randrange(1, G.order + 1)
+            elif kind == 3:
+                g[(rng.randrange(n + 1), rng.randrange(n + 1))] = 0
+            else:
+                g.pop(rng.choice(normalized_tuples(K, 2)), None)
+                g[(rng.randrange(n), n)] = 0
+        outcomes = []
+        for check in (_reference_validate_one_cocycle, validate_one_cocycle):
+            try:
+                outcomes.append(check(K, G, dict(g)))
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        seen.add(outcomes[0][0] if isinstance(outcomes[0], tuple) else True)
+    assert {True, NotA1Cocycle, SemanticError} <= seen
