@@ -931,7 +931,7 @@ def _class_key(K: SimplicialComplex, n: int) -> tuple:
     from .snf import check_smith_form, smith_normal_form
 
     d1 = oriented_differential(K, 1)
-    factors = smith_normal_form(d1, want_transforms=True, sparse_left=True)
+    factors = smith_normal_form(d1)
     check_smith_form(d1, factors)
     d, U, _ = factors
     moduli = [gcd(d[i], n) if i < len(d) else n for i in range(len(U))]

@@ -366,7 +366,7 @@ def _deliver(out: str | None, code: int, report: str) -> tuple[int, str]:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(report)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             return PARSE, f"REASON: {ParseError(out, 0, f'cannot write file: {exc}')}\n"
     return code, report
 

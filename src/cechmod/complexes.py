@@ -243,11 +243,6 @@ def differential(K: SimplicialComplex, k: int) -> SparseMatrix:
     return held[key]
 
 
-def coboundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
-    """The dense integer matrix of `differential(K, k)`."""
-    return differential(K, k).dense()
-
-
 def oriented_differential(K: SimplicialComplex, k: int) -> SparseMatrix:
     """The oriented simplicial coboundary C^k -> C^(k+1), for k = 0, 1, 2.
 

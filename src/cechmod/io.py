@@ -35,7 +35,7 @@ def _lines(path: str) -> list[tuple[int, str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ParseError(path, 0, f"cannot read file: {exc}")
     out = []
     for no, line in enumerate(raw, start=1):

@@ -8,19 +8,17 @@ Both count routes factor the oriented differentials of a base, one cochain
 per simplex; the Smith forms whose transforms read cochain values factor
 the normalized ones.
 
-Every routine takes a matrix in either of two forms: dense, a list of rows
-of integers, or sparse, a `SparseMatrix` of per-row (column, entry) pairs
-and a column count, such as `complexes.differential` and
-`complexes.oriented_differential` hold for each base.
-Both give the same results; only the sparse form knows its column count
-when it has no rows.
+Every routine takes one input form, a `SparseMatrix` of per-row (column,
+entry) pairs and a column count, such as `complexes.differential` and
+`complexes.oriented_differential` hold for each base.  The column count is
+known for every shape, so a matrix with no rows or no columns takes the
+general path.
 
 Both routes hold a matrix as sparse rows and sparse columns (dicts of the
 nonzero entries), so an operation costs the nonzeros it reads, and a swap
-permutes positions, not storage.  U is kept as sparse rows and V as sparse
-columns, made dense on return (U may stay sparse, for `solve_mod`); a caller
-that reads only V builds no U, and `kernel_generators_mod` reads V's sparse
-columns as they are.
+permutes positions, not storage.  U and V come back as sparse rows; a
+caller that reads only V builds no U, and `kernel_generators_mod` reads
+V's sparse columns as they are.
 
 Pivot rule, both routes: the first entry in row-major order of the
 remaining block among those of least absolute value (over Z) or least
@@ -32,7 +30,6 @@ elimination that performs the same operations in the same order.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -45,39 +42,16 @@ class SparseMatrix(NamedTuple):
     rows: tuple[tuple[tuple[int, int], ...], ...]
     cols: int
 
-    def dense(self) -> list[list[int]]:
-        out = []
-        for row in self.rows:
-            dense_row = [0] * self.cols
-            for c, v in row:
-                dense_row[c] = v
-            out.append(dense_row)
-        return out
 
-
-def _shape(matrix) -> tuple[int, int]:
-    """(rows, columns) of either form; a dense matrix with no rows has none."""
-    if isinstance(matrix, SparseMatrix):
-        return len(matrix.rows), matrix.cols
-    return len(matrix), len(matrix[0]) if matrix else 0
-
-
-def _sparse(matrix, q: int | None = None):
+def _sparse(matrix: SparseMatrix, q: int | None = None):
     """The nonzero entries (reduced mod q when q is given) twice over: per row
     a dict from column to entry, and per column a dict from row to entry.
-    Each row's dict holds its columns in increasing order, whichever the form."""
-    if isinstance(matrix, SparseMatrix):
-        cols = range(matrix.cols)
-        if q is None:
-            R = [dict(row) for row in matrix.rows]
-        else:
-            R = [{c: x for c, v in row if (x := v % q)} for row in matrix.rows]
+    Each row's dict holds its columns in increasing order."""
+    if q is None:
+        R = [dict(row) for row in matrix.rows]
     else:
-        cols = range(len(matrix[0]) if matrix else 0)
-        R = [dict(zip(compress(cols, row), filter(None, row))) for row in matrix]
-        if q is not None:
-            R = [{c: x for c, v in row.items() if (x := v % q)} for row in R]
-    C = [{} for _ in cols]
+        R = [{c: x for c, v in row if (x := v % q)} for row in matrix.rows]
+    C = [{} for _ in range(matrix.cols)]
     for r, row in enumerate(R):
         for c, v in row.items():
             C[c][r] = v
@@ -90,34 +64,24 @@ def _swap(at: list[int], pos: list[int], a: int, b: int) -> None:
     pos[at[a]], pos[at[b]] = a, b
 
 
-def _dense(vec: dict[int, int], size: int) -> list[int]:
-    out = [0] * size
-    for k, v in vec.items():
-        out[k] = v
-    return out
-
-
-def smith_normal_form(matrix, want_transforms: bool = False, *,
-                      sparse_left: bool = False):
-    """Diagonalize an integer matrix, dense or sparse, by unimodular row and
-    column operations.
+def smith_normal_form(matrix: SparseMatrix):
+    """Diagonalize an integer matrix, given as a `SparseMatrix`, by
+    unimodular row and column operations.
 
     Returns (divisors, U, V) with U*A*V = diag(divisors), divisors positive
-    and each dividing the next.  U and V are None unless requested.  With
-    sparse_left, U comes as sparse rows (dicts from column to nonzero entry)
-    instead of dense ones.  A caller that needs V alone, as
-    `kernel_generators_mod` does, calls `_smith` and skips U.
+    and each dividing the next, and U and V as sparse rows (dicts from
+    column to nonzero entry).  A caller that reads fewer transforms, as
+    `rank_and_divisors` and `kernel_generators_mod` do, calls `_smith`.
     """
-    divisors, U, Vc = _smith(matrix, want_transforms, want_transforms)
-    rows, cols = _shape(matrix)
-    if want_transforms and not sparse_left:
-        U = [_dense(row, rows) for row in U]
-    if want_transforms:
-        Vc = [list(r) for r in zip(*(_dense(col, cols) for col in Vc))]  # V by rows
-    return divisors, U, Vc
+    divisors, U, Vc = _smith(matrix, True, True)
+    V = [{} for _ in Vc]
+    for j, col in enumerate(Vc):
+        for r, v in col.items():
+            V[r][j] = v
+    return divisors, U, V
 
 
-def _smith(matrix, want_left: bool, want_right: bool):
+def _smith(matrix: SparseMatrix, want_left: bool, want_right: bool):
     """The Smith form of `smith_normal_form`, with U as sparse rows and V as
     sparse columns (dicts from index to nonzero entry), each None unless
     wanted."""
@@ -239,14 +203,14 @@ def _smith(matrix, want_left: bool, want_right: bool):
     return divisors, U, Vc
 
 
-def check_smith_form(matrix, factors) -> None:
-    """Raise AssertionError unless U * matrix * V == diag(divisors), for the
-    `factors` = (divisors, U, V) of `smith_normal_form(matrix, True,
-    sparse_left=True)`.  The products run on sparse rows, U * matrix first:
-    its rows are those of diag(divisors) * V^-1, which are sparse."""
+def check_smith_form(matrix: SparseMatrix, factors) -> None:
+    """Raise AssertionError unless U * matrix * V == diag(divisors), for a
+    `SparseMatrix` and the `factors` = (divisors, U, V) of
+    `smith_normal_form(matrix)`.  The products run on sparse rows, U *
+    matrix first: its rows are those of diag(divisors) * V^-1, which are
+    sparse."""
     d, U, V = factors
     R = _sparse(matrix)[0]
-    Vr = _sparse(V)[0]
     for i, urow in enumerate(U):
         ua: dict[int, int] = {}  # row i of U * matrix
         for r, u in urow.items():
@@ -255,33 +219,27 @@ def check_smith_form(matrix, factors) -> None:
         uav: dict[int, int] = {}  # row i of U * matrix * V
         for c, x in ua.items():
             if x:
-                for j, v in Vr[c].items():
+                for j, v in V[c].items():
                     uav[j] = uav.get(j, 0) + x * v
         if {j: v for j, v in uav.items() if v} != ({i: d[i]} if i < len(d) else {}):
             raise AssertionError("U * A * V is not the Smith form of A")
 
 
-def rank_and_divisors(matrix) -> tuple[int, list[int]]:
-    d, _, _ = smith_normal_form(matrix)
+def rank_and_divisors(matrix: SparseMatrix) -> tuple[int, list[int]]:
+    d, _, _ = _smith(matrix, False, False)
     return len(d), d
 
 
-def solve_mod(matrix, rhs: list[int], n: int,
-              factors: tuple | None = None) -> list[int] | None:
-    """One solution x of  matrix @ x == rhs (mod n),  or None if infeasible.
+def solve_mod(matrix: SparseMatrix, rhs: list[int], n: int) -> list[int] | None:
+    """One solution x of  matrix @ x == rhs (mod n),  or None if infeasible,
+    for a `SparseMatrix`.
 
-    `factors` is `smith_normal_form(matrix, want_transforms=True)`, passed by
-    a caller that solves many systems with one matrix; with sparse_left=True
-    each solve reads only U's nonzeros.  The solution is checked against
-    `matrix` either way.
+    Reads the Smith form U * matrix * V = diag(d): solves d_i * y_i ==
+    (U rhs)_i (mod n) row by row and returns x = V y, checked against
+    `matrix`.
     """
-    rows, cols = _shape(matrix)
-    if rows == 0:
-        return [0] * cols
-    d, U, V = factors or smith_normal_form(matrix, want_transforms=True, sparse_left=True)
-    if not isinstance(U[0], dict):  # a dense U, from the default smith_normal_form
-        U = _sparse(U)[0]
-    y = [0] * cols
+    d, U, V = smith_normal_form(matrix)
+    y = [0] * matrix.cols
     for i, row in enumerate(U):
         # solve d_i * y_i == (U rhs)_i (mod n), with d_i = 0 past the divisors
         ci = sum(map(mul, row.values(), map(rhs.__getitem__, row)))
@@ -291,30 +249,23 @@ def solve_mod(matrix, rhs: list[int], n: int,
             return None
         if di:
             y[i] = ((ci // g) * pow(di // g, -1, n // g)) % (n // g)
-    x = [sum(map(mul, row, y)) % n for row in V]
+    x = [sum(v * y[j] for j, v in row.items()) % n for row in V]
     # verify
-    if isinstance(matrix, SparseMatrix):
-        products = (sum(v * x[c] for c, v in row) for row in matrix.rows)
-    else:
-        products = (sum(map(mul, row, x)) for row in matrix)
-    for got, r in zip(products, rhs):
-        if got % n != r % n:
+    for row, r in zip(matrix.rows, rhs):
+        if sum(v * x[c] for c, v in row) % n != r % n:
             raise AssertionError("modular solve produced a non-solution")
     return x
 
 
-def kernel_generators_mod(matrix, n: int) -> list[list[int]]:
+def kernel_generators_mod(matrix: SparseMatrix, n: int) -> list[list[int]]:
     """Generators of {x : matrix @ x == 0 (mod n)} as vectors mod n: the
-    columns of V, column i scaled by n / gcd(d_i, n)."""
-    rows, cols = _shape(matrix)
-    if rows == 0 or cols == 0:
-        return [[int(i == j) % n for j in range(cols)] for i in range(cols)]
+    columns of V, column i scaled by n / gcd(d_i, n), that are nonzero mod n."""
     d, _, Vc = _smith(matrix, False, True)
     gens = []
     for i, col in enumerate(Vc):
         di = d[i] if i < len(d) else 0
         scale = (n // gcd(di, n)) if di else 1
-        vec = [0] * cols
+        vec = [0] * matrix.cols
         for r, v in col.items():
             vec[r] = (v * scale) % n
         if any(vec):
@@ -340,7 +291,7 @@ def _factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def pivot_valuations_mod_prime_power(matrix, p: int, e: int) -> list[int]:
+def pivot_valuations_mod_prime_power(matrix: SparseMatrix, p: int, e: int) -> list[int]:
     """Diagonalize over Z/p^e; return the p-valuations of the nonzero pivots.
 
     Z/p^e is a chain ring: an entry of minimal valuation divides every other
@@ -398,23 +349,17 @@ def pivot_valuations_mod_prime_power(matrix, p: int, e: int) -> list[int]:
     return pivots
 
 
-def kernel_size_mod(matrix, n: int) -> int:
+def kernel_size_mod(matrix: SparseMatrix, n: int) -> int:
     """|{x mod n : matrix @ x == 0 (mod n)}| by per-prime-power elimination."""
-    _, cols = _shape(matrix)
-    if cols == 0:
-        return 1
     total = 1
     for p, e in _factor(n):
         vals = pivot_valuations_mod_prime_power(matrix, p, e)
-        exp = e * (cols - len(vals)) + sum(vals)
-        total *= p ** exp
+        total *= p ** (e * (matrix.cols - len(vals)) + sum(vals))
     return total
 
 
-def image_size_mod(matrix, n: int) -> int:
+def image_size_mod(matrix: SparseMatrix, n: int) -> int:
     """|column span of matrix mod n| by per-prime-power elimination."""
-    if 0 in _shape(matrix):
-        return 1
     total = 1
     for p, e in _factor(n):
         vals = pivot_valuations_mod_prime_power(matrix, p, e)

@@ -29,6 +29,13 @@ def one():
     return trivial_group()
 
 
+def dense(rows, width):
+    """Sparse rows, as (column, entry) pairs or as dicts from column to
+    entry, as dense rows of `width` entries; `dense(*S)` for a
+    `SparseMatrix` S."""
+    return [[dict(row).get(c, 0) for c in range(width)] for row in rows]
+
+
 def cm(name):
     return named_crossed_module(name)
 

@@ -1165,23 +1165,20 @@ def _reference_classify_abelian(K, cmx):
     form of d2: a candidate is kept when `solve_mod` finds it cohomologous to
     no representative kept so far.  Returns (count, representatives)."""
     from cechmod.algebra import abelian_invariants
-    from cechmod.complexes import coboundary_matrix, normalized_tuples
-    from cechmod.snf import (image_size_mod, kernel_generators_mod, kernel_size_mod,
-                             smith_normal_form, solve_mod)
+    from cechmod.complexes import differential, normalized_tuples
+    from cechmod.snf import image_size_mod, kernel_generators_mod, kernel_size_mod, solve_mod
     coords = abelian_invariants(cmx.H)[1]
     power = sorted(coords, key=coords.get)
     n = cmx.H.order
-    d2 = coboundary_matrix(K, 1)
-    d3 = coboundary_matrix(K, 2)
+    d2 = differential(K, 1)
+    d3 = differential(K, 2)
     count = kernel_size_mod(d3, n) // image_size_mod(d2, n)
     cols = normalized_tuples(K, 3)
-    gens = kernel_generators_mod(d3, n) if d3 else \
-        [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
-    factors = smith_normal_form(d2, want_transforms=True, sparse_left=True) if d2 else None
+    gens = kernel_generators_mod(d3, n)
 
     def cohomologous_vec(a, b):
         diff = [(x - y) % n for x, y in zip(a, b)]
-        return solve_mod(d2, diff, n, factors) is not None if d2 else all(v == 0 for v in diff)
+        return solve_mod(d2, diff, n) is not None
 
     reps = [tuple([0] * len(cols))]
     queue = [reps[0]]
@@ -1497,7 +1494,7 @@ def _normalized_class_key(K, n):
     from cechmod.complexes import differential
     from cechmod.snf import check_smith_form, smith_normal_form
     d2 = differential(K, 1)
-    factors = smith_normal_form(d2, want_transforms=True, sparse_left=True)
+    factors = smith_normal_form(d2)
     check_smith_form(d2, factors)
     d, U, _ = factors
     moduli = [math.gcd(d[i], n) if i < len(d) else n for i in range(len(U))]

@@ -732,3 +732,35 @@ def test_unwritable_out_gives_structured_report(tmp_path):
                  ["classify", "--complex", "circle", "--cm", "star_to_s3", "--budget", "x"],
                  ["nosuch"]):
         assert run(argv + ["--out", out]) == (2, reason), argv
+
+
+@pytest.mark.parametrize("option", ["--cocycle", "--complex", "--cm", "--group"])
+def test_undecodable_input_gives_structured_report(tmp_path, option):
+    # a file that is not UTF-8 exits 2 with a REASON line worded as the
+    # other read errors, for each option that reads a file
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        path.read_text(encoding="utf-8")
+    reason = f"REASON: {path}:0: cannot read file: {exc.value}\n"
+    assert run(["validate", option, str(path)]) == (2, reason)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--cocycle", "a\x00b"],
+    ["validate", "--group", "a\x00b"],
+    ["classify", "--complex", "a\x00b", "--cm", "z2_to_point"],
+    ["classify", "--complex", "circle", "--cm", "a\x00b"],
+], ids=["cocycle", "group", "complex", "cm"])
+def test_nul_in_input_path_gives_structured_report(argv):
+    # open() rejects a path with a NUL by ValueError, not OSError
+    code, report = run(argv)
+    assert (code, report) == (2, "REASON: a\x00b:0: cannot read file: embedded null byte\n")
+
+
+def test_nul_in_out_path_gives_structured_report():
+    # a NUL in --out: the report is not written, and the run exits 2
+    for argv in (["oracle-h", "--complex", "rp26", "--coeff", "2", "--degree", "2"],
+                 ["nosuch"]):
+        assert run(argv + ["--out", "a\x00b"]) == \
+            (2, "REASON: a\x00b:0: cannot write file: embedded null byte\n"), argv

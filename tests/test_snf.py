@@ -5,11 +5,25 @@ import random
 import pytest
 
 from cechmod.snf import (
+    SparseMatrix,
     image_size_mod,
     kernel_size_mod,
     smith_normal_form,
     solve_mod,
 )
+from conftest import dense
+
+
+def _sparse_form(A):
+    return SparseMatrix(tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in A),
+                        len(A[0]) if A else 0)
+
+
+def _dense_factors(S):
+    """smith_normal_form(S) with U and V as dense rows, as it returned them
+    for a dense input before both transforms came back sparse."""
+    d, U, V = smith_normal_form(S)
+    return d, dense(U, len(S.rows)), dense(V, S.cols)
 
 
 def _random_system(rng):
@@ -24,7 +38,7 @@ def test_solve_mod_against_exhaustive_search():
     for _ in range(150):
         A, rows, cols, n = _random_system(rng)
         b = [rng.randrange(-4, 5) for _ in range(rows)]
-        got = solve_mod(A, b, n)
+        got = solve_mod(_sparse_form(A), b, n)
         brute = any(
             all(sum(A[i][j] * x[j] for j in range(cols)) % n == b[i] % n
                 for i in range(rows))
@@ -43,8 +57,8 @@ def test_kernel_and_image_sizes_against_exhaustive_search():
         image = len({
             tuple(sum(A[i][j] * x[j] for j in range(cols)) % n for i in range(rows))
             for x in itertools.product(range(n), repeat=cols)})
-        assert kernel_size_mod(A, n) == kernel
-        assert image_size_mod(A, n) == image
+        assert kernel_size_mod(_sparse_form(A), n) == kernel
+        assert image_size_mod(_sparse_form(A), n) == image
 
 
 def test_smith_form_transforms_and_divisibility():
@@ -52,7 +66,7 @@ def test_smith_form_transforms_and_divisibility():
     for _ in range(100):
         rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
         A = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        d, U, V = smith_normal_form(A, want_transforms=True)
+        d, U, V = _dense_factors(_sparse_form(A))
         for i in range(len(d) - 1):
             assert d[i] > 0 and d[i + 1] % d[i] == 0
         m = [[sum(U[i][k] * A[k][j] for k in range(rows)) for j in range(cols)]
@@ -65,33 +79,9 @@ def test_smith_form_transforms_and_divisibility():
 
 
 def test_known_smith_forms():
-    assert smith_normal_form([[2, 0], [0, 3]])[0] == [1, 6]
-    assert smith_normal_form([[2, 4], [6, 8]])[0] == [2, 4]
-    assert smith_normal_form([[0, 0], [0, 0]])[0] == []
-
-
-def test_solve_mod_with_one_factorization():
-    # one Smith form of A serves every right-hand side, as in the abelian
-    # classification, and gives the answers of a fresh factorization
-    rng = random.Random(5)
-    for _ in range(20):
-        A, rows, cols, n = _random_system(rng)
-        factors = smith_normal_form(A, want_transforms=True)
-        for b in itertools.product(range(n), repeat=rows):
-            assert solve_mod(A, list(b), n, factors) == solve_mod(A, list(b), n)
-
-
-def test_solve_mod_with_sparse_left_factors():
-    # U kept as sparse rows is the dense U, and solves give the same answers
-    rng = random.Random(6)
-    for _ in range(20):
-        A, rows, cols, n = _random_system(rng)
-        dense = smith_normal_form(A, want_transforms=True)
-        sparse = smith_normal_form(A, want_transforms=True, sparse_left=True)
-        assert (sparse[0], sparse[2]) == (dense[0], dense[2])
-        assert [[row.get(c, 0) for c in range(rows)] for row in sparse[1]] == dense[1]
-        for b in itertools.product(range(n), repeat=rows):
-            assert solve_mod(A, list(b), n, sparse) == solve_mod(A, list(b), n, dense)
+    assert smith_normal_form(_sparse_form([[2, 0], [0, 3]]))[0] == [1, 6]
+    assert smith_normal_form(_sparse_form([[2, 4], [6, 8]]))[0] == [2, 4]
+    assert smith_normal_form(_sparse_form([[0, 0], [0, 0]]))[0] == []
 
 
 def _det(M):
@@ -119,16 +109,17 @@ def test_smith_form_transforms_are_unimodular():
     for _ in range(100):
         rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
         A = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        _, U, V = smith_normal_form(A, want_transforms=True)
+        _, U, V = _dense_factors(_sparse_form(A))
         assert _det(U) in (1, -1) and _det(V) in (1, -1)
     assert _det([[2, 1], [1, 1]]) == 1 and _det([[0, 1], [1, 0]]) == -1
     assert _det([[1, 2], [2, 4]]) == 0
 
 
-# sha256 of repr(smith_normal_form(coboundary_matrix(K, k), True)): the
-# divisors and both transforms of every catalog coboundary matrix the
-# abelian routes factor; the pivot order decides U and V, and the abelian
-# representatives and lifts read them
+# sha256 of the repr of (divisors, U, V) of the Smith form of
+# differential(K, k), with U and V as dense rows: the divisors and both
+# transforms of every catalog coboundary matrix the abelian routes factor;
+# the pivot order decides U and V, and the abelian representatives and
+# lifts read them
 SMITH_PINS = {
     ("circle", 0): "4571dc7ac6d30e77e29eab957838769fb7c897c6eaa64a6a57bddfa81bd848b9",
     ("circle", 1): "6fe6e488adcd6d5bd807df67733dc77c10c5e48d48c10590cae24151a7073836",
@@ -152,8 +143,8 @@ SMITH_PINS = {
 def test_catalog_smith_forms_are_pinned(kname, k):
     import hashlib
     from cechmod.catalog import named_complex
-    from cechmod.complexes import coboundary_matrix
-    factors = smith_normal_form(coboundary_matrix(named_complex(kname), k), True)
+    from cechmod.complexes import differential
+    factors = _dense_factors(differential(named_complex(kname), k))
     assert hashlib.sha256(repr(factors).encode()).hexdigest() == SMITH_PINS[(kname, k)]
 
 
@@ -369,16 +360,18 @@ def _reference_pivot_valuations(matrix, p, e):
 def test_unit_pivots_match_full_scan():
     # entries in -9..9 put many non-unit minima ahead of a unit; the pivot,
     # the transforms and the valuations must be those of the full scan
-    from cechmod.snf import pivot_valuations_mod_prime_power
+    from cechmod.snf import pivot_valuations_mod_prime_power, rank_and_divisors
     rng = random.Random(21)
     for _ in range(150):
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
         A = [[rng.choice([0, 0, 1, -1, 2, -2, 3, 4, 6, -9]) for _ in range(cols)]
              for _ in range(rows)]
-        for want in (False, True):
-            assert smith_normal_form(A, want) == _reference_smith_normal_form(A, want)
+        S = _sparse_form(A)
+        want = _reference_smith_normal_form(A, True)
+        assert _dense_factors(S) == want
+        assert rank_and_divisors(S) == (len(want[0]), want[0])
         for p, e in ((2, 1), (2, 3), (3, 2), (5, 1)):
-            assert pivot_valuations_mod_prime_power(A, p, e) == \
+            assert pivot_valuations_mod_prime_power(S, p, e) == \
                 _reference_pivot_valuations(A, p, e)
 
 
@@ -623,78 +616,77 @@ def _sparse_corpus(seed, count):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sparse_routines_match_dense_references(seed):
-    from cechmod.snf import (kernel_generators_mod,
-                             pivot_valuations_mod_prime_power)
+    from cechmod.snf import (check_smith_form, kernel_generators_mod,
+                             pivot_valuations_mod_prime_power, rank_and_divisors)
     rng = random.Random(100 + seed)
     fixups = []
     for A in _sparse_corpus(seed, 60):
         rows, cols = len(A), len(A[0])
+        S = _sparse_form(A)
+        assert dense(*S) == A
         d, U, V = _dense_smith_normal_form(A, True, fixups)
-        assert smith_normal_form(A, True) == (d, U, V)
-        assert smith_normal_form(A) == (d, None, None)
+        assert _dense_factors(S) == (d, U, V)
+        assert rank_and_divisors(S) == (len(d), d)
+        check_smith_form(S, smith_normal_form(S))
         for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-            assert pivot_valuations_mod_prime_power(A, p, e) == _dense_pivot_valuations(A, p, e)
+            assert pivot_valuations_mod_prime_power(S, p, e) == _dense_pivot_valuations(A, p, e)
         for n, factors in ((2, [(2, 1)]), (3, [(3, 1)]), (4, [(2, 2)]),
                            (6, [(2, 1), (3, 1)]), (12, [(2, 2), (3, 1)])):
-            assert kernel_generators_mod(A, n) == _dense_kernel_generators(A, n)
+            assert kernel_generators_mod(S, n) == _dense_kernel_generators(A, n)
             kernel = image = 1
             for p, e in factors:
                 vals = _dense_pivot_valuations(A, p, e)
                 kernel *= p ** (e * (cols - len(vals)) + sum(vals))
                 image *= p ** sum(e - v for v in vals)
-            assert (kernel_size_mod(A, n), image_size_mod(A, n)) == (kernel, image)
+            assert (kernel_size_mod(S, n), image_size_mod(S, n)) == (kernel, image)
             x = [rng.randrange(n) for _ in range(cols)]
             feasible = [sum(a * b for a, b in zip(row, x)) for row in A]
             for b in (feasible, [rng.randrange(n) for _ in range(rows)]):
-                assert solve_mod(A, b, n) == _dense_solve_mod(A, b, n)
+                assert solve_mod(S, b, n) == _dense_solve_mod(A, b, n)
     # the corpus reaches the divisibility fix-up, and not only in [[2, 0], [0, 3]]
     assert len(fixups) > 1
-
-
-def _sparse_form(A):
-    from cechmod.snf import SparseMatrix
-    return SparseMatrix(tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in A),
-                        len(A[0]) if A else 0)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_sparse_form_matches_dense_form(seed):
-    # every entry point gives on the SparseMatrix of a corpus matrix what it
-    # gives on its dense rows: divisors, U, V, valuations, sizes, generators
-    # and solutions
-    from cechmod.snf import (check_smith_form, kernel_generators_mod,
-                             pivot_valuations_mod_prime_power, rank_and_divisors)
-    rng = random.Random(200 + seed)
-    for A in _sparse_corpus(seed, 60):
-        S = _sparse_form(A)
-        assert S.dense() == A
-        for args, kw in (((True,), {}), ((), {}), ((True,), {"sparse_left": True})):
-            assert smith_normal_form(S, *args, **kw) == smith_normal_form(A, *args, **kw)
-        assert rank_and_divisors(S) == rank_and_divisors(A)
-        check_smith_form(S, smith_normal_form(S, True, sparse_left=True))
-        for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-            assert pivot_valuations_mod_prime_power(S, p, e) == \
-                pivot_valuations_mod_prime_power(A, p, e)
-        for n in (2, 3, 4, 6, 12):
-            assert kernel_generators_mod(S, n) == kernel_generators_mod(A, n)
-            assert kernel_size_mod(S, n) == kernel_size_mod(A, n)
-            assert image_size_mod(S, n) == image_size_mod(A, n)
-            x = [rng.randrange(n) for _ in range(len(A[0]))]
-            feasible = [sum(a * b for a, b in zip(row, x)) for row in A]
-            for b in (feasible, [rng.randrange(n) for _ in range(len(A))]):
-                assert solve_mod(S, b, n) == solve_mod(A, b, n)
 
 
 def test_check_smith_form_rejects_a_wrong_factorization():
     # each corruption changes entry (0, 0) of U * A * V or of diag(d)
     from cechmod.snf import check_smith_form
     for A in _sparse_corpus(0, 20):
-        d, U, V = smith_normal_form(A, True, sparse_left=True)
-        check_smith_form(A, (d, U, V))
+        S = _sparse_form(A)
+        d, U, V = smith_normal_form(S)
+        check_smith_form(S, (d, U, V))
         if not d:
             continue
         doubled_u = [{c: 2 * v for c, v in U[0].items()}] + U[1:]
-        doubled_v = [[2 * row[0]] + row[1:] for row in V]
+        doubled_v = [{c: 2 * v if c == 0 else v for c, v in row.items()} for row in V]
         for bad in (([d[0] + 1] + d[1:], U, V), (d, doubled_u, V), (d, U, doubled_v)):
             with pytest.raises(AssertionError):
-                check_smith_form(A, bad)
+                check_smith_form(S, bad)
+
+
+# -- matrices with no rows or no columns ----------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_empty_matrices_take_the_general_path(n):
+    # the values the early returns for these shapes gave, bar one: the
+    # kernel generators of a 0 x 3 matrix at n = 1 are none, as for every
+    # other shape, where the early return listed three zero vectors
+    from cechmod.snf import (check_smith_form, kernel_generators_mod,
+                             pivot_valuations_mod_prime_power, rank_and_divisors)
+    none, wide, tall = SparseMatrix((), 0), SparseMatrix((), 3), SparseMatrix(((), ()), 0)
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert smith_normal_form(none) == ([], [], [])
+    assert smith_normal_form(wide) == ([], [], [{0: 1}, {1: 1}, {2: 1}])
+    assert smith_normal_form(tall) == ([], [{0: 1}, {1: 1}], [])
+    for S in (none, wide, tall):
+        assert rank_and_divisors(S) == (0, [])
+        check_smith_form(S, smith_normal_form(S))
+        for p, e in ((2, 1), (2, 2), (3, 1)):
+            assert pivot_valuations_mod_prime_power(S, p, e) == []
+        assert image_size_mod(S, n) == 1
+    assert [kernel_size_mod(S, n) for S in (none, wide, tall)] == [1, n ** 3, 1]
+    assert kernel_generators_mod(none, n) == kernel_generators_mod(tall, n) == []
+    assert kernel_generators_mod(wide, n) == (identity if n > 1 else [])
+    assert solve_mod(none, [], n) == []
+    assert solve_mod(wide, [], n) == [0, 0, 0]
+    assert solve_mod(tall, [0, 0], n) == []
+    assert solve_mod(tall, [1, 0], n) == ([] if n == 1 else None)
