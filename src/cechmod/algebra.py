@@ -377,19 +377,6 @@ def crossed_module(G: FiniteGroup, H: FiniteGroup, beta_image: Sequence[int],
         G, H, validate_hom(H, G, beta_image), validate_action(G, H, alpha_table))
 
 
-def semidirect_product(cm: CrossedModule) -> FiniteGroup:
-    """The group on pairs (h, g) with (h,g)*(h',g') = (h * (g.h'), g*g')."""
-    H, G = cm.H, cm.G
-    pairs = [(h, g) for h in H.elements() for g in G.elements()]
-
-    def op(a, b):
-        (h, g), (h2, g2) = a, b
-        return (H.mul(h, cm.act(g, h2)), G.mul(g, g2))
-
-    grp, _ = group_from_operation(pairs, op, f"{H.name}x{G.name}")
-    return grp
-
-
 @dataclass(frozen=True)
 class Strict2Group:
     """The one-object 2-group of a crossed module: objects G, morphisms H x G.
@@ -519,14 +506,6 @@ def automorphism_group(H: FiniteGroup) -> tuple[FiniteGroup, GroupAction]:
     action = GroupAction(grp, H, tuple(items))
     assert action.is_faithful()
     return grp, action
-
-
-def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> tuple[int, ...] | None:
-    """Brute-force isomorphism search for small orders; None if none exists."""
-    if max(G1.order, G2.order) > AUT_SEARCH_BOUND:
-        raise TooLarge(max(G1.order, G2.order), AUT_SEARCH_BOUND)
-    isos = _bijective_homs(G1, G2)
-    return isos[0] if isos else None
 
 
 def kernel_of_beta(cm: CrossedModule) -> tuple[FiniteGroup, list[int]]:

@@ -34,6 +34,7 @@ from .cech import (
     Coboundary,
     apply_coboundary,
     are_cohomologous,
+    coboundary,
     validate_cocycle,
 )
 from .complexes import SimplicialComplex, degenerate_tuples, differential, normalized_tuples
@@ -959,10 +960,9 @@ def central_reduction(z: Cocycle) -> CentralReduction:
     cm, K = z.cm, z.complex
     A, inc = kernel_of_beta(cm)
     sec = section_of_beta(cm)
-    from .cech import coboundary as make_coboundary
     # eta is e on the diagonal, where `coboundary` fills it in: s(e) = e
     eta = {p: cm.H.inv(sec[z.g[p]]) for p in normalized_tuples(K, 2)}
-    c = make_coboundary(K, cm, {v: cm.G.identity for v in range(K.vertex_count)}, eta)
+    c = coboundary(K, cm, {v: cm.G.identity for v in range(K.vertex_count)}, eta)
     z2 = apply_coboundary(z, c)
     # every valid pair (i, j) leads the valid triple (i, j, j), so this reads
     # each transition that a check per triple would

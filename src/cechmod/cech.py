@@ -199,27 +199,26 @@ def trivial_cocycle(K: SimplicialComplex, cm: CrossedModule) -> Cocycle:
 def apply_coboundary(z: Cocycle, c: Coboundary) -> Cocycle:
     """Act on a cocycle; the result is re-validated before being returned.
 
-    Both parts are computed on every valid tuple, the degenerate ones
-    included, so the validation also sees where c breaks the normalization."""
+    The action runs on the packed encoding (`_apply_packed`), so only the
+    normalized tuples are computed and the degenerate ones read e.  That is
+    exact for a validated z and eta_ii = e: then
+    g'_ii = gamma_i^-1 beta(e) gamma_i = e, and h'_iij, h'_ijj and h'_iii
+    each reduce to gamma_i^-1 . e = e, as the normalization of z makes
+    h_iij = h_ijj = h_iii = e and g_ii = e, and g_ij . eta_jj = e.  A
+    coboundary with some eta_ii other than e would break the normalization,
+    so it raises ResultNotCocycle, as any invalid result does."""
     K, cm = z.complex, z.cm
     if c.complex != K or c.cm != cm:
         raise SemanticError("coboundary lives over a different complex or crossed module")
-    G, H = cm.G, cm.H
-    g2 = {}
-    for (i, j) in normalized_tuples(K, 2) + degenerate_tuples(K, 2):
-        g2[(i, j)] = G.mul_many(G.inv(c.gamma[i]), cm.beta_of(c.eta[(i, j)]),
-                                z.g[(i, j)], c.gamma[j])
-    h2 = {}
-    for (i, j, k) in normalized_tuples(K, 3) + degenerate_tuples(K, 3):
-        inner = H.mul_many(
-            c.eta[(i, k)],
-            z.h[(i, j, k)],
-            H.inv(cm.act(z.g[(i, j)], c.eta[(j, k)])),
-            H.inv(c.eta[(i, j)]),
-        )
-        h2[(i, j, k)] = cm.act(G.inv(c.gamma[i]), inner)
+    ctx = _Context(K, cm)
     try:
-        return validate_cocycle(Cocycle(K, cm, g2, h2))
+        for p in ctx.flat_pairs:
+            if c.eta[p] != cm.H.identity:
+                raise NormalizationFailure(p)
+        gamma = [c.gamma[v] for v in range(K.vertex_count)]
+        eta = [c.eta[p] for p in ctx.distinct_pairs] + [cm.H.identity]
+        g2, h2 = _apply_packed(ctx, _pack(ctx, z), gamma, eta)
+        return _unpack(ctx, ctx.encode(g2 + h2))
     except Exception as exc:  # indicates an implementation fault; never silent
         raise ResultNotCocycle(exc)
 
@@ -337,26 +336,23 @@ class _Context:
         gmul, ginv = self.cm.G.mul_table, self.cm.G.inv_table
         return gmul[gmul[gmul[gi][g2]][ginv[gj]]][ginv[g]]
 
-    def estimate(self) -> int:
-        return (self.cm.G.order ** len(self.distinct_pairs)
-                * max(1, len(self.kernel)) ** len(self.free_triples))
-
 
 class Budget:
-    """The node counter every backtracking search charges.
+    """The node counter every backtracking search charges: it holds only the
+    node limit and the nodes visited so far.
 
     Each tick names the search phase and the level being assigned (0-based,
     out of `levels`), so exceeding the limit raises SearchSpaceTooLarge
     saying where the search stood; the message is built only then.
     """
 
-    def __init__(self, limit: int, estimate: int):
-        self.limit, self.estimate, self.visited = limit, estimate, 0
+    def __init__(self, limit: int):
+        self.limit, self.visited = limit, 0
 
     def tick(self, phase: str, level: int, levels: int):
         self.visited += 1
         if self.visited > self.limit:
-            raise SearchSpaceTooLarge(self.estimate, self.limit, phase, level + 1, levels)
+            raise SearchSpaceTooLarge(self.limit, phase, level + 1, levels)
 
     def charge(self, n: int, phase: str, level: int, levels: int, rising: bool = False):
         """n ticks in one step, all at `level`, or at level, level + 1, ...
@@ -422,7 +418,7 @@ def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
     G = cm.G
     ctx = _Context(K, cm)
     n = K.vertex_count
-    bud = Budget(budget, G.order ** n * max(1, len(ctx.kernel)) ** len(ctx.distinct_pairs))
+    bud = Budget(budget)
     zg, zh = _pack(ctx, z)
     z2g, z2h = _pack(ctx, z2)
     want = [[z2h[t] for t in ts] for ts in ctx.triples_at_vertex]
@@ -663,8 +659,9 @@ def _act_triples(ctx: _Context, gvec: Sequence[int], hvec: Sequence[int],
 
 def _apply_packed(ctx: _Context, packed: tuple, gamma: Sequence[int],
                   eta: Sequence[int]) -> tuple:
-    """apply_coboundary on the packed (gvec, hvec) encoding, for any full
-    coboundary; the tests hold the move tables of `_slice_moves` to it.
+    """The coboundary action on the packed (gvec, hvec) encoding, for any
+    full coboundary: `apply_coboundary` runs on it, and the tests hold the
+    move tables of `_slice_moves` to it.
 
     eta is packed like gvec, followed by the trailing identity slot that
     stands for the diagonal pairs.
@@ -900,7 +897,7 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> Cla
     each class's least leaf.
     """
     ctx = _Context(K, cm)
-    leaves = _enumerate_slice(ctx, Budget(budget, ctx.estimate()), kernel_subtree=True)
+    leaves = _enumerate_slice(ctx, Budget(budget), kernel_subtree=True)
     roots = _slice_orbits(ctx, leaves, ctx.row0_pairs, kernel_subtree=True)
     reps = [leaves[r] for r in sorted(set(roots))]
     enumerated = len(ctx.transversal) ** ctx.row0_pairs * \
@@ -1059,7 +1056,7 @@ def sample_cocycle(K: SimplicialComplex, cm: CrossedModule, rng,
     """A random valid cocycle: a randomized walk to one slice solution,
     followed by a uniformly random coboundary move off the slice."""
     ctx = _Context(K, cm)
-    leaves = _enumerate_slice(ctx, Budget(budget, ctx.estimate()), rng=rng)
+    leaves = _enumerate_slice(ctx, Budget(budget), rng=rng)
     if not leaves:
         raise AssertionError("no valid cocycle exists (trivial one always does)")
     return apply_coboundary(_unpack(ctx, leaves[0]), random_coboundary(K, cm, rng))

@@ -152,11 +152,6 @@ def valid_tuples(K: SimplicialComplex, arity: int) -> list[tuple[int, ...]]:
     return out
 
 
-def is_degenerate(t: tuple[int, ...]) -> bool:
-    """True when some adjacent pair of indices coincides."""
-    return any(t[m] == t[m + 1] for m in range(len(t) - 1))
-
-
 def normalized_tuples(K: SimplicialComplex, arity: int) -> list[tuple[int, ...]]:
     """The valid tuples with no adjacent repeat, in the order of `valid_tuples`.
 

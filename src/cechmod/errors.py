@@ -112,12 +112,12 @@ class ResultNotCocycle(CechmodError):
 
 
 class SearchSpaceTooLarge(CechmodError):
-    """A search ran out of budget at the given phase, assigning variable
-    `depth` (1-based) of its `total`."""
+    """A search ran out of its node `budget`.  Besides that limit it holds
+    where the search stood: its `phase`, and the variable `depth` (1-based)
+    of its `total` it was assigning."""
 
-    def __init__(self, estimate: int, budget: int, phase: str, depth: int, total: int):
-        self.estimate, self.budget = estimate, budget
-        self.phase, self.depth, self.total = phase, depth, total
+    def __init__(self, budget: int, phase: str, depth: int, total: int):
+        self.budget, self.phase, self.depth, self.total = budget, phase, depth, total
         super().__init__(
             f"visited nodes exceed budget {budget} in {phase} at depth {depth} of {total}")
 

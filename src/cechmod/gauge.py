@@ -155,7 +155,7 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
     dpairs = [p for p in valid_tuples(K, 2) if p[0] != p[1]]
     fiber = {g: [h for h in H.elements() if cm.beta_of(h) == g] for g in G.elements()}
 
-    bud = Budget(budget, G.order ** len(verts) * max(1, H.order) ** len(dpairs))
+    bud = Budget(budget)
     levels = len(verts) + len(dpairs)  # a G-value per vertex, then an H-value per pair
     count = 0
     v = {}

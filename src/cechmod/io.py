@@ -9,9 +9,8 @@ Complex file:      one maximal simplex per line; `#` comments allowed.
 Cocycle file:      `cocycle <complex> <cm>` (names or paths), then lines
                    `g i j <Gindex>` and `h i j k <Hindex>`; omitted entries
                    default to the identity.
-Coboundary file:   lines `gamma i <Gindex>` and `eta i j <Hindex>`.
 1-cocycle file:    lines `g i j <Gindex>`.
-In the last three, a second line for the same entry is a parse error, as is
+In the last two, a second line for the same entry is a parse error, as is
 a second `G`, `H`, `beta` or `alpha` directive in a crossed-module file.  The
 reports print cochain entries in the same `<kind> <indices> <value>` line
 format the files use.
@@ -26,7 +25,7 @@ import os
 
 from .algebra import CrossedModule, FiniteGroup, crossed_module, validate_group
 from .catalog import CM_BUILDERS, COMPLEX_BUILDERS, named_complex, named_crossed_module
-from .cech import Cocycle, Coboundary, coboundary, cocycle
+from .cech import Cocycle, cocycle
 from .complexes import SimplicialComplex, build_complex, degenerate_tuples, normalized_tuples
 from .errors import ParseError
 
@@ -62,15 +61,16 @@ def _once(path: str, no: int, seen: dict, key: tuple) -> None:
 
 def _entries(path: str, lines: list[tuple[int, str]], tables: dict, what: str) -> None:
     """Read `<kind> <indices> <value>` lines into tables[kind] = (index count,
-    dict); an entry with one index is keyed by it, others by the index tuple.
-    A line of another kind or length is an unrecognized `what` line."""
+    dict), keyed by the index tuple, for the cocycle and 1-cocycle files.  A
+    second line for the same entry is a parse error (`_once`), and a line of
+    another kind or length is an unrecognized `what` line."""
     seen: dict = {}
     for no, line in lines:
         parts = line.split()
         if parts[0] in tables and len(parts) == tables[parts[0]][0] + 2:
             *key, v = _ints(path, no, parts[1:])
             _once(path, no, seen, (parts[0], *key))
-            tables[parts[0]][1][key[0] if len(key) == 1 else tuple(key)] = v
+            tables[parts[0]][1][tuple(key)] = v
         else:
             raise ParseError(path, no, f"unrecognized {what} line {line!r}")
 
@@ -185,14 +185,6 @@ def parse_cocycle_file(path: str) -> Cocycle:
     g, h = {}, {}
     _entries(path, lines[1:], {"g": (2, g), "h": (3, h)}, "cocycle")
     return cocycle(K, cm, g, h)
-
-
-def parse_coboundary_file(path: str, K: SimplicialComplex,
-                          cm: CrossedModule) -> Coboundary:
-    gamma = {v: cm.G.identity for v in range(K.vertex_count)}
-    eta = dict.fromkeys(normalized_tuples(K, 2) + degenerate_tuples(K, 2), cm.H.identity)
-    _entries(path, _lines(path), {"gamma": (1, gamma), "eta": (2, eta)}, "coboundary")
-    return coboundary(K, cm, gamma, eta)
 
 
 def parse_one_cocycle_file(path: str, K: SimplicialComplex,

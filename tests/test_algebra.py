@@ -7,19 +7,17 @@ from cechmod import (
     conjugation_action,
     crossed_module,
     cyclic_group,
-    find_isomorphism,
     group_from_operation,
     kernel_of_beta,
     power_group,
     quotient_by_image,
-    semidirect_product,
     symmetric_group,
     trivial_action,
     trivial_group,
     two_group_from_crossed_module,
     validate_group,
 )
-from cechmod.algebra import AUT_SEARCH_BOUND, abelian_invariants
+from cechmod.algebra import AUT_SEARCH_BOUND, _bijective_homs, abelian_invariants
 from cechmod.errors import (
     EquivarianceFailure,
     NoIdentity,
@@ -30,6 +28,25 @@ from cechmod.errors import (
 )
 from cechmod.catalog import CM_BUILDERS
 from conftest import assert_image_normal_and_kernel_central, cm
+
+
+def find_isomorphism(G1, G2):
+    """An isomorphism G1 -> G2 by exhaustive search, or None."""
+    isos = _bijective_homs(G1, G2)
+    return isos[0] if isos else None
+
+
+def semidirect_product(cmx):
+    """The group on pairs (h, g) with (h,g)*(h',g') = (h * (g.h'), g*g')."""
+    H, G = cmx.H, cmx.G
+    pairs = [(h, g) for h in H.elements() for g in G.elements()]
+
+    def op(a, b):
+        (h, g), (h2, g2) = a, b
+        return (H.mul(h, cmx.act(g, h2)), G.mul(g, g2))
+
+    grp, _ = group_from_operation(pairs, op, f"{H.name}x{G.name}")
+    return grp
 
 
 def test_z2_addition_table():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cechmod import (
+    Coboundary,
     Cocycle,
     apply_coboundary,
     are_cohomologous,
@@ -27,6 +28,7 @@ from cechmod.errors import (
     Cocyc2Failure,
     MissingEntry,
     NormalizationFailure,
+    ResultNotCocycle,
     SearchSpaceTooLarge,
     StrategyMismatch,
 )
@@ -246,7 +248,7 @@ def test_classify_representatives_are_valid_and_distinct():
 def test_classify_budget_exceeded():
     with pytest.raises(SearchSpaceTooLarge) as exc:
         classify(circle(), cm("star_to_s3"), "brute", budget=10)
-    assert exc.value.estimate > 0
+    assert (exc.value.budget, exc.value.phase) == (10, "slice h")
 
 
 def test_strategy_validation():
@@ -455,28 +457,60 @@ def test_cohomologous_witness_is_pinned(kname, cmname):
         are_cohomologous(z, z2, budget=nodes - 1)
 
 
+def _reference_apply_coboundary(z, c):
+    """The coboundary action as its defining formula, per valid tuple, the
+    degenerate ones included, with no validation: (g', h') as dicts."""
+    K, cmx = z.complex, z.cm
+    G, H = cmx.G, cmx.H
+    g2 = {}
+    for (i, j) in valid_tuples(K, 2):
+        g2[(i, j)] = G.mul_many(G.inv(c.gamma[i]), cmx.beta_of(c.eta[(i, j)]),
+                                z.g[(i, j)], c.gamma[j])
+    h2 = {}
+    for (i, j, k) in valid_tuples(K, 3):
+        inner = H.mul_many(
+            c.eta[(i, k)],
+            z.h[(i, j, k)],
+            H.inv(cmx.act(z.g[(i, j)], c.eta[(j, k)])),
+            H.inv(c.eta[(i, j)]),
+        )
+        h2[(i, j, k)] = cmx.act(G.inv(c.gamma[i]), inner)
+    return g2, h2
+
+
 @pytest.mark.parametrize("kname,cmname", [
     ("circle", "conj_s3"), ("circle", "aut_z3"), ("boundary3", "z4_over_z2"),
     ("rp26", "z2_into_z4")])
 def test_packed_action_matches_apply_coboundary(kname, cmname):
-    # the packed action of the orbit search against the dict reference,
-    # on full random coboundaries rather than the single generator moves
-    from cechmod.cech import _Context, _apply_packed
+    # apply_coboundary runs on the packed action of the searches; it must
+    # agree with the defining formula on every valid pair and triple,
+    # degenerate ones included, for random, composed and inverse coboundaries
     K, cmx = cx(kname), cm(cmname)
-    ctx = _Context(K, cmx)
-
-    def pack(z):
-        return (tuple(z.g[p] for p in ctx.distinct_pairs),
-                tuple(z.h[t] for t in ctx.free_triples))
-
     rng = random.Random(7)
     for _ in range(10):
         z = sample_cocycle(K, cmx, rng)
-        c = random_coboundary(K, cmx, rng)
-        gamma = [c.gamma[v] for v in range(K.vertex_count)]
-        # the trailing entry is the identity that stands for diagonal pairs
-        eta = [c.eta[p] for p in ctx.distinct_pairs] + [cmx.H.identity]
-        assert _apply_packed(ctx, pack(z), gamma, eta) == pack(apply_coboundary(z, c))
+        c1, c2 = random_coboundary(K, cmx, rng), random_coboundary(K, cmx, rng)
+        for c in (c1, compose_coboundaries(c1, c2), inverse_coboundary(c1)):
+            got = apply_coboundary(z, c)
+            assert (got.g, got.h) == _reference_apply_coboundary(z, c)
+
+
+def test_coboundary_breaking_the_normalization_is_refused():
+    # a hand-built coboundary with eta_00 != e takes a cocycle off the
+    # normalization, so the action refuses it rather than drop the entry
+    K, cmx = circle(), cm("conj_s3")
+    z = sample_cocycle(K, cmx, random.Random(2))
+    c = random_coboundary(K, cmx, random.Random(3))
+    for a in cmx.H.elements():
+        if a == cmx.H.identity:
+            continue
+        bad = Coboundary(K, cmx, c.gamma, {**c.eta, (0, 0): a})
+        with pytest.raises(ResultNotCocycle) as exc:
+            apply_coboundary(z, bad)
+        assert isinstance(exc.value.cause, NormalizationFailure)
+        # the defining formula breaks the normalization there too
+        _, h2 = _reference_apply_coboundary(z, bad)
+        assert h2[(0, 0, 0)] != cmx.H.identity
 
 
 def test_cocycles_and_coboundaries_hash_by_value(tmp_path):
@@ -523,7 +557,7 @@ def test_brute_report_and_slice_nodes_are_pinned(kname, cmname):
     code, report = run(["classify", "--complex", kname, "--cm", cmname,
                         "--strategy", "brute"])
     ctx = _Context(cx(kname), cm(cmname))
-    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    bud = Budget(DEFAULT_BUDGET)
     _enumerate_slice(ctx, bud)
     assert code == 0
     assert (hashlib.sha256(report.encode()).hexdigest(), bud.visited) == \
@@ -608,7 +642,7 @@ def test_generator_moves_partition_like_every_move(kname, cmname):
     from cechmod.cech import (DEFAULT_BUDGET, Budget, _Context, _enumerate_slice,
                               _slice_moves, _slice_orbits)
     ctx = _Context(cx(kname), cm(cmname))
-    leaves = sorted(set(_enumerate_slice(ctx, Budget(DEFAULT_BUDGET, ctx.estimate()))))
+    leaves = sorted(set(_enumerate_slice(ctx, Budget(DEFAULT_BUDGET))))
     assert (len(_reference_slice_moves(ctx)), len(_slice_moves(ctx))) == \
         PARTITION_CASES[(kname, cmname)]
     reference = _reference_partition(ctx, leaves)
@@ -701,7 +735,7 @@ KERNEL_ONE_PAIRS = [
 def _reference_run(kname, cmname):
     from cechmod.cech import DEFAULT_BUDGET, Budget, _Context
     ctx = _Context(cx(kname), cm(cmname))
-    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    bud = Budget(DEFAULT_BUDGET)
     return _reference_enumerate_slice(ctx, bud), bud.visited
 
 
@@ -714,13 +748,13 @@ def test_slice_search_matches_reference(kname, cmname):
     from cechmod.cech import DEFAULT_BUDGET, Budget, _Context, _enumerate_slice
     ctx = _Context(cx(kname), cm(cmname))
     assert (len(ctx.kernel) == 1) == ((kname, cmname) in KERNEL_ONE_PAIRS)
-    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    bud = Budget(DEFAULT_BUDGET)
     assert (_enumerate_slice(ctx, bud), bud.visited) == _reference_run(kname, cmname)
     for seed in range(2):
         runs = []
         for search in (_reference_enumerate_slice, _enumerate_slice):
             rng = random.Random(seed)
-            bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+            bud = Budget(DEFAULT_BUDGET)
             runs.append((search(ctx, bud, rng=rng), bud.visited, rng.random()))
         assert runs[0] == runs[1]
 
@@ -728,7 +762,7 @@ def test_slice_search_matches_reference(kname, cmname):
 def _reference_exhaustion(ctx, budget):
     from cechmod.cech import Budget
     with pytest.raises(SearchSpaceTooLarge) as info:
-        _reference_enumerate_slice(ctx, Budget(budget, ctx.estimate()))
+        _reference_enumerate_slice(ctx, Budget(budget))
     return str(info.value)
 
 
@@ -813,7 +847,7 @@ def _full_slice_classify(kname, cmname):
     from cechmod.cech import (DEFAULT_BUDGET, Budget, _Context, _enumerate_slice,
                               _slice_orbits, _unpack)
     ctx = _Context(_complex(kname), cm(cmname))
-    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    bud = Budget(DEFAULT_BUDGET)
     leaves = sorted(set(_enumerate_slice(ctx, bud)))
     roots = _slice_orbits(ctx, leaves)
     reps = [_unpack(ctx, leaves[r]).key() for r in sorted(set(roots))]
@@ -856,7 +890,7 @@ def test_row0_subtree_matches_full_slice(kname, cmname):
     ctx = _Context(K, cmx)
     d, T = _row0(ctx)
     count, leaves, reps, visited = _full_slice_classify(kname, cmname)
-    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    bud = Budget(DEFAULT_BUDGET)
     sub = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d)
     assert sub == [leaf for leaf in leaves
                    if list(ctx.decode(leaf)[:d]) == ctx.transversal[:1] * d]
@@ -871,7 +905,7 @@ def test_row0_subtree_matches_full_slice(kname, cmname):
     if visited == 0:
         return  # a search that charges no node cannot run out
     with pytest.raises(SearchSpaceTooLarge) as want:
-        _enumerate_slice(ctx, Budget(visited - 1, ctx.estimate()))
+        _enumerate_slice(ctx, Budget(visited - 1))
     with pytest.raises(SearchSpaceTooLarge) as got:
         classify(K, cmx, "brute", budget=visited - 1)
     assert str(got.value) == str(want.value)
@@ -926,7 +960,7 @@ def test_exhaustion_matches_full_slice_around_every_row0_node(kname, cmname):
     assert len(nodes) == sum(T ** k for k in range(1, d + 1)) and max(nodes) < total
     for budget in sorted({b for node in nodes for b in (node - 2, node - 1, node)} - {-1}):
         with pytest.raises(SearchSpaceTooLarge) as want:
-            _enumerate_slice(ctx, Budget(budget, ctx.estimate()))
+            _enumerate_slice(ctx, Budget(budget))
         with pytest.raises(SearchSpaceTooLarge) as got:
             classify(cx(kname), cm(cmname), "brute", budget=budget)
         assert str(got.value) == str(want.value)
@@ -996,7 +1030,7 @@ def test_kernel_subtree_matches_full_slice(kname, cmname):
     ctx = _Context(K, cmx)
     d, T = _row0(ctx)
     count, leaves, reps, visited = _full_slice_classify(kname, cmname)
-    bud = Budget(DEFAULT_BUDGET, ctx.estimate())
+    bud = Budget(DEFAULT_BUDGET)
     sub = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d, kernel_subtree=True)
     assert sub == _kernel_part(ctx, leaves)
     assert visited == sum(T ** k for k in range(1, d + 1)) + T ** d * bud.visited
@@ -1009,7 +1043,7 @@ def test_kernel_subtree_matches_full_slice(kname, cmname):
     if visited == 0:
         return  # a search that charges no node cannot run out
     with pytest.raises(SearchSpaceTooLarge) as want:
-        _enumerate_slice(ctx, Budget(visited - 1, ctx.estimate()))
+        _enumerate_slice(ctx, Budget(visited - 1))
     with pytest.raises(SearchSpaceTooLarge) as got:
         classify(K, cmx, "brute", budget=visited - 1)
     assert str(got.value) == str(want.value)
@@ -1031,12 +1065,12 @@ def test_exhaustion_matches_full_slice_around_every_kernel_prefix_node(kname, cm
             if phase == "slice h" and level < R:
                 nodes.append(self.visited)
 
-    leaves = _enumerate_slice(ctx, Recorder(DEFAULT_BUDGET, ctx.estimate()))
+    leaves = _enumerate_slice(ctx, Recorder(DEFAULT_BUDGET))
     gleaves = {bytes(ctx.decode(leaf)[:len(ctx.distinct_pairs)]) for leaf in leaves}
     assert len(nodes) == len(gleaves) * sum(m ** k for k in range(1, R + 1)) > 0
     for budget in sorted({b for node in nodes for b in (node - 2, node - 1, node)} - {-1}):
         with pytest.raises(SearchSpaceTooLarge) as want:
-            _enumerate_slice(ctx, Budget(budget, ctx.estimate()))
+            _enumerate_slice(ctx, Budget(budget))
         with pytest.raises(SearchSpaceTooLarge) as got:
             classify(cx(kname), cm(cmname), "brute", budget=budget)
         assert str(got.value) == str(want.value)

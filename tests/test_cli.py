@@ -7,10 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cechmod.cli import run
-from cechmod.errors import ParseError, SemanticError
+from cechmod.errors import ParseError
 from cechmod.io import (
     parse_cm_file,
-    parse_coboundary_file,
     parse_cocycle_file,
     parse_complex_file,
     parse_group_file,
@@ -67,17 +66,6 @@ def test_parse_complex_file_with_comments(tmp_path):
     text = "# a hollow triangle\n0 1\n1 2\n0 2\n"
     K = parse_complex_file(_write(tmp_path / "c.cplx", text))
     assert K.simplex_counts() == {0: 3, 1: 3}
-
-
-def test_parse_coboundary_file(tmp_path):
-    from cechmod import apply_coboundary, circle, trivial_cocycle
-    from cechmod.catalog import named_crossed_module
-    K, cmx = circle(), named_crossed_module("z2_trivial")
-    path = _write(tmp_path / "c.cob", "gamma 0 1\neta 0 1 1\neta 1 0 1\n")
-    c = parse_coboundary_file(path, K, cmx)
-    assert c.gamma[0] == 1 and c.gamma[1] == 0
-    assert c.eta[(0, 1)] == 1 and c.eta[(1, 2)] == 0
-    apply_coboundary(trivial_cocycle(K, cmx), c)
 
 
 def test_cocycle_file_defaults_to_trivial(tmp_path):
@@ -372,16 +360,6 @@ def test_header_keyword_must_match_exactly(tmp_path, files, argv):
     assert report.startswith("REASON:")
 
 
-@pytest.mark.parametrize("text", ["gamma 0 9\n", "eta 0 1 5\n", "eta 0 7 1\n",
-                                  "gamma 5 1\n"])
-def test_malformed_coboundary_file(tmp_path, text):
-    from cechmod import circle
-    from cechmod.catalog import named_crossed_module
-    with pytest.raises(SemanticError):
-        parse_coboundary_file(_write(tmp_path / "c.cob", text), circle(),
-                              named_crossed_module("z2_trivial"))
-
-
 VALID_COCYCLE = ["cocycle circle z4_over_z2", "g 0 1 1", "g 1 0 1",
                  "h 0 1 0 2", "h 1 0 1 2"]
 
@@ -541,9 +519,7 @@ def test_missing_option_gives_structured_report(tmp_path):
 
 def test_repeated_entry_is_a_parse_error(tmp_path):
     # a second line for the same tuple is rejected at that line, whichever
-    # value comes first, in all three file kinds
-    from cechmod import circle
-    from cechmod.catalog import named_crossed_module
+    # value comes first, in both file kinds
     for first, second in (("g 0 1 1", "g 0 1 0"), ("g 0 1 0", "g 0 1 1")):
         path = _write(tmp_path / "z.coc", f"cocycle circle z2_trivial\n{first}\n{second}\n")
         code, report = run(["validate", "--cocycle", path])
@@ -553,12 +529,6 @@ def test_repeated_entry_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_cocycle_file(path)
     assert exc.value.line == 5
-    K, cmx = circle(), named_crossed_module("z2_trivial")
-    for text, line in (("gamma 0 1\neta 0 1 1\ngamma 0 1\n", 3),
-                       ("eta 0 1 1\neta 1 0 1\neta 0 1 0\n", 3)):
-        with pytest.raises(ParseError) as exc:
-            parse_coboundary_file(_write(tmp_path / "c.cob", text), K, cmx)
-        assert exc.value.line == line
     path = _write(tmp_path / "g.coc", "g 0 1 1\ng 1 0 1\ng 0 1 0\n")
     code, report = run(["lift", "--complex", "circle", "--cm", "z4_over_z2", "--cocycle", path])
     assert code == 2 and report.startswith(f"REASON: {path}:3: ")

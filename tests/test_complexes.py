@@ -15,9 +15,14 @@ from cechmod import (
     torus_7,
     valid_tuples,
 )
-from cechmod.complexes import differential, is_degenerate
+from cechmod.complexes import differential
 from cechmod.errors import EmptyInput, IndexOutOfRange
 from conftest import dense
+
+
+def is_degenerate(t):
+    """True when some adjacent pair of indices coincides."""
+    return any(t[m] == t[m + 1] for m in range(len(t) - 1))
 
 
 def test_boundary3_counts():
