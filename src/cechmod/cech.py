@@ -339,7 +339,8 @@ class _Context:
 
 class Budget:
     """The node counter every backtracking search charges: it holds only the
-    node limit and the nodes visited so far.
+    node limit and the nodes visited so far.  Every search charges the nodes
+    it visits and nothing else, so a budget means the same on every path.
 
     Each tick names the search phase and the level being assigned (0-based,
     out of `levels`), so exceeding the limit raises SearchSpaceTooLarge
@@ -363,45 +364,6 @@ class Budget:
             return
         for k in range(n):
             self.tick(phase, level + k if rising else level, levels)
-
-
-def _least_prefix(bud: Budget, domains: Sequence[Sequence[int]], phase: str,
-                  levels: int, search) -> bool:
-    """Run a backtracking search whose first len(domains) levels are free
-    on the subtree of their least prefix alone, charge `bud` as the search
-    of the whole tree would, and return what `search` returns.
-
-    A level is free when every value of its domain passes and the subtrees
-    under any two prefixes charge the same nodes.  With S the nodes of one
-    such subtree, a value at the last free level charges 1 + S nodes, and
-    one at level k charges 1 + |domains[k + 1]| times what a value at level
-    k + 1 charges.  The nodes of the least prefix (each domain's first
-    value) are charged rising, `search(prefix)` searches its subtree on the
-    budget (first in depth-first order, so it runs out where the whole
-    search would), and the rest is charged in one step.  Where that step
-    crosses the budget, the prefix whose subtree holds the node past it is
-    located level by level, the values before it charged whole, and the
-    search of its subtree runs out.
-    """
-    start, depth = bud.visited, len(domains)
-    bud.charge(depth, phase, 0, levels, rising=True)
-    stop = search([domain[0] for domain in domains])
-    # size[k]: the nodes a value at level depth - 1 - k charges
-    total, size = bud.visited - start - depth, []
-    for domain in reversed(domains):
-        size.append(1 + total)
-        total = len(domain) * (1 + total)
-    if start + total <= bud.limit:
-        bud.visited = start + total
-        return stop
-    bud.visited, prefix = start, []
-    for k, (n, domain) in enumerate(zip(reversed(size), domains)):
-        a = (bud.limit - bud.visited) // n
-        bud.visited += a * n
-        prefix.append(domain[a])
-        bud.tick(phase, k, levels)
-    search(prefix)
-    raise AssertionError("a subtree fits a budget its node count exceeds")
 
 
 # -- coboundary search (cohomology testing, stabilizers) --------------------------
@@ -483,7 +445,7 @@ def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
 # -- enumeration and classification ----------------------------------------------
 
 def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
-                     prefix: Sequence[int] = (), kernel_subtree: bool = False) -> list[bytes]:
+                     kernel_subtree: bool = False) -> list[bytes]:
     """All valid cocycles with every g_ij in the coset transversal, as leaves
     encoded by `_Context.encode`, in sorted order.
 
@@ -494,10 +456,7 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
     quadruple identity.  g values are tried in transversal order and h
     values in fiber order, so the leaves come out sorted.  With an rng,
     every domain is tried in shuffled order and the search stops at the
-    first leaf.  With a `prefix`, the first len(prefix) pairs hold its
-    values and charge nothing, and the search starts at the next pair;
-    no triple check runs on the prefix, so it must consist of pairs that
-    no triple check sits on (the row-0 pairs of `_classify_brute`).
+    first leaf.
 
     Each candidate value is one node charged to `bud`, in domain order, so
     that the count and the point of exhaustion do not depend on how a node
@@ -508,8 +467,9 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
     after the last survivor at the end.
 
     Free levels, where every value passes and the subtrees under any two
-    prefixes charge the same nodes, are searched on the least prefix's
-    subtree alone and charged by `_least_prefix`.  Three kinds are used:
+    prefixes are images of one another, take only their least value: each
+    charges one node, and the search goes on in the least prefix's subtree
+    alone.  Three kinds are used:
 
     - When ker(beta) = 1, all h levels.  beta is then injective, so each
       fiber, nonempty once g passed its checks, holds one element h_ijk
@@ -520,8 +480,9 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
           beta(h_ikl h_ijk) = g_il g_kl^-1 g_jk^-1 g_ij^-1
                             = beta(h_ijl (g_ij . h_jkl)),
       and injectivity makes the identity hold.  Every g-leaf thus visits
-      one node per free triple and yields one leaf, read off the fibers.
-      (A shuffle of a one-element domain draws nothing from the rng.)
+      one node per free triple and yields one leaf, read off the fibers,
+      just as a search of every value would.  (A shuffle of a one-element
+      domain draws nothing from the rng.)
     - With `kernel_subtree` and no rng, the R row-0 triples (0, j, k), the
       first R free triples, of each g-leaf.  A quadruple checked at their
       levels has only row-0 free faces, so it is (0, j, k, l) with an
@@ -534,9 +495,14 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
       identity one by one, so it maps the h-subtree under one row-0 prefix
       onto the one under any other, node for node.  Only the leaves whose
       row-0 triples hold their fiber minima are returned.
-    - With `kernel_subtree`, no rng and no `prefix`, the d row-0 pairs
-      (0, j), by the argument of `_classify_brute`.  Only the leaves whose
-      row 0 holds transversal[0] are returned.
+    - With `kernel_subtree` and no rng, the d row-0 pairs (0, j), by the
+      argument of `_classify_brute`.  Only the leaves whose row 0 holds
+      transversal[0] are returned.
+
+    So the budget counts the nodes the search visits.  With ker(beta) = 1
+    the only values it skips are those after transversal[0] at the row-0
+    levels, so it is the start of the search of every value, and runs out
+    where that search would.
     """
     G, H = ctx.cm.G, ctx.cm.H
     gmul, ginv, hmul, act = G.mul_table, G.inv_table, H.mul_table, ctx.cm.alpha.table
@@ -566,7 +532,8 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
                                       (ij_ok, jk, ik) if pi == ij else (jk_ok, ij, ik))
     every = (1 << G.order) - 1
     least = kernel_subtree and rng is None
-    # the free h levels of every g-leaf
+    # the free g levels, and the free h levels of every g-leaf
+    d = ctx.row0_pairs if least else 0
     R = ntrip if len(ctx.kernel) == 1 else ctx.row0_triples if least else 0
     plans: dict[int, tuple] = {}
 
@@ -604,15 +571,12 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
                     return True
         return False
 
-    def search_h(values: Sequence[int]) -> bool:
-        hvec[:R] = values
-        return assign_h(R)
-
     def assign_g(pi: int) -> bool:
         if pi == npairs:
-            fibers = [fiber_at[gmul[gvec[ij]][gvec[jk]]][gvec[ik]]
-                      for ij, jk, ik in triple_pairs[:R]]
-            return _least_prefix(bud, fibers, "slice h", ntrip, search_h)
+            bud.charge(R, "slice h", 0, ntrip, rising=True)
+            hvec[:R] = [fiber_at[gmul[gvec[ij]][gvec[jk]]][gvec[ik]][0]
+                        for ij, jk, ik in triple_pairs[:R]]
+            return assign_h(R)
         passing = every
         for ok, x, y in checks_at_pair[pi]:
             passing &= ok[gvec[x]][gvec[y]]
@@ -631,14 +595,9 @@ def _enumerate_slice(ctx: _Context, bud: Budget, rng=None,
         bud.charge(tail, "slice g", pi, npairs)
         return False
 
-    def search_g(values: Sequence[int]) -> bool:
-        gvec[:len(values)] = values
-        return assign_g(len(values))
-
-    if least and not prefix:
-        _least_prefix(bud, [ctx.transversal] * ctx.row0_pairs, "slice g", npairs, search_g)
-    else:
-        search_g(prefix)
+    bud.charge(d, "slice g", 0, npairs, rising=True)
+    gvec[:d] = ctx.transversal[:1] * d
+    assign_g(d)
     return leaves
 
 
@@ -883,18 +842,17 @@ def _classify_brute(K: SimplicialComplex, cm: CrossedModule, budget: int) -> Cla
     transversal, since beta(H) is normal; it keeps every triple check, a
     coset identity in pi_0 = G/beta(H); it maps every h-fiber onto the
     fiber of the image triple; and it keeps every quadruple identity, as a
-    coboundary does.  Every g-call charges all T candidates and every
-    h-call its whole fiber, so every subtree charges the same nodes and
-    holds the same number of leaves, |S0|: the row-0 levels are free, and
-    `_enumerate_slice` searches only the subtree under (t0, ..., t0), with
-    the budget running out where the full search would.  Every class meets
-    S0 (the coboundary above, run backwards, moves any leaf into it), so
-    its least leaf lies in S0.  Within S0 the h-search of each g-leaf runs
-    on the kernel subtree whose R row-0 triples hold their fiber minima,
-    so the search keeps the part S0' of S0, with |S0| = |ker beta|^R *
-    |S0'| and T^d * |S0| leaves in the whole slice;
+    coboundary does.  So every subtree holds the same number of leaves,
+    |S0|: the row-0 levels are free, and `_enumerate_slice` searches only
+    the subtree under (t0, ..., t0).  Every class meets S0 (the coboundary
+    above, run backwards, moves any leaf into it), so its least leaf lies
+    in S0.  Within S0 the h-search of each g-leaf runs on the kernel
+    subtree whose R row-0 triples hold their fiber minima, so the search
+    keeps the part S0' of S0, with |S0| = |ker beta|^R * |S0'| and
+    T^d * |S0| leaves in the whole slice, reported as `ENUMERATED`;
     `_slice_orbits(ctx, S0', d, True)` partitions S0' by class and finds
-    each class's least leaf.
+    each class's least leaf.  The budget counts the nodes searched: one
+    per row-0 level, then the nodes of the subtrees.
     """
     ctx = _Context(K, cm)
     leaves = _enumerate_slice(ctx, Budget(budget), kernel_subtree=True)
@@ -1029,7 +987,8 @@ def classify(K: SimplicialComplex, cm: CrossedModule, strategy: str = "brute",
     (every g_ij in a fixed transversal of beta(H)-cosets), followed by an
     orbit partition under slice-preserving coboundary moves; both run on
     the one subtree whose row-0 values are the least coset representative,
-    and the node and leaf counts of the whole slice follow from it.  abelian:
+    and the leaf count of the whole slice follows from it.  `budget` bounds
+    the nodes that search visits.  abelian:
     linear algebra mod n; needs a trivial base group and cyclic coefficients.
     Representatives are lexicographically minimal in the fixed tuple order
     (within the slice for brute); output is deterministic.

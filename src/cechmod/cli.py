@@ -274,7 +274,7 @@ OPTIONS = {
     "cocycle": (str, None, None, "cocycle file (or 1-cocycle file for lift)"),
     "cocycle2": (str, None, None, "second cocycle file"),
     "strategy": (str, "brute", ("brute", "abelian"), None),
-    "budget": (int, DEFAULT_BUDGET, None, None),
+    "budget": (int, DEFAULT_BUDGET, None, "nodes a search may visit before exit 3"),
     "workers": (int, 1, None, None),
     "out": (str, None, None, "write the report to this path"),
     "coeff": (int, 2, None, None),

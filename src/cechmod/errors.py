@@ -154,10 +154,14 @@ class ConventionMismatch(CechmodError):
 
 # -- parsing -------------------------------------------------------------------
 
+# C0 control characters and DEL, printed as \xNN so a report stays one plain line
+_ESCAPES = {c: f"\\x{c:02x}" for c in [*range(32), 127]}
+
+
 class ParseError(CechmodError):
     def __init__(self, path: str, line: int, msg: str):
         self.path, self.line = path, line
-        super().__init__(f"{path}:{line}: {msg}")
+        super().__init__(f"{path}:{line}: {msg}".translate(_ESCAPES))
 
 
 class SemanticError(CechmodError, ValueError):

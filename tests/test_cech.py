@@ -766,24 +766,82 @@ def _reference_exhaustion(ctx, budget):
     return str(info.value)
 
 
+def _recording_budget(limit):
+    """A Budget that records the (phase, level, levels) of every node charged
+    to it, in order, in its `nodes`."""
+    from cechmod.cech import Budget
+
+    class Recorder(Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            self.nodes = []
+
+        def tick(self, phase, level, levels):
+            super().tick(phase, level, levels)
+            self.nodes.append((phase, level, levels))
+
+        def charge(self, n, phase, level, levels, rising=False):
+            for k in range(n):
+                self.tick(phase, level + k if rising else level, levels)
+
+    return Recorder(limit)
+
+
+def _searched_nodes(ctx):
+    """(leaves, nodes): what brute's slice search keeps, and every node it
+    charges, in order."""
+    from cechmod.cech import DEFAULT_BUDGET, _enumerate_slice
+    bud = _recording_budget(DEFAULT_BUDGET)
+    return _enumerate_slice(ctx, bud, kernel_subtree=True), bud.nodes
+
+
+def _reference_nodes(ctx, limit):
+    """The first `limit` nodes of the full slice search, tick by tick."""
+    bud = _recording_budget(limit)
+    try:
+        _reference_enumerate_slice(ctx, bud)
+    except SearchSpaceTooLarge:
+        pass
+    return bud.nodes
+
+
+def _exhausted_at(budget, node):
+    """The message of a budget that runs out at `node`, the node past it."""
+    phase, level, levels = node
+    return str(SearchSpaceTooLarge(budget, phase, level + 1, levels))
+
+
+def _brute_exhaustion(K, cmx, budget):
+    with pytest.raises(SearchSpaceTooLarge) as info:
+        classify(K, cmx, "brute", budget=budget)
+    return str(info.value)
+
+
 @pytest.mark.parametrize("kname,cmname", [("torus7", "star_to_z3"), ("circle", "star_to_s3")])
 def test_slice_exhaustion_matches_reference(kname, cmname):
-    # budgets that run out at the first g node, mid-way along the first
-    # forced h-chain and at the last node, and one that just suffices
+    # with ker beta = 1 the subtree brute searches, under the least row-0
+    # prefix, is the start of the full search: every budget below its node
+    # count runs out where the full search does (among them the first g
+    # node, mid-way along the first forced h-chain and the last node), and
+    # that count just suffices
     from cechmod.cech import _Context
-    ctx = _Context(cx(kname), cm(cmname))
+    K, cmx = cx(kname), cm(cmname)
+    ctx = _Context(K, cmx)
+    assert len(ctx.kernel) == 1
     ntrip = len(ctx.free_triples)
     leaves, total = _reference_run(kname, cmname)
+    _, nodes = _searched_nodes(ctx)
+    n = len(nodes)
+    assert n < total and nodes == _reference_nodes(ctx, n)
     first_h = next(b for b in itertools.count()
                    if "slice h" in _reference_exhaustion(ctx, b))
     mid = first_h + ntrip // 2
     assert f"in slice h at depth {ntrip // 2 + 1} of {ntrip}" in _reference_exhaustion(ctx, mid)
-    for budget in (0, mid, total - 1):
+    for budget in sorted({0, mid, n - 1} | set(range(0, n, max(1, n // 40)))):
         want = _reference_exhaustion(ctx, budget)
-        with pytest.raises(SearchSpaceTooLarge) as info:
-            classify(cx(kname), cm(cmname), "brute", budget=budget)
-        assert str(info.value) == want
-    result = classify(cx(kname), cm(cmname), "brute", budget=total)
+        assert _exhausted_at(budget, nodes[budget]) == want
+        assert _brute_exhaustion(K, cmx, budget) == want
+    result = classify(K, cmx, "brute", budget=n)
     assert result.cocycles_enumerated == len(set(leaves))
 
 
@@ -881,34 +939,37 @@ def test_subtree_pairs_cover_every_case():
     assert seen == {"T = 1", "T^d > 1", "ker > 1", "d = 0 with pairs"}
 
 
-@pytest.mark.parametrize("kname,cmname", SUBTREE_PAIRS)
-def test_row0_subtree_matches_full_slice(kname, cmname):
-    # the subtree holds the full search's leaves with row 0 at t0, in order,
-    # and the full search charges T + ... + T^d + T^d * (the subtree's nodes)
-    from cechmod.cech import DEFAULT_BUDGET, Budget, _Context, _enumerate_slice
+def _check_subtree_search(kname, cmname):
+    """brute's slice search against the full one.  It keeps the full
+    search's leaves with row 0 at t0 and the row-0 triples at their fiber
+    minima, in order (with ker beta = 1, every leaf with row 0 at t0), and
+    classify takes the full search's count, leaf count and representatives
+    from them.  Its budget counts the nodes it visits, at most those of the
+    full search: classify finishes at that count and runs out one below, at
+    the last node."""
+    from cechmod.cech import _Context
     K, cmx = _complex(kname), cm(cmname)
     ctx = _Context(K, cmx)
     d, T = _row0(ctx)
     count, leaves, reps, visited = _full_slice_classify(kname, cmname)
-    bud = Budget(DEFAULT_BUDGET)
-    sub = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d)
-    assert sub == [leaf for leaf in leaves
-                   if list(ctx.decode(leaf)[:d]) == ctx.transversal[:1] * d]
-    assert visited == sum(T ** k for k in range(1, d + 1)) + T ** d * bud.visited
-    assert len(leaves) == T ** d * len(sub)
-    # classify takes the same count, leaf count and representatives from it
+    sub, nodes = _searched_nodes(ctx)
+    assert sub == _kernel_part(ctx, leaves)
+    assert len(leaves) == T ** d * len(ctx.kernel) ** _row0_triples(ctx) * len(sub)
     result = classify(K, cmx, "brute")
     assert (result.count, result.cocycles_enumerated,
             [z.key() for z in result.representatives]) == (count, len(leaves), reps)
-    result = classify(K, cmx, "brute", budget=visited)
+    n = len(nodes)
+    assert n <= visited
+    result = classify(K, cmx, "brute", budget=n)
     assert (result.count, result.cocycles_enumerated) == (count, len(leaves))
-    if visited == 0:
+    if n == 0:
         return  # a search that charges no node cannot run out
-    with pytest.raises(SearchSpaceTooLarge) as want:
-        _enumerate_slice(ctx, Budget(visited - 1))
-    with pytest.raises(SearchSpaceTooLarge) as got:
-        classify(K, cmx, "brute", budget=visited - 1)
-    assert str(got.value) == str(want.value)
+    assert _brute_exhaustion(K, cmx, n - 1) == _exhausted_at(n - 1, nodes[-1])
+
+
+@pytest.mark.parametrize("kname,cmname", SUBTREE_PAIRS)
+def test_row0_subtree_matches_full_slice(kname, cmname):
+    _check_subtree_search(kname, cmname)
 
 
 @pytest.mark.parametrize("kname,cmname", sorted(PARTITION_CASES))
@@ -944,26 +1005,20 @@ def test_image_gauge_with_its_modification_fixes_every_cocycle(kname, cmname):
 @pytest.mark.parametrize("kname,cmname", [
     ("circle", "star_to_s3"), ("full2", "aut_z3"), ("boundary3", "star_to_z3")])
 def test_exhaustion_matches_full_slice_around_every_row0_node(kname, cmname):
-    # the budget runs out at each row-0 node, just after it and just before
-    # it (at the end of the subtree before), as in the full search
-    from cechmod.cech import Budget, _Context, _enumerate_slice
-    ctx = _Context(cx(kname), cm(cmname))
-    d, T = _row0(ctx)
-    total = _full_slice_classify(kname, cmname)[3]
-    size = [1 + (total - sum(T ** k for k in range(1, d + 1))) // T ** d]
-    for _ in range(1, d):
-        size.insert(0, 1 + T * size[0])
-    nodes, starts = [], [0]   # the row-0 nodes, numbered from 1, level by level
-    for n in size:
-        nodes += [s + a * n + 1 for s in starts for a in range(T)]
-        starts = [s + a * n + 1 for s in starts for a in range(T)]
-    assert len(nodes) == sum(T ** k for k in range(1, d + 1)) and max(nodes) < total
-    for budget in sorted({b for node in nodes for b in (node - 2, node - 1, node)} - {-1}):
-        with pytest.raises(SearchSpaceTooLarge) as want:
-            _enumerate_slice(ctx, Budget(budget))
-        with pytest.raises(SearchSpaceTooLarge) as got:
-            classify(cx(kname), cm(cmname), "brute", budget=budget)
-        assert str(got.value) == str(want.value)
+    # brute visits the d row-0 nodes of the least prefix, the first d nodes
+    # of the full search; the budget runs out at each of them, just after it
+    # and just before it, as in the full search
+    from cechmod.cech import _Context
+    K, cmx = cx(kname), cm(cmname)
+    ctx = _Context(K, cmx)
+    d, _ = _row0(ctx)
+    _, nodes = _searched_nodes(ctx)
+    assert d > 0
+    assert nodes[:d] == [("slice g", k, len(ctx.distinct_pairs)) for k in range(d)]
+    for budget in range(d + 1):
+        want = _reference_exhaustion(ctx, budget)
+        assert _exhausted_at(budget, nodes[budget]) == want
+        assert _brute_exhaustion(K, cmx, budget) == want
 
 
 # -- brute on one kernel subtree per g-leaf against the full slice ------------------
@@ -1022,58 +1077,33 @@ def test_kernel_pairs_cover_every_case():
 
 @pytest.mark.parametrize("kname,cmname", KERNEL_PAIRS)
 def test_kernel_subtree_matches_full_slice(kname, cmname):
-    # the kernel subtrees hold the full search's leaves with row 0 at t0 and
-    # the row-0 triples at their fiber minima, in order; the full search
-    # charges T + ... + T^d + T^d * (their nodes, counted by multiplicity)
-    from cechmod.cech import DEFAULT_BUDGET, Budget, _Context, _enumerate_slice
-    K, cmx = _complex(kname), cm(cmname)
-    ctx = _Context(K, cmx)
-    d, T = _row0(ctx)
-    count, leaves, reps, visited = _full_slice_classify(kname, cmname)
-    bud = Budget(DEFAULT_BUDGET)
-    sub = _enumerate_slice(ctx, bud, prefix=ctx.transversal[:1] * d, kernel_subtree=True)
-    assert sub == _kernel_part(ctx, leaves)
-    assert visited == sum(T ** k for k in range(1, d + 1)) + T ** d * bud.visited
-    assert len(leaves) == T ** d * len(ctx.kernel) ** _row0_triples(ctx) * len(sub)
-    result = classify(K, cmx, "brute")
-    assert (result.count, result.cocycles_enumerated,
-            [z.key() for z in result.representatives]) == (count, len(leaves), reps)
-    result = classify(K, cmx, "brute", budget=visited)
-    assert (result.count, result.cocycles_enumerated) == (count, len(leaves))
-    if visited == 0:
-        return  # a search that charges no node cannot run out
-    with pytest.raises(SearchSpaceTooLarge) as want:
-        _enumerate_slice(ctx, Budget(visited - 1))
-    with pytest.raises(SearchSpaceTooLarge) as got:
-        classify(K, cmx, "brute", budget=visited - 1)
-    assert str(got.value) == str(want.value)
+    _check_subtree_search(kname, cmname)
 
 
 @pytest.mark.parametrize("kname,cmname", [
     ("circle", "aut_z3"), ("circle", "z4_to_point"), ("full2", "z3_to_point")])
 def test_exhaustion_matches_full_slice_around_every_kernel_prefix_node(kname, cmname):
-    # the budget runs out at each row-0 h node of every g-leaf, just after it
-    # and just before it, as in the full search
-    from cechmod.cech import DEFAULT_BUDGET, Budget, _Context, _enumerate_slice
-    ctx = _Context(cx(kname), cm(cmname))
-    R, m = _row0_triples(ctx), len(ctx.kernel)
-    nodes = []   # numbered from 1
-
-    class Recorder(Budget):
-        def tick(self, phase, level, levels):
-            super().tick(phase, level, levels)
-            if phase == "slice h" and level < R:
-                nodes.append(self.visited)
-
-    leaves = _enumerate_slice(ctx, Recorder(DEFAULT_BUDGET))
-    gleaves = {bytes(ctx.decode(leaf)[:len(ctx.distinct_pairs)]) for leaf in leaves}
-    assert len(nodes) == len(gleaves) * sum(m ** k for k in range(1, R + 1)) > 0
-    for budget in sorted({b for node in nodes for b in (node - 2, node - 1, node)} - {-1}):
-        with pytest.raises(SearchSpaceTooLarge) as want:
-            _enumerate_slice(ctx, Budget(budget))
-        with pytest.raises(SearchSpaceTooLarge) as got:
-            classify(cx(kname), cm(cmname), "brute", budget=budget)
-        assert str(got.value) == str(want.value)
+    # brute visits the R row-0 h nodes of the least prefix of their fibers
+    # in every g-leaf; the budget runs out at each of them, just after it and
+    # just before it, naming the node past it.  Up to the end of the first
+    # kernel subtree the search is the start of the full one, and runs out
+    # as it does
+    from cechmod.cech import _Context
+    K, cmx = cx(kname), cm(cmname)
+    ctx = _Context(K, cmx)
+    R, npairs = _row0_triples(ctx), len(ctx.distinct_pairs)
+    leaves, nodes = _searched_nodes(ctx)
+    at = [b for b, (phase, level, _) in enumerate(nodes, 1)
+          if phase == "slice h" and level < R]   # numbered from 1
+    gleaves = {bytes(ctx.decode(leaf)[:npairs]) for leaf in leaves}
+    assert len(at) == len(gleaves) * R > 0
+    end = next((b for b in range(at[0], len(nodes)) if nodes[b][0] == "slice g"), len(nodes))
+    assert nodes[:end] == _reference_nodes(ctx, end)
+    for budget in sorted({b for node in at for b in (node - 2, node - 1, node)} - {-1}):
+        got = _brute_exhaustion(K, cmx, budget)
+        assert got == _exhausted_at(budget, nodes[budget])
+        if budget < end:
+            assert got == _reference_exhaustion(ctx, budget)
 
 
 KERNEL_PARTITION_CASES = sorted(
@@ -1150,23 +1180,17 @@ def test_validate_cocycle_names_the_failure_of_the_full_scan(kname, cmname):
 
 # -- brute at frontier scale ---------------------------------------------------------
 
-# the frontier cells of the benchmark's classify workload, run out at its
-# budget 200000, and three cells that run out at the default budget, each in
-# a subtree located from the counts
+# the frontier cells of the benchmark's classify workload that run out at its
+# budget 200000, each in a subtree it searches
 FRONTIER_REASONS = [
     ("rp26", "z4_over_z2", 200000, "slice h at depth 72 of 90"),
     ("torus7", "z4_over_z2", 200000, "slice h at depth 93 of 126"),
     ("rp26", "z2_to_point", 200000, "slice h at depth 72 of 90"),
-    ("boundary3", "z3_to_point", 200000, "slice h at depth 20 of 36"),
-    ("rp26", "star_to_s3", 200000, "slice g at depth 16 of 30"),
-    ("torus7", "star_to_s3", 200000, "slice g at depth 24 of 42"),
-    ("torus7", "star_to_s3", 10 ** 8, "slice g at depth 21 of 42"),
-    ("boundary3", "z4_to_point", 10 ** 8, "slice h at depth 27 of 36"),
-    ("rp26", "z2_to_point", 10 ** 8, "slice h at depth 46 of 90"),
 ]
 
 # sha256 of whole classify reports that finish: (complex, cm, budget, CLASSES,
-# ENUMERATED, digest)
+# ENUMERATED, digest); a report that finishes reads the same at every budget
+# it fits, so a cell pinned at 10^15 and at a smaller budget has one digest
 FRONTIER_REPORTS = [
     ("torus7", "star_to_s3", 10 ** 15, 8, 839808,
      "bb3ca8267d48b92419a28f281577567078aa858021a41c90d13990e1fc13d31c"),
@@ -1174,6 +1198,20 @@ FRONTIER_REPORTS = [
      "7c3eb68906d143e8ef800cb4e80cafde6a77ddab01e1da02e91c4136571c8b41"),
     ("rp26", "star_to_s3", 10 ** 8, 2, 31104,
      "11774eba3b2cdf6463bf0c3d295c4f5b0ffc5dc10bf2ed0a58253b6ea7eeef3e"),
+    ("boundary3", "z3_to_point", 200000, 3, 59049,
+     "08060d44286df98aca654cf87b1f9a9e622a6192ad4fbbfcc0132b61980af059"),
+    ("rp26", "star_to_s3", 200000, 2, 31104,
+     "11774eba3b2cdf6463bf0c3d295c4f5b0ffc5dc10bf2ed0a58253b6ea7eeef3e"),
+    ("torus7", "star_to_s3", 200000, 8, 839808,
+     "bb3ca8267d48b92419a28f281577567078aa858021a41c90d13990e1fc13d31c"),
+    ("torus7", "star_to_s3", 10 ** 8, 8, 839808,
+     "bb3ca8267d48b92419a28f281577567078aa858021a41c90d13990e1fc13d31c"),
+    ("boundary3", "z4_to_point", 10 ** 8, 4, 1048576,
+     "7c3eb68906d143e8ef800cb4e80cafde6a77ddab01e1da02e91c4136571c8b41"),
+    ("rp26", "z2_to_point", 10 ** 8, 2, 33554432,
+     "048537587a7afe8d5e03afbc44a38e3c75f7cdb6f05d8876b7c7daebcc6afc41"),
+    ("rp26", "z4_over_z2", 10 ** 8, 2, 33554432,
+     "658a0143f40ae42dd9399d557ffa53d8013f28dfa8141520253faddaf3fdcac3"),
 ]
 
 

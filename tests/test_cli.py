@@ -297,6 +297,23 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 CIRCLE_S3 = ["classify", "--complex", "circle", "--cm", "star_to_s3"]
 
 
+@pytest.mark.parametrize("argv,nodes,reason", [
+    (CIRCLE_S3, 122, "slice g at depth 3 of 6"),
+    (["classify", "--complex", "torus7", "--cm", "star_to_s3"], 66942,
+     "slice g at depth 7 of 42"),
+    (["classify", "--complex", "rp26", "--cm", "z4_over_z2"], 336437,
+     "slice h at depth 16 of 90"),
+], ids=["circle-star_to_s3", "torus7-star_to_s3", "rp26-z4_over_z2"])
+def test_budget_counts_the_nodes_brute_searches(argv, nodes, reason):
+    # brute charges one node per row-0 level and the nodes of the subtrees
+    # it searches, and nothing for the slice it does not: it finishes at that
+    # count and runs out one below
+    assert run(argv + ["--budget", str(nodes - 1)]) == \
+        (3, f"REASON: visited nodes exceed budget {nodes - 1} in {reason}\n")
+    code, report = run(argv + ["--budget", str(nodes)])
+    assert code == 0 and "\nCLASSES: " in report
+
+
 def test_worker_budget_exhaustion_exits_instead_of_hanging():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -307,9 +324,9 @@ def test_worker_budget_exhaustion_exits_instead_of_hanging():
     assert proc.stdout.startswith("REASON: visited nodes exceed budget 50")
 
 
-@pytest.mark.parametrize("budget,expected", [(1000, 3), (4361, 3), (4362, 0)])
+@pytest.mark.parametrize("budget,expected", [(1000, 0), (121, 3), (122, 0)])
 def test_budget_outcome_is_independent_of_workers(budget, expected):
-    # the sequential slice search on circle x star_to_s3 visits 4362 nodes
+    # the slice search on circle x star_to_s3 visits 122 nodes
     runs = [run(CIRCLE_S3 + ["--budget", str(budget), "--workers", w])
             for w in ("1", "2")]
     assert [code for code, _ in runs] == [expected, expected]
@@ -723,9 +740,20 @@ def test_undecodable_input_gives_structured_report(tmp_path, option):
     ["classify", "--complex", "circle", "--cm", "a\x00b"],
 ], ids=["cocycle", "group", "complex", "cm"])
 def test_nul_in_input_path_gives_structured_report(argv):
-    # open() rejects a path with a NUL by ValueError, not OSError
+    # open() rejects a path with a NUL by ValueError, not OSError; the
+    # report names it, and the path's NUL is printed escaped
     code, report = run(argv)
-    assert (code, report) == (2, "REASON: a\x00b:0: cannot read file: embedded null byte\n")
+    assert (code, report) == (2, "REASON: a\\x00b:0: cannot read file: embedded null byte\n")
+
+
+def test_newline_in_input_path_gives_one_line_report(tmp_path):
+    # a control character in a path is printed as \xNN, so the report stays
+    # one line of plain text
+    path = str(tmp_path / "a\nb\x7f.coc")
+    code, report = run(["validate", "--cocycle", path])
+    assert code == 2 and report.count("\n") == 1
+    escaped = path.replace("\n", "\\x0a").replace("\x7f", "\\x7f")
+    assert report.startswith(f"REASON: {escaped}:0: cannot read file: ")
 
 
 def test_nul_in_out_path_gives_structured_report():
@@ -733,4 +761,4 @@ def test_nul_in_out_path_gives_structured_report():
     for argv in (["oracle-h", "--complex", "rp26", "--coeff", "2", "--degree", "2"],
                  ["nosuch"]):
         assert run(argv + ["--out", "a\x00b"]) == \
-            (2, "REASON: a\x00b:0: cannot write file: embedded null byte\n"), argv
+            (2, "REASON: a\\x00b:0: cannot write file: embedded null byte\n"), argv
