@@ -75,6 +75,7 @@ class FiniteGroupoid:
         self.inverse = inverse        # dict: morphism -> morphism
         self.name = name
         self._hom = None              # (x, y) -> morphisms x -> y, built by the first hom call
+        self._idx = None              # the integer index, read by the first `_index` call
 
     def hom(self, x, y) -> list:
         if self._hom is None:
@@ -84,109 +85,102 @@ class FiniteGroupoid:
         return self._hom.get((x, y), [])
 
     def _index(self) -> tuple:
-        """The tables as they are now, with objects and morphisms replaced by
-        their positions in `objects` and `morphisms`:
+        """The tables with objects and morphisms replaced by their positions
+        in `objects` and `morphisms`, read by the first call and kept, as
+        `hom` keeps its lists; a table edited later needs a new groupoid:
 
           (obj_pos, pos, source, target, identity, inverse, compose, out,
-           well_formed)
+           malformed)
 
         obj_pos and pos map objects and morphisms to positions; source,
         target and inverse are lists over morphisms and identity a list over
         objects; compose maps m2 * M + m1 to m2 o m1, M = len(morphisms);
         out lists the morphisms leaving each object.  A cell outside the
-        groupoid reads as position -1.  Built afresh on each call, so a check
-        sees edits made to the tables after construction.
+        groupoid, or missing from a table, reads as position -1.
 
-        well_formed is checked as the tables are read.  It fails when an
-        endpoint, identity or composite is not an object or morphism, an
-        identity is not a loop at its object, a key is not composable, a
-        composite has the wrong endpoints, or a composite is missing.  Every
-        key is then a distinct composable pair, so a composite is missing
-        exactly when there are fewer keys than composable pairs, the sum over
-        m1 of the morphisms out of its target.
+        malformed names, from these lists, what keeps the tables from being
+        well formed: the first dangling endpoint alone; else every identity
+        that is not a loop at its object and every non-composable key (as is
+        one naming a cell outside the groupoid), up to the first composite
+        with wrong endpoints, then the first missing composite, m1 by m1.
+        Once the keys are distinct composable pairs, a composite is missing
+        exactly when there are fewer keys than composable pairs; so the keys
+        are checked a list at a time, and walked only to name a failure.
+        Tables that list a cell twice raise ValueError.
         """
+        if self._idx is not None:
+            return self._idx
         objects, mors = self.objects, self.morphisms
         obj_pos = {x: p for p, x in enumerate(objects)}
         pos = {m: p for p, m in enumerate(mors)}
         M = len(mors)
-        source = _positions(obj_pos, map(self.source.__getitem__, mors))
-        target = _positions(obj_pos, map(self.target.__getitem__, mors))
-        identity = _positions(pos, map(self.identity.__getitem__, objects))
-        inverse = _positions(pos, map(self.inverse.__getitem__, mors))
-        well_formed = (-1 not in source and -1 not in target
-                       and all(e >= 0 and source[e] == x == target[e]
-                               for x, e in enumerate(identity)))
+        source = _positions(obj_pos, map(self.source.get, mors))
+        target = _positions(obj_pos, map(self.target.get, mors))
+        identity = _positions(pos, map(self.identity.get, objects))
+        inverse = _positions(pos, map(self.inverse.get, mors))
+        bad = [f"identity of {o} has wrong endpoints"
+               for x, (o, e) in enumerate(zip(objects, identity))
+               if e < 0 or not source[e] == x == target[e]]
         # the keys (m2, m1) and composites m, as three parallel position lists
         m2s = _positions(pos, map(itemgetter(0), self.compose))
         m1s = _positions(pos, map(itemgetter(1), self.compose))
         ms = _positions(pos, self.compose.values())
         compose = dict(zip([a * M + b for a, b in zip(m2s, m1s)], ms))
+        out = [[] for _ in objects]
+        for p, x in enumerate(source):
+            if x >= 0:
+                out[x].append(p)
         src_of, tgt_of = source.__getitem__, target.__getitem__
-        well_formed = (well_formed and -1 not in m2s and -1 not in m1s and -1 not in ms
+        well_formed = (not bad and -1 not in source and -1 not in target
+                       and -1 not in m2s and -1 not in m1s and -1 not in ms
                        # composable keys, then the composite's source and target
                        and list(map(src_of, m2s)) == list(map(tgt_of, m1s))
                        and list(map(src_of, ms)) == list(map(src_of, m1s))
-                       and list(map(tgt_of, ms)) == list(map(tgt_of, m2s)))
-        out = [[] for _ in objects]
-        for p, x in enumerate(source):
-            out[x].append(p)
-        well_formed = well_formed and len(compose) == sum(len(out[y]) for y in target)
-        return obj_pos, pos, source, target, identity, inverse, compose, out, well_formed
-
-    def _malformation(self) -> list[str]:
-        """Name what makes `_index` fail, walking the dict tables: every
-        dangling endpoint stops the walk, wrong identities and non-composable
-        keys are all listed, up to the first composite with wrong endpoints,
-        then the first missing composite, with out-lists read from `source`."""
-        bad = []
-        objset = set(self.objects)
-        for m in self.morphisms:
-            if self.source[m] not in objset or self.target[m] not in objset:
-                bad.append(f"dangling endpoints at {m}")
-                return bad
-        for x in self.objects:
-            e = self.identity[x]
-            if self.source[e] != x or self.target[e] != x:
-                bad.append(f"identity of {x} has wrong endpoints")
-        for (m2, m1), m in self.compose.items():
-            if self.source[m2] != self.target[m1]:
-                bad.append(f"non-composable pair ({m2}, {m1}) in table")
-            if self.source[m] != self.source[m1] or self.target[m] != self.target[m2]:
-                bad.append(f"endpoints of composite ({m2}, {m1}) are wrong")
-                break
-        out = {}
-        for m in self.morphisms:
-            out.setdefault(self.source[m], []).append(m)
-        for m1 in self.morphisms:
-            for m2 in out.get(self.target[m1], ()):
-                if (m2, m1) not in self.compose:
-                    bad.append(f"missing composite ({m2}, {m1})")
-                    return bad
-        if not bad:
-            raise ValueError(f"{self.name}: the tables repeat a cell or name one outside "
-                             "the groupoid")
-        return bad
+                       and list(map(tgt_of, ms)) == list(map(tgt_of, m2s))
+                       and len(compose) == sum(len(out[y]) for y in target))
+        if not well_formed:
+            if len(obj_pos) < len(objects) or len(pos) < M:
+                raise ValueError(f"{self.name}: the tables repeat a cell")
+            dangling = [p for p, (x, y) in enumerate(zip(source, target)) if x < 0 or y < 0]
+            if dangling:
+                bad = [f"dangling endpoints at {mors[dangling[0]]}"]
+            else:
+                for (c2, c1), m2, m1, m in zip(self.compose, m2s, m1s, ms):
+                    inside = m2 >= 0 and m1 >= 0
+                    if not inside or source[m2] != target[m1]:
+                        bad.append(f"non-composable pair ({c2}, {c1}) in table")
+                    if inside and (m < 0 or source[m] != source[m1] or target[m] != target[m2]):
+                        bad.append(f"endpoints of composite ({c2}, {c1}) are wrong")
+                        break
+                keys = set(zip(m2s, m1s))
+                missing = next(((m2, m1) for m1, y in enumerate(target) for m2 in out[y]
+                                if (m2, m1) not in keys), None)
+                if missing:
+                    bad.append(f"missing composite ({mors[missing[0]]}, {mors[missing[1]]})")
+        self._idx = obj_pos, pos, source, target, identity, inverse, compose, out, tuple(bad)
+        return self._idx
 
     def check_axioms(self) -> list[str]:
         """Exhaustive category-axiom suite; returns failures (empty = pass).
 
-        Well-formedness is checked while the integer index is read; when it
-        fails, the dict walk of `_malformation` names the failures.  The
-        identity, inverse and associativity laws run on the index, only on a
-        well-formed table, since they look up composites the table must hold;
-        every triple is checked once.
+        Well-formedness is checked, and its failures named, as `_index` reads
+        the tables.  The right identity, inverse and associativity laws run
+        on the index, only on well-formed tables, since they look up
+        composites the tables must hold; every triple is checked once.  The
+        left identity law follows from those three, so it is not checked
+        again: for m: x -> y,
+
+          1_y m = (m m^-1) m = m (m^-1 m) = m 1_x = m.
         """
-        _, _, src, tgt, ident, inv, comp, out, well_formed = self._index()
-        if not well_formed:
-            return self._malformation()
+        _, _, src, tgt, ident, inv, comp, out, malformed = self._index()
+        if malformed:
+            return list(malformed)
         bad = []
         mors = self.morphisms
         M = len(mors)
         for m in range(M):
             if comp[m * M + ident[src[m]]] != m:
                 bad.append(f"right identity law fails at {mors[m]}")
-            if comp[ident[tgt[m]] * M + m] != m:
-                bad.append(f"left identity law fails at {mors[m]}")
             # an inverse outside the groupoid or with the wrong endpoints has
             # no composite with m
             mi = inv[m]
@@ -264,14 +258,6 @@ class GroupoidFunctor:
             self.domain, other.codomain,
             {x: other.on_objects[v] for x, v in self.on_objects.items()},
             {m: other.on_morphisms[v] for m, v in self.on_morphisms.items()})
-
-    def is_faithful(self) -> bool:
-        for x in self.domain.objects:
-            for y in self.domain.objects:
-                imgs = [self.on_morphisms[m] for m in self.domain.hom(x, y)]
-                if len(set(imgs)) != len(imgs):
-                    return False
-        return True
 
 
 def identity_functor(P: FiniteGroupoid) -> GroupoidFunctor:
@@ -409,6 +395,18 @@ class BundleGroupoid(FiniteGroupoid):
                             compose[(m2, m)] = into[c + g]
         super().__init__(objects, morphisms, source, target, compose,
                          identity, inverse, name="P_z")
+        self._over = None         # simplex -> its composites, grouped by the first `composites_over`
+
+    def composites_over(self, s) -> dict:
+        """The part of `compose` over the simplex s, in its order, grouped on
+        the first call and kept.  Once P passed `check_axioms` the morphisms
+        of a key lie over one simplex, and `__init__` lists the composites
+        simplex by simplex in sorted order."""
+        if self._over is None:
+            self._over = defaultdict(dict)
+            for key, m in self.compose.items():
+                self._over[key[1][2]][key] = m
+        return self._over[s]
 
     # -- the strict right action of the structure 2-group ----------------------
 
@@ -441,8 +439,8 @@ def check_action(P: BundleGroupoid) -> list[str]:
     free and transitive on every object and morphism fiber.
 
     P must pass `check_axioms`.  Endpoint compatibility is checked for every
-    morphism m of P and n of the 2-group, and identities for every object
-    and morphism.  Functoriality, act(m2 m1, n2 n1) = act(m2, n2) act(m1, n1),
+    morphism m of P and n of the 2-group, and act(m, 1_e) = m for every
+    morphism.  Functoriality, act(m2 m1, n2 n1) = act(m2, n2) act(m1, n1),
     is checked only on the quadruples with an identity on one side, which
     suffices (the bifunctor lemma, Mac Lane, CWM II.3 Prop. 1); 1_x is the
     identity of x in P and 1_g that of g in the 2-group:
@@ -458,21 +456,25 @@ def check_action(P: BundleGroupoid) -> list[str]:
         = act(m2, 1_g'') act(1_y, n2) act(m1, 1_g') act(1_x, n1)     by (c) twice
         = act(m2, n2) act(m1, n1)                                     by (c).
 
+    The identity action on objects and on identities needs no check of its
+    own.  The morphism identity check gives act(1_x, 1_e) = 1_x, whose source
+    is act_obj(x, e) by endpoint compatibility; so act_obj(x, e) = x.  And
+    (a) at (1_x, 1_x) makes a = act(1_x, 1_g) idempotent, so an identity in a
+    groupoid that passed `check_axioms`: a = (a^-1 a) a = a^-1 (a a) = a^-1 a.
+    Its source is act_obj(x, g), so act(1_x, 1_g) = 1_act_obj(x, g).
+
     The action is read once: act[m][n] is the position of P.act_mor(m, n)
     for every morphism position m and 2-group morphism n, filled by the
-    endpoint loop.  Identities, functoriality and the fiber orbits are then
-    table lookups on the integer index of P.  The 2-group's endpoints,
-    identities and composable pairs are read from `two_group_groupoid`,
-    whose axioms are not rechecked here.
+    endpoint loop; a cell off P fails endpoint compatibility, as it has no
+    endpoints.  Identities, functoriality and the fiber orbits are then
+    table lookups on the integer index of P, the one `check_axioms` read.
+    The 2-group's endpoints, identities and composable pairs are read from
+    `two_group_groupoid`, whose axioms are not rechecked here.
     """
     bad = []
     tg = Strict2Group(P.cm)
     TG = two_group_groupoid(tg)
     G, H = P.cm.G, P.cm.H
-    for o in P.objects:
-        if P.act_obj(o, G.identity) != o:
-            bad.append(f"identity object action moves {o}")
-            return bad
     obj_pos, pos, src, tgt, ident, _, comp, _, _ = P._index()
     mors = P.morphisms
     M = len(mors)
@@ -494,7 +496,9 @@ def check_action(P: BundleGroupoid) -> list[str]:
         if row[e_n] != m:
             bad.append(f"identity morphism action moves {m}")
             return bad
-        row = [pos[mm] for mm in row]
+        row = _positions(pos, row)
+        if -1 in row:             # compare the endpoints up to the first cell off P
+            row = row[:row.index(-1)]
         sources, targets = [src[a] for a in row], [tgt[a] for a in row]
         if sources != to_source[src[p]] or targets != to_target[tgt[p]]:
             n = min(_first_difference(sources, to_source[src[p]]),
@@ -502,11 +506,6 @@ def check_action(P: BundleGroupoid) -> list[str]:
             bad.append(f"action endpoint compatibility fails at ({m}, {n})")
             return bad
         act.append(row)
-    for x, o in enumerate(P.objects):
-        row = act[ident[x]]
-        if [ident[y] for y in obj_act[x]] != [row[i] for i in ids]:
-            bad.append(f"action does not preserve identities at {o}")
-            return bad
 
     # Each family compares act(m2 m1, n2 n1) with act(m2, n2) act(m1, n1) a
     # list at a time: (a) a column of act over all composable pairs, (b) and
@@ -598,15 +597,14 @@ def chart_groupoid(K: SimplicialComplex, cm: CrossedModule, vertex: int) -> Fini
                           identity, inverse, name=f"U_{vertex} x 2group")
 
 
-def restricted_groupoid(P: BundleGroupoid, vertex: int,
-                        compose: dict | None = None) -> FiniteGroupoid:
-    """The full subgroupoid of P over the star of a vertex.  `compose`, when
-    given, is the part of `P.compose` over that star, in its order."""
+def restricted_groupoid(P: BundleGroupoid, vertex: int) -> FiniteGroupoid:
+    """The full subgroupoid of P over the star of a vertex, with P's
+    composites over each simplex of the star (`composites_over`)."""
     objs = [o for o in P.objects if vertex in o[1]]
     mors = [m for m in P.morphisms if vertex in m[2]]
-    # every key names two morphisms of P, which passed `check_axioms`
-    comp = compose if compose is not None else \
-        {k: v for k, v in P.compose.items() if vertex in k[1][2] and vertex in k[0][2]}
+    comp = {}
+    for s in P.complex.star_simplices(vertex):
+        comp.update(P.composites_over(s))
     return FiniteGroupoid(objs, mors, {m: P.source[m] for m in mors},
                           {m: P.target[m] for m in mors}, comp,
                           {o: P.identity[o] for o in objs},
@@ -614,8 +612,7 @@ def restricted_groupoid(P: BundleGroupoid, vertex: int,
                           name=f"P_z | star({vertex})")
 
 
-def trivializations(P: BundleGroupoid, vertex: int,
-                    compose: dict | None = None) -> Trivialization:
+def trivializations(P: BundleGroupoid, vertex: int) -> Trivialization:
     """The canonical chart data of the bundle groupoid P of z = P.z over the
     star of a vertex.
 
@@ -625,7 +622,7 @@ def trivializations(P: BundleGroupoid, vertex: int,
     (j, k, sigma, h, g) to (sigma, h_ijk * (g_ij . h), g_ij * g); phi o
     phibar is the identity on the nose, and taubar with components
     (j, sigma, g) -> (i, j, sigma, e, g_ij * g) is natural from phibar o phi
-    to the identity.  `compose` is passed on to `restricted_groupoid`.
+    to the identity.
     """
     z = P.z
     K, cm = z.complex, z.cm
@@ -634,7 +631,7 @@ def trivializations(P: BundleGroupoid, vertex: int,
     i = vertex
     G, H = cm.G, cm.H
     chart = chart_groupoid(K, cm, i)
-    restr = restricted_groupoid(P, i, compose)
+    restr = restricted_groupoid(P, i)
     phibar = GroupoidFunctor(
         chart, restr,
         {(s, g): (i, s, g) for (s, g) in chart.objects},
@@ -654,21 +651,9 @@ def trivializations(P: BundleGroupoid, vertex: int,
 
 
 def canonical_trivializations(P: BundleGroupoid) -> dict[int, Trivialization]:
-    """The trivializations at every vertex.  P.compose is read once: it is
-    grouped by simplex, and each vertex gets the groups over its star.  The
-    two morphisms of a key lie over one simplex, as P has passed
-    `check_axioms`, and `BundleGroupoid` lists the composites simplex by
-    simplex in sorted order, so each share is in the order of P.compose."""
-    over = defaultdict(dict)
-    for key, m in P.compose.items():
-        over[key[1][2]][key] = m
-    trivs = {}
-    for i in range(P.complex.vertex_count):
-        share = {}
-        for s in P.complex.star_simplices(i):
-            share.update(over[s])
-        trivs[i] = trivializations(P, i, share)
-    return trivs
+    """The trivializations at every vertex; P.compose is read once, into
+    the grouping by simplex they share (`BundleGroupoid.composites_over`)."""
+    return {i: trivializations(P, i) for i in range(P.complex.vertex_count)}
 
 
 def check_trivialization(z: Cocycle, triv: Trivialization) -> list[str]:
@@ -833,7 +818,8 @@ def reconstruction_morphism(P: BundleGroupoid,
 
     F = _equivariant_functor(
         Pz, P, lambda i, s: trivs[i].phibar.on_objects[(s, eG)], mor_image)
-    assert F.is_faithful(), "reconstruction morphism is not faithful"
+    ok, why = is_weak_equivalence(F)
+    assert ok, f"reconstruction morphism is not a weak equivalence: {why}"
     return F
 
 

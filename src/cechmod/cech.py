@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterator, Sequence
 
 from .algebra import CrossedModule, abelian_invariants, generating_set
@@ -266,7 +267,7 @@ class _Context:
     - `quads_at_triple[t]`: for each quadruple (i, j, k, l) with no adjacent
       repeat whose last free face is t, the positions (ikl, ijk, ijl, jkl,
       ij).  A quadruple with an adjacent repeat reads h = h under the
-      normalization and is left out.
+      normalization and is left out.  Built on first read, by the slice search.
     - `pairs_at_vertex[v]`, `triples_at_vertex[v]`: the distinct pairs and
       free triples whose largest vertex is v, for the coboundary search.
     """
@@ -298,10 +299,7 @@ class _Context:
         self.triples_at_pair = [[] for _ in self.distinct_pairs]
         for t, (ij, jk, ik, _) in enumerate(self.triple_idx):
             self.triples_at_pair[max(ij, jk, ik)].append(t)
-        self.quads_at_triple = [[] for _ in self.free_triples]
-        for (i, j, k, l) in normalized_tuples(K, 4):
-            faces = (pos[(i, k, l)], pos[(i, j, k)], pos[(i, j, l)], pos[(j, k, l)])
-            self.quads_at_triple[max(faces)].append(faces + (pos[(i, j)],))
+        self._pos = pos
         n = K.vertex_count
         self.pairs_at_vertex = [[] for _ in range(n)]
         for p, pair in enumerate(self.distinct_pairs):
@@ -317,6 +315,14 @@ class _Context:
         # the digit tuples do
         self.digit = "B" if max(G.order, H.order) <= 256 else "H"
         self.swap = array(self.digit).itemsize > 1 and sys.byteorder == "little"
+
+    @cached_property
+    def quads_at_triple(self) -> list[list[tuple]]:
+        pos, quads = self._pos, [[] for _ in self.free_triples]
+        for (i, j, k, l) in normalized_tuples(self.K, 4):
+            faces = (pos[(i, k, l)], pos[(i, j, k)], pos[(i, j, l)], pos[(j, k, l)])
+            quads[max(faces)].append(faces + (pos[(i, j)],))
+        return quads
 
     def encode(self, digits: Sequence[int]) -> bytes:
         packed = array(self.digit, digits)
@@ -368,7 +374,7 @@ class Budget:
 
 # -- coboundary search (cohomology testing, stabilizers) --------------------------
 
-def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
+def _coboundary_search(ctx: _Context, z: Cocycle, z2: Cocycle, budget: int,
                        find_all: bool) -> Iterator[Coboundary]:
     """Yield coboundaries c with apply_coboundary(z, c) == z2.
 
@@ -378,7 +384,6 @@ def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
     """
     K, cm = z.complex, z.cm
     G = cm.G
-    ctx = _Context(K, cm)
     n = K.vertex_count
     bud = Budget(budget)
     zg, zh = _pack(ctx, z)
@@ -422,18 +427,24 @@ def _coboundary_search(z: Cocycle, z2: Cocycle, budget: int,
 
 def are_cohomologous(z: Cocycle, z2: Cocycle,
                      budget: int = DEFAULT_BUDGET) -> Coboundary | None:
-    """A witness coboundary carrying z to z2, or None (a definitive negative)."""
+    """A witness coboundary carrying z to z2, or None (a definitive negative).
+    The witness is verified on the search's own context: its packed action
+    on z must be z2's packed encoding (c has eta_ii = e, as `coboundary`
+    built it, so the degenerate tuples read e on both sides)."""
     if z.complex != z2.complex or z.cm != z2.cm:
         raise SemanticError("cocycles live over different complexes or crossed modules")
-    for c in _coboundary_search(z, z2, budget, find_all=False):
-        assert apply_coboundary(z, c) == z2  # witness is verified before return
+    ctx = _Context(z.complex, z.cm)
+    for c in _coboundary_search(ctx, z, z2, budget, find_all=False):
+        eta = [c.eta[p] for p in ctx.distinct_pairs] + [z.cm.H.identity]
+        moved = _apply_packed(ctx, _pack(ctx, z), [c.gamma[v] for v in sorted(c.gamma)], eta)
+        assert list(map(list, moved)) == list(_pack(ctx, z2)), "witness does not carry z to z2"
         return c
     return None
 
 
 def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
     """All coboundaries fixing z; verified to be closed under composition."""
-    out = list(_coboundary_search(z, z, budget, find_all=True))
+    out = list(_coboundary_search(_Context(z.complex, z.cm), z, z, budget, find_all=True))
     keys = {c.key() for c in out}
     for c in out:
         for c2 in out:

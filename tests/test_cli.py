@@ -762,3 +762,62 @@ def test_nul_in_out_path_gives_structured_report():
                  ["nosuch"]):
         assert run(argv + ["--out", "a\x00b"]) == \
             (2, "REASON: a\\x00b:0: cannot write file: embedded null byte\n"), argv
+
+
+# -- every REASON line an input file can produce ------------------------------------
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+ALPHA_Z2 = "cm x\nG z2.grp\nH z2.grp\nbeta 0 0\nalpha\n"
+
+
+@pytest.mark.parametrize("files,argv,code,report", [
+    ({"a.cm": "cm x\nbeta 0 1\n"}, ["validate", "--cm", "a.cm"], 2,
+     "REASON: {f}:2: beta line before H\n"),
+    ({"a.cm": "cm x\nalpha\n0 1\n"}, ["validate", "--cm", "a.cm"], 2,
+     "REASON: {f}:2: alpha block before G and H\n"),
+    ({"a.cm": ALPHA_Z2 + "0 1\n"}, ["validate", "--cm", "a.cm"], 2,
+     "REASON: {f}:5: alpha block needs 2 lines\n"),
+    ({"a.cm": ALPHA_Z2 + "0\n0 1\n"}, ["validate", "--cm", "a.cm"], 2,
+     "REASON: {f}:6: alpha row must have 2 indices\n"),
+    ({"a.cm": "cm x\nfoo 1\n"}, ["validate", "--cm", "a.cm"], 2,
+     "REASON: {f}:2: unrecognized directive 'foo'\n"),
+    ({"a.cm": "cm x\nG z2.grp\n"}, ["validate", "--cm", "a.cm"], 2,
+     "REASON: {f}:2: incomplete crossed-module file\n"),
+    ({"g.grp": "group g 2\n0 1\n"}, ["validate", "--group", "g.grp"], 2,
+     "REASON: {f}:2: expected 2 rows, got 1\n"),
+    ({"g.grp": "group g 2\n0 x\n1 0\n"}, ["validate", "--group", "g.grp"], 2,
+     "REASON: {f}:2: expected integers, got '0 x'\n"),
+    ({"g.grp": "group g\n0\n"}, ["validate", "--group", "g.grp"], 2,
+     "REASON: {f}:1: expected `group <name> <order>`\n"),
+    ({"g.grp": "group g 2\n0 2\n1 0\n"}, ["validate", "--group", "g.grp"], 1,
+     "VALID: no\nREASON: table entry 2 out of range\n"),
+    ({"g.grp": "group g 3\n0 1 2\n1 0 1\n2 2 0\n"}, ["validate", "--group", "g.grp"], 1,
+     "VALID: no\nREASON: multiplication is not associative at triple (1, 1, 2)\n"),
+    ({}, ["validate", "--group", os.path.join(DATA, "z2.grp")], 0,
+     "KIND: group\nNAME: Z2\nORDER: 2\nIDENTITY: 0\nVALID: yes\n"),
+    ({"k.cplx": "# nothing\n"}, ["validate", "--complex", "k.cplx"], 2,
+     "REASON: {f}:0: no simplices in file\n"),
+    ({"z.coc": "cocycle circle\n"}, ["validate", "--cocycle", "z.coc"], 2,
+     "REASON: {f}:1: expected `cocycle <complex> <cm>`\n"),
+    ({}, ["validate", "--group", os.path.join(DATA, "z2.grp"), "--cm", "z4_over_z2"], 2,
+     "REASON: <args>:0: validate needs exactly one of --group/--cm/--complex/--cocycle\n"),
+    # a non-abelian kernel over a trivial base breaks the Peiffer identity, so
+    # a non-abelian crossed module fails at its base group
+    ({}, ["classify", "--complex", "circle", "--cm", "conj_s3", "--strategy", "abelian"], 1,
+     "VALID: no\nREASON: abelian strategy needs a trivial base group\n"),
+    ({"n.cm": "cm n\nG one.grp\nH z2xz4.grp\nbeta" + " 0" * 8 + "\nalpha\n"
+              + " ".join(map(str, range(8))) + "\n"},
+     ["classify", "--complex", "circle", "--cm", "n.cm", "--strategy", "abelian"], 1,
+     "VALID: no\nREASON: abelian strategy needs cyclic coefficients\n"),
+], ids=["beta_before_h", "alpha_before_g_h", "alpha_rows", "alpha_row_short",
+        "unknown_directive", "incomplete_cm", "group_rows", "group_entry", "group_header",
+        "group_range", "group_associativity", "group_ok", "empty_complex",
+        "cocycle_header", "two_kinds", "abelian_base", "abelian_cyclic"])
+def test_every_input_reason_is_pinned(tmp_path, files, argv, code, report):
+    with open(os.path.join(DATA, "z2xz4.grp")) as fh:
+        groups = {"z2.grp": Z2_GROUP, "one.grp": "group one 1\n0\n", "z2xz4.grp": fh.read()}
+    for name, text in {**groups, **files}.items():
+        _write(tmp_path / name, text)
+    path = str(tmp_path / next(iter(files), ""))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(argv) == (code, report.format(f=path))
