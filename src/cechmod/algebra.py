@@ -439,64 +439,46 @@ class Strict2Group:
 # -- automorphisms, kernels, quotients ----------------------------------------
 
 def _bijective_homs(src: FiniteGroup, dst: FiniteGroup) -> list[tuple[int, ...]]:
-    """All group isomorphisms src -> dst as image tuples, by pruned search.
+    """All group isomorphisms src -> dst as image tuples, from generator images.
 
-    Assigns images element by element, propagating products of already
-    assigned elements and pruning on element order.
+    For X = `generating_set(src)`, each choice of images of X that keeps
+    element orders is extended from f(e) = e along the Cayley-graph edges
+    y -> y x (x in X), and kept when every edge agrees and f is one-to-one.
+    If f(e) = e and f(y x) = f(y) f(x) for every y and every x in X, f is a
+    homomorphism: every element of a finite group is a positive word in X, and
+    by induction on word length, f(y w x) = f(y w) f(x) = f(y) f(w) f(x) =
+    f(y) f(w x).
     """
     if src.order != dst.order:
         return []
-    n = src.order
-    src_orders = [src.element_order(a) for a in range(n)]
-    dst_orders = [dst.element_order(a) for a in range(n)]
-    found: list[tuple[int, ...]] = []
+    n, smul, dmul = src.order, src.mul_table, dst.mul_table
+    gens = generating_set(src.elements(), smul, src.identity)
+    choices = [[v for v in dst.elements() if dst.element_order(v) == src.element_order(x)]
+               for x in gens]
 
-    def close(img: list[int], used: set[int]) -> bool:
-        # propagate img over all products with both factors assigned
-        changed = True
-        while changed:
-            changed = False
-            assigned = [a for a in range(n) if img[a] is not None]
-            for a in assigned:
-                for b in assigned:
-                    ab = src.mul(a, b)
-                    v = dst.mul(img[a], img[b])
-                    if img[ab] is None:
-                        if v in used:
-                            return False
-                        img[ab] = v
-                        used.add(v)
-                        changed = True
-                    elif img[ab] != v:
-                        return False
-        return True
+    def extend(images: tuple[int, ...]) -> list[int] | None:
+        img = [None] * n
+        img[src.identity] = dst.identity
+        walk = [src.identity]
+        for y in walk:  # breadth first; each edge (y, x) is read once
+            for x, fx in zip(gens, images):
+                yx, v = smul[y][x], dmul[img[y]][fx]
+                if img[yx] is None:
+                    img[yx] = v
+                    walk.append(yx)
+                elif img[yx] != v:
+                    return None
+        return img
 
-    def extend(img: list[int], used: set[int]):
-        try:
-            a = img.index(None)
-        except ValueError:
-            found.append(tuple(img))
-            return
-        for v in range(n):
-            if v in used or dst_orders[v] != src_orders[a]:
-                continue
-            img2 = list(img)
-            used2 = set(used)
-            img2[a] = v
-            used2.add(v)
-            if close(img2, used2):
-                extend(img2, used2)
-
-    start = [None] * n
-    start[src.identity] = dst.identity
-    extend(start, {dst.identity})
-    return sorted(found)
+    maps = map(extend, itertools.product(*choices))
+    return sorted(tuple(f) for f in maps if f is not None and len(set(f)) == n)
 
 
 def automorphism_group(H: FiniteGroup) -> tuple[FiniteGroup, GroupAction]:
     """Aut(H) as an abstract group with its tautological action on H.
 
-    Exhaustive (pruned) search; refuses orders above AUT_SEARCH_BOUND.
+    Every automorphism, from the images of a generating set (see
+    `_bijective_homs`); refuses orders above AUT_SEARCH_BOUND.
     """
     if H.order > AUT_SEARCH_BOUND:
         raise TooLarge(H.order, AUT_SEARCH_BOUND)

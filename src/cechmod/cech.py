@@ -270,6 +270,8 @@ class _Context:
       normalization and is left out.  Built on first read, by the slice search.
     - `pairs_at_vertex[v]`, `triples_at_vertex[v]`: the distinct pairs and
       free triples whose largest vertex is v, for the coboundary search.
+    - `pos[t]`: the position of a valid pair or triple t, -1 when the
+      normalization fixes it at e.
     """
 
     def __init__(self, K: SimplicialComplex, cm: CrossedModule):
@@ -299,7 +301,7 @@ class _Context:
         self.triples_at_pair = [[] for _ in self.distinct_pairs]
         for t, (ij, jk, ik, _) in enumerate(self.triple_idx):
             self.triples_at_pair[max(ij, jk, ik)].append(t)
-        self._pos = pos
+        self.pos = pos
         n = K.vertex_count
         self.pairs_at_vertex = [[] for _ in range(n)]
         for p, pair in enumerate(self.distinct_pairs):
@@ -318,7 +320,7 @@ class _Context:
 
     @cached_property
     def quads_at_triple(self) -> list[list[tuple]]:
-        pos, quads = self._pos, [[] for _ in self.free_triples]
+        pos, quads = self.pos, [[] for _ in self.free_triples]
         for (i, j, k, l) in normalized_tuples(self.K, 4):
             faces = (pos[(i, k, l)], pos[(i, j, k)], pos[(i, j, l)], pos[(j, k, l)])
             quads[max(faces)].append(faces + (pos[(i, j)],))
@@ -936,15 +938,15 @@ def _classify_abelian(K: SimplicialComplex, cm: CrossedModule) -> ClassifyResult
     increasing triples.  For cocycles, equal keys mean equal classes.  The
     search walks the kernel generators (V of the Smith form of the
     normalized d3) out from the zero cochain; every candidate is a cocycle,
-    and it is kept when its key is new.
+    and it is kept when its key is new.  H is abelian with no check of its
+    own: G = 1 makes alpha trivial, so the Peiffer identity reads
+    h h' h^-1 = h', and `crossed_module` rejects a non-abelian H first.
     """
     from .complexes import differential, oriented_differential
     from .snf import image_size_mod, kernel_generators_mod, kernel_size_mod
 
     if cm.G.order != 1:
         raise StrategyMismatch("abelian strategy needs a trivial base group")
-    if not cm.H.is_abelian():
-        raise StrategyMismatch("abelian strategy needs abelian coefficients")
     orders, coords = abelian_invariants(cm.H)
     if len(orders) > 1:
         raise StrategyMismatch("abelian strategy needs cyclic coefficients")

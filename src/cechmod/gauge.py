@@ -38,6 +38,7 @@ from .cech import (
     Cocycle,
     Coboundary,
     DEFAULT_BUDGET,
+    _Context,
     compose_coboundaries,
     stabilizer,
 )
@@ -145,21 +146,26 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
     candidate is a G-value per vertex plus an H-value per ordered pair of
     chart indices, constrained fiberwise; each candidate determines the full
     functor by equivariant extension and is kept iff the functor axioms pass.
+    The search reads the packed layer of `cech._Context`: eta is a list over
+    the distinct pairs, with the trailing identity slot for diagonal ones,
+    and beta(eta_ij) = g_ij v_j g_ij^-1 v_i^-1 is the coboundary search's
+    `pair_beta`.  The leaf check does not use the coboundary action.
     """
     cm, K = z.cm, z.complex
     G, H = cm.G, cm.H
     tg = Strict2Group(cm)
     TG = two_group_groupoid(tg)
     P = build_total_groupoid(z)
-    verts = list(range(K.vertex_count))
-    dpairs = [p for p in valid_tuples(K, 2) if p[0] != p[1]]
-    fiber = {g: [h for h in H.elements() if cm.beta_of(h) == g] for g in G.elements()}
+    ctx = _Context(K, cm)
+    pairs = ctx.distinct_pairs
+    zg = [z.g[p] for p in pairs]
+    n = K.vertex_count
 
     bud = Budget(budget)
-    levels = len(verts) + len(dpairs)  # a G-value per vertex, then an H-value per pair
+    levels = n + len(pairs)  # a G-value per vertex, then an H-value per pair
     count = 0
-    v = {}
-    eta = {}
+    v = [G.identity] * n
+    eta = [H.identity] * (len(pairs) + 1)
 
     def functor_ok() -> bool:
         # build the candidate on all of P and check the functor axioms
@@ -167,36 +173,29 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
         F1 = {}
         for m in P.morphisms:
             i, j, s, h, g = m
-            w = tg.encode(eta.get((i, j), H.identity) if i != j else H.identity, v[i])
+            w = tg.encode(eta[ctx.pos[(i, j)]], v[i])
             a = tg.encode(h, g)
             F1[m] = tg.tensor(tg.tensor(tg.tensor_inverse(a), w), a)
         return not GroupoidFunctor(P, TG, F0, F1).check()
 
-    def assign_pair(idx: int):
+    def assign(level: int):
         nonlocal count
-        if idx == len(dpairs):
-            if functor_ok():
-                count += 1
-            return
-        i, j = dpairs[idx]
-        need = G.mul_many(z.g[(i, j)], v[j], G.inv(z.g[(i, j)]), G.inv(v[i]))
-        for cand in fiber[need]:
-            bud.tick("gauge functors", len(verts) + idx, levels)
-            eta[(i, j)] = cand
-            assign_pair(idx + 1)
-            del eta[(i, j)]
+        if level == levels:
+            count += functor_ok()
+        elif level < n:
+            for val in G.elements():
+                bud.tick("gauge functors", level, levels)
+                v[level] = val
+                assign(level + 1)
+        else:
+            p = level - n
+            i, j = pairs[p]
+            for cand in ctx.fiber[ctx.pair_beta(zg[p], v[j], zg[p], v[i])]:
+                bud.tick("gauge functors", level, levels)
+                eta[p] = cand
+                assign(level + 1)
 
-    def assign_vertex(idx: int):
-        if idx == len(verts):
-            assign_pair(0)
-            return
-        for val in G.elements():
-            bud.tick("gauge functors", idx, levels)
-            v[verts[idx]] = val
-            assign_vertex(idx + 1)
-            del v[verts[idx]]
-
-    assign_vertex(0)
+    assign(0)
     return count
 
 

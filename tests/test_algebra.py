@@ -89,10 +89,38 @@ def test_s3_matches_permutation_composition_oracle():
     assert symmetric_group(3).mul_table == oracle.mul_table
 
 
+def dihedral_group(n):
+    """D_n on (rotation, reflection) pairs, from the composition rule."""
+    return group_from_operation(
+        [(r, s) for s in range(2) for r in range(n)],
+        lambda x, y: ((x[0] + (-y[0] if x[1] else y[0])) % n, (x[1] + y[1]) % 2),
+        f"D{n}")[0]
+
+
+def quaternion_group():
+    """Q8 on (sign, unit) pairs, units 1, i, j, k multiplied by Hamilton's rules."""
+    rules = {"ii": (-1, "1"), "jj": (-1, "1"), "kk": (-1, "1"), "ij": (1, "k"),
+             "jk": (1, "i"), "ki": (1, "j"), "ji": (-1, "k"), "kj": (-1, "i"),
+             "ik": (-1, "j")}
+
+    def op(x, y):
+        if "1" in (x[1], y[1]):
+            return x[0] * y[0], y[1] if x[1] == "1" else x[1]
+        sign, unit = rules[x[1] + y[1]]
+        return x[0] * y[0] * sign, unit
+
+    return group_from_operation([(s, u) for s in (1, -1) for u in "1ijk"], op, "Q8")[0]
+
+
 @pytest.mark.parametrize("build,count", [
     (lambda: cyclic_group(4), 2),
     (lambda: cyclic_group(2), 1),
     (lambda: symmetric_group(3), 6),
+    pytest.param(lambda: power_group(cyclic_group(2), 2)[0], 6, id="C2^2-6"),
+    pytest.param(lambda: power_group(cyclic_group(2), 3)[0], 168, id="C2^3-168"),
+    pytest.param(lambda: _cyclic_product(2, 4), 8, id="C2xC4-8"),
+    pytest.param(lambda: dihedral_group(4), 8, id="D4-8"),
+    pytest.param(quaternion_group, 24, id="Q8-24"),
 ])
 def test_automorphism_counts_against_raw_enumeration(build, count):
     H = build()
@@ -106,6 +134,12 @@ def test_automorphism_counts_against_raw_enumeration(build, count):
             raw += 1
     assert raw == count
     assert action.is_faithful()
+
+
+def test_automorphism_group_of_s4():
+    # |Aut(S4)| = 24 = AUT_SEARCH_BOUND, where 24! bijections leave no raw oracle
+    assert symmetric_group(4).order == AUT_SEARCH_BOUND
+    assert automorphism_group(symmetric_group(4))[0].order == 24
 
 
 def test_automorphism_bound():
@@ -247,6 +281,8 @@ def test_isomorphism_utility():
         [(a, b) for a in range(2) for b in range(3)],
         lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 3))[0]
     assert find_isomorphism(z6, z2xz3) is not None
+    assert find_isomorphism(dihedral_group(4), quaternion_group()) is None
+    assert find_isomorphism(dihedral_group(3), symmetric_group(3)) is not None
 
 
 def test_conjugation_action_is_valid_and_two_group_checks(s3):

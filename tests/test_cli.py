@@ -768,6 +768,8 @@ def test_nul_in_out_path_gives_structured_report():
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ALPHA_Z2 = "cm x\nG z2.grp\nH z2.grp\nbeta 0 0\nalpha\n"
+S3_GROUP = ("group S3 6\n0 1 2 3 4 5\n1 0 4 5 2 3\n2 3 0 1 5 4\n3 2 5 4 0 1\n"
+            "4 5 1 0 3 2\n5 4 3 2 1 0\n")
 
 
 @pytest.mark.parametrize("files,argv,code,report", [
@@ -809,10 +811,17 @@ ALPHA_Z2 = "cm x\nG z2.grp\nH z2.grp\nbeta 0 0\nalpha\n"
               + " ".join(map(str, range(8))) + "\n"},
      ["classify", "--complex", "circle", "--cm", "n.cm", "--strategy", "abelian"], 1,
      "VALID: no\nREASON: abelian strategy needs cyclic coefficients\n"),
+    # over a one-element base alpha is trivial, so the Peiffer identity
+    # rejects a non-abelian H before the abelian strategy looks at it
+    ({"n.cm": "cm n\nG one.grp\nH s3.grp\nbeta" + " 0" * 6 + "\nalpha\n0 1 2 3 4 5\n",
+      "s3.grp": S3_GROUP},
+     ["classify", "--complex", "circle", "--cm", "n.cm", "--strategy", "abelian"], 1,
+     "VALID: no\nREASON: alpha(beta(h)).h' != h*h'*h^-1 at (h=1, h'=2)\n"),
 ], ids=["beta_before_h", "alpha_before_g_h", "alpha_rows", "alpha_row_short",
         "unknown_directive", "incomplete_cm", "group_rows", "group_entry", "group_header",
         "group_range", "group_associativity", "group_ok", "empty_complex",
-        "cocycle_header", "two_kinds", "abelian_base", "abelian_cyclic"])
+        "cocycle_header", "two_kinds", "abelian_base", "abelian_cyclic",
+        "abelian_peiffer"])
 def test_every_input_reason_is_pinned(tmp_path, files, argv, code, report):
     with open(os.path.join(DATA, "z2xz4.grp")) as fh:
         groups = {"z2.grp": Z2_GROUP, "one.grp": "group one 1\n0\n", "z2xz4.grp": fh.read()}

@@ -118,6 +118,21 @@ def test_ad_functor_budget():
         ad_equivariant_functor_count(z, budget=2)
 
 
+@pytest.mark.parametrize("kname,cmname,count,nodes,levels", [
+    ("boundary3", "star_to_s3", 6, 1866, 16),
+    ("full2", "z2_into_z4", 16, 196, 9),
+])
+def test_ad_functor_budget_is_pinned(kname, cmname, count, nodes, levels):
+    # the search visits exactly `nodes` nodes, vertices first and then the
+    # pairs in order, so a reordered or pruned search moves the pin
+    z = trivial_cocycle(cx(kname), cm(cmname))
+    assert ad_equivariant_functor_count(z, budget=nodes) == count
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        ad_equivariant_functor_count(z, budget=nodes - 1)
+    assert str(exc.value) == (f"visited nodes exceed budget {nodes - 1} in gauge "
+                              f"functors at depth {levels} of {levels}")
+
+
 def test_gauge_crossed_module_single_vertex():
     gcm = gauge_crossed_module(trivial_cocycle(cx("point"), cm("z2_trivial")))
     assert gcm.cm.G.order == 2
