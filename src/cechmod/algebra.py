@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .errors import (
     EquivarianceFailure,
@@ -438,8 +438,9 @@ class Strict2Group:
 
 # -- automorphisms, kernels, quotients ----------------------------------------
 
-def _bijective_homs(src: FiniteGroup, dst: FiniteGroup) -> list[tuple[int, ...]]:
-    """All group isomorphisms src -> dst as image tuples, from generator images.
+def _bijective_homs(src: FiniteGroup, dst: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """The group isomorphisms src -> dst as image tuples, from generator images,
+    one at a time.
 
     For X = `generating_set(src)`, each choice of images of X that keeps
     element orders is extended from f(e) = e along the Cayley-graph edges
@@ -450,7 +451,7 @@ def _bijective_homs(src: FiniteGroup, dst: FiniteGroup) -> list[tuple[int, ...]]
     f(y) f(w x).
     """
     if src.order != dst.order:
-        return []
+        return iter(())
     n, smul, dmul = src.order, src.mul_table, dst.mul_table
     gens = generating_set(src.elements(), smul, src.identity)
     choices = [[v for v in dst.elements() if dst.element_order(v) == src.element_order(x)]
@@ -471,18 +472,24 @@ def _bijective_homs(src: FiniteGroup, dst: FiniteGroup) -> list[tuple[int, ...]]
         return img
 
     maps = map(extend, itertools.product(*choices))
-    return sorted(tuple(f) for f in maps if f is not None and len(set(f)) == n)
+    return (tuple(f) for f in maps if f is not None and len(set(f)) == n)
 
 
 def automorphism_group(H: FiniteGroup) -> tuple[FiniteGroup, GroupAction]:
     """Aut(H) as an abstract group with its tautological action on H.
 
     Every automorphism, from the images of a generating set (see
-    `_bijective_homs`); refuses orders above AUT_SEARCH_BOUND.
+    `_bijective_homs`).  Refuses orders above AUT_SEARCH_BOUND, and stops with
+    TooLarge once it has found more than AUT_SEARCH_BOUND ** 2
+    automorphisms, before any Cayley table is built (the order it reports is
+    then a lower bound): Z2^4 has order 16 but 20160 automorphisms.
     """
     if H.order > AUT_SEARCH_BOUND:
         raise TooLarge(H.order, AUT_SEARCH_BOUND)
-    perms = _bijective_homs(H, H)
+    most = AUT_SEARCH_BOUND ** 2
+    perms = sorted(itertools.islice(_bijective_homs(H, H), most + 1))
+    if len(perms) > most:
+        raise TooLarge(len(perms), most)
     grp, items = group_from_operation(
         perms, lambda p, q: tuple(p[q[i]] for i in range(H.order)), f"Aut({H.name})")
     action = GroupAction(grp, H, tuple(items))

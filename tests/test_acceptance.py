@@ -39,6 +39,7 @@ from cechmod import (
 )
 from cechmod.bundle import band_cohomologous_to
 from conftest import cm, cx
+from routes import _independent_degree_one_classes
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -70,20 +71,6 @@ def test_ac1_degree_two_specialization():
             f"{elapsed:.1f}s")
 
 
-def _independent_circle_classes(G):
-    """Holonomy-conjugacy oracle: enumerate flat transition data on the three
-    circle edges and partition by the vertex coboundary action directly."""
-    edges = [(0, 1), (1, 2), (0, 2)]
-    reps = set()
-    for z in itertools.product(G.elements(), repeat=3):
-        orbit = set()
-        for gam in itertools.product(G.elements(), repeat=3):
-            orbit.add(tuple(G.mul_many(G.inv(gam[i]), z[n], gam[j])
-                            for n, (i, j) in enumerate(edges)))
-        reps.add(min(orbit))
-    return len(reps)
-
-
 def _conjugacy_class_count(G):
     seen = set()
     for a in G.elements():
@@ -99,7 +86,7 @@ def test_ac2_degree_one_specialization():
         got = classify(cx("circle"), cmx, "brute").count
         ok = ok and got == expected
         ok = ok and got == _conjugacy_class_count(cmx.G)
-        ok = ok and got == _independent_circle_classes(cmx.G)
+        ok = ok and got == _independent_degree_one_classes(cmx.G)
     elapsed = time.time() - start
     _report("AC2 degree-1 specialization", ok and elapsed < 30, f"{elapsed:.1f}s")
 

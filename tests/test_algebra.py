@@ -32,8 +32,7 @@ from conftest import assert_image_normal_and_kernel_central, cm
 
 def find_isomorphism(G1, G2):
     """An isomorphism G1 -> G2 by exhaustive search, or None."""
-    isos = _bijective_homs(G1, G2)
-    return isos[0] if isos else None
+    return next(_bijective_homs(G1, G2), None)
 
 
 def semidirect_product(cmx):
@@ -147,6 +146,16 @@ def test_automorphism_bound():
     with pytest.raises(TooLarge):
         automorphism_group(big)
     assert big.order > AUT_SEARCH_BOUND
+
+
+def test_automorphism_count_bound():
+    # Z2^4 passes the order bound, but a Cayley table of its 20160
+    # automorphisms would hold 4.1e8 entries: the search stops first
+    H = power_group(cyclic_group(2), 4)[0]
+    assert H.order <= AUT_SEARCH_BOUND
+    with pytest.raises(TooLarge) as exc:
+        automorphism_group(H)
+    assert (exc.value.order, exc.value.bound) == (AUT_SEARCH_BOUND ** 2 + 1, AUT_SEARCH_BOUND ** 2)
 
 
 def test_semidirect_direct_product_case():
