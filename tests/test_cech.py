@@ -33,6 +33,7 @@ from cechmod.errors import (
     StrategyMismatch,
 )
 from conftest import cm, cx
+import routes
 
 HOLONOMY_EXAMPLE = {(0, 1): 1, (1, 0): 1, (1, 2): 0, (2, 1): 0, (0, 2): 1, (2, 0): 1}
 
@@ -178,6 +179,20 @@ def test_equivalence_relation_symmetry_transitivity():
     z3 = apply_coboundary(z2, random_coboundary(K, cmx, rng))
     assert are_cohomologous(z2, z1) is not None  # symmetry
     assert are_cohomologous(z1, z3) is not None  # transitivity
+
+
+# circle x star_to_z3 is a cell on which brute, the full enumeration and the
+# holonomy-conjugacy count all finish; tests/test_routes.py checks every cell
+@pytest.mark.parametrize("cmname,expected", [("star_to_z3", 3)])
+def test_degree_one_circle_matches_independent_oracle(cmname, expected):
+    K, cmx = routes.cell(f"circle-{cmname}")
+    assert routes.brute(K, cmx) == expected == routes.degree_one(K, cmx)
+
+
+@pytest.mark.parametrize("kname,cmname", [("circle", "star_to_z3")])
+def test_classify_matches_independent_full_enumeration(kname, cmname):
+    K, cmx = routes.cell(f"{kname}-{cmname}")
+    assert routes.brute(K, cmx) == routes.full_enumeration(K, cmx)
 
 
 def test_degree_two_prime_power_modulus():
