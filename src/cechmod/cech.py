@@ -243,9 +243,8 @@ def inverse_coboundary(c: Coboundary) -> Coboundary:
     K, cm = c.complex, c.cm
     G, H = cm.G, cm.H
     gamma = {v: G.inv(c.gamma[v]) for v in range(K.vertex_count)}
-    eta = {p: cm.act(G.inv(c.gamma[p[0]]), H.inv(c.eta[p]))
-           for p in valid_tuples(K, 2)}
-    return Coboundary(K, cm, gamma, eta)
+    eta = {p: cm.act(G.inv(c.gamma[p[0]]), H.inv(c.eta[p])) for p in normalized_tuples(K, 2)}
+    return coboundary(K, cm, gamma, eta)
 
 
 # -- shared search context -------------------------------------------------------
@@ -1017,9 +1016,7 @@ def classify(K: SimplicialComplex, cm: CrossedModule, strategy: str = "brute",
 
 def random_coboundary(K: SimplicialComplex, cm: CrossedModule, rng) -> Coboundary:
     gamma = {v: rng.randrange(cm.G.order) for v in range(K.vertex_count)}
-    eta = {}
-    for p in valid_tuples(K, 2):
-        eta[p] = cm.H.identity if p[0] == p[1] else rng.randrange(cm.H.order)
+    eta = {p: rng.randrange(cm.H.order) for p in normalized_tuples(K, 2)}
     return coboundary(K, cm, gamma, eta)
 
 

@@ -185,13 +185,13 @@ def test_equivalence_relation_symmetry_transitivity():
 # holonomy-conjugacy count all finish; tests/test_routes.py checks every cell
 @pytest.mark.parametrize("cmname,expected", [("star_to_z3", 3)])
 def test_degree_one_circle_matches_independent_oracle(cmname, expected):
-    K, cmx = routes.cell(f"circle-{cmname}")
+    K, cmx = routes.case(f"circle-{cmname}")
     assert routes.brute(K, cmx) == expected == routes.degree_one(K, cmx)
 
 
 @pytest.mark.parametrize("kname,cmname", [("circle", "star_to_z3")])
 def test_classify_matches_independent_full_enumeration(kname, cmname):
-    K, cmx = routes.cell(f"{kname}-{cmname}")
+    K, cmx = routes.case(f"{kname}-{cmname}")
     assert routes.brute(K, cmx) == routes.full_enumeration(K, cmx)
 
 

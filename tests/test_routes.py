@@ -5,18 +5,21 @@ import pytest
 
 import routes
 
-# literal class counts, each also reached by the routes that finish on its cell
+# literal class counts and gauge orders, each also reached by the routes that
+# report it on its cell or case; on a point, GSTAR = |G|
 KNOWN = {"circle-star_to_z2": 2, "circle-star_to_z3": 3, "circle-star_to_s3": 3, "circle-aut_z3": 2,
          "boundary3-z2_to_point": 2, "boundary3-z4_to_point": 4, "full2-z2_to_point": 1,
-         "full2-star_to_z2": 1, "full2-z4_over_z2": 1}
+         "full2-star_to_z2": 1, "full2-z4_over_z2": 1,
+         "point-z2_trivial-trivial": {"GSTAR": 2}, "point-z4_over_z2-trivial": {"GSTAR": 2},
+         "circle-aut_z3-trivial": {"GSTAR": 54, "HSTAR": 27, "PI0": 6, "PI1": 3}}
 
 
-@pytest.mark.parametrize("name", routes.CELLS)
+@pytest.mark.parametrize("name", routes.CELLS + routes.GAUGE_CASES)
 def test_finishing_routes_agree(name):
-    counts = routes.finished(name)
-    assert len(set(counts.values())) <= 1, counts
-    if name in KNOWN:
-        assert set(counts.values()) == {KNOWN[name]}, counts
+    values = routes.reported(name)
+    assert all(len(v) == 1 for v in values.values()), routes.finished(name)
+    for quantity, want in routes.quantities(KNOWN.get(name, {})).items():
+        assert values[quantity] == {want}, routes.finished(name)
 
 
 def test_route_coverage_is_pinned():
@@ -26,6 +29,16 @@ def test_route_coverage_is_pinned():
     assert sum(len(counts) >= 2 for counts in finished) == 98
     assert {route: sum(route in counts for counts in finished) for route in routes.ROUTES} == {
         "brute": 96, "abelian": 40, "smith": 96, "full_enumeration": 44, "degree_one": 14}
+    # and per gauge quantity, the cases where two or more routes report it;
+    # GSTAR's second route is always `functors`
+    finished = [routes.finished(name) for name in routes.GAUGE_CASES]
+    assert len(finished) == 136
+    assert {q: sum(sum(q in got for got in f.values()) >= 2 for f in finished)
+            for q in ("GSTAR", "HSTAR", "PI0", "PI1")} == {
+        "GSTAR": 50, "HSTAR": 131, "PI0": 131, "PI1": 136}
+    assert {route: sum(route in f for f in finished) for route in routes.GAUGE_ROUTES} == {
+        "crossed_module": 136, "functors": 50, "mapping": 132, "twisted_h0": 136,
+        "transformations": 136}
 
 
 def test_a_route_off_by_one_is_named():
@@ -33,10 +46,21 @@ def test_a_route_off_by_one_is_named():
     count = routes.finished(target)["brute"]
 
     def off_by_one(K, cmx):
-        return count + 1 if (K, cmx) == routes.cell(target) else None
+        return count + 1 if (K, cmx) == routes.case(target) else None
 
     assert routes.disagreements() == []
     assert routes.disagreements({**routes.ROUTES, "off_by_one": off_by_one}) == [target]
+    # and one gauge quantity on one case
+    gauge_target = "circle-twisted-trivial"
+    pi1 = routes.finished(gauge_target)["twisted_h0"]["PI1"]
+
+    def pi1_off_by_one(z, name):
+        return {"PI1": pi1 + 1} if name == gauge_target else None
+
+    cases = routes.GAUGE_CASES
+    assert routes.disagreements(routes.GAUGE_ROUTES, cases) == []
+    assert routes.disagreements({**routes.GAUGE_ROUTES, "off_by_one": pi1_off_by_one},
+                                cases) == [gauge_target]
 
 
 def test_benchmark_frontier_counts_match_the_routes():
