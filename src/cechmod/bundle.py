@@ -12,7 +12,7 @@ structure is realized as finite tables, so every axiom is checked exactly.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -74,20 +74,18 @@ class FiniteGroupoid:
         self.identity = identity      # dict: object -> morphism
         self.inverse = inverse        # dict: morphism -> morphism
         self.name = name
-        self._hom = None              # (x, y) -> morphisms x -> y, built by the first hom call
         self._idx = None              # the integer index, read by the first `_index` call
 
     def hom(self, x, y) -> list:
-        if self._hom is None:
-            self._hom = {}
-            for m in self.morphisms:
-                self._hom.setdefault((self.source[m], self.target[m]), []).append(m)
-        return self._hom.get((x, y), [])
+        """The morphisms x -> y, in `morphisms` order, read from the index."""
+        obj_pos, _, _, target, _, _, _, out, _ = self._index()
+        p, q = obj_pos.get(x), obj_pos.get(y)
+        return [] if p is None else [self.morphisms[m] for m in out[p] if target[m] == q]
 
     def _index(self) -> tuple:
         """The tables with objects and morphisms replaced by their positions
-        in `objects` and `morphisms`, read by the first call and kept, as
-        `hom` keeps its lists; a table edited later needs a new groupoid:
+        in `objects` and `morphisms`, read by the first call and kept, and
+        read by every check; a table edited later needs a new groupoid:
 
           (obj_pos, pos, source, target, identity, inverse, compose, out,
            malformed)
@@ -206,20 +204,12 @@ class FiniteGroupoid:
         return bad
 
     def components(self) -> dict:
-        """Object -> canonical representative of its isomorphism class."""
-        parent = {x: x for x in self.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for m in self.morphisms:
-            a, b = find(self.source[m]), find(self.target[m])
-            if a != b:
-                parent[max(a, b, key=repr)] = min(a, b, key=repr)
-        return {x: find(x) for x in self.objects}
+        """Object -> the least object, by `repr`, of its isomorphism class.
+        In a groupoid, y is isomorphic to x exactly when some morphism x -> y
+        exists: the class of x is the targets of its out-list, one step."""
+        _, _, _, target, _, _, _, out, _ = self._index()
+        return {x: min((self.objects[q] for q in {target[m] for m in out[p]}), key=repr)
+                for p, x in enumerate(self.objects)}
 
 
 @dataclass
@@ -230,26 +220,29 @@ class GroupoidFunctor:
     on_morphisms: dict
 
     def check(self) -> list[str]:
-        bad = []
-        F0, F1 = self.on_objects, self.on_morphisms
-        for x in self.domain.objects:
+        """The functor laws on the indexes, the maps read once as codomain
+        positions.  First a missing object; then, by morphism, a missing one or
+        an image off the codomain or its endpoints; then identities, composites."""
+        dom, cod, F0, F1 = self.domain, self.codomain, self.on_objects, self.on_morphisms
+        _, _, d_src, d_tgt, d_ident, _, d_comp, _, _ = dom._index()
+        c_obj, c_pos, c_src, c_tgt, c_ident, _, c_comp, _, _ = cod._index()
+        for x in dom.objects:
             if x not in F0:
                 return [f"object map misses {x}"]
-        for m in self.domain.morphisms:
-            if m not in F1:
-                return [f"morphism map misses {m}"]
-            fm = F1[m]
-            if self.codomain.source[fm] != F0[self.domain.source[m]] or \
-                    self.codomain.target[fm] != F0[self.domain.target[m]]:
-                bad.append(f"source/target not preserved at {m}")
-                return bad
-        for x in self.domain.objects:
-            if F1[self.domain.identity[x]] != self.codomain.identity[F0[x]]:
-                bad.append(f"identity not preserved at {x}")
-        for (m2, m1), m in self.domain.compose.items():
-            if self.codomain.compose[(F1[m2], F1[m1])] != F1[m]:
-                bad.append(f"composition not preserved at ({m2}, {m1})")
-                return bad
+        f0 = _positions(c_obj, map(F0.get, dom.objects))
+        f1 = _positions(c_pos, map(F1.get, dom.morphisms))
+        for m, a, x, y in zip(dom.morphisms, f1, d_src, d_tgt):
+            if a < 0 or c_src[a] != f0[x] or c_tgt[a] != f0[y]:
+                return [f"morphism map misses {m}" if m not in F1
+                        else f"source/target not preserved at {m}"]
+        bad = [f"identity not preserved at {x}"
+               for x, e, y in zip(dom.objects, d_ident, f0) if f1[e] != c_ident[y]]
+        mors, M, CM = dom.morphisms, len(dom.morphisms), len(cod.morphisms)
+        lhs = [c_comp.get(f1[key // M] * CM + f1[key % M]) for key in d_comp]
+        rhs = list(map(f1.__getitem__, d_comp.values()))
+        if lhs != rhs:
+            m2, m1 = divmod(list(d_comp)[_first_difference(lhs, rhs)], M)
+            bad.append(f"composition not preserved at ({mors[m2]}, {mors[m1]})")
         return bad
 
     def then(self, other: "GroupoidFunctor") -> "GroupoidFunctor":
@@ -274,24 +267,26 @@ class NaturalTransformation:
     component: dict
 
     def check(self) -> list[str]:
-        bad = []
-        cod = self.F.codomain
-        for x in self.F.domain.objects:
-            if x not in self.component:
-                return [f"component missing at {x}"]
-            t = self.component[x]
-            if cod.source[t] != self.F.on_objects[x] or \
-                    cod.target[t] != self.G.on_objects[x]:
-                bad.append(f"component at {x} has wrong endpoints")
-                return bad
-        for m in self.F.domain.morphisms:
-            x, y = self.F.domain.source[m], self.F.domain.target[m]
-            lhs = cod.compose[(self.component[y], self.F.on_morphisms[m])]
-            rhs = cod.compose[(self.G.on_morphisms[m], self.component[x])]
-            if lhs != rhs:
-                bad.append(f"naturality square fails at {m}")
-                return bad
-        return bad
+        """Naturality on the indexes, read as `GroupoidFunctor.check` reads
+        them.  First, by object, a missing component or one off the codomain or
+        its endpoints; then the first square unequal or missing a composite."""
+        dom, cod, tau = self.F.domain, self.F.codomain, self.component
+        _, _, d_src, d_tgt, _, _, _, _, _ = dom._index()
+        c_obj, c_pos, c_src, c_tgt, _, _, c_comp, _, _ = cod._index()
+        FG, CM = (self.F, self.G), len(cod.morphisms)
+        f0, g0 = (_positions(c_obj, map(H.on_objects.get, dom.objects)) for H in FG)
+        t = _positions(c_pos, map(tau.get, dom.objects))
+        for x, tx, a, b in zip(dom.objects, t, f0, g0):
+            if tx < 0 or c_src[tx] != a or c_tgt[tx] != b:
+                return [f"component missing at {x}" if x not in tau
+                        else f"component at {x} has wrong endpoints"]
+        f1, g1 = (_positions(c_pos, map(H.on_morphisms.get, dom.morphisms)) for H in FG)
+        for m, a, b, x, y in zip(dom.morphisms, f1, g1, d_src, d_tgt):
+            # t_y F(m) against G(m) t_x: an image outside has no composite,
+            # and a missing composite reads -1 on the left, -2 on the right
+            if a < 0 or b < 0 or c_comp.get(t[y] * CM + a, -1) != c_comp.get(b * CM + t[x], -2):
+                return [f"naturality square fails at {m}"]
+        return []
 
 
 # -- the structure 2-group ---------------------------------------------------------
@@ -824,30 +819,34 @@ def reconstruction_morphism(P: BundleGroupoid,
 
 
 def is_weak_equivalence(F: GroupoidFunctor) -> tuple[bool, str]:
-    """Essential surjectivity plus full faithfulness, checked exhaustively.
+    """Essential surjectivity plus full faithfulness, checked exhaustively on the indexes.
 
     Only pairs whose images lie in one codomain component are walked: for
     any other pair the codomain hom set is empty, and so is the domain one,
     since a morphism x -> y would map to one F(x) -> F(y).  Such a pair
     passes, so the first failure is the one the all-pairs walk reports.
     """
-    comp = F.codomain.components()
-    hit = {comp[F.on_objects[x]] for x in F.domain.objects}
-    for y in F.codomain.objects:
-        if comp[y] not in hit:
+    dom, cod = F.domain, F.codomain
+    _, _, d_src, d_tgt, _, _, _, _, _ = dom._index()
+    c_obj, _, c_src, c_tgt, _, _, _, _, _ = cod._index()
+    comp = cod.components()
+    f0 = [c_obj[F.on_objects[x]] for x in dom.objects]
+    members = defaultdict(list)   # codomain component -> positions of the domain objects there
+    for p, a in enumerate(f0):
+        members[comp[cod.objects[a]]].append(p)
+    for y in cod.objects:
+        if comp[y] not in members:
             return False, f"object {y} is not isomorphic to any image object"
-    members = {}                  # codomain component -> domain objects landing there, in order
-    for x in F.domain.objects:
-        members.setdefault(comp[F.on_objects[x]], []).append(x)
-    for x in F.domain.objects:
-        for y in members[comp[F.on_objects[x]]]:
-            dom_hom = F.domain.hom(x, y)
-            cod_hom = F.codomain.hom(F.on_objects[x], F.on_objects[y])
-            imgs = [F.on_morphisms[m] for m in dom_hom]
-            if len(set(imgs)) != len(imgs):
-                return False, f"not faithful on hom({x}, {y})"
-            if len(imgs) != len(cod_hom):
-                return False, f"not full on hom({x}, {y})"
+    sizes = Counter(zip(c_src, c_tgt))    # (a, b) -> |hom(a, b)|, by positions
+    hom = defaultdict(list)               # (x, y) -> the images of hom(x, y), by positions
+    for m, x, y in zip(dom.morphisms, d_src, d_tgt):
+        hom[x, y].append(F.on_morphisms[m])
+    for p, x in enumerate(dom.objects):
+        for q in members[comp[cod.objects[f0[p]]]]:
+            if len(set(hom[p, q])) != len(hom[p, q]):
+                return False, f"not faithful on hom({x}, {dom.objects[q]})"
+            if len(hom[p, q]) != sizes[f0[p], f0[q]]:
+                return False, f"not full on hom({x}, {dom.objects[q]})"
     return True, ""
 
 

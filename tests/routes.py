@@ -18,10 +18,11 @@ from cechmod import (BundleGroupoid, Cocycle, abelian_cohomology_oracle,
                      ad_equivariant_functor_count, apply_coboundary, circle, classify,
                      coboundary, crossed_module, cyclic_group, gauge_crossed_module,
                      kernel_of_beta, quotient_by_image, random_coboundary,
-                     sample_cocycle, stabilizer, trivial_cocycle, valid_tuples,
-                     validate_cocycle, validate_crossed_module)
+                     sample_cocycle, stabilizer, trivial_action, trivial_cocycle,
+                     valid_tuples, validate_cocycle, validate_crossed_module)
 from cechmod.algebra import abelian_invariants
 from cechmod.catalog import CM_BUILDERS, COMPLEX_BUILDERS, _to_point, named_complex
+from cechmod.cech import DEFAULT_BUDGET
 from cechmod.complexes import differential
 from cechmod.errors import SearchSpaceTooLarge, StrategyMismatch
 from cechmod.io import parse_cm_file
@@ -42,18 +43,32 @@ def twisted():
                           [[(-1) ** g * h % 4 for h in range(4)] for g in range(4)])
 
 
+def untwisted():
+    """T's twin with k = 0: Z4 -> Z4, h -> 2h, with the trivial action.  Its
+    pi0, pi1 and action on pi1 are T's."""
+    Z4 = cyclic_group(4)
+    return crossed_module(Z4, Z4, [2 * h % 4 for h in range(4)], trivial_action(Z4, Z4).table)
+
+
 CMS = {**CM_BUILDERS, "z5_to_point": lambda: _to_point(cyclic_group(5)),
        "z6_to_point": lambda: _to_point(cyclic_group(6)),
        "z2xz4_over_z2": lambda: parse_cm_file(os.path.join(
            os.path.dirname(__file__), "data", "z2xz4_over_z2.cm")),
-       "twisted": twisted}
-# T has gauge cases only: `brute` runs out of its budget on rp26 x T
-CELLS = [f"{k}-{c}" for k in COMPLEX_BUILDERS for c in CMS if c != "twisted"]
+       "twisted": twisted, "untwisted": untwisted}
+# T and its twin are class cells on rp26 only, where k changes the count (3
+# against 4): `full_enumeration` takes about 11 s on circle x T, and `brute`
+# runs out of the default budget on torus7 after 89-98 s
+KINVARIANT_CELLS = ["rp26-twisted", "rp26-untwisted"]
+CELLS = [f"{k}-{c}" for k in COMPLEX_BUILDERS for c in CMS
+         if c not in ("twisted", "untwisted")] + KINVARIANT_CELLS
 
 
 def brute(K, cmx):
+    # the k-invariant cells need more than BRUTE_BUDGET; at DEFAULT_BUDGET
+    # each finishes in about 1 s
+    big = any((K, cmx) == case(name) for name in KINVARIANT_CELLS)
     try:
-        return classify(K, cmx, "brute", BRUTE_BUDGET).count
+        return classify(K, cmx, "brute", DEFAULT_BUDGET if big else BRUTE_BUDGET).count
     except SearchSpaceTooLarge:
         return None
 

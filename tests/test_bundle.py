@@ -921,6 +921,38 @@ def test_functor_check_first_failure_is_pinned():
         assert got and got[0] == FUNCTOR_FIRST[name], name
 
 
+def _naturality_mutants():
+    """(name, transformation) pairs built from the canonical taubar at vertex
+    0 of a sampled cocycle on circle x z4_over_z2, each with one component
+    changed at an object off the vertex's own chart."""
+    cmx = cm("z4_over_z2")
+    P = build_total_groupoid(sample_cocycle(cx("circle"), cmx, random.Random(36)))
+    tv = trivializations(P, 0)
+    tau = tv.taubar
+    x = _off_chart_object(tv, cmx.G.identity)
+    i, j, s, h, g = tau.component[x]
+    missing = {o: t for o, t in tau.component.items() if o != x}
+    # the identity of x runs from x, not from phibar(phi(x))
+    wrong = {**tau.component, x: tv.restricted.identity[x]}
+    # a kernel element keeps the endpoints, so only a square can see it
+    kernel = {**tau.component, x: (i, j, s, cmx.H.mul(h, _kernel_element(cmx)), g)}
+    return [(name, NaturalTransformation(tau.F, tau.G, component)) for name, component in
+            [("missing", missing), ("wrong_endpoints", wrong), ("kernel_shift", kernel)]]
+
+
+NATURALITY_FIRST = {
+    "missing": "component missing at (1, (0, 1), 0)",
+    "wrong_endpoints": "component at (1, (0, 1), 0) has wrong endpoints",
+    "kernel_shift": "naturality square fails at (0, 1, (0, 1), 0, 1)",
+}
+
+
+def test_naturality_check_first_failure_is_pinned():
+    for name, tau in _naturality_mutants():
+        got = tau.check()
+        assert got and got[0] == NATURALITY_FIRST[name], name
+
+
 def _table_digest(Q):
     tables = (sorted(Q.objects), sorted(Q.morphisms), sorted(Q.source.items()),
               sorted(Q.target.items()), sorted(Q.compose.items()),
@@ -1106,6 +1138,19 @@ def test_cells_outside_the_groupoid_are_named_failures():
     assert _one_point(compose={("e", "e"): "e", ("e", "zz"): "e"}).check_axioms() == \
         ["non-composable pair (e, zz) in table"]
     assert _one_point(morphisms=("e", "f")).check_axioms() == ["dangling endpoints at f"]
+
+
+def test_images_outside_the_codomain_are_named_failures():
+    # a morphism image or a component that the codomain does not hold, or a
+    # square whose composite the codomain lacks, is a failure line, not a KeyError
+    one = _cyclic_groupoids(["x"], 1)
+    assert GroupoidFunctor(one, one, {"x": "x"}, {("x", 0): ("z", 9)}).check() == \
+        ["source/target not preserved at ('x', 0)"]
+    assert NaturalTransformation(identity_functor(one), identity_functor(one),
+                                 {"x": ("q", 1)}).check() == ["component at x has wrong endpoints"]
+    gap = _one_point(compose={("e", "zz"): "e"})
+    assert NaturalTransformation(identity_functor(gap), identity_functor(gap),
+                                 {"x": "e"}).check() == ["naturality square fails at e"]
 
 
 def test_tables_that_repeat_a_cell_raise():
