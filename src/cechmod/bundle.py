@@ -39,7 +39,6 @@ from .cech import (
 )
 from .complexes import SimplicialComplex, degenerate_tuples, differential, normalized_tuples
 from .errors import (
-    ActionNotFree,
     ActionNotFreeTransitive,
     BetaNotSurjective,
     NotA1Cocycle,
@@ -672,6 +671,11 @@ def check_trivialization(z: Cocycle, triv: Trivialization) -> list[str]:
 
     whatever the tables of phi hold; the same holds for objects and for
     phibar.  Every element of a finite group is a product of generators.
+
+    phibar is checked on objects only: phi o phibar = id and taubar is a
+    natural isomorphism (groupoid morphisms are invertible), so phi is an
+    equivalence, hence faithful; phibar(m . n) and phibar(m) . n are parallel
+    by object equivariance, and phi sends both to m . n (phi is equivariant).
     """
     phi, phibar = triv.phi, triv.phibar
     bad = phi.check() + phibar.check()
@@ -860,15 +864,16 @@ def morita_equivalent(z: Cocycle, z2: Cocycle,
                       budget: int = DEFAULT_BUDGET) -> tuple[bool, MoritaSpan | None, Coboundary | None]:
     """Same-cover Morita test: positive exactly when the cocycles are
     cohomologous, in which case an explicit span of weak equivalences
-    P_z <- P_z -> P_z2 is produced (identity and the coboundary morphism)."""
+    P_z <- P_z -> P_z2 is produced (identity and the coboundary morphism).
+    Only the right leg is checked: the left one is the identity functor of
+    P, a weak equivalence on any groupoid."""
     w = are_cohomologous(z, z2, budget)
     if w is None:
         return False, None, None
     P = build_total_groupoid(z)
     left = identity_functor(P)
     right = coboundary_to_bundle_morphism(P, w)
-    assert is_weak_equivalence(left)[0] and is_weak_equivalence(right)[0], \
-        "span legs must be weak equivalences"
+    assert is_weak_equivalence(right)[0], "span legs must be weak equivalences"
     return True, MoritaSpan(left, right), w
 
 
@@ -887,14 +892,14 @@ class Band:
 
 
 def band(z: Cocycle) -> Band:
-    """The ordinary 1-cocycle obtained by projecting g to G/beta(H)."""
+    """The ordinary 1-cocycle obtained by projecting g to G/beta(H).
+
+    z is validated, so beta(h_ijk) g_ij g_jk = g_ik on every normalized
+    triple; the projection kills beta(H), so it carries that identity to the
+    band's b_ij b_jk = b_ik; g_ii = e gives it on the other triples."""
     K = z.complex
     Kgrp, proj = quotient_by_image(z.cm)
     vals = {p: proj(z.g[p]) for p in normalized_tuples(K, 2) + degenerate_tuples(K, 2)}
-    # g_ii = e, so the identity holds on every triple with an adjacent repeat
-    for (i, j, k) in normalized_tuples(K, 3):
-        assert Kgrp.mul(vals[(i, j)], vals[(j, k)]) == vals[(i, k)], \
-            "band violates the 1-cocycle identity"
     return Band(Kgrp, proj, vals, K)
 
 
@@ -902,8 +907,9 @@ def band_cohomologous_to(b: Band, other: dict, budget: int = DEFAULT_BUDGET) -> 
     """Whether some lambda carries the band cocycle to `other`, other_ij =
     lambda_i^-1 * b_ij * lambda_j: the coboundary search of `are_cohomologous`
     over the crossed module 1 -> G/beta(H), on cocycles with h = e, charging
-    `budget`.  `band` checked b, and `other` needs no check, since a witness
-    counts only when its validated image of b equals `other`."""
+    `budget`.  b is a 1-cocycle because z was validated (`band`), and `other`
+    needs no check, since a witness counts only when its validated image of
+    b equals `other`."""
     grp, one = b.group, trivial_group()
     cm = crossed_module(grp, one, [grp.identity], trivial_action(grp, one).table)
     K = b.complex
@@ -937,10 +943,11 @@ def central_reduction(z: Cocycle) -> CentralReduction:
 
     The coboundary (gamma = e, eta_ij = s(g_ij)^-1) for a section s kills
     the g part; the remaining h part lands in ker(beta) and satisfies the
-    abelian quadruple identity.  That identity needs no check of its own:
-    `apply_coboundary` has just validated the quadruple identity of the
-    reduced cocycle, whose g is e, so alpha drops out of it; every value
-    lies in ker(beta), and `back` inverts the inclusion homomorphism.
+    abelian quadruple identity.  `apply_coboundary` validates the reduced
+    cocycle z2, and nothing is checked again: g'_ij = beta(s(g_ij))^-1 g_ij
+    = e, as beta(s(g)) = g and s(e) = e; z2's pair identity beta(h'_ijk) e e
+    = e puts every h' in ker(beta), where `back` inverts the inclusion; and
+    with g' = e, alpha drops out of z2's quadruple identity.
     """
     cm, K = z.cm, z.complex
     A, inc = kernel_of_beta(cm)
@@ -949,15 +956,8 @@ def central_reduction(z: Cocycle) -> CentralReduction:
     eta = {p: cm.H.inv(sec[z.g[p]]) for p in normalized_tuples(K, 2)}
     c = coboundary(K, cm, {v: cm.G.identity for v in range(K.vertex_count)}, eta)
     z2 = apply_coboundary(z, c)
-    # every valid pair (i, j) leads the valid triple (i, j, j), so this reads
-    # each transition that a check per triple would
-    assert all(v == cm.G.identity for v in z2.g.values()), "reduced transition is not trivial"
     back = {hidx: a for a, hidx in enumerate(inc)}
-    reduced = {}
-    for t, v in z2.h.items():
-        if v not in back:
-            raise AssertionError("reduced value escapes the kernel")
-        reduced[t] = back[v]
+    reduced = {t: back[v] for t, v in z2.h.items()}
     return CentralReduction(A, inc, reduced, c, z2)
 
 
@@ -1057,20 +1057,20 @@ def _solve_lift(K, H, red, base):
 def quotient_by_structure_group(P: BundleGroupoid) -> FiniteGroupoid:
     """The groupoid of charts obtained by quotienting out the object group.
 
-    The object group acts freely (verified) on objects and morphisms of the
-    bundle groupoid; orbit representatives have group part e, and the
-    structure maps descend.  Over a single vertex this is the one-object
-    groupoid with automorphism group H.
+    The object group acts freely on objects and morphisms of the bundle
+    groupoid; orbit representatives have group part e, and the structure
+    maps descend.  Over a single vertex this is the one-object groupoid
+    with automorphism group H.
+
+    P must be the groupoid of a cocycle over a crossed module built by
+    `crossed_module`, as the catalog and `io` build every one; the action is
+    then free without a scan.  act_obj(o, gbar) = (i, sigma, g gbar) fixes
+    gbar, as G passed `validate_group`; act_mor(m, hbar, gbar) = (i, j,
+    sigma, h (g . hbar), g gbar) fixes gbar, and then hbar, since alpha(g)
+    is an automorphism (`validate_crossed_module`).
     """
     cm = P.cm
     G, H = cm.G, cm.H
-    for o in P.objects:
-        if len({P.act_obj(o, gbar) for gbar in G.elements()}) != G.order:
-            raise ActionNotFree(f"object action has a repeat at {o}")
-    for m in P.morphisms:
-        row = [P.act_mor(m, hbar, gbar) for hbar in H.elements() for gbar in G.elements()]
-        if len(set(row)) != len(row):
-            raise ActionNotFree(f"morphism action has a repeat at {m}")
 
     def obj_class(o):
         return (o[0], o[1])

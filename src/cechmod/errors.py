@@ -132,10 +132,6 @@ class ActionNotFreeTransitive(CechmodError):
     pass
 
 
-class ActionNotFree(CechmodError):
-    pass
-
-
 class TrivializationInvalid(CechmodError):
     pass
 

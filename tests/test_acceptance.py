@@ -178,7 +178,7 @@ def test_ac7_band_class_invariance():
             z = sample_cocycle(K, cmx, rng)
             z2 = apply_coboundary(z, random_coboundary(K, cmx, rng))
             pairs += 1
-            b1 = band(z)      # the 1-cocycle identity is asserted inside
+            b1 = band(z)      # a 1-cocycle, since z is validated
             b2 = band(z2)
             if not band_cohomologous_to(b1, b2.values):
                 failures += 1

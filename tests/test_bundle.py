@@ -44,7 +44,12 @@ from cechmod.bundle import (
 )
 from cechmod.catalog import CM_BUILDERS, COMPLEX_BUILDERS
 from cechmod.complexes import normalized_tuples
-from cechmod.errors import BetaNotSurjective, NotA1Cocycle, VertexOutOfRange
+from cechmod.errors import (
+    ActionNotFreeTransitive,
+    BetaNotSurjective,
+    NotA1Cocycle,
+    VertexOutOfRange,
+)
 from conftest import cm, cx
 
 
@@ -1390,3 +1395,49 @@ def test_canonical_trivializations_pass_as_in_reference(kname, cmname):
     P = build_total_groupoid(sample_cocycle(cx(kname), cm(cmname), random.Random(38)))
     for tv in canonical_trivializations(P).values():
         assert check_trivialization(P.z, tv) == _reference_check_trivialization(P.z, tv) == []
+
+
+class _StuckAction(BundleGroupoid):
+    """A bundle groupoid whose act_mor sends the morphism `at` to itself
+    under every 2-group morphism other than the identity."""
+
+    def __init__(self, z, at):
+        super().__init__(z)
+        self.at = at
+
+    def act_mor(self, m, hbar, gbar):
+        if m == self.at and (hbar, gbar) != (self.cm.H.identity, self.cm.G.identity):
+            return m
+        return super().act_mor(m, hbar, gbar)
+
+
+def test_reconstruction_refuses_an_action_that_is_not_free():
+    # the structured action failure left in the bundle layer: the fixed
+    # morphism keeps its endpoints, so the action check names it first
+    z = sample_cocycle(cx("boundary3"), cm("z4_over_z2"), random.Random(7))
+    P = _StuckAction(z, (0, 0, (0,), 2, 1))
+    trivs = canonical_trivializations(P)
+    with pytest.raises(ActionNotFreeTransitive) as err:
+        reconstruction_morphism(P, trivs)
+    assert str(err.value) == "action endpoint compatibility fails at ((0, 0, (0,), 2, 1), 1)"
+
+
+def test_phibar_kernel_shifts_on_morphisms_fail_the_trivialization_check():
+    # phibar's equivariance is checked on objects only; a phibar image moved
+    # to a parallel morphism must still fail, through the functor checks
+    cmx = cm("z4_over_z2")
+    P = build_total_groupoid(sample_cocycle(cx("boundary3"), cmx, random.Random(38)))
+    tv = trivializations(P, 0)
+    k = _kernel_element(cmx)
+    firsts = {}
+    for c in tv.chart.morphisms:
+        i, j, s, h, g = tv.phibar.on_morphisms[c]
+        mor = {**tv.phibar.on_morphisms, c: (i, j, s, cmx.H.mul(h, k), g)}
+        phibar = GroupoidFunctor(tv.chart, tv.restricted, tv.phibar.on_objects, mor)
+        bad = check_trivialization(
+            P.z, Trivialization(tv.vertex, tv.chart, tv.restricted, tv.phi, phibar, tv.taubar))
+        assert bad, c
+        firsts[c] = bad[0]
+    assert len(firsts) == 56
+    assert firsts[((0, 1, 3), 1, 1)] == \
+        "composition not preserved at (((0, 1, 3), 1, 1), ((0, 1, 3), 1, 0))"
