@@ -19,6 +19,7 @@ from operator import itemgetter
 from .algebra import (
     CrossedModule,
     FiniteGroup,
+    GroupHom,
     Strict2Group,
     abelian_invariants,
     crossed_module,
@@ -412,13 +413,6 @@ class BundleGroupoid(FiniteGroupoid):
         i, j, s, h, g = m
         return (i, j, s, self._hmul[h][self._alpha[g][hbar]], self._gmul[g][gbar])
 
-    def object_fiber(self, i: int, s) -> list:
-        return [(i, s, g) for g in self.cm.G.elements()]
-
-    def morphism_fiber(self, i: int, j: int, s) -> list:
-        return [(i, j, s, h, g) for h in self.cm.H.elements()
-                for g in self.cm.G.elements()]
-
 
 def build_total_groupoid(z: Cocycle) -> BundleGroupoid:
     """Construct the bundle groupoid and run the full axiom suite."""
@@ -462,13 +456,16 @@ def check_action(P: BundleGroupoid) -> list[str]:
     endpoint loop; a cell off P fails endpoint compatibility, as it has no
     endpoints.  Identities, functoriality and the fiber orbits are then
     table lookups on the integer index of P, the one `check_axioms` read.
+    A fiber is the cells of P that agree but in their trailing (h, g); the
+    action is free and transitive on it exactly when the row of its first
+    cell, sorted, is the fiber's positions.
     The 2-group's endpoints, identities and composable pairs are read from
     `two_group_groupoid`, whose axioms are not rechecked here.
     """
     bad = []
     tg = Strict2Group(P.cm)
     TG = two_group_groupoid(tg)
-    G, H = P.cm.G, P.cm.H
+    G = P.cm.G
     obj_pos, pos, src, tgt, ident, _, comp, _, _ = P._index()
     mors = P.morphisms
     M = len(mors)
@@ -542,19 +539,21 @@ def check_action(P: BundleGroupoid) -> list[str]:
             if kx <= ky:
                 return fails(m, ex, at_target[kx], kx)
             return fails(ey, m, ky, at_source[ky])
+    # the fibers, as positions in P's order
+    obj_fibers, mor_fibers = defaultdict(list), defaultdict(list)
+    for p, o in enumerate(P.objects):
+        obj_fibers[o[:2]].append(p)
+    for p, m in enumerate(mors):
+        mor_fibers[m[:3]].append(p)
     for s in P.complex.simplices_sorted():
         for i in s:
-            fib = P.object_fiber(i, s)
-            base = fib[0]
-            orbit = {P.act_obj(base, g) for g in G.elements()}
-            if len(orbit) != G.order or orbit != set(fib):
+            fib = obj_fibers.get((i, s))
+            if not fib or sorted(obj_act[fib[0]]) != fib:
                 bad.append(f"object action not free/transitive on fiber ({i}, {s})")
                 return bad
             for j in s:
-                mfib = P.morphism_fiber(i, j, s)
-                morbit = set(act[pos[mfib[0]]])
-                fiber = {pos.get(m, -1) for m in mfib}
-                if len(morbit) != H.order * G.order or morbit != fiber:
+                fib = mor_fibers.get((i, j, s))
+                if not fib or sorted(act[fib[0]]) != fib:
                     bad.append(f"morphism action not free/transitive on ({i},{j},{s})")
                     return bad
     return bad
@@ -882,7 +881,7 @@ def morita_equivalent(z: Cocycle, z2: Cocycle,
 @dataclass
 class Band:
     group: FiniteGroup
-    projection: "GroupHom"
+    projection: GroupHom
     values: dict
     complex: SimplicialComplex
 
@@ -1058,57 +1057,39 @@ def quotient_by_structure_group(P: BundleGroupoid) -> FiniteGroupoid:
     """The groupoid of charts obtained by quotienting out the object group.
 
     The object group acts freely on objects and morphisms of the bundle
-    groupoid; orbit representatives have group part e, and the structure
-    maps descend.  Over a single vertex this is the one-object groupoid
-    with automorphism group H.
+    groupoid, and the structure maps descend.  Over a single vertex this is
+    the one-object groupoid with automorphism group H.
 
     P must be the groupoid of a cocycle over a crossed module built by
-    `crossed_module`, as the catalog and `io` build every one; the action is
-    then free without a scan.  act_obj(o, gbar) = (i, sigma, g gbar) fixes
-    gbar, as G passed `validate_group`; act_mor(m, hbar, gbar) = (i, j,
-    sigma, h (g . hbar), g gbar) fixes gbar, and then hbar, since alpha(g)
-    is an automorphism (`validate_crossed_module`).
+    `crossed_module`, as the catalog and `io` build every one; then a class
+    is a cell of P without its group part.  gbar acts by (e, gbar), which
+    sends (i, sigma, g) to (i, sigma, g gbar) and (i, j, sigma, h, g) to
+    (i, j, sigma, h (g . e), g gbar) = (i, j, sigma, h, g gbar), as alpha(g)
+    is an automorphism (`validate_crossed_module`); G passed
+    `validate_group`, so g gbar runs over G once.  An orbit is thus the
+    cells that agree everywhere but in the group part, and the member with
+    group part e represents it.  The composite of m2 after m1 acts on m2's
+    representative by (e, t), t the group part of m1's target, so that the
+    two compose on the nose.
     """
-    cm = P.cm
-    G, H = cm.G, cm.H
-
-    def obj_class(o):
-        return (o[0], o[1])
-
-    def mor_rep(m):
-        # translate the group part to the identity
-        return P.act_mor(m, H.identity, G.inv(m[4]))
-
-    def mor_class(m):
-        return mor_rep(m)[:4]
-
-    rep_of = {}                   # class (i, j, sigma, h) -> its member with group part e
-    for m in P.morphisms:
-        rep = mor_rep(m)
-        rep_of[rep[:4]] = rep
-
-    objects = sorted({obj_class(o) for o in P.objects})
-    morphisms = sorted(rep_of)
+    e = P.cm.G.identity
+    objects = sorted({o[:2] for o in P.objects})
+    morphisms = sorted(m[:4] for m in P.morphisms if m[4] == e)
     source, target, identity, inverse, compose = {}, {}, {}, {}, {}
+    out = defaultdict(list)       # object class -> morphism classes it sources
     for mc in morphisms:
-        m = rep_of[mc]
-        source[mc] = obj_class(P.source[m])
-        target[mc] = obj_class(P.target[m])
-        inverse[mc] = mor_class(P.inverse[m])
+        m = mc + (e,)
+        source[mc] = P.source[m][:2]
+        target[mc] = P.target[m][:2]
+        inverse[mc] = P.inverse[m][:4]
+        out[source[mc]].append(mc)
     for oc in objects:
-        i, s = oc
-        identity[oc] = mor_class(P.identity[(i, s, G.identity)])
-    out = {}                      # object class -> morphism classes it sources
-    for mc in morphisms:
-        out.setdefault(source[mc], []).append(mc)
+        identity[oc] = P.identity[oc + (e,)][:4]
     for m1c in morphisms:
-        m1 = rep_of[m1c]
-        t = P.target[m1]
-        for m2c in out.get(target[m1c], ()):
-            m2 = rep_of[m2c]
-            # translate m2 so that it composes with m1 on the nose
-            m2t = P.act_mor(m2, H.identity, t[2])
-            compose[(m2c, m1c)] = mor_class(P.compose[(m2t, m1)])
+        m1 = m1c + (e,)
+        t = P.target[m1][2]
+        for m2c in out[target[m1c]]:
+            compose[(m2c, m1c)] = P.compose[(m2c + (t,), m1)][:4]
     Q = FiniteGroupoid(objects, morphisms, source, target, compose, identity,
                        inverse, name="P_z / G")
     bad = Q.check_axioms()

@@ -289,10 +289,8 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError("<args>", 0, message)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with the subparser of `command` only, or of
-    every command when it is None.  A subcommand's help and errors read the
-    same either way; only the top-level usage lists fewer choices."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, with a subparser for every command."""
     # every subcommand takes the same options, declared once on a parent
     shared = argparse.ArgumentParser(add_help=False)
     for name, (kind, default, choices, text) in OPTIONS.items():
@@ -302,7 +300,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="cechmod",
         description="Exact nonabelian Cech cohomology over finite simplicial bases.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else [command]:
+    for name in COMMANDS:
         sub.add_parser(name, parents=[shared])
     return parser
 
@@ -340,17 +338,14 @@ def parse_strict(argv: list[str]) -> argparse.Namespace | None:
 def run(argv: list[str]) -> tuple[int, str]:
     """Parse arguments, dispatch, and return (exit code, report text).
 
-    `parse_strict` reads a well-formed argv.  Only an argv it declines
-    builds an argparse parser, and then only the named command's; an
-    unknown or missing command, or a bare --help, gets the full parser and
-    so the full list of choices.  With --out the report is also written
+    `parse_strict` reads a well-formed argv; only an argv it declines
+    builds the argparse parser.  With --out the report is also written
     there, on every exit path; a failed write is a parse error in its own
     right and replaces the report."""
     args = parse_strict(argv)
     if args is None:
-        command = argv[0] if argv and argv[0] in COMMANDS else None
         try:
-            args = build_parser(command).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except ParseError as exc:  # argv rejected: read only --out from it
             pre = _Parser(add_help=False)
             pre.add_argument("--out", nargs="?")

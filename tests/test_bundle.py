@@ -503,6 +503,23 @@ def test_band_of_trivial_cocycle_is_trivial():
         assert b.is_trivial_class()
 
 
+def test_exported_type_hints_resolve():
+    # every annotation of an exported class or function, and of the methods a
+    # class defines, names something its module holds
+    import inspect
+    import typing
+
+    import cechmod
+    for name, obj in vars(cechmod).items():
+        if name.startswith("_") or not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue
+        typing.get_type_hints(obj)
+        if inspect.isclass(obj):
+            for member in vars(obj).values():
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)
+
+
 def test_extract_rejects_corrupted_trivializations():
     from cechmod.errors import TrivializationInvalid
     K, cmx = cx("circle"), cm("z2_trivial")
@@ -689,13 +706,13 @@ def _reference_check_action(P):
                 return bad
     for s in P.complex.simplices_sorted():
         for i in s:
-            fib = P.object_fiber(i, s)
+            fib = [(i, s, g) for g in G.elements()]
             orbit = {P.act_obj(fib[0], g) for g in G.elements()}
             if len(orbit) != G.order or orbit != set(fib):
                 bad.append(f"object action not free/transitive on fiber ({i}, {s})")
                 return bad
             for j in s:
-                mfib = P.morphism_fiber(i, j, s)
+                mfib = [(i, j, s, h, g) for h in H.elements() for g in G.elements()]
                 morbit = {P.act_mor(mfib[0], h, g)
                           for h in H.elements() for g in G.elements()}
                 if len(morbit) != H.order * G.order or morbit != set(mfib):
@@ -823,8 +840,27 @@ def test_axiom_suite_first_failure_is_pinned(mutate):
     assert got[0] == AXIOM_FIRST[mutate.__name__]
 
 
+class _StillAction(BundleGroupoid):
+    """A bundle groupoid whose action leaves every cell where it is."""
+
+    def act_obj(self, o, gbar):
+        return o
+
+    def act_mor(self, m, hbar, gbar):
+        return m
+
+
+class _HbarIgnored(BundleGroupoid):
+    """A bundle groupoid whose act_mor moves only the group part."""
+
+    def act_mor(self, m, hbar, gbar):
+        i, j, s, h, g = m
+        return (i, j, s, h, self.cm.G.mul(g, gbar))
+
+
 def _action_mutants():
-    """(name, groupoid) pairs whose action check fails, on circle x z4_over_z2."""
+    """(name, groupoid) pairs whose action check fails, on circle x z4_over_z2
+    unless named otherwise."""
     cmx = cm("z4_over_z2")
     z = sample_cocycle(cx("circle"), cmx, random.Random(31))
     H, G = cmx.H, cmx.G
@@ -840,6 +876,12 @@ def _action_mutants():
         ("recomposed", _recomposed(z)),
         # with |G| = 6, five identity columns fail at the edited pair itself
         ("recomposed_s3", _recomposed(sample_cocycle(cx("circle"), cm("conj_s3"),
+                                                     random.Random(31)))),
+        # a fixed action passes every check before the object orbits
+        ("still", _StillAction(z)),
+        # beta is trivial in aut_z3, so the endpoints hold and only the
+        # morphism orbits see the lost H part
+        ("ignores_hbar", _HbarIgnored(sample_cocycle(cx("circle"), cm("aut_z3"),
                                                      random.Random(31)))),
     ]
 
@@ -869,6 +911,8 @@ ACTION_FIRST = {
                   "(0, 0, (0,), 1, 0), 1, 1)",
     "recomposed_s3": "action functoriality fails at ((0, 0, (0,), 2, 1), "
                      "(0, 0, (0,), 1, 0), 1, 1)",
+    "still": "object action not free/transitive on fiber (0, (0,))",
+    "ignores_hbar": "morphism action not free/transitive on (0,0,(0,))",
 }
 
 
