@@ -82,7 +82,7 @@ def coboundary(K: SimplicialComplex, cm: CrossedModule, gamma: dict,
     the normalized and degenerate ones the complex holds, scanned in
     lexicographic order, so a failure names the first failing pair."""
     eH = cm.H.identity
-    pairs = sorted(normalized_tuples(K, 2) + degenerate_tuples(K, 2))
+    pairs = _key_pairs(K)
     stray = sorted(set(eta).difference(pairs)) + \
         sorted((v,) for v in set(gamma).difference(range(K.vertex_count)))
     if stray:
@@ -224,19 +224,45 @@ def apply_coboundary(z: Cocycle, c: Coboundary) -> Cocycle:
         raise ResultNotCocycle(exc)
 
 
+def _key_pairs(K: SimplicialComplex) -> list[tuple[int, int]]:
+    """The valid pairs in lexicographic order, the order of eta in
+    `Coboundary.key` (that of `valid_tuples(K, 2)`), read from the tuples
+    the complex holds."""
+    return sorted(normalized_tuples(K, 2) + degenerate_tuples(K, 2))
+
+
+def _coboundary_product(K: SimplicialComplex, cm: CrossedModule):
+    """The composition law of coboundaries over (K, cm), on their keys.
+
+    A key is gamma over the vertices, then eta over `_key_pairs(K)`.  The
+    product of a and b, c followed by c2, reads gamma''_i = gamma_i *
+    gamma'_i and eta''_ij = (gamma_i . eta'_ij) * eta_ij off the group
+    tables, with the first vertex i of each pair read once, here.
+    """
+    gmul, hmul, act = cm.G.mul_table, cm.H.mul_table, cm.alpha.table
+    n = K.vertex_count
+    first = [i for i, _ in _key_pairs(K)]
+
+    def product(a: tuple, b: tuple) -> tuple:
+        gamma = [gmul[x][y] for x, y in zip(a, b[:n])]
+        return tuple(gamma + [hmul[act[a[i]][y]][x]
+                              for i, x, y in zip(first, a[n:], b[n:])])
+
+    return product
+
+
 def compose_coboundaries(c: Coboundary, c2: Coboundary) -> Coboundary:
     """The coboundary acting like `c` followed by `c2`.
 
-    gamma''_i = gamma_i * gamma'_i and eta''_ij = (gamma_i . eta'_ij) * eta_ij;
-    this is the unique law making sequential application functorial, and it
-    is property-tested against its defining contract rather than assumed.
+    gamma''_i = gamma_i * gamma'_i and eta''_ij = (gamma_i . eta'_ij) * eta_ij,
+    computed on keys by `_coboundary_product`; this is the unique law making
+    sequential application functorial, and it is property-tested against
+    its defining contract rather than assumed.
     """
     K, cm = c.complex, c.cm
-    G, H = cm.G, cm.H
-    gamma = {v: G.mul(c.gamma[v], c2.gamma[v]) for v in range(K.vertex_count)}
-    eta = {p: H.mul(cm.act(c.gamma[p[0]], c2.eta[p]), c.eta[p])
-           for p in valid_tuples(K, 2)}
-    return Coboundary(K, cm, gamma, eta)
+    n = K.vertex_count
+    k = _coboundary_product(K, cm)(c.key(), c2.key())
+    return Coboundary(K, cm, dict(enumerate(k[:n])), dict(zip(_key_pairs(K), k[n:])))
 
 
 def inverse_coboundary(c: Coboundary) -> Coboundary:
@@ -444,14 +470,43 @@ def are_cohomologous(z: Cocycle, z2: Cocycle,
 
 
 def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
-    """All coboundaries fixing z; verified to be closed under composition."""
-    out = list(_coboundary_search(_Context(z.complex, z.cm), z, z, budget, find_all=True))
-    keys = {c.key() for c in out}
-    for c in out:
-        for c2 in out:
-            assert compose_coboundaries(c, c2).key() in keys, \
-                "stabilizer is not closed under composition"
-    return sorted(out, key=lambda c: c.key())
+    """All coboundaries fixing z, sorted by key; verified to be closed under
+    composition.
+
+    Closure is checked on generators.  They are chosen greedily from the
+    sorted keys, as in `algebra.generating_set`: a key joins X when it lies
+    outside the closure C grown from the identity by right multiplication by
+    the earlier ones, and each product y x computed must lie in the set S
+    found.  Every key of S either lies in C already or joins X, and each y in
+    C is multiplied by every x in X, so at the end S x lies in S for each x
+    in X, and each element of S is the identity or a word x_1 ... x_k in X.
+    The composition law is associative: gamma multiplies pointwise, and on
+    eta both bracketings give (gamma_i gamma'_i . eta''_ij)
+    (gamma_i . eta'_ij) eta_ij, as alpha is a homomorphism into Aut(H).  So
+    a (x_1 ... x_k) = (...(a x_1) ...) x_k lies in S for every a in S, which
+    is S S in S, at |S| |X| products instead of |S|^2.
+    """
+    K, cm = z.complex, z.cm
+    found = {c.key(): c for c in _coboundary_search(_Context(K, cm), z, z, budget,
+                                                    find_all=True)}
+    keys = sorted(found)
+    product = _coboundary_product(K, cm)
+    gens, closure = [], {identity_coboundary(K, cm).key()}
+    for x in keys:
+        if x in closure:
+            continue
+        gens.append(x)
+        closure.add(x)
+        queue = list(closure)
+        while queue:
+            y = queue.pop()
+            for s in gens:
+                w = product(y, s)
+                assert w in found, "stabilizer is not closed under composition"
+                if w not in closure:
+                    closure.add(w)
+                    queue.append(w)
+    return [found[k] for k in keys]
 
 
 # -- enumeration and classification ----------------------------------------------

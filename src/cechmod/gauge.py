@@ -39,10 +39,10 @@ from .cech import (
     Coboundary,
     DEFAULT_BUDGET,
     _Context,
-    compose_coboundaries,
+    _coboundary_product,
+    _key_pairs,
     stabilizer,
 )
-from .complexes import valid_tuples
 from .errors import ConventionMismatch
 
 
@@ -214,7 +214,9 @@ class GaugeCrossedModule:
 def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCrossedModule:
     """The crossed module of the gauge 2-group of a bundle.
 
-    Gstar is the stabilizer of the cocycle under coboundary composition;
+    Gstar is the stabilizer of the cocycle under coboundary composition,
+    on its keys, with the table built by `group_from_operation` from
+    `cech._coboundary_product` (closure is checked there);
     Hstar is the group of vertex-indexed H-tuples.  betastar sends a tuple t
     to the stabilizer element with gamma_i = beta(t_i) and eta_ij =
     t_i * (g_ij . t_j)^-1, and alphastar acts pointwise through the base
@@ -230,36 +232,28 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     H = cm.H
     n = K.vertex_count
     stab = stabilizer(z, budget)
-    by_key = {c.key(): c for c in stab}
     Gstar, gitems = group_from_operation(
-        sorted(by_key), lambda a, b: compose_coboundaries(by_key[a], by_key[b]).key(),
-        "gauge-objects")
+        [c.key() for c in stab], _coboundary_product(K, cm), "gauge-objects")
     gindex = {k: i for i, k in enumerate(gitems)}
     Hstar, hitems = power_group(H, n, name="H-tuples")
     hindex = {t: i for i, t in enumerate(hitems)}
 
+    # betastar(t) as a key: gamma_i = beta(t_i), then eta_ij over the key's pairs
+    beta, act, hmul, hinv = cm.beta.image, cm.alpha.table, H.mul_table, H.inv_table
+    edges = [(i, j, z.g[(i, j)]) for i, j in _key_pairs(K)]
     images = []
     for tup in hitems:
-        gamma = {i: cm.beta_of(tup[i]) for i in range(n)}
-        eta = {(i, j): H.mul(tup[i], H.inv(cm.act(z.g[(i, j)], tup[j])))
-               for (i, j) in valid_tuples(K, 2)}
-        k = Coboundary(K, cm, gamma, eta).key()
+        k = tuple(beta[t] for t in tup) + \
+            tuple(hmul[tup[i]][hinv[act[g][tup[j]]]] for i, j, g in edges)
         if k not in gindex:
             raise ConventionMismatch(
                 f"betastar image of {tup} does not stabilize the cocycle")
         images.append(gindex[k])
     betastar = validate_hom(Hstar, Gstar, images)
-    act_rows = []
-    for gk in gitems:
-        c = by_key[gk]
-        row = []
-        for tup in hitems:
-            moved = tuple(cm.act(c.gamma[i], tup[i]) for i in range(n))
-            row.append(hindex[moved])
-        act_rows.append(tuple(row))
+    act_rows = [tuple(hindex[tuple(act[g][t] for g, t in zip(gk, tup))] for tup in hitems)
+                for gk in gitems]
     alphastar = validate_action(Gstar, Hstar, act_rows)
     gauge_cm = validate_crossed_module(Gstar, Hstar, betastar, alphastar)
     pi0, _ = quotient_by_image(gauge_cm)
     pi1, _ = kernel_of_beta(gauge_cm)
-    return GaugeCrossedModule(gauge_cm, [by_key[k] for k in gitems], hitems,
-                              pi0, pi1, "left")
+    return GaugeCrossedModule(gauge_cm, stab, hitems, pi0, pi1, "left")

@@ -437,3 +437,64 @@ def test_validate_action_catches_a_wrong_row_off_the_generators(s3):
     with pytest.raises(SemanticError, match="not associative"):
         validate_action(s3, s3, table)
     validate_action(s3, s3, conjugation_action(s3).table)
+
+
+def _reference_validate_group(order, table):
+    """`validate_group` as it stood with the exhaustive associativity scan:
+    every triple (a, b, c) in lexicographic order, then the identity, then
+    the inverses.  Returns the outcome as (exception type, args) or as
+    (identity, inverse table)."""
+    for a in range(order):
+        for b in range(order):
+            for c in range(order):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return NotAssociative, (a, b, c)
+    identity = next((e for e in range(order)
+                     if all(table[e][a] == a and table[a][e] == a for a in range(order))), None)
+    if identity is None:
+        return NoIdentity, ()
+    inv = []
+    for a in range(order):
+        b = next((b for b in range(order)
+                  if table[a][b] == identity and table[b][a] == identity), None)
+        if b is None:
+            return NoInverse, (a,)
+        inv.append(b)
+    return identity, tuple(inv)
+
+
+def _outcome(order, table):
+    try:
+        grp = validate_group(order, table)
+    except NotAssociative as exc:
+        return NotAssociative, exc.witness
+    except NoInverse as exc:
+        return NoInverse, (exc.witness,)
+    except NoIdentity:
+        return NoIdentity, ()
+    return grp.identity, grp.inv_table
+
+
+@pytest.mark.parametrize("grp", [
+    cyclic_group(4), power_group(cyclic_group(2), 2)[0], symmetric_group(3)],
+    ids=["Z4", "Z2xZ2", "S3"])
+def test_light_test_matches_exhaustive_scan_on_every_single_entry_mutant(grp):
+    # Light's test on a magma generating set decides associativity exactly,
+    # so every table with one entry changed gives the outcome of the scan
+    # over all triples: the same first failing triple, or the same identity
+    # and inverses (or the same failure to have them).  On these three groups
+    # every single-entry mutant turns out non-associative, so the passing
+    # branch is read on the unmutated table
+    n = grp.order
+    kinds = set()
+    for a, b in itertools.product(range(n), repeat=2):
+        for v in range(n):
+            if v == grp.mul_table[a][b]:
+                continue
+            table = [list(row) for row in grp.mul_table]
+            table[a][b] = v
+            want = _reference_validate_group(n, table)
+            assert _outcome(n, table) == want, (a, b, v)
+            kinds.add(want[0] if isinstance(want[0], type) else "group")
+    assert NotAssociative in kinds
+    assert _outcome(n, grp.mul_table) == (grp.identity, grp.inv_table)

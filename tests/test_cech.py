@@ -1462,3 +1462,91 @@ def test_oriented_keys_partition_candidates_as_normalized_keys(kname, n):
     keys = {(old(vec), tuple(new(vec))) for vec in candidates}
     assert len(keys) == len({o for o, _ in keys}) == len({k for _, k in keys}) == result.count
     assert len({tuple(new(vec)) for vec in reps}) == len(reps)
+
+
+def _reference_compose_keys(K, cmx, a, b):
+    """The dict law of `compose_coboundaries` as it stood, on two keys:
+    gamma''_i = gamma_i * gamma'_i and eta''_ij = (gamma_i . eta'_ij) * eta_ij
+    over `valid_tuples(K, 2)`, read back as a key."""
+    G, H = cmx.G, cmx.H
+    n, pairs = K.vertex_count, valid_tuples(K, 2)
+    gamma, gamma2 = dict(enumerate(a[:n])), dict(enumerate(b[:n]))
+    eta, eta2 = dict(zip(pairs, a[n:])), dict(zip(pairs, b[n:]))
+    g3 = {v: G.mul(gamma[v], gamma2[v]) for v in range(n)}
+    e3 = {p: H.mul(cmx.act(gamma[p[0]], eta2[p]), eta[p]) for p in pairs}
+    return tuple(g3[v] for v in range(n)) + tuple(e3[p] for p in pairs)
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "conj_s3"), ("boundary3", "z4_over_z2"), ("full2", "conj_s3")])
+def test_packed_product_matches_the_dict_law_on_stabilizers(kname, cmname):
+    # every ordered pair of stabilizer elements, for the trivial cocycle and
+    # for a seeded moved one
+    from cechmod.cech import _coboundary_product
+    K, cmx = cx(kname), cm(cmname)
+    product = _coboundary_product(K, cmx)
+    rng = random.Random(11)
+    z0 = trivial_cocycle(K, cmx)
+    moved = apply_coboundary(sample_cocycle(K, cmx, rng), random_coboundary(K, cmx, rng))
+    for z in (z0, moved):
+        stab = stabilizer(z)
+        keys = [c.key() for c in stab]
+        assert len(keys) > 1
+        for a in keys:
+            for b in keys:
+                assert product(a, b) == _reference_compose_keys(K, cmx, a, b)
+        c1, c2 = stab[-2:]
+        assert compose_coboundaries(c1, c2).key() == \
+            _reference_compose_keys(K, cmx, c1.key(), c2.key())
+
+
+@pytest.mark.parametrize("kname,cmname", [("circle", "z4_over_z2"), ("circle", "star_to_s3")])
+def test_stabilizer_closure_check_fires_on_a_dropped_element(kname, cmname, monkeypatch):
+    # a search that loses one non-identity element of the stabilizer leaves
+    # a set that is not closed, which the generator check must find, for
+    # each element dropped in turn
+    import cechmod.cech as cech_mod
+    from cechmod import gauge_crossed_module
+    K, cmx = cx(kname), cm(cmname)
+    z = trivial_cocycle(K, cmx)
+    ident = identity_coboundary(K, cmx)
+    others = [c for c in stabilizer(z) if c != ident]
+    assert len(others) >= 2
+    search = cech_mod._coboundary_search
+
+    def dropping(lost):
+        def lossy(*args, **kwargs):
+            return (c for c in search(*args, **kwargs) if c != lost)
+        return lossy
+
+    for lost in others:
+        monkeypatch.setattr(cech_mod, "_coboundary_search", dropping(lost))
+        with pytest.raises(AssertionError, match="stabilizer is not closed under composition"):
+            stabilizer(z)
+    with pytest.raises(AssertionError, match="stabilizer is not closed under composition"):
+        gauge_crossed_module(z)
+
+
+def test_stabilizer_closure_check_fires_on_every_unclosed_four_element_set(monkeypatch):
+    # a search that returns {e, a, b, a b} for stabilizer elements a and b of
+    # a non-abelian stabilizer (S3 as constant coboundaries): whenever the
+    # set is not closed, some product y x with x a generator leaves it,
+    # including the products with earlier generators, such as b a
+    import cechmod.cech as cech_mod
+    K, cmx = circle(), cm("star_to_s3")
+    z = trivial_cocycle(K, cmx)
+    ident = identity_coboundary(K, cmx)
+    stab = stabilizer(z)
+    unclosed = 0
+    for a in stab:
+        for b in stab:
+            subset = {c.key(): c for c in (ident, a, b, compose_coboundaries(a, b))}
+            if all(compose_coboundaries(x, y).key() in subset
+                   for x in subset.values() for y in subset.values()):
+                continue
+            unclosed += 1
+            monkeypatch.setattr(cech_mod, "_coboundary_search",
+                                lambda *args, found=list(subset.values()), **kwargs: iter(found))
+            with pytest.raises(AssertionError, match="stabilizer is not closed under composition"):
+                stabilizer(z)
+    assert unclosed > 0

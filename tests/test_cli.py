@@ -477,7 +477,7 @@ def test_rejection_reports_are_pinned(argv, report):
     assert run(argv) == (2, report)
 
 
-def test_single_command_parser_matches_full_parser():
+def test_run_rejections_match_the_full_parser():
     # run's rejections must read as the full parser's do
     from cechmod.cli import build_parser
     for argv in (["classify", "--budget", "x"],
