@@ -238,6 +238,36 @@ def group_from_operation(items: Sequence[Hashable], op: Callable,
     return validate_group(len(items), table, name), items
 
 
+def _group_from_right_multiplications(order: int, identity: int, rows: list[list[int]],
+                                      name: str = "group") -> FiniteGroup:
+    """The validated group whose Cayley table is filled from the right
+    multiplications R_x: a -> a x of an associative law with identity e,
+    one index list in `rows` for each x of a generating set X.
+
+    Column b of the table is col(b)[a] = a b.  col(e) is the identity map,
+    and col(b x) = R_x o col(b), one C-level `map` per element, reached by a
+    breadth-first walk from e along b -> b x.  That is exact: for an
+    associative law (a b) x = a (b x), so every derived entry is the law's
+    own product, and the law is called |G| |X| times, for the rows, instead
+    of |G|^2.  A walk that misses an element raises.  The table then passes
+    `validate_group`, as any other.  Only laws the package proves
+    associative are built here: the coboundary product (`cech.stabilizer`)
+    and the pointwise product of a direct power (`power_group`).
+    """
+    cols = [None] * order
+    cols[identity] = range(order)
+    walk = [identity]
+    for b in walk:
+        for row in rows:
+            c = row[b]
+            if cols[c] is None:
+                cols[c] = tuple(map(row.__getitem__, cols[b]))
+                walk.append(c)
+    if len(walk) != order:
+        raise ValueError("generators do not reach every element")
+    return validate_group(order, list(zip(*cols)), name)
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return validate_group(n, table, f"Z{n}")
@@ -276,6 +306,13 @@ class GroupHom:
 
 def validate_hom(source: FiniteGroup, target: FiniteGroup,
                  image: Sequence[int]) -> GroupHom:
+    """Check that `image` is a homomorphism source -> target: f(e) = e, and
+    f(y x) = f(y) f(x) for every y and each x in `generating_set(source)`.
+
+    That is exhaustive, by the induction in `_bijective_homs`' docstring.
+    Only when it fails does the scan over all pairs (a, b) in order run, so
+    the error names the first failing pair.
+    """
     image = tuple(image)
     if len(image) != source.order:
         raise SemanticError("image table has wrong length")
@@ -284,10 +321,15 @@ def validate_hom(source: FiniteGroup, target: FiniteGroup,
             raise SemanticError(f"image entry {v} out of range")
     if image[source.identity] != target.identity:
         raise SemanticError("identity is not preserved")
-    for a in source.elements():
-        for b in source.elements():
-            if image[source.mul(a, b)] != target.mul(image[a], image[b]):
-                raise SemanticError(f"not a homomorphism at ({a}, {b})")
+    smul, tmul = source.mul_table, target.mul_table
+    for x in generating_set(source.elements(), smul, source.identity):
+        fx = image[x]
+        if any(image[sy[x]] != tmul[fy][fx] for sy, fy in zip(smul, image)):
+            for a in source.elements():
+                for b in source.elements():
+                    if image[smul[a][b]] != tmul[image[a]][image[b]]:
+                        raise SemanticError(f"not a homomorphism at ({a}, {b})")
+            raise AssertionError("the generator check fails, but the scan finds no pair")
     return GroupHom(source, target, image)
 
 
@@ -388,9 +430,22 @@ class CrossedModule:
 
 def validate_crossed_module(G: FiniteGroup, H: FiniteGroup, beta: GroupHom,
                             alpha: GroupAction) -> CrossedModule:
-    """Check equivariance and the Peiffer identity at every pair.  beta and
-    alpha are not re-checked here: `crossed_module` checks them with
-    `validate_hom` and `validate_action`.
+    """Check equivariance and the Peiffer identity, on a generating set Y =
+    `generating_set(H)`.  beta and alpha are not re-checked here; they must
+    already have passed `validate_hom` and `validate_action`, as
+    `crossed_module` and the gauge construction check them.
+
+    Equivariance is checked at every (g, y) in G x Y and the Peiffer
+    identity at every (h, y) in H x Y, in order.  That is exhaustive, given
+    that precondition.  For fixed g, h -> beta(alpha(g).h) and
+    h -> g beta(h) g^-1 are homomorphisms H -> G, as beta is one and
+    alpha(g) an automorphism; for fixed h, h' -> alpha(beta(h)).h' and
+    h' -> h h' h^-1 are automorphisms of H.  Two homomorphisms that agree
+    on Y agree on every word in Y, that is on all of H.  The failure named
+    is the first of the scan over all pairs in order, equivariance before
+    Peiffer: the first element at which two homomorphisms differ is in Y,
+    since the greedy Y puts every element outside it in the subgroup
+    generated by the elements of Y before it, on which the two agree.
 
     beta(H) is normal in G without a check of its own: equivariance at
     (g, h) reads g beta(h) g^-1 = beta(alpha(g).h), an element of beta(H).
@@ -399,15 +454,16 @@ def validate_crossed_module(G: FiniteGroup, H: FiniteGroup, beta: GroupHom,
         raise ValueError("beta must map H to G")
     if alpha.actor is not G or alpha.space is not H:
         raise ValueError("alpha must be an action of G on H")
+    gens = generating_set(H.elements(), H.mul_table, H.identity)
+    b, act = beta.image, alpha.table
     for g in G.elements():
-        for h in H.elements():
-            if beta.image[alpha.table[g][h]] != G.conj(g, beta.image[h]):
-                raise EquivarianceFailure(g, h)
+        for y in gens:
+            if b[act[g][y]] != G.conj(g, b[y]):
+                raise EquivarianceFailure(g, y)
     for h in H.elements():
-        bh = beta.image[h]
-        for h2 in H.elements():
-            if alpha.table[bh][h2] != H.conj(h, h2):
-                raise PeifferFailure(h, h2)
+        for y in gens:
+            if act[b[h]][y] != H.conj(h, y):
+                raise PeifferFailure(h, y)
     return CrossedModule(G, H, beta, alpha)
 
 
@@ -551,13 +607,17 @@ def kernel_of_beta(cm: CrossedModule) -> tuple[FiniteGroup, list[int]]:
 
 
 def quotient_by_image(cm: CrossedModule) -> tuple[FiniteGroup, GroupHom]:
-    """K = G / beta(H) with the canonical projection (beta(H) is normal)."""
+    """K = G / beta(H) with the canonical projection (beta(H) is normal).
+
+    Each coset beta(H) g is listed once, at its first member in index order,
+    and all of its members take its least element as representative."""
     G = cm.G
     img = set(cm.beta.image)
     rep = {}
     for g in G.elements():
-        coset = min(G.mul(b, g) for b in img)
-        rep[g] = coset
+        if g not in rep:
+            coset = [G.mul(b, g) for b in img]
+            rep.update(dict.fromkeys(coset, min(coset)))
     reps = sorted(set(rep.values()))
     grp, items = group_from_operation(
         reps, lambda a, b: rep[G.mul(a, b)], f"{G.name}/beta")
@@ -568,9 +628,18 @@ def quotient_by_image(cm: CrossedModule) -> tuple[FiniteGroup, GroupHom]:
 
 
 def power_group(H: FiniteGroup, n: int, name: str | None = None) -> tuple[FiniteGroup, list]:
-    """Direct power H^n on index tuples with pointwise multiplication."""
+    """Direct power H^n on index tuples, in `itertools.product` order, with
+    pointwise multiplication.
+
+    The table is filled from one generator per (coordinate, generator of H),
+    the tuple that is e elsewhere (`_group_from_right_multiplications`); the
+    pointwise law is associative because H's is.
+    """
     tuples = list(itertools.product(H.elements(), repeat=n))
-    grp, items = group_from_operation(
-        tuples, lambda a, b: tuple(H.mul(x, y) for x, y in zip(a, b)),
-        name or f"{H.name}^{n}")
-    return grp, items
+    index = {t: i for i, t in enumerate(tuples)}
+    e = (H.identity,) * n
+    gens = [e[:v] + (y,) + e[v + 1:] for v in range(n)
+            for y in generating_set(H.elements(), H.mul_table, H.identity)]
+    rows = [[index[tuple(map(H.mul, a, x))] for a in tuples] for x in gens]
+    return _group_from_right_multiplications(
+        len(tuples), index[e], rows, name or f"{H.name}^{n}"), tuples

@@ -469,6 +469,17 @@ def are_cohomologous(z: Cocycle, z2: Cocycle,
     return None
 
 
+class _Stabilizer(list):
+    """`stabilizer`'s sorted list of coboundaries, holding the products its
+    closure check computed: `identity` is the position of the identity, and
+    rows[k][a] the position of the product of the a-th element by the k-th
+    generator.  `gauge_crossed_module` fills G*'s table from them
+    (`algebra._group_from_right_multiplications`)."""
+
+    identity: int
+    rows: list[list[int]]
+
+
 def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
     """All coboundaries fixing z, sorted by key; verified to be closed under
     composition.
@@ -477,36 +488,51 @@ def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
     sorted keys, as in `algebra.generating_set`: a key joins X when it lies
     outside the closure C grown from the identity by right multiplication by
     the earlier ones, and each product y x computed must lie in the set S
-    found.  Every key of S either lies in C already or joins X, and each y in
-    C is multiplied by every x in X, so at the end S x lies in S for each x
-    in X, and each element of S is the identity or a word x_1 ... x_k in X.
+    found.  When x joins, each y already in C is multiplied by x, and each
+    element new to C by every generator so far, so every product y x is
+    computed once.  Every key of S either lies in C already or joins X, so
+    at the end C = S, S x lies in S for each x in X, and each element of S
+    is the identity or a word x_1 ... x_k in X.
     The composition law is associative: gamma multiplies pointwise, and on
     eta both bracketings give (gamma_i gamma'_i . eta''_ij)
     (gamma_i . eta'_ij) eta_ij, as alpha is a homomorphism into Aut(H).  So
     a (x_1 ... x_k) = (...(a x_1) ...) x_k lies in S for every a in S, which
-    is S S in S, at |S| |X| products instead of |S|^2.
+    is S S in S, at |S| |X| products instead of |S|^2.  The list returned
+    keeps those products (`_Stabilizer`).
     """
     K, cm = z.complex, z.cm
     found = {c.key(): c for c in _coboundary_search(_Context(K, cm), z, z, budget,
                                                     find_all=True)}
     keys = sorted(found)
+    pos = {k: a for a, k in enumerate(keys)}
     product = _coboundary_product(K, cm)
-    gens, closure = [], {identity_coboundary(K, cm).key()}
-    for x in keys:
-        if x in closure:
+    identity = pos[identity_coboundary(K, cm).key()]
+    closure, gens, rows = [identity], [], []
+    seen = [False] * len(keys)
+    seen[identity] = True
+    for x, xkey in enumerate(keys):
+        if seen[x]:
             continue
-        gens.append(x)
-        closure.add(x)
-        queue = list(closure)
+        gens.append(xkey)
+        rows.append([None] * len(keys))
+        # (y, s): y is still to be multiplied by gens[s:]
+        queue = [(y, len(gens) - 1) for y in closure] + [(x, 0)]
+        seen[x] = True
+        closure.append(x)
         while queue:
-            y = queue.pop()
-            for s in gens:
-                w = product(y, s)
-                assert w in found, "stabilizer is not closed under composition"
-                if w not in closure:
-                    closure.add(w)
-                    queue.append(w)
-    return [found[k] for k in keys]
+            y, start = queue.pop()
+            ykey = keys[y]
+            for s in range(start, len(gens)):
+                w = pos.get(product(ykey, gens[s]))
+                assert w is not None, "stabilizer is not closed under composition"
+                rows[s][y] = w
+                if not seen[w]:
+                    seen[w] = True
+                    closure.append(w)
+                    queue.append((w, 0))
+    out = _Stabilizer(found[k] for k in keys)
+    out.identity, out.rows = identity, rows
+    return out
 
 
 # -- enumeration and classification ----------------------------------------------

@@ -16,7 +16,7 @@ from .algebra import (
     CrossedModule,
     FiniteGroup,
     Strict2Group,
-    group_from_operation,
+    _group_from_right_multiplications,
     kernel_of_beta,
     power_group,
     quotient_by_image,
@@ -39,7 +39,6 @@ from .cech import (
     Coboundary,
     DEFAULT_BUDGET,
     _Context,
-    _coboundary_product,
     _key_pairs,
     stabilizer,
 )
@@ -215,28 +214,31 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     """The crossed module of the gauge 2-group of a bundle.
 
     Gstar is the stabilizer of the cocycle under coboundary composition,
-    on its keys, with the table built by `group_from_operation` from
-    `cech._coboundary_product` (closure is checked there);
-    Hstar is the group of vertex-indexed H-tuples.  betastar sends a tuple t
+    on its keys.  Its table is filled from the products by generators that
+    `cech.stabilizer`'s closure check computed
+    (`algebra._group_from_right_multiplications`), so no product is taken
+    beyond those.  Hstar is the group of vertex-indexed H-tuples
+    (`power_group`, built the same way).  betastar sends a tuple t
     to the stabilizer element with gamma_i = beta(t_i) and eta_ij =
     t_i * (g_ij . t_j)^-1, and alphastar acts pointwise through the base
-    action.  An image of betastar outside the stabilizer raises
-    ConventionMismatch.  betastar is checked to be a homomorphism by
-    `validate_hom`, alphastar to be an action by automorphisms by
-    `validate_action` (on generators), then equivariance and the Peiffer
-    identity by `validate_crossed_module`; each failure raises its validator
-    error.  `convention` is always "left", naming the side on which t_i
-    multiplies in eta.
+    action; its row for gamma is read off by mixed radix, as the tuples are
+    in `itertools.product` order.  An image of betastar outside the
+    stabilizer raises ConventionMismatch.  betastar is checked to be a
+    homomorphism by `validate_hom`, alphastar to be an action by
+    automorphisms by `validate_action`, then equivariance and the Peiffer
+    identity by `validate_crossed_module`, each on generators; each failure
+    raises its validator error.  `convention` is always "left", naming the
+    side on which t_i multiplies in eta.
     """
     K, cm = z.complex, z.cm
     H = cm.H
     n = K.vertex_count
     stab = stabilizer(z, budget)
-    Gstar, gitems = group_from_operation(
-        [c.key() for c in stab], _coboundary_product(K, cm), "gauge-objects")
+    gitems = [c.key() for c in stab]
+    Gstar = _group_from_right_multiplications(
+        len(gitems), stab.identity, stab.rows, "gauge-objects")
     gindex = {k: i for i, k in enumerate(gitems)}
     Hstar, hitems = power_group(H, n, name="H-tuples")
-    hindex = {t: i for i, t in enumerate(hitems)}
 
     # betastar(t) as a key: gamma_i = beta(t_i), then eta_ij over the key's pairs
     beta, act, hmul, hinv = cm.beta.image, cm.alpha.table, H.mul_table, H.inv_table
@@ -250,9 +252,16 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
                 f"betastar image of {tup} does not stabilize the cocycle")
         images.append(gindex[k])
     betastar = validate_hom(Hstar, Gstar, images)
-    act_rows = [tuple(hindex[tuple(act[g][t] for g, t in zip(gk, tup))] for tup in hitems)
-                for gk in gitems]
-    alphastar = validate_action(Gstar, Hstar, act_rows)
+    # the index of a tuple t is sum t_i |H|^(n-1-i), so gamma's row is built
+    # vertex by vertex; keys with one gamma share their row
+    m, act_rows = H.order, {}
+    for gk in gitems:
+        if gk[:n] not in act_rows:
+            row = [0]
+            for gi in gk[:n]:
+                row = [r * m + a for r in row for a in act[gi]]
+            act_rows[gk[:n]] = row
+    alphastar = validate_action(Gstar, Hstar, [act_rows[gk[:n]] for gk in gitems])
     gauge_cm = validate_crossed_module(Gstar, Hstar, betastar, alphastar)
     pi0, _ = quotient_by_image(gauge_cm)
     pi1, _ = kernel_of_beta(gauge_cm)

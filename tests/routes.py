@@ -30,8 +30,8 @@ from cechmod.snf import image_size_mod, kernel_size_mod
 
 BRUTE_BUDGET = 200_000  # the benchmark's FRONTIER_BUDGET: visited nodes, not seconds
 FULL_ENUMERATION_SIZE = 4096  # most g tuples, and h tuples per g, enumerated
-GAUGE_BUDGET = 25_000  # visited nodes of the stabilizer search: full3 x aut_z3 needs 20,454
-HSTAR_SIZE = 128  # most |H|^n, vertices n, for which the gauge crossed module is built
+GAUGE_BUDGET = 100_000  # visited nodes of the stabilizer search: full3 x z4_to_point needs 88,762
+HSTAR_SIZE = 256  # most |H|^n, vertices n, for which the gauge crossed module is built
 FUNCTOR_BUDGET = 2_500  # visited nodes of the functor search: circle x aut_z3 needs 2,204
 
 
@@ -181,19 +181,20 @@ ROUTES = {"brute": brute, "abelian": abelian, "smith": smith,
 
 # -- the gauge routes ---------------------------------------------------------------
 
-# the cells with a trivial and a moved case: those whose gauge 2-group of the
-# trivial cocycle is built in under 1 s; the others (conj_s3 beyond full1, z4
-# kernels on full3 and boundary3, most of rp26 and torus7) take seconds to minutes
-GAUGE_CELLS = [(k, c) for k in ("point", "full1") for c in CM_BUILDERS] + \
-    [(k, c) for k in ("full2", "circle") for c in CM_BUILDERS if c != "conj_s3"] + \
-    [(k, c) for k in ("full3", "boundary3") for c in CM_BUILDERS
-     if c not in ("conj_s3", "z4_over_z2", "z4_to_point")] + \
+# the cells with a trivial and a moved case: every cell on the complexes of at
+# most four vertices with |H|^n at most HSTAR_SIZE, and a few rp26 and torus7
+# cells.  The largest (conj_s3 on circle and full2, |H|^n = 216, and the z4
+# kernels on full3 and boundary3, 256) build the gauge 2-group of the trivial
+# cocycle in 0.07-0.3 s; conj_s3 on full3 and boundary3 (1296) and most of
+# rp26 and torus7 take seconds or more
+GAUGE_CELLS = [(k, c) for k in ("point", "full1", "full2", "circle") for c in CM_BUILDERS] + \
+    [(k, c) for k in ("full3", "boundary3") for c in CM_BUILDERS if c != "conj_s3"] + \
     [("torus7", c) for c in ("star_to_z2", "star_to_z3", "star_to_s3")] + \
     [("rp26", c) for c in ("z2_trivial", "star_to_z2", "star_to_z3", "star_to_s3")]
 # trivial: the trivial cocycle; moved: the trivial cocycle moved by a seeded
 # coboundary, an isomorphic bundle; sample: a seeded `sample_cocycle`
 GAUGE_CASES = [f"{k}-{c}-{kind}" for k, c in GAUGE_CELLS for kind in ("trivial", "moved")] + \
-    ["circle-conj_s3-trivial", "circle-twisted-trivial"] + \
+    ["circle-twisted-trivial"] + \
     [f"circle-{c}-sample" for c in ("z2_trivial", "z4_over_z2", "conj_s3", "aut_z3")]
 # the functor search builds a whole functor of P at each leaf, 0.1-0.9 s a
 # case on the circle's larger modules, so past full1 it runs on these cases

@@ -498,3 +498,126 @@ def test_light_test_matches_exhaustive_scan_on_every_single_entry_mutant(grp):
             kinds.add(want[0] if isinstance(want[0], type) else "group")
     assert NotAssociative in kinds
     assert _outcome(n, grp.mul_table) == (grp.identity, grp.inv_table)
+
+
+# -- validate_hom and validate_crossed_module on generators ----------------------------
+
+def _reference_validate_hom(source, target, image):
+    """`validate_hom` as it stood with the scan over every pair (a, b) in
+    order.  Returns the outcome as the SemanticError message or the GroupHom."""
+    from cechmod.algebra import GroupHom
+    image = tuple(image)
+    if len(image) != source.order:
+        return "image table has wrong length"
+    for v in image:
+        if not (0 <= v < target.order):
+            return f"image entry {v} out of range"
+    if image[source.identity] != target.identity:
+        return "identity is not preserved"
+    for a in source.elements():
+        for b in source.elements():
+            if image[source.mul(a, b)] != target.mul(image[a], image[b]):
+                return f"not a homomorphism at ({a}, {b})"
+    return GroupHom(source, target, image)
+
+
+def _hom_outcome(source, target, image):
+    from cechmod.algebra import validate_hom
+    from cechmod.errors import SemanticError
+    try:
+        return validate_hom(source, target, image)
+    except SemanticError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["z4_onto_z2", "sign", "inclusion"])
+def test_validate_hom_matches_the_pair_scan_on_every_single_entry_mutant(kind, s3):
+    # f(e) = e and f(y x) = f(y) f(x) on generators x decide a homomorphism
+    # exactly, so every image table with one entry changed gives the outcome
+    # of the scan over all pairs: the same message, naming the same first
+    # pair, or the same GroupHom.  Z2 -> S3 moved to another transposition is
+    # again a homomorphism, so the passing branch is read on mutants too
+    Z2, Z4 = cyclic_group(2), cyclic_group(4)
+    source, target, image = {
+        "z4_onto_z2": (Z4, Z2, [a % 2 for a in range(4)]),
+        "sign": (s3, Z2, [0, 1, 1, 0, 0, 1]),  # S3 is the permutations in lexicographic order
+        "inclusion": (Z2, s3, [s3.identity, 1]),  # 1 is (0, 2, 1), the transposition (1 2)
+    }[kind]
+    assert _hom_outcome(source, target, image) == _reference_validate_hom(source, target, image)
+    assert not isinstance(_hom_outcome(source, target, image), str)
+    kinds = set()
+    for a in source.elements():
+        for v in target.elements():
+            if v == image[a]:
+                continue
+            mutant = list(image)
+            mutant[a] = v
+            want = _reference_validate_hom(source, target, mutant)
+            assert _hom_outcome(source, target, mutant) == want, (a, v)
+            kinds.add(want if isinstance(want, str) else "hom")
+    assert "identity is not preserved" in kinds
+    assert any(k.startswith("not a homomorphism") for k in kinds)
+    assert ("hom" in kinds) == (kind == "inclusion")
+
+
+def _all_homs(src, dst):
+    """Every homomorphism src -> dst as an image tuple: each choice of images
+    of `generating_set(src)`, extended along y -> y x, kept when the pair
+    scan accepts it."""
+    from cechmod.algebra import generating_set
+    gens = generating_set(src.elements(), src.mul_table, src.identity)
+    homs = []
+    for images in itertools.product(dst.elements(), repeat=len(gens)):
+        img = {src.identity: dst.identity}
+        walk = [src.identity]
+        for y in walk:
+            for x, fx in zip(gens, images):
+                if src.mul(y, x) not in img:
+                    img[src.mul(y, x)] = dst.mul(img[y], fx)
+                    walk.append(src.mul(y, x))
+        f = tuple(img[a] for a in src.elements())
+        if not isinstance(_reference_validate_hom(src, dst, f), str):
+            homs.append(f)
+    return homs
+
+
+def _reference_validate_crossed_module(G, H, beta, alpha):
+    """`validate_crossed_module` as it stood with the scans over every pair:
+    equivariance on G x H, then the Peiffer identity on H x H, in order.
+    Returns (exception class, witness), or the CrossedModule."""
+    from cechmod.algebra import CrossedModule
+    for g in G.elements():
+        for h in H.elements():
+            if beta.image[alpha.table[g][h]] != G.conj(g, beta.image[h]):
+                return EquivarianceFailure, (g, h)
+    for h in H.elements():
+        for h2 in H.elements():
+            if alpha.table[beta.image[h]][h2] != H.conj(h, h2):
+                return PeifferFailure, (h, h2)
+    return CrossedModule(G, H, beta, alpha)
+
+
+def test_validate_crossed_module_matches_the_pair_scans():
+    # every beta: H -> G and every action alpha of G on H through a
+    # homomorphism G -> Aut(H), each passing validate_hom and validate_action,
+    # over G and H in {1, Z2, Z3, Z4, S3}: the generator checks give the
+    # scans' outcome, the same failure class and first witness or a module
+    from cechmod import validate_action, validate_crossed_module, validate_hom
+    groups = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+              symmetric_group(3)]
+    kinds = set()
+    for G, H in itertools.product(groups, repeat=2):
+        aut, taut = automorphism_group(H)
+        actions = [validate_action(G, H, [taut.table[phi[g]] for g in G.elements()])
+                   for phi in _all_homs(G, aut)]
+        for f in _all_homs(H, G):
+            beta = validate_hom(H, G, f)
+            for alpha in actions:
+                want = _reference_validate_crossed_module(G, H, beta, alpha)
+                try:
+                    got = validate_crossed_module(G, H, beta, alpha)
+                except (EquivarianceFailure, PeifferFailure) as exc:
+                    got = type(exc), exc.witness
+                assert got == want, (G.name, H.name, f, alpha.table)
+                kinds.add(want[0] if isinstance(want, tuple) else "module")
+    assert kinds == {EquivarianceFailure, PeifferFailure, "module"}

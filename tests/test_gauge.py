@@ -141,3 +141,49 @@ def test_trivial_gauge_2group_matches_mapping_2group(kname, cmname):
     trivial, moved = (f"{kname}-{cmname}-{kind}" for kind in ("trivial", "moved"))
     assert "mapping" in routes.finished(trivial)
     assert routes.reported(trivial) == routes.reported(moved)
+
+
+@pytest.mark.parametrize("kname,cmname,order,gens,products", [
+    ("circle", "conj_s3", 216, 6, 1296),
+    ("boundary3", "z4_over_z2", 128, 7, 896),
+])
+def test_gauge_tables_take_one_product_per_element_and_generator(
+        kname, cmname, order, gens, products, monkeypatch):
+    # the stabilizer's closure check multiplies each element by each
+    # generator once, and G*'s table is filled from those products, so a
+    # gauge crossed module costs |S| |X| coboundary products, not |S|^2
+    import cechmod.cech as cech_mod
+    law_of = cech_mod._coboundary_product
+    calls = []
+
+    def counted(K, cmx):
+        law = law_of(K, cmx)
+
+        def product(a, b):
+            calls.append(None)
+            return law(a, b)
+
+        return product
+
+    monkeypatch.setattr(cech_mod, "_coboundary_product", counted)
+    gcm = gauge_crossed_module(trivial_cocycle(cx(kname), cm(cmname)))
+    assert (gcm.cm.G.order, len(gcm.stabilizer_elements.rows)) == (order, gens)
+    assert len(calls) == products == order * gens
+
+
+@pytest.mark.parametrize("name", ["circle-conj_s3-trivial", "boundary3-z4_over_z2-moved",
+                                  "circle-aut_z3-sample"])
+def test_gauge_tables_equal_the_all_pairs_tables(name):
+    # G* and H* are filled from products by generators; the tables over all
+    # pairs of the same laws, as `group_from_operation` builds them, agree
+    from cechmod import group_from_operation
+    from cechmod.cech import _coboundary_product
+    gcm = routes.gauge_cm(name)
+    z = routes.case(name)[0]
+    H = z.cm.H
+    keys = [c.key() for c in gcm.stabilizer_elements]
+    gstar, _ = group_from_operation(keys, _coboundary_product(z.complex, z.cm))
+    hstar, _ = group_from_operation(
+        gcm.h_tuples, lambda a, b: tuple(H.mul(x, y) for x, y in zip(a, b)))
+    assert gcm.cm.G.mul_table == gstar.mul_table
+    assert gcm.cm.H.mul_table == hstar.mul_table
