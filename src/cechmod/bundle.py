@@ -33,6 +33,7 @@ from .cech import (
     DEFAULT_BUDGET,
     Cocycle,
     Coboundary,
+    _key_tuples,
     apply_coboundary,
     are_cohomologous,
     coboundary,
@@ -753,10 +754,8 @@ def extract_cocycle(P: BundleGroupoid, trivs: dict[int, Trivialization]) -> Cocy
         return trivs[i].phi.on_morphisms[trivs[j].taubar.component[o]][1]
 
     # every valid tuple, in lexicographic order, so a failure names the first
-    pairs = sorted(normalized_tuples(K, 2) + degenerate_tuples(K, 2))
-    triples = sorted(normalized_tuples(K, 3) + degenerate_tuples(K, 3))
-    g = {p: read("transition value on pair", p, g_value) for p in pairs}
-    h = {t: read("triple value on", t, h_value) for t in triples}
+    g = {p: read("transition value on pair", p, g_value) for p in _key_tuples(K, 2)}
+    h = {t: read("triple value on", t, h_value) for t in _key_tuples(K, 3)}
     try:
         return validate_cocycle(Cocycle(K, cm, g, h))
     except Exception as exc:
@@ -976,7 +975,7 @@ def validate_one_cocycle(K: SimplicialComplex, G: FiniteGroup, g: dict) -> dict:
     g_ii = e the identity g_ij g_jk = g_ik holds on every triple with an
     adjacent repeat, so it is checked on the normalized triples, in
     lexicographic order."""
-    pairs = sorted(normalized_tuples(K, 2) + degenerate_tuples(K, 2))
+    pairs = _key_tuples(K, 2)
     stray = sorted(set(g).difference(pairs))
     if stray:
         raise SemanticError(f"value given on {stray[0]}, which is not a valid pair")

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Collection, Iterator, Sequence
 
 from .algebra import CrossedModule, abelian_invariants, generating_set
-from .complexes import SimplicialComplex, degenerate_tuples, normalized_tuples, valid_tuples
+from .complexes import SimplicialComplex, degenerate_tuples, normalized_tuples
 from .errors import (
     Cocyc1Failure,
     Cocyc2Failure,
@@ -51,8 +51,8 @@ class Cocycle:
 
     def key(self) -> tuple:
         """Canonical encoding: values in the fixed lexicographic tuple order."""
-        gs = tuple(self.g[p] for p in valid_tuples(self.complex, 2))
-        hs = tuple(self.h[t] for t in valid_tuples(self.complex, 3))
+        gs = tuple(self.g[p] for p in _key_tuples(self.complex, 2))
+        hs = tuple(self.h[t] for t in _key_tuples(self.complex, 3))
         return gs + hs
 
     def __hash__(self) -> int:
@@ -68,7 +68,7 @@ class Coboundary:
 
     def key(self) -> tuple:
         gs = tuple(self.gamma[v] for v in range(self.complex.vertex_count))
-        es = tuple(self.eta[p] for p in valid_tuples(self.complex, 2))
+        es = tuple(self.eta[p] for p in _key_tuples(self.complex, 2))
         return gs + es
 
     def __hash__(self) -> int:
@@ -82,7 +82,7 @@ def coboundary(K: SimplicialComplex, cm: CrossedModule, gamma: dict,
     the normalized and degenerate ones the complex holds, scanned in
     lexicographic order, so a failure names the first failing pair."""
     eH = cm.H.identity
-    pairs = _key_pairs(K)
+    pairs = _key_tuples(K, 2)
     stray = sorted(set(eta).difference(pairs)) + \
         sorted((v,) for v in set(gamma).difference(range(K.vertex_count)))
     if stray:
@@ -171,7 +171,7 @@ def validate_cocycle(z: Cocycle) -> Cocycle:
             and all(t in h and 0 <= h[t] < H.order for t in triples)
             and all(p in g and g[p] == eG for p in flat_pairs)
             and all(t in h and h[t] == eH for t in flat_triples)):
-        _entry_failure(z, sorted(pairs + flat_pairs), sorted(triples + flat_triples))
+        _entry_failure(z, _key_tuples(K, 2), _key_tuples(K, 3))
         raise AssertionError("entries fail, but their scan finds no failure")
     gmul, hmul = G.mul_table, H.mul_table
     beta, act = cm.beta.image, cm.alpha.table
@@ -224,24 +224,24 @@ def apply_coboundary(z: Cocycle, c: Coboundary) -> Cocycle:
         raise ResultNotCocycle(exc)
 
 
-def _key_pairs(K: SimplicialComplex) -> list[tuple[int, int]]:
-    """The valid pairs in lexicographic order, the order of eta in
-    `Coboundary.key` (that of `valid_tuples(K, 2)`), read from the tuples
-    the complex holds."""
-    return sorted(normalized_tuples(K, 2) + degenerate_tuples(K, 2))
+def _key_tuples(K: SimplicialComplex, arity: int) -> list[tuple[int, ...]]:
+    """The valid tuples of arity 2 or 3 in lexicographic order, the order of
+    the keys of `Cocycle` and `Coboundary` (that of `valid_tuples`), read
+    from the tuples the complex holds."""
+    return sorted(normalized_tuples(K, arity) + degenerate_tuples(K, arity))
 
 
 def _coboundary_product(K: SimplicialComplex, cm: CrossedModule):
     """The composition law of coboundaries over (K, cm), on their keys.
 
-    A key is gamma over the vertices, then eta over `_key_pairs(K)`.  The
+    A key is gamma over the vertices, then eta over `_key_tuples(K, 2)`.  The
     product of a and b, c followed by c2, reads gamma''_i = gamma_i *
     gamma'_i and eta''_ij = (gamma_i . eta'_ij) * eta_ij off the group
     tables, with the first vertex i of each pair read once, here.
     """
     gmul, hmul, act = cm.G.mul_table, cm.H.mul_table, cm.alpha.table
     n = K.vertex_count
-    first = [i for i, _ in _key_pairs(K)]
+    first = [i for i, _ in _key_tuples(K, 2)]
 
     def product(a: tuple, b: tuple) -> tuple:
         gamma = [gmul[x][y] for x, y in zip(a, b[:n])]
@@ -262,7 +262,7 @@ def compose_coboundaries(c: Coboundary, c2: Coboundary) -> Coboundary:
     K, cm = c.complex, c.cm
     n = K.vertex_count
     k = _coboundary_product(K, cm)(c.key(), c2.key())
-    return Coboundary(K, cm, dict(enumerate(k[:n])), dict(zip(_key_pairs(K), k[n:])))
+    return Coboundary(K, cm, dict(enumerate(k[:n])), dict(zip(_key_tuples(K, 2), k[n:])))
 
 
 def inverse_coboundary(c: Coboundary) -> Coboundary:
@@ -470,12 +470,13 @@ def are_cohomologous(z: Cocycle, z2: Cocycle,
 
 
 class _Stabilizer(list):
-    """`stabilizer`'s sorted list of coboundaries, holding the products its
-    closure check computed: `identity` is the position of the identity, and
-    rows[k][a] the position of the product of the a-th element by the k-th
-    generator.  `gauge_crossed_module` fills G*'s table from them
-    (`algebra._group_from_right_multiplications`)."""
+    """`stabilizer`'s sorted list of coboundaries, holding their sorted keys
+    and the products its closure check computed: `identity` is the position
+    of the identity, and rows[k][a] the position of the product of the a-th
+    element by the k-th generator.  `gauge_crossed_module` fills G*'s table
+    from them (`algebra._group_from_right_multiplications`)."""
 
+    keys: list[tuple]
     identity: int
     rows: list[list[int]]
 
@@ -531,7 +532,7 @@ def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
                     closure.append(w)
                     queue.append((w, 0))
     out = _Stabilizer(found[k] for k in keys)
-    out.identity, out.rows = identity, rows
+    out.keys, out.identity, out.rows = keys, identity, rows
     return out
 
 

@@ -153,7 +153,7 @@ def cmd_bundle_check(args) -> tuple[int, list[str]]:
     for i, tv in trivs.items():
         bad = bundle_mod.check_trivialization(z, tv)
         if bad:
-            lines.append(f"TRIVIALIZATIONS: fail")
+            lines.append("TRIVIALIZATIONS: fail")
             return INVALID, lines + [f"REASON: vertex {i}: {bad[0]}"]
     lines.append("TRIVIALIZATIONS: pass")
     zhat = bundle_mod.extract_cocycle(P, trivs)  # the action passed above

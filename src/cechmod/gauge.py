@@ -39,7 +39,7 @@ from .cech import (
     Coboundary,
     DEFAULT_BUDGET,
     _Context,
-    _key_pairs,
+    _key_tuples,
     stabilizer,
 )
 from .errors import ConventionMismatch
@@ -234,7 +234,7 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     H = cm.H
     n = K.vertex_count
     stab = stabilizer(z, budget)
-    gitems = [c.key() for c in stab]
+    gitems = stab.keys
     Gstar = _group_from_right_multiplications(
         len(gitems), stab.identity, stab.rows, "gauge-objects")
     gindex = {k: i for i, k in enumerate(gitems)}
@@ -242,7 +242,7 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
 
     # betastar(t) as a key: gamma_i = beta(t_i), then eta_ij over the key's pairs
     beta, act, hmul, hinv = cm.beta.image, cm.alpha.table, H.mul_table, H.inv_table
-    edges = [(i, j, z.g[(i, j)]) for i, j in _key_pairs(K)]
+    edges = [(i, j, z.g[(i, j)]) for i, j in _key_tuples(K, 2)]
     images = []
     for tup in hitems:
         k = tuple(beta[t] for t in tup) + \

@@ -1,5 +1,4 @@
 import os
-import subprocess
 import sys
 
 import pytest
@@ -293,7 +292,6 @@ def test_bundle_check_reports_axiom_failure(tmp_path, monkeypatch):
 
 # -- the --workers path ---------------------------------------------------------
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 CIRCLE_S3 = ["classify", "--complex", "circle", "--cm", "star_to_s3"]
 
 
@@ -312,16 +310,6 @@ def test_budget_counts_the_nodes_brute_searches(argv, nodes, reason):
         (3, f"REASON: visited nodes exceed budget {nodes - 1} in {reason}\n")
     code, report = run(argv + ["--budget", str(nodes)])
     assert code == 0 and "\nCLASSES: " in report
-
-
-def test_worker_budget_exhaustion_exits_instead_of_hanging():
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cechmod.cli", *CIRCLE_S3, "--budget", "50",
-         "--workers", "2"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 3
-    assert proc.stdout.startswith("REASON: visited nodes exceed budget 50")
 
 
 @pytest.mark.parametrize("budget,expected", [(1000, 0), (121, 3), (122, 0)])
