@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter, ne
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .errors import (
@@ -133,6 +134,16 @@ def generating_set(elements: Sequence[int], mul_table, identity: int) -> list[in
     return gens
 
 
+def _row_getter(indices: Sequence[int]) -> Callable:
+    """row -> (row[i] for i in indices) as a tuple, in one C-level call.
+    `itemgetter` of a single index returns the bare entry, so one index gets
+    a 1-tuple of its own."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices)
+
+
 def _associativity_failure(table: tuple[tuple[int, ...], ...]) -> None:
     """Raise NotAssociative at the first triple (a, b, c), in lexicographic
     order, with (a b) c != a (b c)."""
@@ -159,10 +170,26 @@ def validate_group(order: int, mul_table: Sequence[Sequence[int]],
     |G|^2 |X| lookups instead of |G|^3.  It is exact.  Let T be the set of y
     with (a y) c = a (y c) for all a and c.  For y and y' in T,
     (a (y y')) c = ((a y) y') c = (a y) (y' c) = a (y (y' c)) = a ((y y') c),
-    so T is closed under products.  T contains X, and every element of the
-    table is a product of elements of X, so T is the whole table.  Only when
+    so T is closed under products.  T contains X, and the identity e if
+    the table has one, as (a e) c = a c = a (e c).  Every element of the
+    table is a product of these, so T is the whole table.  Only when
     the test fails does the ordered scan run, so NotAssociative names the
-    first failing triple (a, b, c) in lexicographic order.
+    first failing triple (a, b, c) in lexicographic order.  For each x the
+    test compares whole rows, row (a x) against row x read through row a,
+    one `itemgetter` per x.
+
+    The identity is the first e whose row and column are the identity map,
+    compared whole.  It is found before the test, whose closure starts at e,
+    so that e never joins X.  NoIdentity is raised after the test, so
+    NotAssociative still comes first.  The inverse of a is the first b
+    with a b = e, `row.index(e)`, which is exact once associativity is
+    proven.  A two-sided identity is unique.  In a finite monoid a b = e implies
+    b a = e: c -> a c is onto, as a (b c) = c, hence one-to-one, and
+    a (b a) = (a b) a = a = a e.  So b is a two-sided inverse, the only one,
+    and a has none exactly when e is missing from its row, so NoInverse
+    names the same first element as a scan for two-sided inverses.  The
+    range scan reads each row's min and max, and walks the entries only to
+    name the first one out of range.
     """
     if order <= 0:
         raise SemanticError("order must be positive")
@@ -170,11 +197,15 @@ def validate_group(order: int, mul_table: Sequence[Sequence[int]],
         raise SemanticError(f"multiplication table must be {order}x{order}")
     table = tuple(tuple(row) for row in mul_table)
     for row in table:
-        for v in row:
-            if not (0 <= v < order):
-                raise SemanticError(f"table entry {v} out of range")
+        if min(row) < 0 or max(row) >= order:
+            v = next(v for v in row if not (0 <= v < order))
+            raise SemanticError(f"table entry {v} out of range")
 
-    gens, closure = [], set()
+    ident = tuple(range(order))
+    identity = next((e for e, row in enumerate(table)
+                     if row == ident and tuple(map(itemgetter(e), table)) == ident), None)
+
+    gens, closure = [], set() if identity is None else {identity}
     for x in range(order):
         if x in closure:
             continue
@@ -190,28 +221,19 @@ def validate_group(order: int, mul_table: Sequence[Sequence[int]],
                         closure.add(w)
                         queue.append(w)
     for x in gens:
-        tx = table[x]
-        for ta in table:
-            if table[ta[x]] != tuple(map(ta.__getitem__, tx)):
-                _associativity_failure(table)
-                raise AssertionError("Light's test fails, but the scan finds no triple")
-
-    identity = None
-    for e in range(order):
-        if all(table[e][a] == a and table[a][e] == a for a in range(order)):
-            identity = e
-            break
+        # row (a x) against row x read through row a, for every a
+        if any(map(ne, map(table.__getitem__, map(itemgetter(x), table)),
+                   map(_row_getter(table[x]), table))):
+            _associativity_failure(table)
+            raise AssertionError("Light's test fails, but the scan finds no triple")
     if identity is None:
         raise NoIdentity()
 
-    inv = [None] * order
-    for a in range(order):
-        for b in range(order):
-            if table[a][b] == identity and table[b][a] == identity:
-                inv[a] = b
-                break
-        if inv[a] is None:
+    inv = []
+    for a, row in enumerate(table):
+        if identity not in row:
             raise NoInverse(a)
+        inv.append(row.index(identity))
 
     return FiniteGroup(order, table, identity, tuple(inv), name)
 
@@ -368,6 +390,12 @@ def validate_action(actor: FiniteGroup, space: FiniteGroup,
     table[g g'] = table[g] o table[g'] for all g and g'.  The cost is
     |X| |space| (|actor| + |Y|) lookups, against |actor| |space|
     (|actor| + |space|) for the check at every pair.
+
+    Both laws compare whole rows at C level: column y of the space's table
+    read through row x against row x read through column row x (y); and,
+    for each x, the rows g x over all g against the rows g read through
+    row x, one `itemgetter` per x.  Only when the action law fails does the
+    scan over (g, x, h) in order run, so the error names its first witness.
     """
     table = tuple(tuple(row) for row in table)
     if len(table) != actor.order or any(len(r) != space.order for r in table):
@@ -378,21 +406,27 @@ def validate_action(actor: FiniteGroup, space: FiniteGroup,
     gens = generating_set(actor.elements(), actor.mul_table, actor.identity)
     space_gens = generating_set(space.elements(), space.mul_table, space.identity)
     smul = space.mul_table
+    columns = [list(map(itemgetter(y), smul)) for y in space_gens]
     for x in gens:
         row = table[x]
         if sorted(row) != list(ident):
             raise SemanticError(f"element {x} does not act bijectively")
-        for h in space.elements():
-            for y in space_gens:
-                if row[smul[h][y]] != smul[row[h]][row[y]]:
-                    raise SemanticError(f"element {x} does not act by automorphisms")
-    for g in actor.elements():
-        tg = table[g]
-        for x in gens:
-            tx, tgx = table[x], table[actor.mul(g, x)]
-            for h in space.elements():
-                if tg[tx[h]] != tgx[h]:
-                    raise SemanticError(f"action is not associative at ({g}, {x}, {h})")
+        # row x (h y) against row x (h) row x (y), over every h at once
+        for y, col in zip(space_gens, columns):
+            times_ry = list(map(itemgetter(row[y]), smul))  # h' -> h' row x (y)
+            if list(map(row.__getitem__, col)) != list(map(times_ry.__getitem__, row)):
+                raise SemanticError(f"element {x} does not act by automorphisms")
+    mul = actor.mul_table
+    if any(any(map(ne, map(table.__getitem__, map(itemgetter(x), mul)),
+                   map(_row_getter(table[x]), table))) for x in gens):
+        for g in actor.elements():
+            tg = table[g]
+            for x in gens:
+                tx, tgx = table[x], table[mul[g][x]]
+                for h in space.elements():
+                    if tg[tx[h]] != tgx[h]:
+                        raise SemanticError(f"action is not associative at ({g}, {x}, {h})")
+        raise AssertionError("the row check fails, but the scan finds no triple")
     return GroupAction(actor, space, table)
 
 

@@ -17,6 +17,7 @@ from .algebra import (
     FiniteGroup,
     Strict2Group,
     _group_from_right_multiplications,
+    generating_set,
     kernel_of_beta,
     power_group,
     quotient_by_image,
@@ -68,14 +69,27 @@ def equivariant_endofunctors_of_2group(
 
     Candidates F with F(e,e) = (k1, k2) are forced onto F(h,g) =
     (k1 * (k2.h), k2*g) by equivariance; each is checked as a functor of
-    the 2-group's groupoid and for equivariance on the full tables, which
-    leaves exactly the translations k1 = e.  A transformation is determined
-    by its value at the identity object, and its naturality is checked on
-    every morphism.
+    the 2-group's groupoid and for equivariance, F(m * a) = F(m) * a for
+    every morphism m and each a in A = {(h, e) : h in gens H} and
+    {(e, g) : g in gens G}, which leaves exactly the translations k1 = e.
+    A transformation is determined by its value at the identity object,
+    and its naturality is checked on every morphism.
+
+    The check on A is exact.  A generates the morphisms under the tensor
+    product, since (h, g) = (h, e) * (e, g), and (h, e) * (h', e) =
+    (h h', e) and (e, g) * (e, g') = (e, g g').  The tensor product is
+    associative, as alpha acts by automorphisms, so m -> m * a is a right
+    action, and F(m * a1 * a2) = F(m * a1) * a2 = F(m) * a1 * a2 whenever
+    the law holds at a1 and at a2 for every m (the induction in
+    `bundle.check_trivialization`'s docstring).
     """
     cm = tg.cm
     G, H = cm.G, cm.H
     TG = two_group_groupoid(tg)
+    acting = [tg.encode(h, G.identity)
+              for h in generating_set(H.elements(), H.mul_table, H.identity)]
+    acting += [tg.encode(H.identity, g)
+               for g in generating_set(G.elements(), G.mul_table, G.identity)]
     kept = {}                     # translation -> its functor of TG
     for k1 in H.elements():
         for k2 in G.elements():
@@ -86,7 +100,7 @@ def equivariant_endofunctors_of_2group(
             F = GroupoidFunctor(TG, TG, {g: G.mul(k2, g) for g in TG.objects}, F1)
             # equivariance for the right translation action
             if not F.check() and all(F1[tg.tensor(m, a)] == tg.tensor(F1[m], a)
-                                     for m in TG.morphisms for a in TG.morphisms):
+                                     for m in TG.morphisms for a in acting):
                 assert k1 == H.identity, "non-translation functor survived"
                 kept[k2] = F
     functors = [EquivariantEndofunctor(k) for k in kept]

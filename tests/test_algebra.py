@@ -375,19 +375,17 @@ def _verdict(check, *args):
     return True
 
 
-def test_validate_action_matches_exhaustive_reference():
-    # seeded tables on small actors and spaces, whose rows are drawn from the
-    # automorphisms of the space (an action exactly when the rows form a
-    # homomorphism into Aut), from its permutations, or copied from a valid
-    # action with a few rows swapped; both checks accept the same tables
+def _seeded_action_tables():
+    """Seeded tables on small actors and spaces, as (actor, space, rows),
+    whose rows are drawn from the automorphisms of the space (an action
+    exactly when the rows form a homomorphism into Aut), from its
+    permutations, or copied from a valid action with a few rows swapped."""
     import random
-    from cechmod import validate_action
     rng = random.Random("validate_action")
     S3 = symmetric_group(3)
     spaces = [cyclic_group(2), cyclic_group(3), cyclic_group(4), _cyclic_product(2, 2), S3]
     actors = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
               _cyclic_product(2, 2), S3]
-    verdicts = set()
     for space in spaces:
         auts = automorphism_group(space)[1].table
         perms = list(itertools.permutations(range(space.order)))
@@ -409,9 +407,17 @@ def test_validate_action_matches_exhaustive_reference():
                         a, b = rng.randrange(actor.order), rng.randrange(actor.order)
                         rows[a], rows[b] = rows[b], rows[a]
                 rows[actor.identity] = tuple(space.elements())
-                want = _verdict(_exhaustive_validate_action, actor, space, rows)
-                assert _verdict(validate_action, actor, space, rows) == want
-                verdicts.add(want)
+                yield actor, space, rows
+
+
+def test_validate_action_matches_exhaustive_reference():
+    # on the seeded tables both checks accept the same tables
+    from cechmod import validate_action
+    verdicts = set()
+    for actor, space, rows in _seeded_action_tables():
+        want = _verdict(_exhaustive_validate_action, actor, space, rows)
+        assert _verdict(validate_action, actor, space, rows) == want
+        verdicts.add(want)
     assert verdicts == {True, False}
 
 
@@ -437,6 +443,116 @@ def test_validate_action_catches_a_wrong_row_off_the_generators(s3):
     with pytest.raises(SemanticError, match="not associative"):
         validate_action(s3, s3, table)
     validate_action(s3, s3, conjugation_action(s3).table)
+
+
+
+def _generator_loop_validate_action(actor, space, table):
+    """`validate_action` as it stood with per-entry loops on generators: each
+    generator row bijective and multiplicative at every (h, y), y a
+    generator of the space, then the action law at every (g, x, h) in
+    order.  Returns the outcome as the SemanticError message or the table."""
+    from cechmod.algebra import generating_set
+    table = tuple(tuple(row) for row in table)
+    if len(table) != actor.order or any(len(r) != space.order for r in table):
+        return "action table has wrong shape"
+    ident = tuple(range(space.order))
+    if table[actor.identity] != ident:
+        return "identity does not act trivially"
+    gens = generating_set(actor.elements(), actor.mul_table, actor.identity)
+    space_gens = generating_set(space.elements(), space.mul_table, space.identity)
+    smul = space.mul_table
+    for x in gens:
+        row = table[x]
+        if sorted(row) != list(ident):
+            return f"element {x} does not act bijectively"
+        for h in space.elements():
+            for y in space_gens:
+                if row[smul[h][y]] != smul[row[h]][row[y]]:
+                    return f"element {x} does not act by automorphisms"
+    for g in actor.elements():
+        tg = table[g]
+        for x in gens:
+            tx, tgx = table[x], table[actor.mul(g, x)]
+            for h in space.elements():
+                if tg[tx[h]] != tgx[h]:
+                    return f"action is not associative at ({g}, {x}, {h})"
+    return table
+
+
+def _action_outcome(actor, space, table):
+    from cechmod import validate_action
+    from cechmod.errors import SemanticError
+    try:
+        return validate_action(actor, space, table).table
+    except SemanticError as exc:
+        return str(exc)
+
+
+def test_validate_action_names_the_generator_loops_witness_on_seeded_tables():
+    # the row comparisons accept the tables the per-entry loops accept, and
+    # a failure carries the same message, with the same first (g, x, h)
+    kinds = set()
+    for actor, space, rows in _seeded_action_tables():
+        want = _generator_loop_validate_action(actor, space, rows)
+        assert _action_outcome(actor, space, rows) == want, (actor.name, space.name, rows)
+        kinds.add(want.split(" at ")[0] if isinstance(want, str) else "action")
+    assert {"action", "action is not associative"} <= kinds
+
+
+def test_validate_action_names_the_generator_loops_witness_on_single_row_mutants(s3):
+    # conjugation on S3 with one row replaced by any map S3 -> S3 that is a
+    # permutation, or constant: every failure of the per-entry loops,
+    # including the action law off the generators, names the same witness
+    conj = conjugation_action(s3).table
+    rows = list(itertools.permutations(s3.elements()))
+    rows += [(h,) * s3.order for h in s3.elements()]
+    kinds = set()
+    for g in s3.elements():
+        for row in rows:
+            table = list(conj)
+            table[g] = row
+            want = _generator_loop_validate_action(s3, s3, table)
+            assert _action_outcome(s3, s3, table) == want, (g, row)
+            kinds.add(want.split(" at ")[0] if isinstance(want, str) else "action")
+    assert kinds == {"action", "identity does not act trivially", "action is not associative",
+                     "element 1 does not act bijectively",
+                     "element 1 does not act by automorphisms",
+                     "element 2 does not act bijectively",
+                     "element 2 does not act by automorphisms"}
+
+
+def test_order_one_groups_actors_and_spaces_pass():
+    # a one-index row getter returns a 1-tuple, so the row comparisons read
+    # order-1 tables as the per-entry loops did
+    from cechmod import validate_action
+    one, z3, s3 = trivial_group(), cyclic_group(3), symmetric_group(3)
+    assert (one.identity, one.inv_table) == (0, (0,))
+    assert validate_group(1, [[0]]).mul_table == ((0,),)
+    for actor, space in [(one, one), (z3, one), (one, s3), (s3, one)]:
+        table = trivial_action(actor, space).table
+        assert validate_action(actor, space, table).table == table
+        assert _generator_loop_validate_action(actor, space, table) == table
+    assert two_group_from_crossed_module(crossed_module(one, one, [0], [[0]]))
+
+
+@pytest.mark.parametrize("grp", [cyclic_group(4), symmetric_group(3)], ids=["Z4", "S3"])
+def test_out_of_range_entries_name_the_first_in_row_order(grp):
+    # the range scan reads each row's min and max, and walks a row only to
+    # name its first entry out of range; -1 and the order, alone or two at
+    # once, give the message of the entry-by-entry scan
+    from cechmod.errors import SemanticError
+    n = grp.order
+    cells = [(0, 0), (0, n - 1), (1, 2), (n - 1, 0), (n - 1, n - 1)]
+    cases = [[(cell, v)] for cell in cells for v in (-1, n)]
+    cases += [[(c1, -1), (c2, n)] for c1, c2 in itertools.permutations(cells, 2)]
+    for case in cases:
+        table = [list(row) for row in grp.mul_table]
+        for (a, b), v in case:
+            table[a][b] = v
+        first = next(v for row in table for v in row if not 0 <= v < n)
+        with pytest.raises(SemanticError) as exc:
+            validate_group(n, table)
+        assert str(exc.value) == f"table entry {first} out of range", case
 
 
 def _reference_validate_group(order, table):
@@ -499,6 +615,24 @@ def test_light_test_matches_exhaustive_scan_on_every_single_entry_mutant(grp):
     assert NotAssociative in kinds
     assert _outcome(n, grp.mul_table) == (grp.identity, grp.inv_table)
 
+
+
+def test_validate_group_matches_the_reference_on_every_table_of_order_two_and_three():
+    # every magma on 2 and on 3 elements: the row comparisons give the
+    # reference's first failing triple, its identity and inverses, or its
+    # failure to have them.  The right-projection magmas a b = b are
+    # associative with every row the identity map, so only the column
+    # comparison finds that they have no identity
+    kinds = set()
+    for n in (2, 3):
+        for entries in itertools.product(range(n), repeat=n * n):
+            table = [list(entries[a * n:(a + 1) * n]) for a in range(n)]
+            want = _reference_validate_group(n, table)
+            assert _outcome(n, table) == want, table
+            kinds.add(want[0] if isinstance(want[0], type) else "group")
+        right_projection = [list(range(n))] * n
+        assert _outcome(n, right_projection) == (NoIdentity, ())
+    assert kinds == {NotAssociative, NoIdentity, NoInverse, "group"}
 
 # -- validate_hom and validate_crossed_module on generators ----------------------------
 
@@ -621,3 +755,62 @@ def test_validate_crossed_module_matches_the_pair_scans():
                 assert got == want, (G.name, H.name, f, alpha.table)
                 kinds.add(want[0] if isinstance(want, tuple) else "module")
     assert kinds == {EquivarianceFailure, PeifferFailure, "module"}
+
+
+# -- the interchange law on generators ----------------------------------------------
+
+def _reference_interchange(cmx):
+    """`two_group_from_crossed_module` as it stood with the scan over every
+    two composable pairs.  Returns the AssertionError message, or None."""
+    from cechmod.algebra import Strict2Group
+    from cechmod.bundle import two_group_groupoid
+    tg = Strict2Group(cmx)
+    TG = two_group_groupoid(tg)
+    bad = TG.check_axioms()
+    if bad:
+        return f"2-group axiom failure: {bad[0]}"
+    for (f1, f2), f12 in TG.compose.items():
+        for (f3, f4), f34 in TG.compose.items():
+            if tg.tensor(f12, f34) != TG.compose.get((tg.tensor(f1, f3), tg.tensor(f2, f4))):
+                return "interchange law fails"
+    return None
+
+
+def _interchange_outcome(cmx):
+    try:
+        two_group_from_crossed_module(cmx)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cmname", list(CM_BUILDERS))
+def test_interchange_on_generators_matches_the_pair_scan_on_the_catalog(cmname):
+    assert _interchange_outcome(cm(cmname)) is _reference_interchange(cm(cmname)) is None
+
+
+def test_interchange_on_generators_matches_the_pair_scan_off_the_axioms():
+    # CrossedModule(G, H, beta, alpha) built directly, with beta passing
+    # validate_hom and alpha validate_action but the crossed-module axioms
+    # unchecked, over G and H in {1, Z2, Z3, Z4, Z2^2, S3}: the check on
+    # generators gives the scan's verdict and message.  The law fails where
+    # equivariance does (composable pairs are not closed) and where the
+    # Peiffer identity does, as for G = 1 and H = S3 (Eckmann-Hilton)
+    from cechmod import validate_action, validate_hom
+    from cechmod.algebra import CrossedModule
+    groups = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+              _cyclic_product(2, 2), symmetric_group(3)]
+    outcomes = {}
+    for G, H in itertools.product(groups, repeat=2):
+        aut, taut = automorphism_group(H)
+        actions = [validate_action(G, H, [taut.table[phi[g]] for g in G.elements()])
+                   for phi in _all_homs(G, aut)]
+        for f in _all_homs(H, G):
+            beta = validate_hom(H, G, f)
+            for alpha in actions:
+                cmx = CrossedModule(G, H, beta, alpha)
+                want = _reference_interchange(cmx)
+                assert _interchange_outcome(cmx) == want, (G.name, H.name, f, alpha.table)
+                outcomes.setdefault((G.name, H.name), set()).add(want)
+    assert outcomes[("1", "S3")] == {"interchange law fails"}
+    assert set().union(*outcomes.values()) == {None, "interchange law fails"}

@@ -187,3 +187,60 @@ def test_gauge_tables_equal_the_all_pairs_tables(name):
         gcm.h_tuples, lambda a, b: tuple(H.mul(x, y) for x, y in zip(a, b)))
     assert gcm.cm.G.mul_table == gstar.mul_table
     assert gcm.cm.H.mul_table == hstar.mul_table
+
+
+def _reference_endofunctors(tg):
+    """`equivariant_endofunctors_of_2group` as it stood with equivariance
+    checked at every pair (m, a) of morphisms."""
+    from cechmod.bundle import GroupoidFunctor, NaturalTransformation, two_group_groupoid
+    from cechmod.gauge import EndofunctorTransformation, EquivariantEndofunctor
+    cmx = tg.cm
+    G, H = cmx.G, cmx.H
+    TG = two_group_groupoid(tg)
+    kept = {}
+    for k1 in H.elements():
+        for k2 in G.elements():
+            F1 = {}
+            for m in TG.morphisms:
+                h, g = tg.decode(m)
+                F1[m] = tg.encode(H.mul(k1, cmx.act(k2, h)), G.mul(k2, g))
+            F = GroupoidFunctor(TG, TG, {g: G.mul(k2, g) for g in TG.objects}, F1)
+            if not F.check() and all(F1[tg.tensor(m, a)] == tg.tensor(F1[m], a)
+                                     for m in TG.morphisms for a in TG.morphisms):
+                assert k1 == H.identity, "non-translation functor survived"
+                kept[k2] = F
+    transformations = []
+    for k, F in kept.items():
+        for hbar in H.elements():
+            k2 = G.mul(cmx.beta_of(hbar), k)
+            tau = {g: tg.encode(hbar, G.mul(k, g)) for g in TG.objects}
+            if not NaturalTransformation(F, kept[k2], tau).check():
+                transformations.append(EndofunctorTransformation(k, k2, hbar))
+    return [EquivariantEndofunctor(k) for k in kept], transformations
+
+
+@pytest.mark.parametrize("cmname", list(CM_BUILDERS))
+def test_endofunctors_on_generators_match_the_all_pairs_reference(cmname):
+    # equivariance on the generators (h, e) and (e, g) of the morphisms
+    # keeps the same translations and the same transformations, in order
+    tg = two_group_from_crossed_module(cm(cmname))
+    assert equivariant_endofunctors_of_2group(tg) == _reference_endofunctors(tg)
+
+
+def test_interchange_and_equivariance_take_generator_many_tensor_products(monkeypatch):
+    # over all pairs, the interchange law on conj_s3 takes 216^2 * 3 =
+    # 139,968 tensor products and endofunctor equivariance 6 * 36^2 * 2 =
+    # 15,552; on generators the two take a tenth of that or less
+    from cechmod.algebra import Strict2Group
+    tensor = Strict2Group.tensor
+    calls = []
+
+    def counted(self, m, mb):
+        calls.append(None)
+        return tensor(self, m, mb)
+
+    monkeypatch.setattr(Strict2Group, "tensor", counted)
+    tg = two_group_from_crossed_module(cm("conj_s3"))
+    functors, _ = equivariant_endofunctors_of_2group(tg)
+    assert len(functors) == 6
+    assert len(calls) <= (139_968 + 15_552) // 10
