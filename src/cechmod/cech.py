@@ -24,7 +24,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Sequence
 
 from .algebra import CrossedModule, abelian_invariants, generating_set
 from .complexes import SimplicialComplex, degenerate_tuples, normalized_tuples
@@ -288,13 +288,13 @@ class _Context:
     - `triple_idx[t]` = (ij, jk, ik, i): the pair positions of free triple t
       and its first vertex (ij and jk are never diagonal).
     - `triples_at_pair[p]`: the free triples whose last pair is p, checkable
-      once g is set up to p.
+      once g (or eta) is set up to p.
     - `quads_at_triple[t]`: for each quadruple (i, j, k, l) with no adjacent
       repeat whose last free face is t, the positions (ikl, ijk, ijl, jkl,
       ij).  A quadruple with an adjacent repeat reads h = h under the
       normalization and is left out.  Built on first read, by the slice search.
-    - `pairs_at_vertex[v]`, `triples_at_vertex[v]`: the distinct pairs and
-      free triples whose largest vertex is v, for the coboundary search.
+    - `pairs_at_vertex[v]`: the distinct pairs whose largest vertex is v,
+      for the coboundary search.
     - `pos[t]`: the position of a valid pair or triple t, -1 when the
       normalization fixes it at e.
     """
@@ -331,9 +331,6 @@ class _Context:
         self.pairs_at_vertex = [[] for _ in range(n)]
         for p, pair in enumerate(self.distinct_pairs):
             self.pairs_at_vertex[max(pair)].append(p)
-        self.triples_at_vertex = [[] for _ in range(n)]
-        for t, triple in enumerate(self.free_triples):
-            self.triples_at_vertex[max(triple)].append(t)
         # the row-0 pairs (0, j) and free triples (0, j, k) come first
         self.row0_pairs = sum(1 for i, _ in self.distinct_pairs if i == 0)
         self.row0_triples = sum(1 for t in self.free_triples if t[0] == 0)
@@ -372,8 +369,12 @@ class _Context:
 
 class Budget:
     """The node counter every backtracking search charges: it holds only the
-    node limit and the nodes visited so far.  Every search charges the nodes
-    it visits and nothing else, so a budget means the same on every path.
+    node limit and the nodes visited so far.  Every search charges its full
+    candidate tree: the candidates it tries, and those a failed check rules
+    out without trying them, counted as the nodes a search that tried them
+    would visit (`_enumerate_slice` and `_coboundary_search` say how).  So a
+    budget means the same on every path, and a faster test of a node does
+    not change the count.
 
     Each tick names the search phase and the level being assigned (0-based,
     out of `levels`), so exceeding the limit raises SearchSpaceTooLarge
@@ -398,58 +399,114 @@ class Budget:
         for k in range(n):
             self.tick(phase, level + k if rising else level, levels)
 
+    def charge_tree(self, sizes: Sequence[int], phase: str, level: int, levels: int):
+        """The nodes of the product tree with sizes[k] values at level
+        `level` + k, f1 + f1 f2 + ... + f1 ... fm, in one step.  A charge
+        that crosses the limit is ticked in DFS order, each subtree that
+        fits in one step, so it runs out at the node, phase and depth the
+        single ticks would."""
+        below = [0]  # below[-1 - k]: the nodes of the tree of sizes[k:]
+        for f in reversed(sizes):
+            below.append(f * (1 + below[-1]))
+        if self.visited + below[-1] <= self.limit:
+            self.visited += below[-1]
+            return
+        # the tree does not fit: nor does the subtree of the first node at
+        # level k that does not fit whole, so descend into it
+        for k in range(len(sizes)):
+            step = 1 + below[-2 - k]
+            self.visited += (self.limit - self.visited) // step * step
+            self.tick(phase, level + k, levels)
+
 
 # -- coboundary search (cohomology testing, stabilizers) --------------------------
 
 def _coboundary_search(ctx: _Context, z: Cocycle, z2: Cocycle, budget: int,
-                       find_all: bool) -> Iterator[Coboundary]:
-    """Yield coboundaries c with apply_coboundary(z, c) == z2.
+                       find_all: bool) -> list[Coboundary]:
+    """The coboundaries c with apply_coboundary(z, c) == z2 in search order,
+    or only the first of them unless `find_all`.
 
-    Backtracking over vertex values with per-pair fiber pruning (the pair
-    equation determines beta(eta_ij)) and per-triple checks.  Diagonal
-    pairs and degenerate triples are fixed at e and never visited.
+    Backtracking, vertex by vertex: gamma_v, then eta on the distinct pairs
+    at v (`pairs_at_vertex[v]`).  Diagonal pairs and degenerate triples are
+    fixed at e and never visited.  Each candidate value is one node charged
+    to the budget.
+
+    Once gamma_v is set, the domain of every pair at v is fixed: the pair
+    equation fixes beta(eta_ij) (`pair_beta`), which reads only gamma_i and
+    gamma_j, with i, j <= v.  A free triple at v holds v and has no adjacent
+    repeat, so its last pair, in the order of `distinct_pairs`, holds v too
+    (`triples_at_pair`).  Each triple is checked, h'_ijk against z2's h_ijk,
+    right after that pair is set, and a candidate is dropped at its first
+    failing triple.
+
+    The node count is that of the search which sets every pair at v before
+    it checks any triple at v.  Under a failed prefix, that search visits
+    the whole product tree of the later pairs' domains, f1 + f1 f2 + ...,
+    and none of its leaves passes, since the failed triple reads only values
+    already set.  That tree is charged in one step (`Budget.charge_tree`).
+    So the budget runs out at the node and depth where that search would,
+    and since only subtrees without a solution are skipped, the coboundaries
+    come out in the same order.  The tree ends at an empty domain, so the
+    domains at v are read up to the first empty one.
     """
     K, cm = z.complex, z.cm
-    G = cm.G
+    G, H = cm.G, cm.H
+    hmul, hinv, ginv, act = H.mul_table, H.inv_table, G.inv_table, cm.alpha.table
     n = K.vertex_count
     bud = Budget(budget)
+    phase = "coboundary search"
     zg, zh = _pack(ctx, z)
     z2g, z2h = _pack(ctx, z2)
-    want = [[z2h[t] for t in ts] for ts in ctx.triples_at_vertex]
+    # checks[p]: the free triples whose last pair is p, as (ij, jk, ik, i,
+    # the action row of g_ij, h_ijk, the wanted h'_ijk)
+    checks = [[ctx.triple_idx[t] + (act[zg[ctx.triple_idx[t][0]]], zh[t], z2h[t])
+               for t in ts] for ts in ctx.triples_at_pair]
     gamma = [G.identity] * n
-    eta = [cm.H.identity] * (len(ctx.distinct_pairs) + 1)
-    # vertex by vertex, the search assigns gamma_v and then eta on the pairs
-    # at v; first_level[v] is the level of gamma_v
+    eta = [H.identity] * (len(ctx.distinct_pairs) + 1)
+    # first_level[v] is the level of gamma_v; the pairs at v follow it
     levels = n + len(ctx.distinct_pairs)
     first_level = [v + sum(map(len, ctx.pairs_at_vertex[:v])) for v in range(n)]
+    found: list[Coboundary] = []
 
-    def assign_pairs(v: int, idx: int) -> Iterator[Coboundary]:
+    def assign_pairs(v: int, idx: int, fibers: list, sizes: list) -> bool:
+        """Extend the assignment; True once the search should stop."""
         pairs = ctx.pairs_at_vertex[v]
         if idx == len(pairs):
-            if _act_triples(ctx, zg, zh, gamma, eta, ctx.triples_at_vertex[v]) == want[v]:
-                yield from assign_vertex(v + 1)
-            return
-        p = pairs[idx]
-        i, j = ctx.distinct_pairs[p]
-        for cand in ctx.fiber[ctx.pair_beta(gamma[i], z2g[p], gamma[j], zg[p])]:
-            bud.tick("coboundary search", first_level[v] + 1 + idx, levels)
+            return assign_vertex(v + 1)
+        p, level = pairs[idx], first_level[v] + 1 + idx
+        for cand in fibers[idx]:
+            bud.tick(phase, level, levels)
             eta[p] = cand
-            yield from assign_pairs(v, idx + 1)
+            for ij, jk, ik, i, row, h, want in checks[p]:
+                inner = hmul[hmul[eta[ik]][h]][hinv[row[eta[jk]]]]
+                if act[ginv[gamma[i]]][hmul[inner][hinv[eta[ij]]]] != want:
+                    bud.charge_tree(sizes[idx + 1:], phase, level + 1, levels)
+                    break
+            else:
+                if assign_pairs(v, idx + 1, fibers, sizes):
+                    return True
+        return False
 
-    def assign_vertex(v: int) -> Iterator[Coboundary]:
+    def assign_vertex(v: int) -> bool:
         if v == n:
-            yield coboundary(K, cm, dict(enumerate(gamma)),
-                             dict(zip(ctx.distinct_pairs, eta)))
-            return
+            found.append(coboundary(K, cm, dict(enumerate(gamma)),
+                                    dict(zip(ctx.distinct_pairs, eta))))
+            return not find_all
+        pairs = [(p, ctx.distinct_pairs[p]) for p in ctx.pairs_at_vertex[v]]
         for val in G.elements():
-            bud.tick("coboundary search", first_level[v], levels)
+            bud.tick(phase, first_level[v], levels)
             gamma[v] = val
-            yield from assign_pairs(v, 0)
+            fibers = []
+            for p, (i, j) in pairs:
+                fibers.append(ctx.fiber[ctx.pair_beta(gamma[i], z2g[p], gamma[j], zg[p])])
+                if not fibers[-1]:
+                    break
+            if assign_pairs(v, 0, fibers, list(map(len, fibers))):
+                return True
+        return False
 
-    for c in assign_vertex(0):
-        yield c
-        if not find_all:
-            return
+    assign_vertex(0)
+    return found
 
 
 def are_cohomologous(z: Cocycle, z2: Cocycle,

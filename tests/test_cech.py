@@ -273,6 +273,17 @@ def test_stabilizer_budget():
         stabilizer(trivial_cocycle(circle(), cm("z2_trivial")), budget=3)
 
 
+@pytest.mark.parametrize("cmname,size", [
+    ("z3_to_point", 243), ("aut_z3", 486), ("z4_over_z2", 4096)])
+def test_stabilizer_of_the_trivial_cocycle_on_rp26(cmname, size):
+    # cells of the gauge frontier that finish once each triple is checked at
+    # the pair that completes it.  For the trivial cocycle on a connected K
+    # with n vertices, |S| = |pi0| |H^1(K; pi1)| |H|^n / |H^0(K; pi1)|; on
+    # rp26 (n = 6, H^1(K; Z3) = 0, H^1(K; Z2) = Z2) that is 3^6 / 3,
+    # 2 * 3^6 / 3 and 2 * 4^6 / 2
+    assert len(stabilizer(trivial_cocycle(cx("rp26"), cm(cmname)))) == size
+
+
 def test_classify_with_nontrivial_action():
     # trivial homomorphism, inversion action; test_routes checks its count, 2
     result = classify(circle(), cm("aut_z3"), "brute")
@@ -330,6 +341,139 @@ def test_cohomologous_witness_is_pinned(kname, cmname):
     assert are_cohomologous(z, z2, budget=nodes).key() == key
     with pytest.raises(SearchSpaceTooLarge):
         are_cohomologous(z, z2, budget=nodes - 1)
+
+
+def _reference_coboundary_search(ctx, z, z2, bud, find_all):
+    """`cech._coboundary_search` as it stood before it checked each triple
+    at the pair that completes it, charging `bud`: every pair at v is set
+    before the triples at v are checked, together, at the leaf."""
+    from cechmod.cech import _act_triples, _pack
+    K, cmx = z.complex, z.cm
+    n = K.vertex_count
+    zg, zh = _pack(ctx, z)
+    z2g, z2h = _pack(ctx, z2)
+    triples_at_vertex = [[t for t, triple in enumerate(ctx.free_triples) if max(triple) == v]
+                         for v in range(n)]
+    want = [[z2h[t] for t in ts] for ts in triples_at_vertex]
+    gamma = [cmx.G.identity] * n
+    eta = [cmx.H.identity] * (len(ctx.distinct_pairs) + 1)
+    levels = n + len(ctx.distinct_pairs)
+    first_level = [v + sum(map(len, ctx.pairs_at_vertex[:v])) for v in range(n)]
+
+    def assign_pairs(v, idx):
+        pairs = ctx.pairs_at_vertex[v]
+        if idx == len(pairs):
+            if _act_triples(ctx, zg, zh, gamma, eta, triples_at_vertex[v]) == want[v]:
+                yield from assign_vertex(v + 1)
+            return
+        p = pairs[idx]
+        i, j = ctx.distinct_pairs[p]
+        for cand in ctx.fiber[ctx.pair_beta(gamma[i], z2g[p], gamma[j], zg[p])]:
+            bud.tick("coboundary search", first_level[v] + 1 + idx, levels)
+            eta[p] = cand
+            yield from assign_pairs(v, idx + 1)
+
+    def assign_vertex(v):
+        if v == n:
+            yield coboundary(K, cmx, dict(enumerate(gamma)), dict(zip(ctx.distinct_pairs, eta)))
+            return
+        for val in cmx.G.elements():
+            bud.tick("coboundary search", first_level[v], levels)
+            gamma[v] = val
+            yield from assign_pairs(v, 0)
+
+    for c in assign_vertex(0):
+        yield c
+        if not find_all:
+            return
+
+
+def _reference_outcomes(z, z2, find_all):
+    """`stabilizer(z)` (z2 is z) or `are_cohomologous(z, z2)` as the
+    reference search gives them, at every budget: a function of the budget
+    returning the sorted keys, the witness's key or None, or the message of
+    SearchSpaceTooLarge.  One run without limit logs where each node stood;
+    at budget b < its node count, the node b + 1 is the one that runs out."""
+    from cechmod.cech import Budget, _Context
+
+    class Log(Budget):
+        """A budget without limit that logs where each node stood."""
+
+        def __init__(self):
+            super().__init__(0)
+            self.nodes = []
+
+        def tick(self, phase, level, levels):
+            self.nodes.append((phase, level + 1, levels))
+
+    bud = Log()
+    found = list(_reference_coboundary_search(_Context(z.complex, z.cm), z, z2, bud, find_all))
+    result = sorted(c.key() for c in found) if find_all else found[0].key() if found else None
+
+    def outcome(budget):
+        if budget < len(bud.nodes):
+            return str(SearchSpaceTooLarge(budget, *bud.nodes[budget]))
+        return result
+
+    return outcome, len(bud.nodes)
+
+
+def _search_outcome(z, z2, find_all, budget):
+    try:
+        if find_all:
+            return [c.key() for c in stabilizer(z, budget=budget)]
+        c = are_cohomologous(z, z2, budget=budget)
+        return None if c is None else c.key()
+    except SearchSpaceTooLarge as exc:
+        return str(exc)
+
+
+def _search_cases(kname, cmname):
+    """(z, z2, find_all) by name: the stabilizers of the trivial and of a
+    sampled cocycle, are_cohomologous on each of them against a moved copy,
+    and on two classes, one of them moved, where there are two."""
+    K, cmx = cx(kname), cm(cmname)
+    rng = random.Random(f"{kname}:{cmname}")
+    trivial, sampled = trivial_cocycle(K, cmx), sample_cocycle(K, cmx, rng)
+    cases = {"trivial stabilizer": (trivial, trivial, True),
+             "sampled stabilizer": (sampled, sampled, True)}
+    for name, z in (("trivial", trivial), ("sampled", sampled)):
+        cases[f"{name} moved"] = (z, apply_coboundary(z, random_coboundary(K, cmx, rng)), False)
+    reps = classify(K, cmx, "abelian" if cmx.G.order == 1 else "brute").representatives
+    if len(reps) > 1:
+        a, b = rng.sample(reps, 2)
+        cases["two classes"] = (a, apply_coboundary(b, random_coboundary(K, cmx, rng)), False)
+    return cases
+
+
+def _sampled_budgets(nodes, rng):
+    return sorted({0, 1, nodes - 1, nodes} | {rng.randrange(nodes) for _ in range(30)})
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("circle", "conj_s3"), ("circle", "aut_z3"), ("circle", "z4_over_z2")])
+def test_coboundary_search_matches_the_reference_at_every_budget(kname, cmname):
+    # the stabilizer's keys, the witness or None, and where the budget runs
+    # out, at every budget from 0 to the reference's node count; the sampled
+    # cocycle's stabilizer, with as many nodes as the trivial one's, at
+    # sampled budgets
+    rng = random.Random(0)
+    for name, (z, z2, find_all) in _search_cases(kname, cmname).items():
+        outcome, nodes = _reference_outcomes(z, z2, find_all)
+        budgets = (_sampled_budgets(nodes, rng) if name == "sampled stabilizer"
+                   else range(nodes + 1))
+        for budget in budgets:
+            assert _search_outcome(z, z2, find_all, budget) == outcome(budget), (name, budget)
+
+
+@pytest.mark.parametrize("kname,cmname", [
+    ("boundary3", "z4_over_z2"), ("boundary3", "z4_to_point"), ("boundary3", "star_to_s3")])
+def test_coboundary_search_matches_the_reference_at_sampled_budgets(kname, cmname):
+    rng = random.Random(0)
+    for name, (z, z2, find_all) in _search_cases(kname, cmname).items():
+        outcome, nodes = _reference_outcomes(z, z2, find_all)
+        for budget in _sampled_budgets(nodes, rng):
+            assert _search_outcome(z, z2, find_all, budget) == outcome(budget), (name, budget)
 
 
 def _reference_apply_coboundary(z, c):

@@ -118,6 +118,20 @@ ROWS = [
     Row("budget-stabilizer", "stabilizer --cocycle {tmp}/z.coc --budget 5",
         3, "REASON: visited nodes exceed budget 5 in coboundary search at depth 6 of 9\n",
         EXHAUSTED, {"z.coc": "cocycle circle conj_s3\n"}),
+    Row("stabilizer-rp26-z3_to_point", "stabilizer --cocycle {tmp}/z.coc",
+        0, ("SIZE: 243",),
+        "the coboundary search checks each triple at the pair that completes "
+        "it, so the trivial cocycle's stabilizer on rp26 with z3_to_point "
+        "coefficients (G = 1, 3^6 / 3 elements) finishes",
+        {"z.coc": "cocycle rp26 z3_to_point\n"}),
+    Row("budget-stabilizer-rp26-z4_to_point", "stabilizer --cocycle {tmp}/z.coc",
+        3, "REASON: visited nodes exceed budget 100000000 in coboundary search "
+           "at depth 36 of 36\n",
+        "under a failed check the search charges the subtree it skips in one "
+        "step, so the default budget runs out within a second, at the depth "
+        "where a search that tried every candidate would, some 10^8 node "
+        "visits later",
+        {"z.coc": "cocycle rp26 z4_to_point\n"}),
     Row("budget-workers-2",
         "classify --complex circle --cm star_to_s3 --budget 50 --workers 2",
         3, "REASON: visited nodes exceed budget 50 in slice h at depth 5 of 6\n",
