@@ -224,11 +224,16 @@ def apply_coboundary(z: Cocycle, c: Coboundary) -> Cocycle:
         raise ResultNotCocycle(exc)
 
 
-def _key_tuples(K: SimplicialComplex, arity: int) -> list[tuple[int, ...]]:
+def _key_tuples(K: SimplicialComplex, arity: int) -> tuple[tuple[int, ...], ...]:
     """The valid tuples of arity 2 or 3 in lexicographic order, the order of
     the keys of `Cocycle` and `Coboundary` (that of `valid_tuples`), read
-    from the tuples the complex holds."""
-    return sorted(normalized_tuples(K, arity) + degenerate_tuples(K, arity))
+    from the tuples the complex holds.  Sorted once per complex and held on
+    it, as `normalized_tuples` holds its tuples."""
+    held = K._cochains
+    key = ("keys", arity)
+    if key not in held:
+        held[key] = tuple(sorted(normalized_tuples(K, arity) + degenerate_tuples(K, arity)))
+    return held[key]
 
 
 def _coboundary_product(K: SimplicialComplex, cm: CrossedModule):
@@ -448,6 +453,13 @@ def _coboundary_search(ctx: _Context, z: Cocycle, z2: Cocycle, budget: int,
     and since only subtrees without a solution are skipped, the coboundaries
     come out in the same order.  The tree ends at an empty domain, so the
     domains at v are read up to the first empty one.
+
+    Each solution is built as a `Coboundary` directly, in the form
+    `coboundary` returns: gamma over the vertices and eta over every key
+    pair, in order.  It needs none of that function's checks: every gamma_v
+    is an element of G and every eta_ij an element of a beta fiber of H, so
+    each value is in range; eta is total on the valid pairs and on nothing
+    else; and every diagonal pair reads the identity slot, e.
     """
     K, cm = z.complex, z.cm
     G, H = cm.G, cm.H
@@ -463,6 +475,9 @@ def _coboundary_search(ctx: _Context, z: Cocycle, z2: Cocycle, budget: int,
                for t in ts] for ts in ctx.triples_at_pair]
     gamma = [G.identity] * n
     eta = [H.identity] * (len(ctx.distinct_pairs) + 1)
+    # a solution's eta over the key pairs; a diagonal pair reads the identity slot
+    key_pairs = _key_tuples(K, 2)
+    slots = [ctx.pos[p] for p in key_pairs]
     # first_level[v] is the level of gamma_v; the pairs at v follow it
     levels = n + len(ctx.distinct_pairs)
     first_level = [v + sum(map(len, ctx.pairs_at_vertex[:v])) for v in range(n)]
@@ -489,8 +504,8 @@ def _coboundary_search(ctx: _Context, z: Cocycle, z2: Cocycle, budget: int,
 
     def assign_vertex(v: int) -> bool:
         if v == n:
-            found.append(coboundary(K, cm, dict(enumerate(gamma)),
-                                    dict(zip(ctx.distinct_pairs, eta))))
+            found.append(Coboundary(K, cm, dict(enumerate(gamma)),
+                                    dict(zip(key_pairs, [eta[s] for s in slots]))))
             return not find_all
         pairs = [(p, ctx.distinct_pairs[p]) for p in ctx.pairs_at_vertex[v]]
         for val in G.elements():
@@ -513,7 +528,7 @@ def are_cohomologous(z: Cocycle, z2: Cocycle,
                      budget: int = DEFAULT_BUDGET) -> Coboundary | None:
     """A witness coboundary carrying z to z2, or None (a definitive negative).
     The witness is verified on the search's own context: its packed action
-    on z must be z2's packed encoding (c has eta_ii = e, as `coboundary`
+    on z must be z2's packed encoding (c has eta_ii = e, as the search
     built it, so the degenerate tuples read e on both sides)."""
     if z.complex != z2.complex or z.cm != z2.cm:
         raise SemanticError("cocycles live over different complexes or crossed modules")
@@ -529,12 +544,15 @@ def are_cohomologous(z: Cocycle, z2: Cocycle,
 class _Stabilizer(list):
     """`stabilizer`'s sorted list of coboundaries, holding their sorted keys
     and the products its closure check computed: `identity` is the position
-    of the identity, and rows[k][a] the position of the product of the a-th
-    element by the k-th generator.  `gauge_crossed_module` fills G*'s table
-    from them (`algebra._group_from_right_multiplications`)."""
+    of the identity, `gens` the keys of the greedy generators, and rows[k][a]
+    the position of the product of the a-th element by the k-th generator.
+    `gauge_crossed_module` fills G*'s table from them
+    (`algebra._group_from_right_multiplications`), and `gauge_orders` checks
+    equivariance on `gens`."""
 
     keys: list[tuple]
     identity: int
+    gens: list[tuple]
     rows: list[list[int]]
 
 
@@ -589,7 +607,7 @@ def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
                     closure.append(w)
                     queue.append((w, 0))
     out = _Stabilizer(found[k] for k in keys)
-    out.keys, out.identity, out.rows = keys, identity, rows
+    out.keys, out.identity, out.gens, out.rows = keys, identity, gens, rows
     return out
 
 

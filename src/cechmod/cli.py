@@ -211,10 +211,10 @@ def cmd_quotient(args) -> tuple[int, list[str]]:
 
 def cmd_gauge(args) -> tuple[int, list[str]]:
     z = parse_cocycle_file(args.cocycle)
-    gcm = gauge_mod.gauge_crossed_module(z, budget=args.budget)
-    return OK, [f"GSTAR: {gcm.cm.G.order}", f"HSTAR: {gcm.cm.H.order}",
-                f"PI0: {gcm.pi0.order}", f"PI1: {gcm.pi1.order}",
-                f"CONVENTION: {gcm.convention}"]
+    orders = gauge_mod.gauge_orders(z, budget=args.budget)
+    return OK, [f"GSTAR: {orders.gstar}", f"HSTAR: {orders.hstar}",
+                f"PI0: {orders.pi0}", f"PI1: {orders.pi1}",
+                f"CONVENTION: {orders.convention}"]
 
 
 def cmd_aut2group(args) -> tuple[int, list[str]]:

@@ -17,6 +17,7 @@ from .algebra import (
     FiniteGroup,
     Strict2Group,
     _group_from_right_multiplications,
+    generating_set,
     kernel_of_beta,
     power_group,
     quotient_by_image,
@@ -39,10 +40,12 @@ from .cech import (
     Coboundary,
     DEFAULT_BUDGET,
     _Context,
+    _coboundary_product,
     _key_tuples,
     stabilizer,
 )
-from .errors import ConventionMismatch
+from .complexes import normalized_tuples
+from .errors import ConventionMismatch, EquivarianceFailure, PeifferFailure
 
 
 @dataclass
@@ -204,6 +207,27 @@ def ad_equivariant_functor_count(z: Cocycle, budget: int = DEFAULT_BUDGET) -> in
 
 # -- the gauge crossed module -----------------------------------------------------
 
+def _betastar(z: Cocycle):
+    """betastar on vertex-indexed H-tuples, as a coboundary key: t goes to
+    gamma_i = beta(t_i), then eta_ij = t_i * (g_ij . t_j)^-1 over
+    `_key_tuples(K, 2)` (e on a diagonal pair, as g_ii = e)."""
+    cm = z.cm
+    beta, act, hmul, hinv = cm.beta.image, cm.alpha.table, cm.H.mul_table, cm.H.inv_table
+    edges = [(i, j, act[z.g[(i, j)]]) for i, j in _key_tuples(z.complex, 2)]
+
+    def key(tup: tuple) -> tuple:
+        return tuple(beta[t] for t in tup) + \
+            tuple(hmul[tup[i]][hinv[row[tup[j]]]] for i, j, row in edges)
+
+    return key
+
+
+def _alphastar(act, gamma: tuple, tup: tuple) -> tuple:
+    """alphastar of the gauge object with vertex part gamma on an H-tuple:
+    pointwise through the base action."""
+    return tuple(act[g][t] for g, t in zip(gamma, tup))
+
+
 @dataclass
 class GaugeCrossedModule:
     cm: CrossedModule               # (Gstar, Hstar, betastar, alphastar)
@@ -244,18 +268,16 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     gindex = {k: i for i, k in enumerate(gitems)}
     Hstar, hitems = power_group(H, n, name="H-tuples")
 
-    # betastar(t) as a key: gamma_i = beta(t_i), then eta_ij over the key's pairs
-    beta, act, hmul, hinv = cm.beta.image, cm.alpha.table, H.mul_table, H.inv_table
-    edges = [(i, j, z.g[(i, j)]) for i, j in _key_tuples(K, 2)]
+    key_of = _betastar(z)
     images = []
     for tup in hitems:
-        k = tuple(beta[t] for t in tup) + \
-            tuple(hmul[tup[i]][hinv[act[g][tup[j]]]] for i, j, g in edges)
+        k = key_of(tup)
         if k not in gindex:
             raise ConventionMismatch(
                 f"betastar image of {tup} does not stabilize the cocycle")
         images.append(gindex[k])
     betastar = validate_hom(Hstar, Gstar, images)
+    act = cm.alpha.table
     # the index of a tuple t is sum t_i |H|^(n-1-i), so gamma's row is built
     # vertex by vertex; keys with one gamma share their row
     m, act_rows = H.order, {}
@@ -270,3 +292,136 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     pi0, _ = quotient_by_image(gauge_cm)
     pi1, _ = kernel_of_beta(gauge_cm)
     return GaugeCrossedModule(gauge_cm, stab, hitems, pi0, pi1, "left")
+
+
+@dataclass
+class GaugeOrders:
+    gstar: int      # |Gstar|, the stabilizer of the cocycle
+    hstar: int      # |Hstar| = |H|^n
+    pi0: int        # |Gstar / betastar(Hstar)|
+    pi1: int        # |ker betastar|
+    convention: str
+
+
+def gauge_orders(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeOrders:
+    """The orders of `gauge_crossed_module(z, budget)`'s Gstar, Hstar, pi0
+    and pi1, and its convention, without a Cayley table.
+
+    GSTAR is |stabilizer(z)| and HSTAR = |H|^n.  PI1 = |ker betastar|:
+    betastar(t) is the identity key exactly when every t_i lies in ker beta
+    and t_i = g_ij . t_j on every key pair, so PI1 is the twisted H^0 that
+    `_twisted_h0` counts.  PI0 = GSTAR * PI1 / HSTAR, as |betastar(Hstar)| =
+    |Hstar| / |ker betastar|; the division is asserted exact.
+
+    These orders are those of a crossed module by the following arguments,
+    so no table is built to check them.
+    - Gstar is a group.  It is closed under `cech._coboundary_product`, as
+      `stabilizer` checks; that law is associative (`stabilizer`'s
+      docstring) and a group law on all coboundaries, and a finite subset
+      of a group closed under its law and holding the identity is a
+      subgroup.
+    - Hstar = H^n is a group under the pointwise law, and alphastar, which
+      acts pointwise through alpha, is an action by automorphisms, as alpha
+      is one.
+    - betastar is a homomorphism into the coboundary law.  The product of
+      betastar(t) and betastar(t') has gamma_i = beta(t_i) beta(t'_i) =
+      beta(t_i t'_i), and eta_ij = (beta(t_i) . t'_i (g_ij . t'_j)^-1)
+      t_i (g_ij . t_j)^-1 = t_i t'_i (g_ij . t'_j)^-1 (g_ij . t_j)^-1 by the
+      Peiffer identity, which is t_i t'_i (g_ij . (t_j t'_j))^-1, as
+      alpha(g_ij) is an automorphism: betastar(t t').
+
+    Three checks stay, on generators, and each raises its error.
+    - betastar of each generator of Hstar (one tuple per vertex and
+      generator of H, e elsewhere) lies in the stabilizer, else
+      ConventionMismatch.  As betastar is a homomorphism and the stabilizer
+      a subgroup, every image then does.
+    - The Peiffer identity alphastar(betastar(t)) t' = t t' t^-1 at every
+      pair of generators of Hstar, else PeifferFailure.  For fixed t both
+      sides are automorphisms in t', so they agree once they agree on
+      generators; and the t at which they agree for every t' are closed
+      under products, since betastar is a homomorphism and alphastar an
+      action, so they are all of Hstar once they hold the generators.
+    - Equivariance betastar(alphastar(g) t) g = g betastar(t) for g among
+      `stabilizer`'s generators (`_Stabilizer.gens`) and t among Hstar's,
+      else EquivarianceFailure.  For fixed g, t -> betastar(alphastar(g) t)
+      and t -> g betastar(t) g^-1 are homomorphisms, so they agree once they
+      agree on generators; and the g at which they agree for every t are
+      closed under products, as alphastar is an action.
+    The errors name elements by their positions in `gauge_crossed_module`'s
+    tables: a stabilizer element by its sorted key, and a tuple t by
+    sum t_i |H|^(n-1-i), its place in `itertools.product` order.
+    """
+    K, cm = z.complex, z.cm
+    H = cm.H
+    n = K.vertex_count
+    stab = stabilizer(z, budget)
+    elements = set(stab.keys)
+    key_of = _betastar(z)
+    act, hmul, hinv = cm.alpha.table, H.mul_table, H.inv_table
+    e = (H.identity,) * n
+    tgens = [e[:v] + (y,) + e[v + 1:] for v in range(n)
+             for y in generating_set(H.elements(), H.mul_table, H.identity)]
+
+    def place(tup: tuple) -> int:
+        return sum(t * H.order ** (n - 1 - i) for i, t in enumerate(tup))
+
+    images = {}
+    for t in tgens:
+        images[t] = key_of(t)
+        if images[t] not in elements:
+            raise ConventionMismatch(f"betastar image of {t} does not stabilize the cocycle")
+    for t in tgens:
+        for t2 in tgens:
+            if _alphastar(act, images[t][:n], t2) != \
+                    tuple(hmul[hmul[a][b]][hinv[a]] for a, b in zip(t, t2)):
+                raise PeifferFailure(place(t), place(t2))
+    product = _coboundary_product(K, cm)
+    for g in stab.gens:
+        for t in tgens:
+            if product(key_of(_alphastar(act, g[:n], t)), g) != product(g, images[t]):
+                raise EquivarianceFailure(stab.keys.index(g), place(t))
+    gstar, hstar, pi1 = len(stab), H.order ** n, _twisted_h0(z)
+    assert gstar * pi1 % hstar == 0, "the image of betastar does not divide Gstar"
+    return GaugeOrders(gstar, hstar, gstar * pi1 // hstar, pi1, "left")
+
+
+def _twisted_h0(z: Cocycle) -> int:
+    """The number of tuples t in (ker beta)^n with t_i = g_ij . t_j on every
+    key pair, one connected component of the base at a time.
+
+    In a component, the value at its root fixes every other value along a
+    spanning tree: t_i = g_ij . t_j, and t_j = g_ij^-1 . t_i.  Each root
+    value in ker beta is kept when the values it fixes satisfy every pair
+    of the component; they lie in ker beta, as beta(g . h) = g beta(h) g^-1.
+    A diagonal pair reads t_i = t_i, as g_ii = e.  The count is the product
+    over the components.
+    """
+    K, cm = z.complex, z.cm
+    act, ginv = cm.alpha.table, cm.G.inv_table
+    n = K.vertex_count
+    edges = [[] for _ in range(n)]  # edges[i]: (j, row) with t_j = row[t_i]
+    for i, j in normalized_tuples(K, 2):
+        g = z.g[(i, j)]
+        edges[i].append((j, act[ginv[g]]))
+        edges[j].append((i, act[g]))
+
+    def consistent(component: list[int], t: dict) -> bool:
+        # the component is in search order, so t[i] is set when i is reached
+        for i in component:
+            for j, row in edges[i]:
+                if t.setdefault(j, row[t[i]]) != row[t[i]]:
+                    return False
+        return True
+
+    count, seen = 1, [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root], component = True, [root]
+        for i in component:
+            for j, _ in edges[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    component.append(j)
+        count *= sum(consistent(component, {root: a}) for a in cm.beta.kernel_indices())
+    return count

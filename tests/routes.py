@@ -17,8 +17,8 @@ import random
 from cechmod import (BundleGroupoid, Cocycle, abelian_cohomology_oracle,
                      ad_equivariant_functor_count, apply_coboundary, circle, classify,
                      coboundary, crossed_module, cyclic_group, gauge_crossed_module,
-                     kernel_of_beta, quotient_by_image, random_coboundary,
-                     sample_cocycle, stabilizer, trivial_action, trivial_cocycle,
+                     gauge_orders, kernel_of_beta, quotient_by_image, random_coboundary,
+                     sample_cocycle, trivial_action, trivial_cocycle,
                      valid_tuples, validate_cocycle, validate_crossed_module)
 from cechmod.algebra import abelian_invariants
 from cechmod.catalog import CM_BUILDERS, COMPLEX_BUILDERS, _to_point, named_complex
@@ -224,11 +224,11 @@ def gauge_cm(name):
 
 
 def crossed_module_orders(z, name):
-    """All four orders where |H|^n is at most HSTAR_SIZE; past it, GSTAR
-    alone as |stabilizer|, the set on which Gstar is built."""
+    """All four orders of the crossed module with its Cayley tables, where
+    |H|^n is at most HSTAR_SIZE."""
+    if z.cm.H.order ** z.complex.vertex_count > HSTAR_SIZE:
+        return None
     try:
-        if z.cm.H.order ** z.complex.vertex_count > HSTAR_SIZE:
-            return {"GSTAR": len(stabilizer(z, GAUGE_BUDGET))}
         gcm = gauge_cm(name)
     except SearchSpaceTooLarge:
         return None
@@ -238,6 +238,16 @@ def crossed_module_orders(z, name):
     # the exact sequence pi1 -> Hstar -> Gstar -> pi0 multiply out
     assert gstar % pi0 == 0 and hstar % pi1 == 0 and gstar * pi1 == pi0 * hstar
     return {"GSTAR": gstar, "HSTAR": hstar, "PI0": pi0, "PI1": pi1}
+
+
+def orders(z, name):
+    """All four orders as `cechmod gauge` reports them, from the stabilizer
+    and the twisted H^0, with no Cayley table (`gauge_orders`)."""
+    try:
+        got = gauge_orders(z, GAUGE_BUDGET)
+    except SearchSpaceTooLarge:
+        return None
+    return {"GSTAR": got.gstar, "HSTAR": got.hstar, "PI0": got.pi0, "PI1": got.pi1}
 
 
 def functors(z, name):
@@ -314,7 +324,7 @@ def transformations(z, name):
     return {"PI1": sum(map(natural, itertools.product(*loops)))}
 
 
-GAUGE_ROUTES = {"crossed_module": crossed_module_orders, "functors": functors,
+GAUGE_ROUTES = {"crossed_module": crossed_module_orders, "orders": orders, "functors": functors,
                 "mapping": mapping, "twisted_h0": twisted_h0, "transformations": transformations}
 
 

@@ -5,9 +5,11 @@ import pytest
 from cechmod import (
     ad_equivariant_functor_count,
     compose_coboundaries,
+    disjoint_union,
     equivariant_endofunctors_of_2group,
     gauge_crossed_module,
     gauge_objects,
+    gauge_orders,
     identity_coboundary,
     sample_cocycle,
     trivial_cocycle,
@@ -15,7 +17,8 @@ from cechmod import (
     validate_crossed_module,
 )
 from cechmod.catalog import CM_BUILDERS
-from cechmod.errors import SearchSpaceTooLarge
+from cechmod.errors import (ConventionMismatch, EquivarianceFailure, PeifferFailure,
+                            SearchSpaceTooLarge)
 from conftest import assert_image_normal_and_kernel_central, cm, cx
 import routes
 
@@ -246,3 +249,62 @@ def test_interchange_and_equivariance_take_generator_many_tensor_products(monkey
     functors, _ = equivariant_endofunctors_of_2group(tg)
     assert len(functors) == 6
     assert len(calls) <= (139_968 + 15_552) // 10
+
+
+@pytest.mark.parametrize("cmname,seed", [("aut_z3", 0), ("aut_z3", 1), ("aut_z3", 3),
+                                         ("z4_over_z2", 0), ("z2_into_z4", 0)])
+def test_gauge_orders_count_pi1_per_component(cmname, seed):
+    # on a base of two components PI1 is the product of the components'
+    # counts; the direct count over every tuple of (ker beta)^7 agrees, and
+    # aut_z3's sampled cocycles reach both 9 = 3 * 3 and 3 = 1 * 3
+    K = disjoint_union(cx("circle"), cx("boundary3"))
+    z = sample_cocycle(K, cm(cmname), random.Random(seed))
+    got = gauge_orders(z)
+    assert got.pi1 == routes.twisted_h0(z, None)["PI1"]
+    assert got.hstar == cm(cmname).H.order ** 7
+    assert got.gstar * got.pi1 == got.pi0 * got.hstar
+
+
+def _untwisted_betastar(z):
+    # eta_ij = t_i * t_j^-1, as if every g_ij acted trivially
+    from cechmod.cech import _key_tuples
+    cmx = z.cm
+    hmul, hinv, beta = cmx.H.mul_table, cmx.H.inv_table, cmx.beta.image
+    pairs = _key_tuples(z.complex, 2)
+    return lambda t: tuple(beta[x] for x in t) + tuple(hmul[t[i]][hinv[t[j]]] for i, j in pairs)
+
+
+def _untwisted_product(K, cmx):
+    # eta'' = eta' * eta, the composition law as if G acted trivially on H
+    G, H, n = cmx.G, cmx.H, K.vertex_count
+    return lambda a, b: tuple(G.mul(x, y) for x, y in zip(a[:n], b[:n])) + \
+        tuple(H.mul(y, x) for x, y in zip(a[n:], b[n:]))
+
+
+@pytest.mark.parametrize("attr,mutant,error", [
+    ("_betastar", _untwisted_betastar, ConventionMismatch),
+    ("_alphastar", lambda act, gamma, tup: tup, PeifferFailure),
+    ("_coboundary_product", _untwisted_product, EquivarianceFailure),
+])
+def test_gauge_orders_generator_checks_catch_their_mutant(attr, mutant, error, monkeypatch):
+    # each check on generators fails when the part it checks is broken, on
+    # a cocycle whose g_ij act nontrivially: a betastar that drops the
+    # action of g_ij leaves the stabilizer, alphastar by the identity breaks
+    # the Peiffer identity as S3 is not abelian, and a law that drops the
+    # action breaks equivariance.  They are checked in that order, so each
+    # mutant reaches its own check
+    import cechmod.gauge as gauge_mod
+    z = routes.case("circle-conj_s3-moved")[0]
+    assert gauge_orders(z).gstar == 216
+    monkeypatch.setattr(gauge_mod, attr, mutant)
+    with pytest.raises(error):
+        gauge_orders(z)
+
+
+def test_betastar_helper_is_shared_with_the_table_construction(monkeypatch):
+    import cechmod.gauge as gauge_mod
+    z = routes.case("circle-conj_s3-moved")[0]
+    monkeypatch.setattr(gauge_mod, "_betastar", _untwisted_betastar)
+    for construction in (gauge_orders, gauge_crossed_module):
+        with pytest.raises(ConventionMismatch, match="betastar image of .* does not stabilize"):
+            construction(z)
