@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
+from typing import NamedTuple
 
 from .algebra import (
     CrossedModule,
     FiniteGroup,
     GroupHom,
     Strict2Group,
+    _row_getter,
     abelian_invariants,
     crossed_module,
     generating_set,
@@ -62,6 +65,24 @@ def _positions(table: dict, cells) -> list[int]:
     return [-1 if p is None else p for p in found] if None in found else found
 
 
+class _Index(NamedTuple):
+    """A groupoid's tables with objects and morphisms replaced by their
+    positions in `objects` and `morphisms` (`FiniteGroupoid._index`)."""
+
+    obj_pos: dict      # object -> position
+    pos: dict          # morphism -> position
+    src: list          # by morphism: its source
+    tgt: list          # by morphism: its target
+    ident: list        # by object: its identity
+    inv: list          # by morphism: its inverse
+    comp: dict         # m2 * M + m1 -> m2 o m1, M = len(morphisms), in `compose` order
+    out: list          # by object: the morphisms leaving it
+    malformed: tuple   # what keeps the tables from being well formed
+    m2s: list          # the keys (m2, m1) of `compose` and their composites m,
+    m1s: list          # as three parallel lists in `compose` order
+    ms: list
+
+
 class FiniteGroupoid:
     """A finite groupoid given by explicit structure tables."""
 
@@ -79,33 +100,24 @@ class FiniteGroupoid:
 
     def hom(self, x, y) -> list:
         """The morphisms x -> y, in `morphisms` order, read from the index."""
-        obj_pos, _, _, target, _, _, _, out, _ = self._index()
-        p, q = obj_pos.get(x), obj_pos.get(y)
-        return [] if p is None else [self.morphisms[m] for m in out[p] if target[m] == q]
+        idx = self._index()
+        p, q = idx.obj_pos.get(x), idx.obj_pos.get(y)
+        return [] if p is None else [self.morphisms[m] for m in idx.out[p] if idx.tgt[m] == q]
 
-    def _index(self) -> tuple:
-        """The tables with objects and morphisms replaced by their positions
-        in `objects` and `morphisms`, read by the first call and kept, and
-        read by every check; a table edited later needs a new groupoid:
+    def _index(self) -> _Index:
+        """The tables as positions, read by the first call and kept, and read
+        by every check; a table edited later needs a new groupoid.  A cell
+        outside the groupoid, or missing from a table, reads as position -1.
 
-          (obj_pos, pos, source, target, identity, inverse, compose, out,
-           malformed)
-
-        obj_pos and pos map objects and morphisms to positions; source,
-        target and inverse are lists over morphisms and identity a list over
-        objects; compose maps m2 * M + m1 to m2 o m1, M = len(morphisms);
-        out lists the morphisms leaving each object.  A cell outside the
-        groupoid, or missing from a table, reads as position -1.
-
-        malformed names, from these lists, what keeps the tables from being
-        well formed: the first dangling endpoint alone; else every identity
-        that is not a loop at its object and every non-composable key (as is
-        one naming a cell outside the groupoid), up to the first composite
-        with wrong endpoints, then the first missing composite, m1 by m1.
-        Once the keys are distinct composable pairs, a composite is missing
-        exactly when there are fewer keys than composable pairs; so the keys
-        are checked a list at a time, and walked only to name a failure.
-        Tables that list a cell twice raise ValueError.
+        malformed names, from the position lists, what keeps the tables from
+        being well formed: the first dangling endpoint alone; else every
+        identity that is not a loop at its object and every non-composable
+        key (as is one naming a cell outside the groupoid), up to the first
+        composite with wrong endpoints, then the first missing composite, m1
+        by m1.  Once the keys are distinct composable pairs, a composite is
+        missing exactly when there are fewer keys than composable pairs; so
+        the keys are checked a list at a time, and walked only to name a
+        failure.  Tables that list a cell twice raise ValueError.
         """
         if self._idx is not None:
             return self._idx
@@ -120,11 +132,10 @@ class FiniteGroupoid:
         bad = [f"identity of {o} has wrong endpoints"
                for x, (o, e) in enumerate(zip(objects, identity))
                if e < 0 or not source[e] == x == target[e]]
-        # the keys (m2, m1) and composites m, as three parallel position lists
         m2s = _positions(pos, map(itemgetter(0), self.compose))
         m1s = _positions(pos, map(itemgetter(1), self.compose))
         ms = _positions(pos, self.compose.values())
-        compose = dict(zip([a * M + b for a, b in zip(m2s, m1s)], ms))
+        compose = {a * M + b: m for a, b, m in zip(m2s, m1s, ms)}
         out = [[] for _ in objects]
         for p, x in enumerate(source):
             if x >= 0:
@@ -156,7 +167,8 @@ class FiniteGroupoid:
                                 if (m2, m1) not in keys), None)
                 if missing:
                     bad.append(f"missing composite ({mors[missing[0]]}, {mors[missing[1]]})")
-        self._idx = obj_pos, pos, source, target, identity, inverse, compose, out, tuple(bad)
+        self._idx = _Index(obj_pos, pos, source, target, identity, inverse, compose, out,
+                           tuple(bad), m2s, m1s, ms)
         return self._idx
 
     def check_axioms(self) -> list[str]:
@@ -165,15 +177,20 @@ class FiniteGroupoid:
         Well-formedness is checked, and its failures named, as `_index` reads
         the tables.  The right identity, inverse and associativity laws run
         on the index, only on well-formed tables, since they look up
-        composites the tables must hold; every triple is checked once.  The
-        left identity law follows from those three, so it is not checked
-        again: for m: x -> y,
+        composites the tables must hold; every triple is checked once.
+        Associativity is compared a row at a time: for each key (m2, m1),
+        (m3 m2) m1 over every m3, read in one call of m2's `itemgetter`,
+        against m3 (m2 m1); only a row that differs is walked, to name its
+        first triple, as `validate_group`'s Light's test does.  The left
+        identity law follows from those three, so it is not checked again:
+        for m: x -> y,
 
           1_y m = (m m^-1) m = m (m^-1 m) = m 1_x = m.
         """
-        _, _, src, tgt, ident, inv, comp, out, malformed = self._index()
-        if malformed:
-            return list(malformed)
+        idx = self._index()
+        if idx.malformed:
+            return list(idx.malformed)
+        src, tgt, ident, inv, comp, out = idx.src, idx.tgt, idx.ident, idx.inv, idx.comp, idx.out
         bad = []
         mors = self.morphisms
         M = len(mors)
@@ -187,19 +204,18 @@ class FiniteGroupoid:
                 bad.append(f"inverse law fails at {mors[m]}")
         # after[m][k]: the k-th morphism out of the target of m, composed with m;
         # slot[m]: the place of m in the out-list of its source
-        after = [[comp[m3 * M + m] for m3 in out[tgt[m]]] for m in range(M)]
+        after = [tuple([comp[m3 * M + m] for m3 in out[tgt[m]]]) for m in range(M)]
         slot = [0] * M
         for row in out:
             for k, m in enumerate(row):
                 slot[m] = k
-        after_slot = [list(map(slot.__getitem__, row)) for row in after]
-        for key, m21 in comp.items():
-            m2, m1 = divmod(key, M)
-            # (m3 m2) m1 against m3 (m2 m1) for every m3 out of the target of
-            # m2; m3 m2 leaves the target of m1, so (m3 m2) m1 is in after[m1]
-            lhs = list(map(after[m1].__getitem__, after_slot[m2]))
-            if lhs != after[m21]:
-                m3 = out[tgt[m2]][_first_difference(lhs, after[m21])]
+        # (m3 m2) m1 against m3 (m2 m1) for every m3 out of the target of m2,
+        # a row at a time: m3 m2 leaves the target of m1, so (m3 m2) m1 is
+        # after[m1] read at the slots of after[m2]
+        through = [_row_getter([slot[m] for m in row]) for row in after]
+        for m2, m1, m21 in zip(idx.m2s, idx.m1s, idx.ms):
+            if through[m2](after[m1]) != after[m21]:
+                m3 = out[tgt[m2]][_first_difference(through[m2](after[m1]), after[m21])]
                 bad.append(f"associativity fails at ({mors[m3]}, {mors[m2]}, {mors[m1]})")
                 return bad
         return bad
@@ -208,8 +224,8 @@ class FiniteGroupoid:
         """Object -> the least object, by `repr`, of its isomorphism class.
         In a groupoid, y is isomorphic to x exactly when some morphism x -> y
         exists: the class of x is the targets of its out-list, one step."""
-        _, _, _, target, _, _, _, out, _ = self._index()
-        return {x: min((self.objects[q] for q in {target[m] for m in out[p]}), key=repr)
+        idx = self._index()
+        return {x: min((self.objects[q] for q in {idx.tgt[m] for m in idx.out[p]}), key=repr)
                 for p, x in enumerate(self.objects)}
 
 
@@ -225,25 +241,25 @@ class GroupoidFunctor:
         positions.  First a missing object; then, by morphism, a missing one or
         an image off the codomain or its endpoints; then identities, composites."""
         dom, cod, F0, F1 = self.domain, self.codomain, self.on_objects, self.on_morphisms
-        _, _, d_src, d_tgt, d_ident, _, d_comp, _, _ = dom._index()
-        c_obj, c_pos, c_src, c_tgt, c_ident, _, c_comp, _, _ = cod._index()
+        d, c = dom._index(), cod._index()
+        c_src, c_tgt = c.src, c.tgt
         for x in dom.objects:
             if x not in F0:
                 return [f"object map misses {x}"]
-        f0 = _positions(c_obj, map(F0.get, dom.objects))
-        f1 = _positions(c_pos, map(F1.get, dom.morphisms))
-        for m, a, x, y in zip(dom.morphisms, f1, d_src, d_tgt):
+        f0 = _positions(c.obj_pos, map(F0.get, dom.objects))
+        f1 = _positions(c.pos, map(F1.get, dom.morphisms))
+        for m, a, x, y in zip(dom.morphisms, f1, d.src, d.tgt):
             if a < 0 or c_src[a] != f0[x] or c_tgt[a] != f0[y]:
                 return [f"morphism map misses {m}" if m not in F1
                         else f"source/target not preserved at {m}"]
         bad = [f"identity not preserved at {x}"
-               for x, e, y in zip(dom.objects, d_ident, f0) if f1[e] != c_ident[y]]
-        mors, M, CM = dom.morphisms, len(dom.morphisms), len(cod.morphisms)
-        lhs = [c_comp.get(f1[key // M] * CM + f1[key % M]) for key in d_comp]
-        rhs = list(map(f1.__getitem__, d_comp.values()))
+               for x, e, y in zip(dom.objects, d.ident, f0) if f1[e] != c.ident[y]]
+        mors, CM, c_comp = dom.morphisms, len(cod.morphisms), c.comp
+        lhs = [c_comp.get(f1[a] * CM + f1[b]) for a, b in zip(d.m2s, d.m1s)]
+        rhs = list(map(f1.__getitem__, d.ms))
         if lhs != rhs:
-            m2, m1 = divmod(list(d_comp)[_first_difference(lhs, rhs)], M)
-            bad.append(f"composition not preserved at ({mors[m2]}, {mors[m1]})")
+            k = _first_difference(lhs, rhs)
+            bad.append(f"composition not preserved at ({mors[d.m2s[k]]}, {mors[d.m1s[k]]})")
         return bad
 
     def then(self, other: "GroupoidFunctor") -> "GroupoidFunctor":
@@ -272,17 +288,17 @@ class NaturalTransformation:
         them.  First, by object, a missing component or one off the codomain or
         its endpoints; then the first square unequal or missing a composite."""
         dom, cod, tau = self.F.domain, self.F.codomain, self.component
-        _, _, d_src, d_tgt, _, _, _, _, _ = dom._index()
-        c_obj, c_pos, c_src, c_tgt, _, _, c_comp, _, _ = cod._index()
+        d, c = dom._index(), cod._index()
+        c_src, c_tgt, c_comp = c.src, c.tgt, c.comp
         FG, CM = (self.F, self.G), len(cod.morphisms)
-        f0, g0 = (_positions(c_obj, map(H.on_objects.get, dom.objects)) for H in FG)
-        t = _positions(c_pos, map(tau.get, dom.objects))
+        f0, g0 = (_positions(c.obj_pos, map(H.on_objects.get, dom.objects)) for H in FG)
+        t = _positions(c.pos, map(tau.get, dom.objects))
         for x, tx, a, b in zip(dom.objects, t, f0, g0):
             if tx < 0 or c_src[tx] != a or c_tgt[tx] != b:
                 return [f"component missing at {x}" if x not in tau
                         else f"component at {x} has wrong endpoints"]
-        f1, g1 = (_positions(c_pos, map(H.on_morphisms.get, dom.morphisms)) for H in FG)
-        for m, a, b, x, y in zip(dom.morphisms, f1, g1, d_src, d_tgt):
+        f1, g1 = (_positions(c.pos, map(H.on_morphisms.get, dom.morphisms)) for H in FG)
+        for m, a, b, x, y in zip(dom.morphisms, f1, g1, d.src, d.tgt):
             # t_y F(m) against G(m) t_x: an image outside has no composite,
             # and a missing composite reads -1 on the left, -2 on the right
             if a < 0 or b < 0 or c_comp.get(t[y] * CM + a, -1) != c_comp.get(b * CM + t[x], -2):
@@ -383,7 +399,9 @@ class BundleGroupoid(FiniteGroupoid):
         objects, morphisms = [], []
         obj_over = {}             # (i, sigma) -> the objects (i, sigma, g), by g
         mor_over = {}             # (i, j, sigma) -> the morphisms (i, j, sigma, h, g), by h |G| + g
+        firsts = []               # (sigma, its first object, its first morphism), in order
         for s in K.simplices_sorted():
+            firsts.append((s, len(objects), len(morphisms)))
             for i in s:
                 obj_over[(i, s)] = fib = [(i, s, g) for g in gs]
                 objects += fib
@@ -392,6 +410,7 @@ class BundleGroupoid(FiniteGroupoid):
                     mor_over[(i, j, s)] = fib = [(i, j, s, h, g) for h in hs for g in gs]
                     morphisms += fib
         source, target, identity, inverse, compose = {}, {}, {}, {}, {}
+        ends = {}                 # sigma -> the end of its composites in `compose`
         for (i, s), fib in obj_over.items():
             ids = mor_over[(i, i, s)]
             for g in gs:
@@ -422,9 +441,27 @@ class BundleGroupoid(FiniteGroupoid):
                     for out, into, col in cols:
                         for m2, c in zip(out[t::nG], col):
                             compose[(m2, m)] = into[c + g]
+            ends[s] = len(compose)
         super().__init__(objects, morphisms, source, target, compose,
                          identity, inverse, name="P_z")
         self._over = None         # simplex -> its composites, grouped by the first `composites_over`
+        # simplex -> the slices of its objects, morphisms and composites in
+        # P's lists, which follow one another in sorted order
+        bounds = firsts + [(None, len(objects), len(morphisms))]
+        self._blocks, c = {}, 0
+        for (s, o, m), (_, o2, m2) in zip(bounds, bounds[1:]):
+            self._blocks[s] = (slice(o, o2), slice(m, m2), slice(c, ends[s]))
+            c = ends[s]
+        self._tg = None           # the 2-group and its groupoid, built by the first `_two_group`
+
+    def _two_group(self) -> tuple[Strict2Group, FiniteGroupoid]:
+        """The strict 2-group of P's crossed module and its groupoid, built on
+        the first call and kept, so that `check_action` and the charts of the
+        trivializations share them."""
+        if self._tg is None:
+            tg = Strict2Group(self.cm)
+            self._tg = tg, two_group_groupoid(tg)
+        return self._tg
 
     def composites_over(self, s) -> dict:
         """The part of `compose` over the simplex s, in its order, grouped on
@@ -494,13 +531,15 @@ def check_action(P: BundleGroupoid) -> list[str]:
     action is free and transitive on it exactly when the row of its first
     cell, sorted, is the fiber's positions.
     The 2-group's endpoints, identities and composable pairs are read from
-    `two_group_groupoid`, whose axioms are not rechecked here.
+    `two_group_groupoid`, whose axioms are not rechecked here; P builds it
+    once and shares it with the charts (`BundleGroupoid._two_group`).
     """
     bad = []
-    tg = Strict2Group(P.cm)
-    TG = two_group_groupoid(tg)
+    tg, TG = P._two_group()
     G = P.cm.G
-    obj_pos, pos, src, tgt, ident, _, comp, _, _ = P._index()
+    idx = P._index()
+    obj_pos, pos, src, tgt = idx.obj_pos, idx.pos, idx.src, idx.tgt
+    ident, comp = idx.ident, idx.comp
     mors = P.morphisms
     M = len(mors)
     ns = TG.morphisms
@@ -541,17 +580,21 @@ def check_action(P: BundleGroupoid) -> list[str]:
 
     first = None
     for k, e in enumerate(ids):                                        # (a)
+        if e == e_n:              # act(-, 1_e) fixes every morphism, as checked above
+            continue
         col = [row[e] for row in act]
-        lhs = [comp[col[key // M] * M + col[key % M]] for key in comp]
-        rhs = [col[m21] for m21 in comp.values()]
+        lhs = [comp[col[a] * M + col[b]] for a, b in zip(idx.m2s, idx.m1s)]
+        rhs = list(map(col.__getitem__, idx.ms))
         if lhs != rhs:
             j = _first_difference(lhs, rhs)
             if first is None or j < first[0]:
                 first = (j, k)
     if first is not None:
-        e = ids[first[1]]
-        return fails(*divmod(list(comp)[first[0]], M), e, e)
-    n2s, n1s, n21s = zip(*[(n2, n1, n21) for (n2, n1), n21 in TG.compose.items()])
+        j, e = first[0], ids[first[1]]
+        return fails(idx.m2s[j], idx.m1s[j], e, e)
+    # the 2-group's morphisms are their own positions
+    tgi = TG._index()
+    n2s, n1s, n21s = tgi.m2s, tgi.m1s, tgi.ms
     for e in ident:                                                    # (b)
         row = act[e]
         lhs = [comp[row[n2] * M + row[n1]] for n2, n1 in zip(n2s, n1s)]
@@ -605,38 +648,82 @@ class Trivialization:
     taubar: NaturalTransformation  # phibar o phi => identity
 
 
+def _stacked_index(objects: list, mors: list, blocks: list) -> _Index:
+    """The index of a disjoint union of blocks of indexes already read, whose
+    cells `objects` and `mors` list block by block.  A block (idx, objs, ms,
+    comps) is the slices objs, ms and comps of idx's object, morphism and
+    composite lists, and must name only its own cells; each list of the
+    union is then its blocks' slices, shifted.  Only `obj_pos` and `pos`
+    hash a cell."""
+    # one int object per position, held by the dicts and shared by every list
+    po, pm = list(range(len(objects))), list(range(len(mors)))
+    obj_pos, pos = dict(zip(objects, po)), dict(zip(mors, pm))
+    src, tgt, ident, inv, out, m2s, m1s, ms = [], [], [], [], [], [], [], []
+    for idx, objs, mrs, comps in blocks:
+        do, dm = len(ident) - objs.start, len(inv) - mrs.start
+        for into, cells, ints, d in ((src, idx.src[mrs], po, do), (tgt, idx.tgt[mrs], po, do),
+                                     (ident, idx.ident[objs], pm, dm), (inv, idx.inv[mrs], pm, dm),
+                                     (m2s, idx.m2s[comps], pm, dm), (m1s, idx.m1s[comps], pm, dm),
+                                     (ms, idx.ms[comps], pm, dm)):
+            into += [ints[x + d] for x in cells]
+        out += [[pm[m + dm] for m in row] for row in idx.out[objs]]
+    M = len(mors)
+    comp = {a * M + b: m for a, b, m in zip(m2s, m1s, ms)}
+    return _Index(obj_pos, pos, src, tgt, ident, inv, comp, out, (), m2s, m1s, ms)
+
+
 def chart_groupoid(K: SimplicialComplex, cm: CrossedModule, vertex: int) -> FiniteGroupoid:
     """The product of the star of a vertex with the structure 2-group."""
-    G, H = cm.G, cm.H
+    return _chart(K, cm, vertex, two_group_groupoid(Strict2Group(cm)))
+
+
+def _chart(K: SimplicialComplex, cm: CrossedModule, vertex: int,
+           TG: FiniteGroupoid) -> FiniteGroupoid:
+    """`chart_groupoid`, given the 2-group's groupoid TG, which must be well
+    formed: one copy of TG per simplex sigma of the star, with (sigma, g) and
+    (sigma, h, g) where g and the code of (h, g) are in TG.  Its index is
+    TG's, stacked, and its tables are read off that index."""
     stars = K.star_simplices(vertex)
-    objects = [(s, g) for s in stars for g in G.elements()]
-    morphisms = [(s, h, g) for s in stars for h in H.elements() for g in G.elements()]
-    source = {m: (m[0], m[2]) for m in morphisms}
-    target = {m: (m[0], G.mul(cm.beta_of(m[1]), m[2])) for m in morphisms}
-    identity = {o: (o[0], H.identity, o[1]) for o in objects}
-    inverse = {m: (m[0], H.inv(m[1]), target[m][1]) for m in morphisms}
-    compose = {}
-    for m1 in morphisms:
-        for h2 in H.elements():
-            m2 = (m1[0], h2, target[m1][1])
-            compose[(m2, m1)] = (m1[0], H.mul(h2, m1[1]), m1[2])
-    return FiniteGroupoid(objects, morphisms, source, target, compose,
-                          identity, inverse, name=f"U_{vertex} x 2group")
+    objects = [(s, g) for s in stars for g in cm.G.elements()]
+    morphisms = [(s, h, g) for s in stars for h in cm.H.elements() for g in cm.G.elements()]
+    tgi = TG._index()
+    assert not tgi.malformed, f"the 2-group is malformed: {tgi.malformed[0]}"
+    block = (tgi, slice(0, len(TG.objects)), slice(0, len(TG.morphisms)),
+             slice(0, len(TG.compose)))
+    idx = _stacked_index(objects, morphisms, [block] * len(stars))
+    at_obj, at_mor = objects.__getitem__, morphisms.__getitem__
+    chart = FiniteGroupoid(
+        objects, morphisms, dict(zip(morphisms, map(at_obj, idx.src))),
+        dict(zip(morphisms, map(at_obj, idx.tgt))),
+        dict(zip(zip(map(at_mor, idx.m2s), map(at_mor, idx.m1s)), map(at_mor, idx.ms))),
+        dict(zip(objects, map(at_mor, idx.ident))), dict(zip(morphisms, map(at_mor, idx.inv))),
+        name=f"U_{vertex} x 2group")
+    chart._idx = idx
+    return chart
 
 
 def restricted_groupoid(P: BundleGroupoid, vertex: int) -> FiniteGroupoid:
-    """The full subgroupoid of P over the star of a vertex, with P's
-    composites over each simplex of the star (`composites_over`)."""
-    objs = [o for o in P.objects if vertex in o[1]]
-    mors = [m for m in P.morphisms if vertex in m[2]]
-    comp = {}
-    for s in P.complex.star_simplices(vertex):
-        comp.update(P.composites_over(s))
-    return FiniteGroupoid(objs, mors, {m: P.source[m] for m in mors},
-                          {m: P.target[m] for m in mors}, comp,
-                          {o: P.identity[o] for o in objs},
-                          {m: P.inverse[m] for m in mors},
-                          name=f"P_z | star({vertex})")
+    """The full subgroupoid of P over the star of a vertex: P's blocks over
+    the star's simplices (`BundleGroupoid._blocks`), which are sorted, so
+    `compose` is read in one pass.  The endpoint, identity and inverse
+    tables are P's, which hold the restriction's cells among others.  P's
+    index must be well formed, and its tables as `__init__` laid them out;
+    the restriction's index is stacked from P's blocks."""
+    idx = P._index()
+    assert not idx.malformed, f"P is malformed: {idx.malformed[0]}"
+    stars = P.complex.star_simplices(vertex)
+    blocks = [(idx, *P._blocks[s]) for s in stars]
+    objs, mors, compose = [], [], {}
+    items, read = iter(P.compose.items()), 0
+    for (_, o, m, c) in blocks:
+        objs += P.objects[o]
+        mors += P.morphisms[m]
+        compose.update(islice(items, c.start - read, c.stop - read))
+        read = c.stop
+    R = FiniteGroupoid(objs, mors, P.source, P.target, compose, P.identity, P.inverse,
+                       name=f"P_z | star({vertex})")
+    R._idx = _stacked_index(objs, mors, blocks)
+    return R
 
 
 def trivializations(P: BundleGroupoid, vertex: int) -> Trivialization:
@@ -656,30 +743,26 @@ def trivializations(P: BundleGroupoid, vertex: int) -> Trivialization:
     if not (0 <= vertex < K.vertex_count):
         raise VertexOutOfRange(vertex, K.vertex_count)
     i = vertex
-    G, H = cm.G, cm.H
-    chart = chart_groupoid(K, cm, i)
+    gmul, hmul, alpha, eH = cm.G.mul_table, cm.H.mul_table, cm.alpha.table, cm.H.identity
+    chart = _chart(K, cm, i, P._two_group()[1])
     restr = restricted_groupoid(P, i)
     phibar = GroupoidFunctor(
         chart, restr,
         {(s, g): (i, s, g) for (s, g) in chart.objects},
         {(s, h, g): (i, i, s, h, g) for (s, h, g) in chart.morphisms})
-    phi_obj = {}
-    phi_mor = {}
-    for (j, s, g) in restr.objects:
-        phi_obj[(j, s, g)] = (s, G.mul(z.g[(i, j)], g))
-    for (j, k, s, h, g) in restr.morphisms:
-        phi_mor[(j, k, s, h, g)] = (
-            s, H.mul(z.h[(i, j, k)], cm.act(z.g[(i, j)], h)), G.mul(z.g[(i, j)], g))
+    phi_obj = {(j, s, g): (s, gmul[z.g[(i, j)]][g]) for (j, s, g) in restr.objects}
+    phi_mor = {(j, k, s, h, g): (s, hmul[z.h[(i, j, k)]][alpha[z.g[(i, j)]][h]],
+                                 gmul[z.g[(i, j)]][g])
+               for (j, k, s, h, g) in restr.morphisms}
     phi = GroupoidFunctor(restr, chart, phi_obj, phi_mor)
-    comp = {(j, s, g): (i, j, s, H.identity, G.mul(z.g[(i, j)], g))
-            for (j, s, g) in restr.objects}
+    comp = {(j, s, g): (i, j, s, eH, gmul[z.g[(i, j)]][g]) for (j, s, g) in restr.objects}
     taubar = NaturalTransformation(phi.then(phibar), identity_functor(restr), comp)
     return Trivialization(i, chart, restr, phi, phibar, taubar)
 
 
 def canonical_trivializations(P: BundleGroupoid) -> dict[int, Trivialization]:
-    """The trivializations at every vertex; P.compose is read once, into
-    the grouping by simplex they share (`BundleGroupoid.composites_over`)."""
+    """The trivializations at every vertex, each stacked from P's blocks over
+    its star (`restricted_groupoid`)."""
     return {i: trivializations(P, i) for i in range(P.complex.vertex_count)}
 
 
@@ -862,19 +945,18 @@ def is_weak_equivalence(F: GroupoidFunctor) -> tuple[bool, str]:
     passes, so the first failure is the one the all-pairs walk reports.
     """
     dom, cod = F.domain, F.codomain
-    _, _, d_src, d_tgt, _, _, _, _, _ = dom._index()
-    c_obj, _, c_src, c_tgt, _, _, _, _, _ = cod._index()
+    d, c = dom._index(), cod._index()
     comp = cod.components()
-    f0 = [c_obj[F.on_objects[x]] for x in dom.objects]
+    f0 = [c.obj_pos[F.on_objects[x]] for x in dom.objects]
     members = defaultdict(list)   # codomain component -> positions of the domain objects there
     for p, a in enumerate(f0):
         members[comp[cod.objects[a]]].append(p)
     for y in cod.objects:
         if comp[y] not in members:
             return False, f"object {y} is not isomorphic to any image object"
-    sizes = Counter(zip(c_src, c_tgt))    # (a, b) -> |hom(a, b)|, by positions
+    sizes = Counter(zip(c.src, c.tgt))    # (a, b) -> |hom(a, b)|, by positions
     hom = defaultdict(list)               # (x, y) -> the images of hom(x, y), by positions
-    for m, x, y in zip(dom.morphisms, d_src, d_tgt):
+    for m, x, y in zip(dom.morphisms, d.src, d.tgt):
         hom[x, y].append(F.on_morphisms[m])
     for p, x in enumerate(dom.objects):
         for q in members[comp[cod.objects[f0[p]]]]:

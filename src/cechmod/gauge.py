@@ -330,7 +330,7 @@ def gauge_orders(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeOrders:
       Peiffer identity, which is t_i t'_i (g_ij . (t_j t'_j))^-1, as
       alpha(g_ij) is an automorphism: betastar(t t').
 
-    Three checks stay, on generators, and each raises its error.
+    Four checks stay, on generators, and each raises its error.
     - betastar of each generator of Hstar (one tuple per vertex and
       generator of H, e elsewhere) lies in the stabilizer, else
       ConventionMismatch.  As betastar is a homomorphism and the stabilizer
@@ -347,6 +347,14 @@ def gauge_orders(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeOrders:
       and t -> g betastar(t) g^-1 are homomorphisms, so they agree once they
       agree on generators; and the g at which they agree for every t are
       closed under products, as alphastar is an action.
+    - betastar(t t') = betastar(t) betastar(t') at every pair of generators
+      of Hstar, as `validate_hom` checks a table, else ConventionMismatch.
+      The argument above proves it of the formula; the check holds
+      `_betastar` to it at generator cost, since a map that agrees with the
+      formula on the generators alone passes the first check.  The other
+      checks' arguments assume it, but any failure raises, so the verdict
+      does not depend on the order; it runs last, so that a broken law or
+      action is named by its own check.
     The errors name elements by their positions in `gauge_crossed_module`'s
     tables: a stabilizer element by its sorted key, and a tuple t by
     sum t_i |H|^(n-1-i), its place in `itertools.product` order.
@@ -380,6 +388,11 @@ def gauge_orders(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeOrders:
         for t in tgens:
             if product(key_of(_alphastar(act, g[:n], t)), g) != product(g, images[t]):
                 raise EquivarianceFailure(stab.keys.index(g), place(t))
+    for t in tgens:
+        for t2 in tgens:
+            if key_of(tuple(hmul[a][b] for a, b in zip(t, t2))) != product(images[t], images[t2]):
+                raise ConventionMismatch(
+                    f"betastar is not a homomorphism at ({place(t)}, {place(t2)})")
     gstar, hstar, pi1 = len(stab), H.order ** n, _twisted_h0(z)
     assert gstar * pi1 % hstar == 0, "the image of betastar does not divide Gstar"
     return GaugeOrders(gstar, hstar, gstar * pi1 // hstar, pi1, "left")

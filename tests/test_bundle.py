@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,6 +42,8 @@ from cechmod.bundle import (
     NaturalTransformation,
     Trivialization,
     band_cohomologous_to,
+    chart_groupoid,
+    restricted_groupoid,
 )
 from cechmod.catalog import CM_BUILDERS, COMPLEX_BUILDERS
 from cechmod.complexes import normalized_tuples
@@ -1249,6 +1252,73 @@ def test_each_groupoid_reads_its_tables_once():
         assert list(tv.restricted.compose.items()) == star
     first = P.complex.simplices_sorted()[0]
     assert P.composites_over(first) is P.composites_over(first)
+
+
+def _fresh_index(X):
+    """The index a new groupoid reads from X's tables."""
+    return FiniteGroupoid(X.objects, X.morphisms, X.source, X.target, X.compose,
+                          X.identity, X.inverse, name=X.name)._index()
+
+
+STACK_CMS = ["z2_trivial", "z4_over_z2", "aut_z3", "star_to_s3"]
+
+
+@pytest.mark.parametrize("kname", sorted(COMPLEX_BUILDERS))
+def test_stacked_indexes_equal_the_indexes_read_from_the_tables(kname):
+    # the restricted and chart indexes are stacked from P's and the
+    # 2-group's; they must be the indexes their own tables give, list for
+    # list, with the composites in the same order, since that order sets the
+    # first failure a functor check names
+    for cmname in STACK_CMS:
+        K = cx(kname)
+        P = build_total_groupoid(sample_cocycle(K, cm(cmname), random.Random(41)))
+        for i in range(K.vertex_count):
+            for X in (restricted_groupoid(P, i), chart_groupoid(K, P.cm, i)):
+                got, want = X._index(), _fresh_index(X)
+                assert got.malformed == want.malformed == ()
+                for field in got._fields:
+                    a, b = getattr(got, field), getattr(want, field)
+                    if isinstance(a, dict):
+                        a, b = list(a.items()), list(b.items())
+                    assert a == b, (kname, cmname, i, X.name, field)
+
+
+def test_restriction_refuses_a_malformed_groupoid():
+    # nothing is stacked from a malformed P, as build_total_groupoid refuses one
+    z = sample_cocycle(cx("circle"), cm("z4_over_z2"), random.Random(31))
+    with pytest.raises(AssertionError, match="P is malformed"):
+        restricted_groupoid(_recomposed(z), 0)
+
+
+def test_bundle_check_hashes_only_p_the_2group_and_the_functor_maps(tmp_path, monkeypatch):
+    # every _positions call of one bundle-check on boundary3 x z4_over_z2, by
+    # caller: only P and the 2-group read their tables into an index, one
+    # list of cells per table; check_action reads one acted row per morphism
+    # of P, and the functor and naturality checks read their maps, 9 lists
+    # per vertex.  The restricted and chart indexes hash no table
+    import sys
+
+    import cechmod.bundle as bundle_mod
+    from cechmod.cli import run
+    calls, readers = Counter(), Counter()
+    positions = bundle_mod._positions
+
+    def counted(table, cells):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "<genexpr>":
+            caller = caller.f_back
+        calls[caller.f_code.co_name] += 1
+        if caller.f_code.co_name == "_index":
+            readers[caller.f_locals["self"].name] += 1
+        return positions(table, cells)
+
+    monkeypatch.setattr(bundle_mod, "_positions", counted)
+    path = tmp_path / "z.coc"
+    path.write_text("cocycle boundary3 z4_over_z2\n")
+    code, report = run(["bundle-check", "--cocycle", str(path)])
+    assert code == 0 and "MORPHISMS: 512" in report and "TRIVIALIZATIONS: pass" in report
+    assert readers == {"P_z": 7, "2group": 7}
+    assert calls == {"_index": 14, "check_action": 512, "check": 4 * 9}
 
 
 # -- trivializations: equivariance on generators against the all-(hbar, gbar) walk --

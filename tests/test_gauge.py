@@ -301,6 +301,31 @@ def test_gauge_orders_generator_checks_catch_their_mutant(attr, mutant, error, m
         gauge_orders(z)
 
 
+def _left_sided_betastar(z):
+    # eta_ij = (g_ij . t_j)^-1 * t_i: t_i on the other side.  On a single
+    # vertex's generator it agrees with the true map, so each generator's
+    # image stabilizes the cocycle, but it is not a homomorphism
+    from cechmod.cech import _key_tuples
+    cmx = z.cm
+    beta, act, hmul, hinv = cmx.beta.image, cmx.alpha.table, cmx.H.mul_table, cmx.H.inv_table
+    edges = [(i, j, act[z.g[(i, j)]]) for i, j in _key_tuples(z.complex, 2)]
+    return lambda t: tuple(beta[x] for x in t) + \
+        tuple(hmul[hinv[row[t[j]]]][t[i]] for i, j, row in edges)
+
+
+def test_gauge_orders_rejects_a_betastar_that_is_not_a_homomorphism(monkeypatch):
+    # the table construction finds a product of generators whose image
+    # leaves the stabilizer; gauge_orders checks betastar on pairs of
+    # generators and must reject the map too
+    import cechmod.gauge as gauge_mod
+    z = routes.case("circle-conj_s3-moved")[0]
+    monkeypatch.setattr(gauge_mod, "_betastar", _left_sided_betastar)
+    with pytest.raises(ConventionMismatch, match="betastar image of .* does not stabilize"):
+        gauge_crossed_module(z)
+    with pytest.raises(ConventionMismatch, match="betastar is not a homomorphism at"):
+        gauge_orders(z)
+
+
 def test_betastar_helper_is_shared_with_the_table_construction(monkeypatch):
     import cechmod.gauge as gauge_mod
     z = routes.case("circle-conj_s3-moved")[0]
