@@ -444,7 +444,7 @@ class BundleGroupoid(FiniteGroupoid):
             ends[s] = len(compose)
         super().__init__(objects, morphisms, source, target, compose,
                          identity, inverse, name="P_z")
-        self._over = None         # simplex -> its composites, grouped by the first `composites_over`
+        self._over = None         # simplex -> its composites, split off by the first `composites_over`
         # simplex -> the slices of its objects, morphisms and composites in
         # P's lists, which follow one another in sorted order
         bounds = firsts + [(None, len(objects), len(morphisms))]
@@ -464,14 +464,14 @@ class BundleGroupoid(FiniteGroupoid):
         return self._tg
 
     def composites_over(self, s) -> dict:
-        """The part of `compose` over the simplex s, in its order, grouped on
-        the first call and kept.  Once P passed `check_axioms` the morphisms
-        of a key lie over one simplex, and `__init__` lists the composites
-        simplex by simplex in sorted order."""
+        """The part of `compose` over the simplex s, in its order: its block
+        (`_blocks`), since `__init__` lists the composites simplex by simplex
+        in sorted order.  All blocks are split off in one pass by the first
+        call and kept."""
         if self._over is None:
-            self._over = defaultdict(dict)
-            for key, m in self.compose.items():
-                self._over[key[1][2]][key] = m
+            items = iter(self.compose.items())
+            self._over = {t: dict(islice(items, c.stop - c.start))
+                          for t, (_, _, c) in self._blocks.items()}
         return self._over[s]
 
     # -- the strict right action of the structure 2-group ----------------------
@@ -642,7 +642,8 @@ def check_action(P: BundleGroupoid) -> list[str]:
 class Trivialization:
     vertex: int
     chart: FiniteGroupoid          # star(i) x 2group
-    restricted: FiniteGroupoid     # the bundle groupoid over star(i)
+    restricted: FiniteGroupoid     # the bundle groupoid over star(i); its endpoint,
+                                   # identity and inverse tables are P's (`restricted_groupoid`)
     phi: GroupoidFunctor           # restricted -> chart
     phibar: GroupoidFunctor        # chart -> restricted
     taubar: NaturalTransformation  # phibar o phi => identity
@@ -704,22 +705,23 @@ def _chart(K: SimplicialComplex, cm: CrossedModule, vertex: int,
 
 def restricted_groupoid(P: BundleGroupoid, vertex: int) -> FiniteGroupoid:
     """The full subgroupoid of P over the star of a vertex: P's blocks over
-    the star's simplices (`BundleGroupoid._blocks`), which are sorted, so
-    `compose` is read in one pass.  The endpoint, identity and inverse
-    tables are P's, which hold the restriction's cells among others.  P's
-    index must be well formed, and its tables as `__init__` laid them out;
-    the restriction's index is stacked from P's blocks."""
+    the star's simplices (`BundleGroupoid._blocks`), with the composites
+    `composites_over` each of them.  P's index must be well formed, and its
+    tables as `__init__` laid them out; the restriction's index is stacked
+    from P's blocks.
+
+    The endpoint, identity and inverse tables are P's own dicts, shared and
+    not copied: they hold the restriction's cells among P's others, so read
+    them at the cells of `objects` and `morphisms`, not by iterating them."""
     idx = P._index()
     assert not idx.malformed, f"P is malformed: {idx.malformed[0]}"
     stars = P.complex.star_simplices(vertex)
     blocks = [(idx, *P._blocks[s]) for s in stars]
     objs, mors, compose = [], [], {}
-    items, read = iter(P.compose.items()), 0
-    for (_, o, m, c) in blocks:
+    for s, (_, o, m, _) in zip(stars, blocks):
         objs += P.objects[o]
         mors += P.morphisms[m]
-        compose.update(islice(items, c.start - read, c.stop - read))
-        read = c.stop
+        compose.update(P.composites_over(s))
     R = FiniteGroupoid(objs, mors, P.source, P.target, compose, P.identity, P.inverse,
                        name=f"P_z | star({vertex})")
     R._idx = _stacked_index(objs, mors, blocks)

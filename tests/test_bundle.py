@@ -1283,6 +1283,54 @@ def test_stacked_indexes_equal_the_indexes_read_from_the_tables(kname):
                     assert a == b, (kname, cmname, i, X.name, field)
 
 
+def _product_chart(K, cm, i):
+    """The tables of star(i) x 2-group by the product formula: objects
+    (s, g), morphisms (s, h, g) from (s, g) to (s, beta(h) g), and the
+    composites m1 by m1, then by h2."""
+    G, H = cm.G, cm.H
+    stars = K.star_simplices(i)
+    objects = [(s, g) for s in stars for g in G.elements()]
+    morphisms = [(s, h, g) for s in stars for h in H.elements() for g in G.elements()]
+    source = {m: (m[0], m[2]) for m in morphisms}
+    target = {m: (m[0], G.mul(cm.beta_of(m[1]), m[2])) for m in morphisms}
+    identity = {o: (o[0], H.identity, o[1]) for o in objects}
+    inverse = {m: (m[0], H.inv(m[1]), target[m][1]) for m in morphisms}
+    compose = {}
+    for m1 in morphisms:
+        for h2 in H.elements():
+            compose[((m1[0], h2, target[m1][1]), m1)] = (m1[0], H.mul(h2, m1[1]), m1[2])
+    return objects, morphisms, source, target, compose, identity, inverse
+
+
+@pytest.mark.parametrize("kname", sorted(COMPLEX_BUILDERS))
+def test_chart_tables_are_the_product_formula(kname):
+    # the chart's tables are read off its stacked index, so they are compared
+    # here with the product formula itself, the composites in order
+    for cmname in STACK_CMS:
+        K, C = cx(kname), cm(cmname)
+        for i in range(K.vertex_count):
+            X = chart_groupoid(K, C, i)
+            objects, morphisms, source, target, compose, identity, inverse = \
+                _product_chart(K, C, i)
+            assert (X.objects, X.morphisms) == (objects, morphisms)
+            assert (X.source, X.target, X.identity, X.inverse) == \
+                (source, target, identity, inverse), (kname, cmname, i)
+            assert list(X.compose.items()) == list(compose.items()), (kname, cmname, i)
+
+
+def test_restricted_tables_are_ps_read_at_its_cells():
+    # the restriction shares P's endpoint, identity and inverse dicts, which
+    # hold P's other cells too; read at its own cells they are P's over the star
+    P = build_total_groupoid(sample_cocycle(cx("boundary3"), cm("z4_over_z2"),
+                                            random.Random(41)))
+    R = restricted_groupoid(P, 0)
+    assert (R.source, R.target, R.identity, R.inverse) == \
+        (P.source, P.target, P.identity, P.inverse)
+    assert R.source is P.source and len(R.source) > len(R.morphisms)
+    assert R.objects == [o for o in P.objects if 0 in o[1]]
+    assert R.morphisms == [m for m in P.morphisms if 0 in m[2]]
+
+
 def test_restriction_refuses_a_malformed_groupoid():
     # nothing is stacked from a malformed P, as build_total_groupoid refuses one
     z = sample_cocycle(cx("circle"), cm("z4_over_z2"), random.Random(31))
