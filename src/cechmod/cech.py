@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Sequence
+from operator import getitem
 
 from .algebra import CrossedModule, abelian_invariants, generating_set
 from .complexes import SimplicialComplex, degenerate_tuples, normalized_tuples
@@ -427,7 +428,7 @@ class Budget:
 # -- coboundary search (cohomology testing, stabilizers) --------------------------
 
 def _coboundary_search(ctx: _Context, z: Cocycle, z2: Cocycle, budget: int,
-                       find_all: bool) -> list[Coboundary]:
+                       find_all: bool) -> list[bytes]:
     """The coboundaries c with apply_coboundary(z, c) == z2 in search order,
     or only the first of them unless `find_all`.
 
@@ -454,12 +455,12 @@ def _coboundary_search(ctx: _Context, z: Cocycle, z2: Cocycle, budget: int,
     come out in the same order.  The tree ends at an empty domain, so the
     domains at v are read up to the first empty one.
 
-    Each solution is built as a `Coboundary` directly, in the form
-    `coboundary` returns: gamma over the vertices and eta over every key
-    pair, in order.  It needs none of that function's checks: every gamma_v
-    is an element of G and every eta_ij an element of a beta fiber of H, so
-    each value is in range; eta is total on the valid pairs and on nothing
-    else; and every diagonal pair reads the identity slot, e.
+    Each solution is emitted as its packed key: gamma over the vertices,
+    then eta over `_key_tuples(K, 2)`, as digits in `_Context.encode`'s
+    format, so that keys sort as the digit tuples of `Coboundary.key()` do.
+    Every gamma_v is an element of G and every eta_ij an element of a beta
+    fiber of H, so each digit fits the width, and every diagonal pair reads
+    the identity slot, e.  `_key_coboundary` reads a key back.
     """
     K, cm = z.complex, z.cm
     G, H = cm.G, cm.H
@@ -476,12 +477,11 @@ def _coboundary_search(ctx: _Context, z: Cocycle, z2: Cocycle, budget: int,
     gamma = [G.identity] * n
     eta = [H.identity] * (len(ctx.distinct_pairs) + 1)
     # a solution's eta over the key pairs; a diagonal pair reads the identity slot
-    key_pairs = _key_tuples(K, 2)
-    slots = [ctx.pos[p] for p in key_pairs]
+    slots = [ctx.pos[p] for p in _key_tuples(K, 2)]
     # first_level[v] is the level of gamma_v; the pairs at v follow it
     levels = n + len(ctx.distinct_pairs)
     first_level = [v + sum(map(len, ctx.pairs_at_vertex[:v])) for v in range(n)]
-    found: list[Coboundary] = []
+    found: list[bytes] = []
 
     def assign_pairs(v: int, idx: int, fibers: list, sizes: list) -> bool:
         """Extend the assignment; True once the search should stop."""
@@ -504,8 +504,7 @@ def _coboundary_search(ctx: _Context, z: Cocycle, z2: Cocycle, budget: int,
 
     def assign_vertex(v: int) -> bool:
         if v == n:
-            found.append(Coboundary(K, cm, dict(enumerate(gamma)),
-                                    dict(zip(key_pairs, [eta[s] for s in slots]))))
+            found.append(ctx.encode(gamma + [eta[s] for s in slots]))
             return not find_all
         pairs = [(p, ctx.distinct_pairs[p]) for p in ctx.pairs_at_vertex[v]]
         for val in G.elements():
@@ -533,7 +532,8 @@ def are_cohomologous(z: Cocycle, z2: Cocycle,
     if z.complex != z2.complex or z.cm != z2.cm:
         raise SemanticError("cocycles live over different complexes or crossed modules")
     ctx = _Context(z.complex, z.cm)
-    for c in _coboundary_search(ctx, z, z2, budget, find_all=False):
+    for key in _coboundary_search(ctx, z, z2, budget, find_all=False):
+        c = _key_coboundary(ctx, key)
         eta = [c.eta[p] for p in ctx.distinct_pairs] + [z.cm.H.identity]
         moved = _apply_packed(ctx, _pack(ctx, z), [c.gamma[v] for v in sorted(c.gamma)], eta)
         assert list(map(list, moved)) == list(_pack(ctx, z2)), "witness does not carry z to z2"
@@ -541,48 +541,117 @@ def are_cohomologous(z: Cocycle, z2: Cocycle,
     return None
 
 
-class _Stabilizer(list):
-    """`stabilizer`'s sorted list of coboundaries, holding their sorted keys
-    and the products its closure check computed: `identity` is the position
-    of the identity, `gens` the keys of the greedy generators, and rows[k][a]
-    the position of the product of the a-th element by the k-th generator.
-    `gauge_crossed_module` fills G*'s table from them
-    (`algebra._group_from_right_multiplications`), and `gauge_orders` checks
-    equivariance on `gens`."""
-
-    keys: list[tuple]
-    identity: int
-    gens: list[tuple]
-    rows: list[list[int]]
+def _key_coboundary(ctx: _Context, key: bytes) -> Coboundary:
+    """The `Coboundary` of a packed key of `_coboundary_search`, in the form
+    `coboundary` returns: gamma over the vertices and eta over every key
+    pair, in order.  It needs none of that function's checks: each digit is
+    in range, eta is total on the valid pairs and on nothing else, and every
+    diagonal pair holds e."""
+    n = ctx.K.vertex_count
+    digits = ctx.decode(key).tolist()
+    return Coboundary(ctx.K, ctx.cm, dict(enumerate(digits[:n])),
+                      dict(zip(_key_tuples(ctx.K, 2), digits[n:])))
 
 
-def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
+class _Stabilizer(Sequence):
+    """`stabilizer`'s coboundaries, held as their sorted packed keys
+    (`keys`, in `_coboundary_search`'s format) with `index`, the position
+    of each key, and the products its closure check computed: `identity` is
+    the position of the identity, `gens` the keys of the greedy generators,
+    and rows[k][a], an `array`, the position of the product of the a-th
+    element by the k-th generator.  `ctx` encodes and decodes keys.
+
+    A `Coboundary` is built from its key only where one is read, on
+    indexing or iteration.  `cli.cmd_stabilizer` prints its lines from the
+    keys, `gauge_orders` reads membership off `index` and checks
+    equivariance on `gens`, and `gauge_crossed_module` fills G*'s table from
+    the rows (`algebra._group_from_right_multiplications`)."""
+
+    def __init__(self, ctx: _Context, keys: list[bytes], index: dict[bytes, int],
+                 identity: int, gens: list[bytes], rows: list[array]):
+        self.ctx, self.keys, self.index = ctx, keys, index
+        self.identity, self.gens, self.rows = identity, gens, rows
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, a):
+        if isinstance(a, slice):
+            return [_key_coboundary(self.ctx, key) for key in self.keys[a]]
+        return _key_coboundary(self.ctx, self.keys[a])
+
+
+def _right_products(ctx: _Context, columns: list[array], x: Sequence[int],
+                    index: dict[bytes, int]) -> array:
+    """The row R_x of the set S of keys in `index`: R_x[a] is the position
+    of y x, for y the a-th key, for every a at once.  columns[d] holds digit
+    d of every key of S, in order, and x is a key's digits.
+
+    The product (`_coboundary_product`) reads gamma''_i = gamma_i x_i, a
+    lookup in G's table column at x_i, and eta''_ij = (gamma_i . x_ij)
+    eta_ij, a lookup in the table of the pair (gamma_i, eta_ij) that x_ij
+    fixes.  So each digit column of the products is one `map` over one or
+    two columns of S: a gamma column, or the column of the pair's first
+    vertex with the eta column.  Where x's digit is e the column is S's
+    own, as gamma_i e = gamma_i and (gamma_i . e) eta_ij = eta_ij.  The
+    products are packed as keys (`_Context.encode`) and each is looked up
+    in `index`; one outside S raises AssertionError.
+    """
+    G, H, act = ctx.cm.G, ctx.cm.H, ctx.cm.alpha.table
+    n, width = ctx.K.vertex_count, len(columns)
+    out = array(ctx.digit, bytes(len(index) * width * array(ctx.digit).itemsize))
+    for i in range(n):
+        col = columns[i]
+        if x[i] != G.identity:
+            table = [row[x[i]] for row in G.mul_table]
+            col = array(ctx.digit, list(map(table.__getitem__, col)))
+        out[i::width] = col
+    for d, (i, _) in enumerate(_key_tuples(ctx.K, 2), n):
+        col = columns[d]
+        if x[d] != H.identity:
+            rows = [H.mul_table[row[x[d]]] for row in act]  # rows[g][h] = (g . x_d) h
+            col = array(ctx.digit, list(map(getitem, map(rows.__getitem__, columns[i]), col)))
+        out[d::width] = col
+    packed = ctx.encode(out)
+    step = len(packed) // len(index)
+    try:
+        return array("i", [index[packed[k:k + step]] for k in range(0, len(packed), step)])
+    except KeyError:
+        raise AssertionError("stabilizer is not closed under composition") from None
+
+
+def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> _Stabilizer:
     """All coboundaries fixing z, sorted by key; verified to be closed under
-    composition.
+    composition.  They are held as the packed keys `_coboundary_search`
+    emits (`_Stabilizer`); at one digit width those sort as the digit
+    tuples of `Coboundary.key()` do.
 
     Closure is checked on generators.  They are chosen greedily from the
     sorted keys, as in `algebra.generating_set`: a key joins X when it lies
     outside the closure C grown from the identity by right multiplication by
-    the earlier ones, and each product y x computed must lie in the set S
-    found.  When x joins, each y already in C is multiplied by x, and each
-    element new to C by every generator so far, so every product y x is
-    computed once.  Every key of S either lies in C already or joins X, so
-    at the end C = S, S x lies in S for each x in X, and each element of S
-    is the identity or a word x_1 ... x_k in X.
+    the earlier ones.  When x joins, its products y x by every y in the set
+    S found are computed at once, column by column (`_right_products`), and
+    each must lie in S; that row of positions grows C: each y already in C
+    goes to y x, and each element new to C to its product by every
+    generator so far.  Every key of S either lies in C already or joins X,
+    so at the end C = S, S x lies in S for each x in X, and each element of
+    S is the identity or a word x_1 ... x_k in X.
     The composition law is associative: gamma multiplies pointwise, and on
     eta both bracketings give (gamma_i gamma'_i . eta''_ij)
     (gamma_i . eta'_ij) eta_ij, as alpha is a homomorphism into Aut(H).  So
     a (x_1 ... x_k) = (...(a x_1) ...) x_k lies in S for every a in S, which
-    is S S in S, at |S| |X| products instead of |S|^2.  The list returned
-    keeps those products (`_Stabilizer`).
+    is S S in S, at |S| |X| products instead of |S|^2.  The result keeps
+    those products (`_Stabilizer`).
     """
     K, cm = z.complex, z.cm
-    found = {c.key(): c for c in _coboundary_search(_Context(K, cm), z, z, budget,
-                                                    find_all=True)}
-    keys = sorted(found)
-    pos = {k: a for a, k in enumerate(keys)}
-    product = _coboundary_product(K, cm)
-    identity = pos[identity_coboundary(K, cm).key()]
+    ctx = _Context(K, cm)
+    keys = sorted(_coboundary_search(ctx, z, z, budget, find_all=True))
+    index = {k: a for a, k in enumerate(keys)}
+    n, width = K.vertex_count, K.vertex_count + len(_key_tuples(K, 2))
+    identity = index[ctx.encode([cm.G.identity] * n + [cm.H.identity] * (width - n))]
+    digits = ctx.decode(b"".join(keys))
+    columns = [digits[d::width] for d in range(width)]
+    del digits  # the columns hold the same digits
     closure, gens, rows = [identity], [], []
     seen = [False] * len(keys)
     seen[identity] = True
@@ -590,25 +659,20 @@ def stabilizer(z: Cocycle, budget: int = DEFAULT_BUDGET) -> list[Coboundary]:
         if seen[x]:
             continue
         gens.append(xkey)
-        rows.append([None] * len(keys))
+        rows.append(_right_products(ctx, columns, [col[x] for col in columns], index))
         # (y, s): y is still to be multiplied by gens[s:]
         queue = [(y, len(gens) - 1) for y in closure] + [(x, 0)]
         seen[x] = True
         closure.append(x)
         while queue:
             y, start = queue.pop()
-            ykey = keys[y]
-            for s in range(start, len(gens)):
-                w = pos.get(product(ykey, gens[s]))
-                assert w is not None, "stabilizer is not closed under composition"
-                rows[s][y] = w
+            for row in rows[start:]:
+                w = row[y]
                 if not seen[w]:
                     seen[w] = True
                     closure.append(w)
                     queue.append((w, 0))
-    out = _Stabilizer(found[k] for k in keys)
-    out.keys, out.identity, out.gens, out.rows = keys, identity, gens, rows
-    return out
+    return _Stabilizer(ctx, keys, index, identity, gens, rows)
 
 
 # -- enumeration and classification ----------------------------------------------

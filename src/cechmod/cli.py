@@ -5,7 +5,8 @@ identical inputs produce byte-identical reports regardless of worker count.
 Every negative verdict carries a machine-readable `REASON:` line.
 
 Exit codes: 0 success or affirmative verdict; 1 semantic invalidity or a
-negative verdict; 2 parse error; 3 enumeration budget exceeded.
+negative verdict; 2 parse error; 3 enumeration budget exceeded, or memory
+exhausted (a MemoryError in the command).
 
 Every command takes the options of one table, `OPTIONS`.  An argv of the
 documented form, the command and then `--option value` pairs, is read
@@ -25,6 +26,7 @@ from . import gauge as gauge_mod
 from .catalog import CM_BUILDERS, COMPLEX_BUILDERS
 from .cech import (
     DEFAULT_BUDGET,
+    _key_tuples,
     are_cohomologous,
     classify,
     stabilizer,
@@ -65,11 +67,20 @@ def _cocycle_lines(prefix: str, z, pairs, triples) -> list[str]:
             + _entry_lines(prefix, "h", triples, z.h, z.cm.H.identity))
 
 
+def _key_lines(prefix: str, K, cm, key) -> list[str]:
+    """The entry lines of a coboundary from its key: gamma over the
+    vertices, then eta over `cech._key_tuples(K, 2)`.  Every diagonal pair
+    holds e, so the eta lines are those of the normalized pairs, in
+    lexicographic order, as `_entry_lines` prints them."""
+    n = K.vertex_count
+    eG, eH = cm.G.identity, cm.H.identity
+    return ([f"{prefix}gamma {v} {x}" for v, x in enumerate(key[:n]) if x != eG]
+            + [f"{prefix}eta {i} {j} {x}" for (i, j), x in zip(_key_tuples(K, 2), key[n:])
+               if x != eH])
+
+
 def _coboundary_lines(prefix: str, c) -> list[str]:
-    return (_entry_lines(prefix, "gamma", range(c.complex.vertex_count), c.gamma,
-                         c.cm.G.identity)
-            + _entry_lines(prefix, "eta", normalized_tuples(c.complex, 2), c.eta,
-                           c.cm.H.identity))
+    return _key_lines(prefix, c.complex, c.cm, c.key())
 
 
 def cmd_validate(args) -> tuple[int, list[str]]:
@@ -131,8 +142,8 @@ def cmd_stabilizer(args) -> tuple[int, list[str]]:
     z = parse_cocycle_file(args.cocycle)
     stab = stabilizer(z, budget=args.budget)
     lines = [f"SIZE: {len(stab)}"]
-    for idx, c in enumerate(stab):
-        body = _coboundary_lines(f"ELEMENT {idx} ", c)
+    for idx, key in enumerate(stab.keys):
+        body = _key_lines(f"ELEMENT {idx} ", z.complex, z.cm, stab.ctx.decode(key))
         lines += body if body else [f"ELEMENT {idx} identity"]
     return OK, lines
 
@@ -378,6 +389,8 @@ def _dispatch(args) -> tuple[int, str]:
         return PARSE, f"REASON: {exc}\n"
     except SearchSpaceTooLarge as exc:
         return BUDGET, f"REASON: {exc}\n"
+    except MemoryError:
+        return BUDGET, f"REASON: out of memory in {args.command}\n"
     except CechmodError as exc:
         return INVALID, f"VALID: no\nREASON: {exc}\n"
     return code, "\n".join(lines) + "\n"

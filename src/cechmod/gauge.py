@@ -10,6 +10,7 @@ by vertex-indexed H-tuples.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import (
@@ -231,7 +232,7 @@ def _alphastar(act, gamma: tuple, tup: tuple) -> tuple:
 @dataclass
 class GaugeCrossedModule:
     cm: CrossedModule               # (Gstar, Hstar, betastar, alphastar)
-    stabilizer_elements: list[Coboundary]
+    stabilizer_elements: Sequence[Coboundary]  # `cech.stabilizer`'s result
     h_tuples: list[tuple]
     pi0: FiniteGroup
     pi1: FiniteGroup
@@ -262,32 +263,31 @@ def gauge_crossed_module(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeCross
     H = cm.H
     n = K.vertex_count
     stab = stabilizer(z, budget)
-    gitems = stab.keys
     Gstar = _group_from_right_multiplications(
-        len(gitems), stab.identity, stab.rows, "gauge-objects")
-    gindex = {k: i for i, k in enumerate(gitems)}
+        len(stab), stab.identity, stab.rows, "gauge-objects")
     Hstar, hitems = power_group(H, n, name="H-tuples")
 
-    key_of = _betastar(z)
+    key_of, encode = _betastar(z), stab.ctx.encode
     images = []
     for tup in hitems:
-        k = key_of(tup)
-        if k not in gindex:
+        k = encode(key_of(tup))
+        if k not in stab.index:
             raise ConventionMismatch(
                 f"betastar image of {tup} does not stabilize the cocycle")
-        images.append(gindex[k])
+        images.append(stab.index[k])
     betastar = validate_hom(Hstar, Gstar, images)
     act = cm.alpha.table
     # the index of a tuple t is sum t_i |H|^(n-1-i), so gamma's row is built
     # vertex by vertex; keys with one gamma share their row
     m, act_rows = H.order, {}
-    for gk in gitems:
-        if gk[:n] not in act_rows:
+    gammas = [tuple(stab.ctx.decode(gk)[:n]) for gk in stab.keys]
+    for gamma in gammas:
+        if gamma not in act_rows:
             row = [0]
-            for gi in gk[:n]:
+            for gi in gamma:
                 row = [r * m + a for r in row for a in act[gi]]
-            act_rows[gk[:n]] = row
-    alphastar = validate_action(Gstar, Hstar, [act_rows[gk[:n]] for gk in gitems])
+            act_rows[gamma] = row
+    alphastar = validate_action(Gstar, Hstar, [act_rows[gamma] for gamma in gammas])
     gauge_cm = validate_crossed_module(Gstar, Hstar, betastar, alphastar)
     pi0, _ = quotient_by_image(gauge_cm)
     pi1, _ = kernel_of_beta(gauge_cm)
@@ -363,8 +363,7 @@ def gauge_orders(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeOrders:
     H = cm.H
     n = K.vertex_count
     stab = stabilizer(z, budget)
-    elements = set(stab.keys)
-    key_of = _betastar(z)
+    key_of, encode = _betastar(z), stab.ctx.encode
     act, hmul, hinv = cm.alpha.table, H.mul_table, H.inv_table
     e = (H.identity,) * n
     tgens = [e[:v] + (y,) + e[v + 1:] for v in range(n)
@@ -376,7 +375,7 @@ def gauge_orders(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeOrders:
     images = {}
     for t in tgens:
         images[t] = key_of(t)
-        if images[t] not in elements:
+        if encode(images[t]) not in stab.index:
             raise ConventionMismatch(f"betastar image of {t} does not stabilize the cocycle")
     for t in tgens:
         for t2 in tgens:
@@ -384,10 +383,11 @@ def gauge_orders(z: Cocycle, budget: int = DEFAULT_BUDGET) -> GaugeOrders:
                     tuple(hmul[hmul[a][b]][hinv[a]] for a, b in zip(t, t2)):
                 raise PeifferFailure(place(t), place(t2))
     product = _coboundary_product(K, cm)
-    for g in stab.gens:
+    for gk in stab.gens:
+        g = tuple(stab.ctx.decode(gk))
         for t in tgens:
             if product(key_of(_alphastar(act, g[:n], t)), g) != product(g, images[t]):
-                raise EquivarianceFailure(stab.keys.index(g), place(t))
+                raise EquivarianceFailure(stab.index[gk], place(t))
     for t in tgens:
         for t2 in tgens:
             if key_of(tuple(hmul[a][b] for a, b in zip(t, t2))) != product(images[t], images[t2]):

@@ -1649,18 +1649,20 @@ def test_stabilizer_closure_check_fires_on_a_dropped_element(kname, cmname, monk
     # a search that loses one non-identity element of the stabilizer leaves
     # a set that is not closed, which the generator check must find, for
     # each element dropped in turn
+    # (the search emits packed keys, so the lost element is a key)
     import cechmod.cech as cech_mod
     from cechmod import gauge_crossed_module
     K, cmx = cx(kname), cm(cmname)
     z = trivial_cocycle(K, cmx)
-    ident = identity_coboundary(K, cmx)
-    others = [c for c in stabilizer(z) if c != ident]
+    stab = stabilizer(z)
+    ident = stab.ctx.encode(identity_coboundary(K, cmx).key())
+    others = [k for k in stab.keys if k != ident]
     assert len(others) >= 2
     search = cech_mod._coboundary_search
 
     def dropping(lost):
         def lossy(*args, **kwargs):
-            return (c for c in search(*args, **kwargs) if c != lost)
+            return (k for k in search(*args, **kwargs) if k != lost)
         return lossy
 
     for lost in others:
@@ -1676,6 +1678,7 @@ def test_stabilizer_closure_check_fires_on_every_unclosed_four_element_set(monke
     # a non-abelian stabilizer (S3 as constant coboundaries): whenever the
     # set is not closed, some product y x with x a generator leaves it,
     # including the products with earlier generators, such as b a
+    # (the search emits packed keys, so the set is returned as keys)
     import cechmod.cech as cech_mod
     K, cmx = circle(), cm("star_to_s3")
     z = trivial_cocycle(K, cmx)
@@ -1689,8 +1692,144 @@ def test_stabilizer_closure_check_fires_on_every_unclosed_four_element_set(monke
                    for x in subset.values() for y in subset.values()):
                 continue
             unclosed += 1
+            found = [stab.ctx.encode(k) for k in subset]
             monkeypatch.setattr(cech_mod, "_coboundary_search",
-                                lambda *args, found=list(subset.values()), **kwargs: iter(found))
+                                lambda *args, found=found, **kwargs: iter(found))
             with pytest.raises(AssertionError, match="stabilizer is not closed under composition"):
                 stabilizer(z)
     assert unclosed > 0
+
+
+# -- the packed stabilizer against its per-pair reference --------------------------
+
+def _reference_stabilizer(z, found):
+    """`stabilizer`'s closure as it stood before it packed its keys, on the
+    coboundaries `found`: (the coboundaries sorted by key, the keys, the
+    identity's position, the greedy generators' keys, the rows).  Each
+    product y x is one tuple, composed by `_coboundary_product` and looked
+    up in a dict of key tuples."""
+    from cechmod.cech import _coboundary_product
+    K, cmx = z.complex, z.cm
+    found = {c.key(): c for c in found}
+    keys = sorted(found)
+    pos = {k: a for a, k in enumerate(keys)}
+    product = _coboundary_product(K, cmx)
+    identity = pos[identity_coboundary(K, cmx).key()]
+    closure, gens, rows = [identity], [], []
+    seen = [False] * len(keys)
+    seen[identity] = True
+    for x, xkey in enumerate(keys):
+        if seen[x]:
+            continue
+        gens.append(xkey)
+        rows.append([None] * len(keys))
+        # (y, s): y is still to be multiplied by gens[s:]
+        queue = [(y, len(gens) - 1) for y in closure] + [(x, 0)]
+        seen[x] = True
+        closure.append(x)
+        while queue:
+            y, start = queue.pop()
+            ykey = keys[y]
+            for s in range(start, len(gens)):
+                w = pos.get(product(ykey, gens[s]))
+                assert w is not None, "stabilizer is not closed under composition"
+                rows[s][y] = w
+                if not seen[w]:
+                    seen[w] = True
+                    closure.append(w)
+                    queue.append((w, 0))
+    return [found[k] for k in keys], keys, identity, gens, rows
+
+
+def _packed_stabilizer(stab):
+    """A packed stabilizer's keys, identity, generators and rows, its keys
+    decoded to the digit tuples of `Coboundary.key()`."""
+    decode = stab.ctx.decode
+    return ([tuple(decode(k)) for k in stab.keys], stab.identity,
+            [tuple(decode(k)) for k in stab.gens], [list(row) for row in stab.rows])
+
+
+@pytest.mark.parametrize("name", routes.GAUGE_CASES)
+def test_packed_stabilizer_matches_the_per_pair_closure(name):
+    # the keys in order, the identity, the greedy generators and the rows,
+    # against the closure of the coboundaries `coboundary` builds, with every
+    # check, from the search's solutions; and the coboundaries the result
+    # builds on iteration against those
+    from array import array
+    from cechmod.cech import _Context, _coboundary_search, _key_tuples
+    z = routes.case(name)[0]
+    K, cmx = z.complex, z.cm
+    stab = stabilizer(z, routes.GAUGE_BUDGET)
+    assert all(isinstance(row, array) for row in stab.rows)
+    n, pairs = K.vertex_count, _key_tuples(K, 2)
+    ctx = _Context(K, cmx)
+    found = []
+    for key in _coboundary_search(ctx, z, z, routes.GAUGE_BUDGET, True):
+        digits = list(ctx.decode(key))
+        found.append(coboundary(K, cmx, dict(enumerate(digits[:n])),
+                                {p: x for p, x in zip(pairs, digits[n:]) if p[0] != p[1]}))
+    coboundaries, *packed = _reference_stabilizer(z, found)
+    assert list(_packed_stabilizer(stab)) == packed
+    assert list(stab) == coboundaries
+
+
+@pytest.mark.parametrize("name", ["circle-conj_s3-moved", "boundary3-z4_over_z2-sample",
+                                  "full2-aut_z3-trivial", "point-star_to_s3-trivial"])
+def test_packed_stabilizer_takes_one_path_at_both_digit_widths(name, monkeypatch):
+    # two-byte digits, those of groups above order 256, give the same keys
+    # in the same order, generators and rows
+    import sys
+    import cechmod.cech as cech_mod
+    z = routes.case(name)[0]
+    narrow = stabilizer(z, routes.GAUGE_BUDGET)
+    context = cech_mod._Context
+
+    def wide(K, cmx):
+        ctx = context(K, cmx)
+        ctx.digit, ctx.swap = "H", sys.byteorder == "little"
+        return ctx
+
+    monkeypatch.setattr(cech_mod, "_Context", wide)
+    stab = stabilizer(z, routes.GAUGE_BUDGET)
+    assert stab.ctx.digit == "H" and len(stab.keys[0]) == 2 * len(narrow.keys[0])
+    assert _packed_stabilizer(stab) == _packed_stabilizer(narrow)
+    assert list(stab) == list(narrow)
+
+
+def _counting_coboundaries(monkeypatch):
+    """The list that gets one entry per `Coboundary` built from now on."""
+    made = []
+    init = Coboundary.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Coboundary, "__init__", counted)
+    return made
+
+
+def test_stabilizer_and_gauge_build_no_coboundary(tmp_path, monkeypatch):
+    # the search emits packed keys, the closure and gauge_orders read them,
+    # so neither a stabilizer run nor the gauge command builds a Coboundary;
+    # a cohomologous run with a witness builds exactly the witness
+    from cechmod.cli import run
+    z = routes.case("circle-conj_s3-moved")[0]
+    moved = apply_coboundary(z, random_coboundary(z.complex, z.cm, random.Random(3)))
+    paths = []
+    for label, x in (("z", z), ("moved", moved)):
+        lines = ["cocycle circle conj_s3"]
+        lines += [f"g {i} {j} {v}" for (i, j), v in sorted(x.g.items()) if v != x.cm.G.identity]
+        lines += [f"h {i} {j} {k} {v}" for (i, j, k), v in sorted(x.h.items())
+                  if v != x.cm.H.identity]
+        paths.append(tmp_path / f"{label}.coc")
+        paths[-1].write_text("\n".join(lines) + "\n")
+    made = _counting_coboundaries(monkeypatch)
+    assert len(stabilizer(z)) == 216
+    assert made == []
+    code, report = run(["gauge", "--cocycle", str(paths[0])])
+    assert (code, report.splitlines()[0]) == (0, "GSTAR: 216")
+    assert made == []
+    code, report = run(["cohomologous", "--cocycle", str(paths[0]), "--cocycle2", str(paths[1])])
+    assert (code, report.splitlines()[0]) == (0, "COHOMOLOGOUS: yes")
+    assert len(made) == 1

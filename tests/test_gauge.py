@@ -154,10 +154,13 @@ def test_gauge_tables_take_one_product_per_element_and_generator(
         kname, cmname, order, gens, products, monkeypatch):
     # the stabilizer's closure check multiplies each element by each
     # generator once, and G*'s table is filled from those products, so a
-    # gauge crossed module costs |S| |X| coboundary products, not |S|^2
+    # gauge crossed module costs |S| |X| coboundary products, not |S|^2.
+    # They are taken one generator at a time over the packed keys
+    # (`cech._right_products`, one product per element of its row), and none
+    # by the per-pair law
     import cechmod.cech as cech_mod
-    law_of = cech_mod._coboundary_product
-    calls = []
+    law_of, rows_of = cech_mod._coboundary_product, cech_mod._right_products
+    calls, row_products = [], []
 
     def counted(K, cmx):
         law = law_of(K, cmx)
@@ -168,10 +171,18 @@ def test_gauge_tables_take_one_product_per_element_and_generator(
 
         return product
 
+    def counted_rows(*args):
+        row = rows_of(*args)
+        row_products.append(len(row))
+        return row
+
     monkeypatch.setattr(cech_mod, "_coboundary_product", counted)
+    monkeypatch.setattr(cech_mod, "_right_products", counted_rows)
     gcm = gauge_crossed_module(trivial_cocycle(cx(kname), cm(cmname)))
     assert (gcm.cm.G.order, len(gcm.stabilizer_elements.rows)) == (order, gens)
-    assert len(calls) == products == order * gens
+    assert len(row_products) == gens
+    assert sum(row_products) == products == order * gens
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["circle-conj_s3-trivial", "boundary3-z4_over_z2-moved",

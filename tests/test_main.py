@@ -202,3 +202,22 @@ def test_main(row, tmp_path):
         assert proc.returncode == row.code, row.why
         for pattern in row.out:
             assert any(re.fullmatch(pattern, line) for line in lines), (pattern, row.why)
+
+
+def test_running_out_of_memory_exits_3_with_a_reason(tmp_path):
+    # bundle-check on torus7 x conj_s3 needs about 120 MB; under a 64 MB
+    # address-space cap, set on the child alone, it raises MemoryError within
+    # a second, which is exit 3 with one REASON line naming the command and
+    # no traceback.  The import of cechmod needs about 22 MB of the cap
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    (tmp_path / "z.coc").write_text("cocycle torus7 conj_s3\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cechmod.cli", "bundle-check", "--cocycle", str(tmp_path / "z.coc")],
+        capture_output=True, text=True, cwd=ROOT, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "REASON: out of memory in bundle-check\n", "")
