@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
+from typing import Collection, Sequence
 
 from .algebra import CrossedModule, abelian_invariants, generating_set
 from .complexes import SimplicialComplex, degenerate_tuples, normalized_tuples
@@ -553,7 +553,7 @@ def _key_coboundary(ctx: _Context, key: bytes) -> Coboundary:
                       dict(zip(_key_tuples(ctx.K, 2), digits[n:])))
 
 
-class _Stabilizer(Sequence):
+class _Stabilizer:
     """`stabilizer`'s coboundaries, held as their sorted packed keys
     (`keys`, in `_coboundary_search`'s format) with `index`, the position
     of each key, and the products its closure check computed: `identity` is
@@ -561,7 +561,8 @@ class _Stabilizer(Sequence):
     and rows[k][a], an `array`, the position of the product of the a-th
     element by the k-th generator.  `ctx` encodes and decodes keys.
 
-    A `Coboundary` is built from its key only where one is read, on
+    It is a sequence of `Coboundary` objects by `__len__` and
+    `__getitem__`, and builds each from its key only where one is read, on
     indexing or iteration.  `cli.cmd_stabilizer` prints its lines from the
     keys, `gauge_orders` reads membership off `index` and checks
     equivariance on `gens`, and `gauge_crossed_module` fills G*'s table from
